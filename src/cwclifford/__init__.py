@@ -11,9 +11,9 @@ from .qpair import (QuadraticPair, SymmetricMap, classify_family, extract_B,
                     make_monomial, make_pseudo_monomial, q_map, s_map,
                     transpose_relation_check)
 from .cw import (CliffordMap, CliffordMapParams, CWAlgebraElement, CWElement,
-                 build_clifford_map, build_flat_rep_alphanotzero,
-                 build_flat_rep_alphazero, catalog_projector, check_restriction,
-                 curvature, curvature_sweep, cw_bracket, flatness_report,
+                 build_flat_rep_alphanotzero, build_flat_rep_alphazero,
+                 catalog_projector, check_restriction, curvature,
+                 curvature_sweep, cw_bracket, flatness_report,
                  validate_simple_map)
 from .omega import (OmegaTensor, classify_distinguished, closing_identities,
                     omega_in_soB, omega_tensor)

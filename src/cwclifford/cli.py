@@ -62,7 +62,7 @@ def _load_params(path: str) -> cw.CliffordMapParams:
 
 def _cmd_cw_flat(args) -> dict:
     params = _load_params(args.params)
-    rho = cw.build_clifford_map(params)
+    rho = cw.CliffordMap(params)
     report = cw.flatness_report(params)
     sweep = cw.curvature_sweep(rho, extended=args.extended)
     scale = cw.flatness_scale(params)
@@ -77,7 +77,7 @@ def _cmd_cw_flat(args) -> dict:
 
 def _cmd_cw_restrict(args) -> dict:
     params = _load_params(args.params)
-    rho = cw.build_clifford_map(params)
+    rho = cw.CliffordMap(params)
     proj = cw.catalog_projector(args.projector, params.n)
     result = cw.check_restriction(rho, proj, tol=args.tol)
     result["projector"] = args.projector
@@ -151,6 +151,13 @@ def _cmd_enumerate(args) -> dict:
     }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cwclifford",
@@ -194,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rep-check", help="matrix-representation oracle")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     add_tol(p, default=1e-10)
     p.set_defaults(func=_cmd_rep_check)

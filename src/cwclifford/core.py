@@ -17,8 +17,24 @@ from typing import Dict, Iterable, Iterator, Tuple
 
 from .errors import DimensionMismatch, DimensionTooLarge, NotGradeOne
 
-MAX_DIM = 12
+# The dimension limits on n = dim V, stated once; error messages quote them.
+DIM_LIMITS = {
+    "algebra": (1, 12),               # Multivector
+    "gamma representation": (1, 10),  # gammarep.build_rep
+    "search": (1, 10),                # search.search_pairs_for_B
+    "case sweep": (2, 6),             # search.enumerate_two_monomial_cases
+    "transpose sweep": (1, 6),        # qpair.transpose_relation_check
+}
+MIN_DIM, MAX_DIM = DIM_LIMITS["algebra"]
 PRUNE_EPS = 1e-14
+
+
+def _check_dim(limit: str, n: int) -> None:
+    """Raise DimensionTooLarge unless n lies inside DIM_LIMITS[limit]."""
+    low, high = DIM_LIMITS[limit]
+    if not low <= n <= high:
+        raise DimensionTooLarge(
+            f"the {limit} supports {low} <= n <= {high}, got n = {n}")
 
 
 def blade_from_indices(indices: Iterable[int]) -> int:
@@ -88,8 +104,8 @@ class Multivector:
     __slots__ = ("dim", "_terms")
 
     def __init__(self, dim: int, terms: Dict[int, complex] | None = None):
-        if not (1 <= dim <= MAX_DIM):
-            raise DimensionTooLarge(f"dim must be in 1..{MAX_DIM}, got {dim}")
+        if not (MIN_DIM <= dim <= MAX_DIM):
+            _check_dim("algebra", dim)
         self.dim = dim
         clean: Dict[int, complex] = {}
         if terms:
@@ -145,9 +161,6 @@ class Multivector:
     def scalar_part(self) -> complex:
         return self._terms.get(0, 0j)
 
-    def grades(self) -> Tuple[int, ...]:
-        return tuple(sorted({grade(m) for m in self._terms}))
-
     def norm(self) -> float:
         return sum(abs(c) ** 2 for c in self._terms.values()) ** 0.5
 
@@ -200,9 +213,6 @@ class Multivector:
 
     def __hash__(self):
         return hash((self.dim, frozenset(self._terms.items())))
-
-    def approx_eq(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        return (self - other).is_zero(tol)
 
     def __repr__(self) -> str:
         from .textio import multivector_to_text

@@ -102,10 +102,6 @@ class CWAlgebraElement:
                                 self.xplus + other.xplus,
                                 self.xminus + other.xminus)
 
-    def scale(self, t: float) -> "CWAlgebraElement":
-        return CWAlgebraElement(self.n, t * self.h, t * self.vstar, t * self.v,
-                                t * self.xplus, t * self.xminus)
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.h ** 2) + np.sum(self.vstar ** 2)
                              + np.sum(self.v ** 2) + self.xplus ** 2
@@ -134,18 +130,6 @@ def cw_bracket(x: CWAlgebraElement, y: CWAlgebraElement,
          + x.h @ y.v - y.h @ x.v)
     xplus = float(-(bm @ x.vstar) @ y.v + (bm @ y.vstar) @ x.v)
     return CWAlgebraElement(x.n, h, vstar, v, xplus, 0.0)
-
-
-def sob_basis(b: SymmetricMap) -> List[np.ndarray]:
-    """Elementary rotations of each eigenspace of B, spanning so_B(V)."""
-    out = []
-    for space in b.eigenspaces:
-        basis = space.basis
-        for i in range(space.multiplicity):
-            for j in range(i + 1, space.multiplicity):
-                u, w = basis[:, i], basis[:, j]
-                out.append(np.outer(u, w) - np.outer(w, u))
-    return out
 
 
 # -- block endomorphisms of the spinor module --------------------------------
@@ -178,10 +162,6 @@ class CWElement:
     def diagonal(x: Multivector) -> "CWElement":
         z = Multivector.zero(x.dim)
         return CWElement(x, z, z, x)
-
-    @staticmethod
-    def from_blocks(p, q, r, s) -> "CWElement":
-        return CWElement(p, q, r, s)
 
     @staticmethod
     def from_graded(r2: np.ndarray, a: Multivector) -> "CWElement":
@@ -227,8 +207,6 @@ class CWElement:
 
 _GAMMA_PLUS = np.array([[0.0, SQRT2], [0.0, 0.0]])
 _GAMMA_MINUS = np.array([[0.0, 0.0], [-SQRT2, 0.0]])
-_SIGMA_MINUS = np.array([[1.0, 0.0], [0.0, 0.0]])
-_SIGMA_PLUS = np.array([[0.0, 0.0], [0.0, 1.0]])
 _ID2 = np.eye(2)
 
 
@@ -265,11 +243,6 @@ class CliffordMapParams:
     @property
     def n(self) -> int:
         return self.b_map.n
-
-    @staticmethod
-    def from_elements(b_entries, a, b, c, d, e) -> "CliffordMapParams":
-        return CliffordMapParams(SymmetricMap.from_matrix(b_entries),
-                                 a, b, c, d, e)
 
 
 class CliffordMap:
@@ -315,10 +288,6 @@ class CliffordMap:
         if np.any(x.h):
             out = out + self.h_image(x.h)
         return out
-
-
-def build_clifford_map(params: CliffordMapParams) -> CliffordMap:
-    return CliffordMap(params)
 
 
 def validate_simple_map(params: CliffordMapParams,
@@ -371,7 +340,7 @@ def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
         elements = elements + [CWAlgebraElement.basis_covector(n, mu)
                                for mu in range(1, n + 1)]
         elements = elements + [CWAlgebraElement.rotation(n, h)
-                               for h in sob_basis(rho.params.b_map)]
+                               for h in rho.params.b_map.sob_basis()]
     worst = 0.0
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
@@ -451,7 +420,7 @@ def build_flat_rep_alphazero(c: Multivector, d: Multivector, e: Multivector,
             "the pair (bar c, d) must be verified and represent -B")
     n = c.dim
     zero = Multivector.zero(n)
-    return build_clifford_map(CliffordMapParams(b, zero, zero, c, d, e))
+    return CliffordMap(CliffordMapParams(b, zero, zero, c, d, e))
 
 
 def half_spinor_projector(n: int, sign: int) -> Multivector:
@@ -507,8 +476,7 @@ def build_flat_rep_alphanotzero(alpha: complex, beta: complex, rho0: complex,
     d_full = rho0 * unit + kappa * pi_b + dblk
     e_full = beta * pi_b + e_up + e_dn + epp
     b_map = SymmetricMap.from_matrix(-2.0 * lam * np.eye(n))
-    return build_clifford_map(CliffordMapParams(b_map, a, b, c_full, d_full,
-                                                e_full))
+    return CliffordMap(CliffordMapParams(b_map, a, b, c_full, d_full, e_full))
 
 
 # -- restrictions of the spinor module ---------------------------------------

@@ -16,16 +16,13 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import Multivector, grade
-from .errors import (AmbiguousOddIrreducible, DimensionMismatch,
-                     DimensionTooLarge)
+from .core import Multivector, _check_dim, grade
+from .errors import AmbiguousOddIrreducible, DimensionMismatch
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
-
-MAX_REP_DIM_V = 10
 
 
 def _kron_chain(factors) -> np.ndarray:
@@ -68,16 +65,11 @@ class GammaRep:
         self._blade_cache[mask] = mat
         return mat
 
-    @property
-    def identity(self) -> np.ndarray:
-        return np.eye(self.rep_dim, dtype=complex)
-
 
 def build_rep(n: int, kind: str = "faithful") -> GammaRep:
     if kind not in ("irreducible", "faithful"):
         raise ValueError(f"unknown representation kind {kind!r}")
-    if not (1 <= n <= MAX_REP_DIM_V):
-        raise DimensionTooLarge(f"gamma representations support 1 <= n <= {MAX_REP_DIM_V}")
+    _check_dim("gamma representation", n)
     if n % 2 == 0:
         mats = _pair_generators(n // 2)
         return GammaRep(n, kind, tuple(mats), 1 << (n // 2))

@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-import numpy as np
-
 from .core import Multivector, gp, grade, volume_element
-from .errors import DimensionMismatch, InputError, NotSoBInvariant
+from .errors import DimensionMismatch, NotSoBInvariant
 from .qpair import (SymmetricMap, rotate_multivector, s_map,
                     skew_to_bivector)
 
@@ -68,17 +66,10 @@ def omega_tensor(c: Multivector, d: Multivector) -> OmegaTensor:
 def _adapt_to_eigenbasis(c: Multivector, d: Multivector, b: SymmetricMap):
     """Rotate the pair into the eigenbasis of B; eigenspace index sets
     become contiguous position blocks there."""
-    r = b.eigenvectors
-    if np.max(np.abs(r - np.eye(b.n))) < 1e-14:
+    if b.eigenbasis_is_identity:
         return c, d
+    r = b.eigenvectors
     return (rotate_multivector(c, r.T), rotate_multivector(d, r.T))
-
-
-def _eigenspace_of(position: int, b: SymmetricMap) -> int:
-    for idx, space in enumerate(b.eigenspaces):
-        if position in space.positions:
-            return idx
-    raise InputError("position outside the eigenbasis")
 
 
 def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
@@ -96,7 +87,8 @@ def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
     worst = 0.0
     worst_at = None
     for (mu, nu), entry in omega.entries.items():
-        if _eigenspace_of(mu - 1, b) == _eigenspace_of(nu - 1, b):
+        both = (1 << (mu - 1)) | (1 << (nu - 1))
+        if any(both & space.mask == both for space in b.eigenspaces):
             continue
         norm = entry.norm()
         if norm > worst:
@@ -114,9 +106,8 @@ def is_sob_invariant_structural(x: Multivector, b: SymmetricMap) -> bool:
 def is_sob_invariant_commutator(x: Multivector, b: SymmetricMap,
                                 tol: float = 1e-10) -> bool:
     """Fallback for non-adapted bases: commute with every so_B generator."""
-    from .cw import sob_basis
     scale = 1.0 + x.norm()
-    for h in sob_basis(b):
+    for h in b.sob_basis():
         a = skew_to_bivector(h, b.n)
         if (gp(a, x) - gp(x, a)).norm() > tol * scale:
             return False
@@ -125,19 +116,13 @@ def is_sob_invariant_commutator(x: Multivector, b: SymmetricMap,
 
 def _allowed_masks(b: SymmetricMap) -> Dict[int, Tuple[int, ...]]:
     """All unions of eigenspace blocks, mapped to the cluster subsets."""
-    blocks = []
-    for idx, space in enumerate(b.eigenspaces):
-        mask = 0
-        for pos in space.positions:
-            mask |= 1 << pos
-        blocks.append((idx, mask))
     out: Dict[int, Tuple[int, ...]] = {}
-    for subset in range(1 << len(blocks)):
+    for subset in range(1 << len(b.eigenspaces)):
         mask = 0
         members = []
-        for idx, bmask in blocks:
+        for idx, space in enumerate(b.eigenspaces):
             if (subset >> idx) & 1:
-                mask |= bmask
+                mask |= space.mask
                 members.append(idx)
         out[mask] = tuple(members)
     return out

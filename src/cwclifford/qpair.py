@@ -10,11 +10,12 @@ check them against direct evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Multivector, blade_indices, blade_square_sign, gp, grade,
+from .core import (Multivector, _check_dim, blade_square_sign, gp, grade,
                    volume_element)
 from .errors import (AnticommutationViolated, CoefficientConstraintViolated,
                      DimensionMismatch, IllegalParityPattern, InputError,
@@ -55,6 +56,7 @@ class Eigenspace:
     multiplicity: int
     basis: np.ndarray          # n x multiplicity, orthonormal columns
     positions: Tuple[int, ...]  # column indices in the sorted eigenbasis
+    mask: int                   # the positions as a blade bitmask
 
 
 @dataclass
@@ -88,7 +90,8 @@ class SymmetricMap:
                     value=float(np.mean(vals[start:i])),
                     multiplicity=i - start,
                     basis=block,
-                    positions=tuple(range(start, i))))
+                    positions=tuple(range(start, i)),
+                    mask=(1 << i) - (1 << start)))
                 start = i
         return SymmetricMap(n, m, vals, vecs, spaces)
 
@@ -96,11 +99,27 @@ class SymmetricMap:
     def from_diagonal(values) -> "SymmetricMap":
         return SymmetricMap.from_matrix(np.diag(np.asarray(values, dtype=float)))
 
+    @cached_property
+    def eigenbasis_is_identity(self) -> bool:
+        """True when the eigenbasis is the standard basis (no rotation)."""
+        return bool(np.max(np.abs(self.eigenvectors - np.eye(self.n))) <= 1e-14)
+
     def distinct_count(self) -> int:
         return len(self.eigenspaces)
 
-    def is_multiple_of_identity(self, tol: float = CLUSTER_TOL) -> bool:
+    def is_multiple_of_identity(self) -> bool:
         return len(self.eigenspaces) == 1
+
+    def sob_basis(self) -> List[np.ndarray]:
+        """Elementary rotations of each eigenspace, spanning so_B(V)."""
+        out = []
+        for space in self.eigenspaces:
+            basis = space.basis
+            for i in range(space.multiplicity):
+                for j in range(i + 1, space.multiplicity):
+                    u, w = basis[:, i], basis[:, j]
+                    out.append(np.outer(u, w) - np.outer(w, u))
+        return out
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.entries @ v
@@ -248,17 +267,6 @@ def skew_to_bivector(s: np.ndarray, dim: int) -> Multivector:
     return Multivector(dim, terms)
 
 
-def bivector_to_skew(a: Multivector) -> np.ndarray:
-    s = np.zeros((a.dim, a.dim), dtype=complex)
-    for mask, coeff in a.terms():
-        if grade(mask) != 2:
-            raise InputError("bivector_to_skew needs a pure grade-2 element")
-        mu, nu = (i - 1 for i in blade_indices(mask))
-        s[mu, nu] = -2 * coeff
-        s[nu, mu] = 2 * coeff
-    return s
-
-
 def make_linear(b: SymmetricMap) -> QuadraticPair:
     """Linear pair (A, A) realizing B; every nonzero eigenvalue must have
     even multiplicity.  Negative eigenvalues become real rotation blocks of
@@ -383,9 +391,6 @@ def make_generalized(dim: int, partition: Sequence[int],
                 "odd parts need c_0 c_1 = hat_c_0 hat_c_1")
     else:
         raise IllegalParityPattern("more than two odd parts never verify")
-    if dim % 2 and any(abs(h) > 0 for h in hat_coeffs):
-        raise IllegalParityPattern(
-            "volume-twisted coefficients are not available in odd dimension")
 
     c, d = _generalized_elements(dim, partition, coeffs, hat_coeffs)
     predicted = np.zeros(dim, dtype=complex)
@@ -603,8 +608,7 @@ def transpose_relation_check(c: Multivector, d: Multivector) -> float:
     relative to the unsigned-orthogonality derivation).
     """
     n = c.dim
-    if n > 6:
-        raise InputError("full-basis transpose sweep is limited to n <= 6")
+    _check_dim("transpose sweep", n)
     size = 1 << n
     q_cd = [q_map(c, d, Multivector.blade(n, i)) for i in range(size)]
     q_dc = [q_map(d, c, Multivector.blade(n, j)) for j in range(size)]

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Multivector, blade_square_sign, gp, grade
-from .errors import DimensionTooLarge, InputError
+from .core import Multivector, _check_dim, blade_square_sign, gp, grade
+from .errors import InputError
 from .qpair import (QuadraticPair, SymmetricMap, extract_B, make_generalized,
                     make_linear, make_monomial, make_pseudo_monomial,
                     rotate_multivector)
@@ -30,12 +30,13 @@ ZERO_EIGENVALUE_GUARD = 1e-8
 
 # -- exact linear algebra over Q ----------------------------------------------
 
-def _nullspace(rows: Sequence[Sequence[int]]) -> List[Tuple[Fraction, ...]]:
-    ncols = 4
+def _rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over Q of rows with 4 columns, and the
+    pivot columns (their count is the rank)."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots: List[int] = []
-    r = 0
-    for col in range(ncols):
+    for col in range(4):
+        r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
@@ -47,34 +48,20 @@ def _nullspace(rows: Sequence[Sequence[int]]) -> List[Tuple[Fraction, ...]]:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(col)
-        r += 1
-    free = [cidx for cidx in range(ncols) if cidx not in pivots]
+    return m, pivots
+
+
+def _nullspace(rows: Sequence[Sequence[int]]) -> List[Tuple[Fraction, ...]]:
+    m, pivots = _rref(rows)
     basis = []
+    free = [cidx for cidx in range(4) if cidx not in pivots]
     for fc in free:
-        vec = [Fraction(0)] * ncols
+        vec = [Fraction(0)] * 4
         vec[fc] = Fraction(1)
         for idx, pc in enumerate(pivots):
             vec[pc] = -m[idx][fc]
         basis.append(tuple(vec))
     return basis
-
-
-def _rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    m = [list(v) for v in vectors]
-    rank = 0
-    for col in range(4):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col]
-        m[rank] = [x / inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 def _contains(space: Sequence[Sequence[Fraction]],
@@ -83,7 +70,7 @@ def _contains(space: Sequence[Sequence[Fraction]],
         return True
     if not space:
         return all(all(x == 0 for x in v) for v in vectors)
-    return _rank(list(space) + list(vectors)) == _rank(space)
+    return len(_rref(list(space) + list(vectors))[1]) == len(_rref(space)[1])
 
 
 def _same_space(a, b) -> bool:
@@ -212,15 +199,15 @@ def _integerize(vec: Sequence[Fraction]) -> Tuple[int, ...]:
 
 
 def enumerate_two_monomial_cases(n: int) -> List[ShapeCase]:
-    """Exhaustive sweep of two-monomial shapes for 2 <= n <= 6.
+    """Exhaustive sweep of two-monomial shapes, n inside the case-sweep
+    limit of core.DIM_LIMITS.
 
     Shapes are canonicalized so that grade(I) <= grade(J) and an empty slot
     is always I; pairs with both slots empty are a single monomial and are
     skipped.  Complement-free shapes in odd dimension fold onto smaller
     cases through the (then central) volume element.
     """
-    if not (2 <= n <= 6):
-        raise DimensionTooLarge("the case sweep is limited to 2 <= n <= 6")
+    _check_dim("case sweep", n)
     out: List[ShapeCase] = []
     for i in range(n + 1):
         for j in range(n + 1 - i):
@@ -276,11 +263,6 @@ def line_coefficients(lam: int, mu: int, rng):
     return a, b, lam * a, mu * b
 
 
-def beta_equal_coefficients(rng):
-    a, b, ap = rng.standard_normal(3)
-    return a, b, ap, b
-
-
 def circle_coefficients(rng):
     a, b, bp = rng.standard_normal(3)
     return a, b, -a * bp / b, bp
@@ -304,16 +286,6 @@ def _z2_canonical(alpha: complex, beta: complex) -> Tuple[complex, complex]:
     return alpha, beta
 
 
-def _cluster_masks(b: SymmetricMap) -> List[int]:
-    masks = []
-    for space in b.eigenspaces:
-        mask = 0
-        for pos in space.positions:
-            mask |= 1 << pos
-        masks.append(mask)
-    return masks
-
-
 def _mask_indices(mask: int, n: int) -> List[int]:
     return [idx for idx in range(1, n + 1) if (mask >> (idx - 1)) & 1]
 
@@ -330,12 +302,10 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
     if ansatz not in ANSAETZE:
         raise InputError(f"unknown ansatz {ansatz!r}; pick one of {ANSAETZE}")
     n = b.n
-    if n > 10:
-        raise DimensionTooLarge("search supports n <= 10")
+    _check_dim("search", n)
     hits: List[SearchHit] = []
     rot = b.eigenvectors
-    needs_rotation = bool(np.max(np.abs(rot - np.eye(n))) > 1e-14)
-    masks = _cluster_masks(b)
+    masks = [space.mask for space in b.eigenspaces]
     values = [space.value for space in b.eigenspaces]
     scale = max(np.max(np.abs(b.entries)), 1.0)
     r = len(b.eigenspaces)
@@ -348,7 +318,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
             return
         if not pair.verified:
             return
-        if rotate and needs_rotation:
+        if rotate and not b.eigenbasis_is_identity:
             pair = extract_B(rotate_multivector(pair.c, rot),
                              rotate_multivector(pair.d, rot))
             if not pair.verified:
@@ -420,31 +390,26 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
                  {"construction": "rotation blocks on the eigenspaces"},
                  rotate=False)
     if ansatz in ("generalized", "all") and r >= 2:
+        # make_generalized rejects the illegal parity patterns (InputError)
         odd_clusters = [idx for idx, m in enumerate(masks) if grade(m) % 2]
-        legal = (len(odd_clusters) == 0
-                 or (len(odd_clusters) == 1 and n % 2 == 1)
-                 or (len(odd_clusters) == 2 and n % 2 == 0))
-        if legal:
-            coeffs = [0j] * r
-            hats = [0j] * r
-            for idx in range(r):
-                if idx in odd_clusters and len(odd_clusters) == 2:
-                    continue
+        coeffs = [0j] * r
+        hats = [0j] * r
+        for idx in range(r):
+            sig = blade_square_sign(masks[idx])
+            coeffs[idx] = complex(np.sqrt(values[idx] / (4 * sig) + 0j))
+        if len(odd_clusters) == 2:
+            # split each odd eigenvalue as c^2 - hat^2 with hat = s * c,
+            # s and 1/s on the two parts so the cross constraint holds
+            for idx, s_split in zip(odd_clusters, (2.0, 0.5)):
                 sig = blade_square_sign(masks[idx])
-                coeffs[idx] = complex(np.sqrt(values[idx] / (4 * sig) + 0j))
-            if len(odd_clusters) == 2:
-                # split each odd eigenvalue as c^2 - hat^2 with hat = s * c,
-                # s and 1/s on the two parts so the cross constraint holds
-                for idx, s_split in zip(odd_clusters, (2.0, 0.5)):
-                    sig = blade_square_sign(masks[idx])
-                    u = values[idx] / (4 * sig)
-                    cval = complex(np.sqrt(u / (1 - s_split ** 2) + 0j))
-                    coeffs[idx] = cval
-                    hats[idx] = s_split * cval
-            emit("generalized-monomial",
-                 lambda ms=tuple(masks), cs=tuple(coeffs), hs=tuple(hats):
-                 make_generalized(n, list(ms), list(cs), list(hs)),
-                 {"partition": [_mask_indices(m, n) for m in masks],
-                  "coefficients": [str(x) for x in coeffs],
-                  "hat_coefficients": [str(x) for x in hats]})
+                u = values[idx] / (4 * sig)
+                cval = complex(np.sqrt(u / (1 - s_split ** 2) + 0j))
+                coeffs[idx] = cval
+                hats[idx] = s_split * cval
+        emit("generalized-monomial",
+             lambda ms=tuple(masks), cs=tuple(coeffs), hs=tuple(hats):
+             make_generalized(n, list(ms), list(cs), list(hs)),
+             {"partition": [_mask_indices(m, n) for m in masks],
+              "coefficients": [str(x) for x in coeffs],
+              "hat_coefficients": [str(x) for x in hats]})
     return hits

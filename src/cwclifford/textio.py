@@ -9,7 +9,9 @@ bit.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 import re
 from typing import Any
 
@@ -77,6 +79,8 @@ def multivector_to_text(a: Multivector) -> str:
 
 def multivector_from_text(text: str, dim: int) -> Multivector:
     """Parse the term-list grammar; raises InputError on malformed input."""
+    if not isinstance(text, str):
+        raise InputError(f"a multivector must be a string, got {text!r}")
     terms = {}
     pos = 0
     first = True
@@ -89,6 +93,8 @@ def multivector_from_text(text: str, dim: int) -> Multivector:
                 raise InputError(f"missing '+' between terms near {seg!r}")
             seg = seg[1:]
         coeff = _parse_coeff(seg)
+        if not cmath.isfinite(coeff):
+            raise InputError(f"non-finite coefficient {seg.strip()!r}")
         idx_text = m.group("idx").strip()
         indices = [int(t) for t in idx_text.split(",") if t.strip()] if idx_text else []
         if any(i > dim for i in indices):
@@ -124,14 +130,37 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def load_pair_file(path: str):
-    """pair.json: {dim, c, d} with c, d in the text grammar."""
+def _load_object(path: str):
+    """The JSON object in the file and its ``dim``, a positive integer."""
     doc = load_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     dim = _require(doc, "dim", path)
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InputError(f"{path}: dim must be a positive integer")
+    return doc, dim
+
+
+def _is_finite_real(x) -> bool:
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
+def _real_matrix(doc: dict, key: str, dim: int, path: str) -> np.ndarray:
+    """doc[key]: a row-major flat list of dim*dim finite reals."""
+    entries = _require(doc, key, path)
+    if not isinstance(entries, list) or len(entries) != dim * dim or \
+            not all(_is_finite_real(x) for x in entries):
+        raise InputError(
+            f"{path}: {key} must be a flat list of {dim * dim} finite reals")
+    return np.array(entries, dtype=float).reshape(dim, dim)
+
+
+def load_pair_file(path: str):
+    """pair.json: {dim, c, d} with c, d in the text grammar."""
+    doc, dim = _load_object(path)
     c = multivector_from_text(_require(doc, "c", path), dim)
     d = multivector_from_text(_require(doc, "d", path), dim)
     return dim, c, d
@@ -139,30 +168,14 @@ def load_pair_file(path: str):
 
 def load_b_file(path: str):
     """b.json: {dim, entries} with entries a row-major real n*n list."""
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected a JSON object")
-    dim = _require(doc, "dim", path)
-    entries = _require(doc, "entries", path)
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"{path}: dim must be a positive integer")
-    if not isinstance(entries, list) or len(entries) != dim * dim:
-        raise InputError(f"{path}: entries must be a flat list of {dim * dim} reals")
-    return dim, np.array(entries, dtype=float).reshape(dim, dim)
+    doc, dim = _load_object(path)
+    return dim, _real_matrix(doc, "entries", dim, path)
 
 
 def load_params_file(path: str):
     """params.json: {dim, B, a, b, c, d, e} (B row-major, rest text grammar)."""
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected a JSON object")
-    dim = _require(doc, "dim", path)
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"{path}: dim must be a positive integer")
-    bentries = _require(doc, "B", path)
-    if not isinstance(bentries, list) or len(bentries) != dim * dim:
-        raise InputError(f"{path}: B must be a flat list of {dim * dim} reals")
-    bmat = np.array(bentries, dtype=float).reshape(dim, dim)
+    doc, dim = _load_object(path)
+    bmat = _real_matrix(doc, "B", dim, path)
     fields = {}
     for name in ("a", "b", "c", "d", "e"):
         fields[name] = multivector_from_text(_require(doc, name, path), dim)

@@ -12,8 +12,8 @@ import pytest
 from cwclifford.core import (Multivector, blade_square_sign, gp, grade,
                              grade_involution, random_multivector,
                              volume_element)
-from cwclifford.cw import (CliffordMapParams,
-                           build_clifford_map, build_flat_rep_alphanotzero,
+from cwclifford.cw import (CliffordMap, CliffordMapParams,
+                           build_flat_rep_alphanotzero,
                            build_flat_rep_alphazero, catalog_projector,
                            check_restriction, curvature_sweep,
                            flatness_report, half_spinor_projector)
@@ -380,7 +380,7 @@ def test_criterion_7_flatness():
         bad_b, 0.7 * pi_p, -0.7 * pi_m,
         grade_involution(-np.sqrt(2 * 0.7) * pi_m), np.sqrt(2 * 0.7) * pi_m,
         Multivector.zero(n))
-    assert curvature_sweep(build_clifford_map(params)) > 1e-3
+    assert curvature_sweep(CliffordMap(params)) > 1e-3
     report("criterion 7 (flat families, constraints, rejections)")
 
 
@@ -396,7 +396,7 @@ def test_criterion_8_restrictions():
                                        random_multivector(rng, n, 4),
                                        random_multivector(rng, n, 4),
                                        random_multivector(rng, n, 4))
-            rho = build_clifford_map(params)
+            rho = CliffordMap(params)
             out = check_restriction(rho, catalog_projector("sigma+", n))
             assert out["representation"]
             assert not out["invariant"]
@@ -466,7 +466,7 @@ def test_criterion_8_restrictions():
         params = CliffordMapParams(
             SymmetricMap.from_diagonal(bdiag), Multivector.zero(n),
             Multivector.zero(n), grade_involution(c), d, Multivector.zero(n))
-        rho = build_clifford_map(params)
+        rho = CliffordMap(params)
         out = check_restriction(rho, proj)
         vanish = gp(xm_el, gp(d, xp_el)).norm() <= 1e-9
         assert out["representation"] == vanish

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cwclifford.cli import main
 from cwclifford.textio import multivector_to_text
@@ -161,3 +162,50 @@ def test_enumerate_cli(capsys):
     assert out == out2
     code, _, err = run(capsys, "enumerate-cases", "--dim", "9")
     assert code == 2
+
+
+PAIR_OK = {"dim": 2, "c": "1.0 e_{1}", "d": "0.5 e_{1}"}
+B_OK = {"dim": 2, "entries": [-1.0, 0.0, 0.0, -4.0]}
+PARAMS_OK = {"dim": 2, "B": [1.0, 0.0, 0.0, 4.0], "a": "0 e_{}",
+             "b": "0 e_{}", "c": "1.0 e_{1}", "d": "0.5 e_{1}", "e": "0 e_{}"}
+
+
+@pytest.mark.parametrize("command, flag, doc", [
+    ("verify", "--pair", {**PAIR_OK, "dim": True}),
+    ("search", "--b", {"dim": True, "entries": [-1.0]}),
+    ("cw-flat", "--params", {**PARAMS_OK, "dim": True, "B": [1.0]}),
+    ("search", "--b", {**B_OK, "entries": [-1.0, 0.0, 0.0, "x"]}),
+    ("search", "--b", {**B_OK, "entries": [-1.0, 0.0, 0.0, [-4.0]]}),
+    ("search", "--b", {**B_OK, "entries": [-1.0, 0.0, 0.0, True]}),
+    ("cw-flat", "--params", {**PARAMS_OK, "B": [1.0, 0.0, 0.0, "4"]}),
+    ("cw-flat", "--params", {**PARAMS_OK, "B": [1.0, 0.0, 0.0, [4.0]]}),
+    ("search", "--b", {**B_OK, "entries": [-1.0, 0.0, 0.0, float("nan")]}),
+    ("search", "--b", {**B_OK, "entries": [-1.0, 0.0, 0.0, float("inf")]}),
+    ("search", "--b", {**B_OK, "entries": [-1.0, 0.0, 0.0, -10 ** 400]}),
+    ("cw-flat", "--params", {**PARAMS_OK, "B": [1.0, 0.0, 0.0, float("nan")]}),
+    ("cw-flat", "--params", {**PARAMS_OK, "B": [float("-inf"), 0.0, 0.0, 4.0]}),
+    ("verify", "--pair", {**PAIR_OK, "c": "inf e_{1}"}),
+    ("verify", "--pair", {**PAIR_OK, "c": "nan e_{1}"}),
+    ("verify", "--pair", {**PAIR_OK, "c": "1e400 e_{1}"}),
+    ("verify", "--pair", {**PAIR_OK, "d": "1e400i e_{1}"}),
+    ("cw-flat", "--params", {**PARAMS_OK, "e": "nan e_{1,2}"}),
+    ("verify", "--pair", {**PAIR_OK, "c": 1.0}),
+], ids=["pair-dim-true", "b-dim-true", "params-dim-true", "entries-string",
+        "entries-nested", "entries-bool", "B-string", "B-nested",
+        "entries-nan", "entries-infinity", "entries-huge-int", "B-nan",
+        "B-infinity", "coeff-inf", "coeff-nan", "coeff-1e400",
+        "coeff-imaginary-1e400", "params-coeff-nan", "coeff-not-a-string"])
+def test_hostile_input_is_exit_2(tmp_path, capsys, command, flag, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, flag, str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_rep_check_rejects_trials_below_one(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["rep-check", "--dim", "3", "--trials", trials])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "--trials" in out.err

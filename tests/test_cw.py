@@ -3,14 +3,14 @@ import pytest
 
 from cwclifford.core import (Multivector, gp, grade_involution,
                              random_multivector, volume_element)
-from cwclifford.cw import (CliffordMapParams, CWAlgebraElement, CWElement,
-                           build_clifford_map, build_flat_rep_alphanotzero,
+from cwclifford.cw import (CliffordMap, CliffordMapParams, CWAlgebraElement,
+                           CWElement, build_flat_rep_alphanotzero,
                            build_flat_rep_alphazero, catalog_projector,
                            check_restriction, clw_generator_eminus,
                            clw_generator_eplus, clw_generator_vector,
                            curvature, curvature_sweep, cw_bracket,
                            cw_to_matrix, flatness_report, half_spinor_projector,
-                           sob_basis, validate_simple_map, w_basis,
+                           validate_simple_map, w_basis,
                            x_projector_element)
 from cwclifford.errors import (ConstraintViolated, InputError, NotAProjector,
                                NotInSoB, OddDimension,
@@ -54,7 +54,7 @@ def test_bracket_jacobi_random():
     n = 4
     b = SymmetricMap.from_diagonal([2.0, 2.0, -1.0, -1.0])
     def rand_elem():
-        h = sum(rng.standard_normal() * hb for hb in sob_basis(b))
+        h = sum(rng.standard_normal() * hb for hb in b.sob_basis())
         return CWAlgebraElement(n, h, rng.standard_normal(n),
                                 rng.standard_normal(n),
                                 float(rng.standard_normal()),
@@ -110,7 +110,7 @@ def test_map_images_match_blocks():
     n = 3
     rng = np.random.default_rng(2)
     params = rand_params(rng, n)
-    rho = build_clifford_map(params)
+    rho = CliffordMap(params)
     img = rho(CWAlgebraElement.basis_covector(n, 1))
     want = (1.0 / np.sqrt(2)) * Multivector.from_vector(
         n, params.b_map.entries[:, 0])
@@ -128,7 +128,7 @@ def test_vstar_equivariance_structure():
     n = 3
     for _ in range(5):
         params = rand_params(rng, n)
-        rho = build_clifford_map(params)
+        rho = CliffordMap(params)
         for mu in range(1, n + 1):
             vs = CWAlgebraElement.basis_covector(n, mu)
             assert curvature(rho, vs, CWAlgebraElement.e_plus(n)).norm() < 1e-12
@@ -140,7 +140,7 @@ def test_vstar_equivariance_structure():
                                a, b, random_multivector(rng, 3, 4),
                                random_multivector(rng, 3, 4),
                                random_multivector(rng, 3, 4))
-    rho = build_clifford_map(params)
+    rho = CliffordMap(params)
     for mu in range(1, 4):
         for nu in range(1, 4):
             r = curvature(rho, CWAlgebraElement.basis_covector(3, mu),
@@ -176,7 +176,7 @@ def test_curvature_spin_only_map():
     n = 3
     zero = Multivector.zero(n)
     b = SymmetricMap.from_diagonal([1.0, 2.0, 3.0])
-    rho = build_clifford_map(CliffordMapParams(b, zero, zero, zero, zero, zero))
+    rho = CliffordMap(CliffordMapParams(b, zero, zero, zero, zero, zero))
     r = curvature(rho, CWAlgebraElement.e_minus(n),
                   CWAlgebraElement.basis_vector(n, 1))
     want = rho(CWAlgebraElement.basis_covector(n, 1))
@@ -194,7 +194,7 @@ def test_curvature_center_pair_closed_form():
     params = CliffordMapParams(SymmetricMap.from_diagonal([1.0, 2.0, 3.0]),
                                Multivector.scalar(n, alpha),
                                Multivector.scalar(n, -alpha), c, d, e_el)
-    rho = build_clifford_map(params)
+    rho = CliffordMap(params)
     r = curvature(rho, CWAlgebraElement.e_minus(n), CWAlgebraElement.e_plus(n))
     sigma = np.array([[-1.0, 0.0], [0.0, 1.0]])
     want = CWElement.from_graded(sigma, Multivector.scalar(n, -2 * alpha ** 2)) \
@@ -219,7 +219,7 @@ def test_flatness_report_matches_curvature():
                                            random_multivector(rng, n, 4),
                                            random_multivector(rng, n, 4)))
         for params in draws:
-            rho = build_clifford_map(params)
+            rho = CliffordMap(params)
             report = flatness_report(params)
             w_rows = max(report[k] for k in
                          ("23-1", "23-2", "25-1", "25-2", "26-1", "26-2", "27"))
@@ -305,7 +305,7 @@ def test_nonsimple_invariance():
     rho = build_flat_rep_alphazero(grade_involution(pair.c), pair.d,
                                    Multivector.blade(4, 0b0011, 0.3), b)
     em = CWAlgebraElement.e_minus(4)
-    for h in sob_basis(b):
+    for h in b.sob_basis():
         r = rho(CWAlgebraElement.rotation(4, h)).commutator(rho(em))
         assert r.norm() < 1e-12
     assert curvature_sweep(rho, extended=True) < 1e-9
@@ -314,9 +314,9 @@ def test_nonsimple_invariance():
     bad = CliffordMapParams(b, Multivector.zero(4), Multivector.zero(4),
                             Multivector.basis_vector(4, 1),
                             Multivector.zero(4), Multivector.zero(4))
-    rho_bad = build_clifford_map(bad)
+    rho_bad = CliffordMap(bad)
     worst = 0.0
-    for h in sob_basis(b):
+    for h in b.sob_basis():
         worst = max(worst, rho_bad(CWAlgebraElement.rotation(4, h))
                     .commutator(rho_bad(em)).norm())
     assert worst > 0.1
@@ -327,7 +327,7 @@ def test_nonsimple_invariance():
 def test_restriction_rejects_non_projector():
     n = 3
     rng = np.random.default_rng(11)
-    rho = build_clifford_map(rand_params(rng, n))
+    rho = CliffordMap(rand_params(rng, n))
     bad = CWElement.identity(n) * 0.5
     with pytest.raises(NotAProjector):
         check_restriction(rho, bad)
@@ -342,7 +342,7 @@ def test_sigma_minus_slot_for_alphazero_maps():
                                zero, zero, random_multivector(rng, n, 4),
                                random_multivector(rng, n, 4),
                                random_multivector(rng, n, 4))
-    rho = build_clifford_map(params)
+    rho = CliffordMap(params)
     out = check_restriction(rho, catalog_projector("sigma-", n))
     assert out["invariant"] and out["representation"]
 
