@@ -1,7 +1,7 @@
 """Command-line front end: JSON in, deterministic JSON out.
 
 Exit codes: 0 the computation ran (whatever the verdict), 2 malformed
-input, 3 an internal tolerance check failed.
+input, 3 an internal tolerance check failed or a number overflowed.
 """
 
 from __future__ import annotations
@@ -217,14 +217,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalToleranceError as exc:
+    except (InternalToleranceError, OverflowError, FloatingPointError) as exc:
         print(f"tolerance breach: {exc}", file=sys.stderr)
         return 3
-    print(textio.dumps(out))
+    try:
+        text = textio.dumps(out)
+    except ValueError as exc:  # a NaN or an infinity, e.g. after an overflow
+        print(f"tolerance breach: {exc}", file=sys.stderr)
+        return 3
+    print(text)
     return 0
 
 

@@ -332,17 +332,52 @@ def _generalized_elements(dim: int, partition: Sequence[int],
     return c, d
 
 
+def generalized_pattern_error(dim: int, parts: Sequence[int],
+                              coeffs: Sequence[complex],
+                              hats: Sequence[complex],
+                              tol: float) -> Optional[InputError]:
+    """The legal-pattern rule of `make_generalized`, stated once.
+
+    Returns the error an illegal pattern raises, None for a legal one.  A
+    coefficient counts as nonzero above tol, and the cross constraint holds
+    to tol * (1 + max |coefficient|^2).
+    """
+    odd = [i for i, mask in enumerate(parts) if grade(mask) % 2]
+    if len(odd) > 2:
+        return IllegalParityPattern("more than two odd parts never verify")
+    if dim % 2:
+        if any(abs(h) > tol for h in hats):
+            return IllegalParityPattern(
+                "volume-twisted coefficients are not available in odd dimension")
+        return None
+    if not odd:
+        if any(abs(ca) > tol and abs(h) > tol for ca, h in zip(coeffs, hats)):
+            return CoefficientConstraintViolated(
+                "a part carries a plain or a hat coefficient, never both")
+        return None
+    if any(abs(h) > tol for i, h in enumerate(hats) if i not in odd):
+        return CoefficientConstraintViolated(
+            "even parts must have vanishing hat coefficients here")
+    i0, i1 = odd
+    top = max(abs(x) for x in list(coeffs) + list(hats))
+    if abs(coeffs[i0] * coeffs[i1] - hats[i0] * hats[i1]) > \
+            tol * (1.0 + top * top):
+        return CoefficientConstraintViolated(
+            "odd parts need c_0 c_1 = hat_c_0 hat_c_1")
+    return None
+
+
 def make_generalized(dim: int, partition: Sequence[int],
                      coeffs: Sequence[complex],
                      hat_coeffs: Optional[Sequence[complex]] = None) -> QuadraticPair:
     """Generalized-monomial pair on a disjoint blade partition of V.
 
     The sign pattern of d is fixed internally: each plain summand carries
-    (-1)^grade, each volume-twisted summand the opposite sign.  Legal parity
-    patterns: all parts even; exactly one odd part (odd dimension, no
-    volume-twisted coefficients); or exactly two odd parts (even dimension)
-    with hat coefficients vanishing on the even parts and
-    c_0 c_1 = hat_c_0 hat_c_1 across the two odd ones.
+    (-1)^grade, each volume-twisted (hat) summand the opposite sign.  A
+    pattern is legal when it has at most two odd parts, no hat coefficients
+    in odd dimension, a plain or a hat coefficient (never both) on each part
+    when no part is odd, and, with two odd parts, hats only on those two and
+    c_0 c_1 = hat_c_0 hat_c_1 (`generalized_pattern_error`, to 1e-12).
     """
     partition = list(partition)
     coeffs = [complex(x) for x in coeffs]
@@ -367,30 +402,9 @@ def make_generalized(dim: int, partition: Sequence[int],
         raise IllegalParityPattern("partition must cover all generators")
     if len(partition) < 2:
         raise InputError("a generalized pair needs at least two parts")
-
-    odd = [i for i, mask in enumerate(partition) if grade(mask) % 2]
-    if len(odd) == 0:
-        pass
-    elif len(odd) == 1:
-        if dim % 2 == 0:
-            raise IllegalParityPattern("one odd part forces an odd dimension")
-        if any(abs(h) > 0 for h in hat_coeffs):
-            raise IllegalParityPattern(
-                "volume-twisted coefficients are not available in odd dimension")
-    elif len(odd) == 2:
-        if dim % 2:
-            raise IllegalParityPattern("two odd parts force an even dimension")
-        for i, h in enumerate(hat_coeffs):
-            if i not in odd and abs(h) > 0:
-                raise CoefficientConstraintViolated(
-                    "even parts must have vanishing hat coefficients here")
-        i0, i1 = odd
-        if abs(coeffs[i0] * coeffs[i1] - hat_coeffs[i0] * hat_coeffs[i1]) > 1e-12 * (
-                1.0 + max(abs(x) for x in coeffs + hat_coeffs) ** 2):
-            raise CoefficientConstraintViolated(
-                "odd parts need c_0 c_1 = hat_c_0 hat_c_1")
-    else:
-        raise IllegalParityPattern("more than two odd parts never verify")
+    err = generalized_pattern_error(dim, partition, coeffs, hat_coeffs, 1e-12)
+    if err is not None:
+        raise err
 
     c, d = _generalized_elements(dim, partition, coeffs, hat_coeffs)
     predicted = np.zeros(dim, dtype=complex)
@@ -500,77 +514,37 @@ def _pseudo_form(c: Multivector, d: Multivector, tol: float):
 def _generalized_form(c: Multivector, d: Multivector, tol: float):
     """Fit the generalized-monomial template; returns the partition or None.
 
-    Each support blade is either a part itself or the volume twist of the
-    complementary part; all consistent assignments are tried and the
-    template d is rebuilt from the fitted coefficients for comparison.
+    Each support blade m is a part itself or the volume twist of the part
+    full ^ m; the generators left over form one more part.  With
+    vol Gamma_P = zeta_P Gamma_{P^c} and eps_P = (-1)^grade(P), every part
+    has the closed-form coefficients c_P = (c[P] + eps_P d[P]) / 2 and
+    hat_c_P = (c[P^c] - eps_P d[P^c]) / (2 zeta_P), 0 in odd dimension.  A
+    fit counts when it is a legal pattern and rebuilds (c, d).
     """
     n = c.dim
     full = (1 << n) - 1
-    support = sorted({m for m, _ in c.terms()} | {m for m, _ in d.terms()},
-                     key=lambda m: (grade(m), m))
-    if not support or 0 in support or full in support or len(support) > 10:
+    support = {m for m, _ in c.terms()} | {m for m, _ in d.terms()}
+    # Legal patterns have at most n // 2 + 1 parts (even parts have grade >= 2),
+    # one blade each plus a hat blade on at most two odd parts: n // 2 + 3.
+    if not support or 0 in support or full in support or len(support) > n // 2 + 3:
         return None
-
-    def assignments(idx, parts):
-        if idx == len(support):
-            yield dict(parts)
-            return
-        m = support[idx]
-        for part, role in ((m, "plain"), (full ^ m, "hat")):
-            if role == "hat" and n % 2:
-                continue
-            taken = parts.get(part)
-            if any(p != part and (p & part) for p in parts):
-                continue
-            if taken is not None and role in taken:
-                continue
-            entry = dict(taken or {})
-            entry[role] = m
-            parts[part] = entry
-            ok = all(not (part & p) or p == part for p in parts)
-            if ok:
-                yield from assignments(idx + 1, parts)
-            if taken is None:
-                del parts[part]
-            else:
-                parts[part] = taken
-        return
-
-    for assign in assignments(0, {}):
-        union = 0
-        for p in assign:
-            union |= p
-        leftover = full ^ union
-        parts = sorted(assign) + ([leftover] if leftover else [])
-        if len(parts) < 2:
-            continue
-        coeffs, hats = [], []
-        for mask in parts:
-            roles = assign.get(mask, {})
-            ca = c.coefficient(roles["plain"]) if "plain" in roles else 0j
-            ha = c.coefficient(roles["hat"]) / _volume_transfer(n, mask) \
-                if "hat" in roles else 0j
-            coeffs.append(ca)
-            hats.append(ha)
-        odd = [m for m in parts if grade(m) % 2]
-        if len(odd) > 2 or (len(odd) % 2) != (n % 2):
-            continue
-        if n % 2 and any(abs(h) > 0 for h in hats):
-            continue
-        if len(odd) == 2:
-            bad = False
-            for mask, h in zip(parts, hats):
-                if grade(mask) % 2 == 0 and abs(h) > tol:
-                    bad = True
-            i0, i1 = (parts.index(m) for m in odd)
-            scale = 1.0 + max(abs(x) for x in coeffs + hats) ** 2
-            if abs(coeffs[i0] * coeffs[i1] - hats[i0] * hats[i1]) > tol * scale:
-                bad = True
-            if bad:
-                continue
-        ct, dt = _generalized_elements(n, parts, coeffs, hats)
-        if (c - ct).is_zero(tol) and (d - dt).is_zero(tol):
-            return tuple(parts)
+    choices = {frozenset()}
+    for m in support:
+        choices = {parts | {p} for parts in choices for p in (m, full ^ m)
+                   if p in parts or not any(p & q for q in parts)}
+    for chosen in choices:
+        leftover = full ^ sum(chosen)   # the parts are disjoint: sum is union
+        parts = sorted(chosen) + ([leftover] if leftover else [])
+        eps = [(-1) ** grade(p) for p in parts]
+        coeffs = [(c.coefficient(p) + e * d.coefficient(p)) / 2
+                  for p, e in zip(parts, eps)]
+        hats = [0j] * len(parts) if n % 2 else [
+            (c.coefficient(full ^ p) - e * d.coefficient(full ^ p))
+            / (2 * _volume_transfer(n, p)) for p, e in zip(parts, eps)]
+        if generalized_pattern_error(n, parts, coeffs, hats, tol) is None:
+            ct, dt = _generalized_elements(n, parts, coeffs, hats)
+            if (c - ct).is_zero(tol) and (d - dt).is_zero(tol):
+                return tuple(parts)
     return None
 
 

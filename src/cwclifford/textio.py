@@ -93,8 +93,9 @@ def multivector_from_text(text: str, dim: int) -> Multivector:
                 raise InputError(f"missing '+' between terms near {seg!r}")
             seg = seg[1:]
         coeff = _parse_coeff(seg)
-        if not cmath.isfinite(coeff):
-            raise InputError(f"non-finite coefficient {seg.strip()!r}")
+        if not cmath.isfinite(coeff * coeff):
+            raise InputError(
+                f"coefficient {seg.strip()!r} is not finite or its square overflows")
         idx_text = m.group("idx").strip()
         indices = [int(t) for t in idx_text.split(",") if t.strip()] if idx_text else []
         if any(i > dim for i in indices):
@@ -142,19 +143,20 @@ def _load_object(path: str):
 
 
 def _is_finite_real(x) -> bool:
+    """A JSON number, not a bool, whose square is a finite double."""
     try:
-        return type(x) in (int, float) and math.isfinite(x)
+        return type(x) in (int, float) and math.isfinite(x * x)
     except OverflowError:  # an integer beyond the double range
         return False
 
 
 def _real_matrix(doc: dict, key: str, dim: int, path: str) -> np.ndarray:
-    """doc[key]: a row-major flat list of dim*dim finite reals."""
+    """doc[key]: a row-major flat list of dim*dim reals with finite squares."""
     entries = _require(doc, key, path)
     if not isinstance(entries, list) or len(entries) != dim * dim or \
             not all(_is_finite_real(x) for x in entries):
-        raise InputError(
-            f"{path}: {key} must be a flat list of {dim * dim} finite reals")
+        raise InputError(f"{path}: {key} must be a flat list of {dim * dim} "
+                         "finite reals whose squares are finite")
     return np.array(entries, dtype=float).reshape(dim, dim)
 
 
@@ -191,8 +193,8 @@ def _fmt_scalar(x) -> str:
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         v = float(x)
-        if v != v:
-            raise ValueError("NaN is not representable in the JSON report")
+        if not math.isfinite(v):
+            raise ValueError(f"{v} is not representable in the JSON report")
         return f"{v:.17g}"
     if isinstance(x, complex):
         return dumps({"re": x.real, "im": x.imag})

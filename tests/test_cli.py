@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cwclifford import cli
 from cwclifford.cli import main
 from cwclifford.textio import multivector_to_text
 from cwclifford.core import Multivector, grade_involution
@@ -190,16 +191,43 @@ PARAMS_OK = {"dim": 2, "B": [1.0, 0.0, 0.0, 4.0], "a": "0 e_{}",
     ("verify", "--pair", {**PAIR_OK, "d": "1e400i e_{1}"}),
     ("cw-flat", "--params", {**PARAMS_OK, "e": "nan e_{1,2}"}),
     ("verify", "--pair", {**PAIR_OK, "c": 1.0}),
+    ("verify", "--pair", {"dim": 3, "c": "1e200 e_{1}", "d": "1.0 e_{1}"}),
+    ("search", "--b", {"dim": 2, "entries": [1e308, 0, 0, -1e308]}),
 ], ids=["pair-dim-true", "b-dim-true", "params-dim-true", "entries-string",
         "entries-nested", "entries-bool", "B-string", "B-nested",
         "entries-nan", "entries-infinity", "entries-huge-int", "B-nan",
         "B-infinity", "coeff-inf", "coeff-nan", "coeff-1e400",
-        "coeff-imaginary-1e400", "params-coeff-nan", "coeff-not-a-string"])
+        "coeff-imaginary-1e400", "params-coeff-nan", "coeff-not-a-string",
+        "coeff-square-overflows", "entries-square-overflows"])
 def test_hostile_input_is_exit_2(tmp_path, capsys, command, flag, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, flag, str(path))
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, flag, doc", [
+    # q overflows to inf although every input square is finite
+    ("verify", "--pair", {"dim": 3, "c": "1e154 e_{1} + 1e154 e_{2,3}",
+                          "d": "1e154 e_{1}"}),
+    # a norm of the curvature overflows inside the sweep
+    ("cw-flat", "--params", {**PARAMS_OK, "c": "1e150 e_{1}",
+                             "d": "1e150 e_{1}", "e": "1e150 e_{1,2}"}),
+], ids=["verify-q-overflows", "cw-flat-norm-overflows"])
+def test_overflow_is_exit_3(tmp_path, capsys, command, flag, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, flag, str(path))
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("tolerance breach: ")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_report_is_exit_3(capsys, monkeypatch, value):
+    monkeypatch.setattr(cli, "_cmd_enumerate", lambda args: {"worst": value})
+    code, out, err = run(capsys, "enumerate-cases", "--dim", "4")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("tolerance breach: ")
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -1,10 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwclifford.core import (Multivector, blade_from_indices, blade_indices,
-                             blade_mul, blade_square_sign, gp, grade,
-                             grade_involution, grade_project, involute,
+from cwclifford.core import (DIM_LIMITS, Multivector, blade_from_indices,
+                             blade_indices, blade_mul, blade_square_sign, gp,
+                             grade, grade_involution, grade_project, involute,
                              left_contract, random_multivector, reversal,
                              trace_pairing, volume_element)
 from cwclifford.errors import DimensionMismatch, NotGradeOne
@@ -181,3 +184,10 @@ def test_associativity_property(a, b, c):
 @given(multivectors(), multivectors())
 def test_reversal_antihomomorphism_property(a, b):
     assert (reversal(gp(a, b)) - gp(reversal(b), reversal(a))).is_zero(1e-9)
+
+
+def test_readme_dimension_limits_match_core():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Dimension limits", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (\d+)-(\d+) \|", section, re.M)
+    assert {key: (int(lo), int(hi)) for key, lo, hi in rows} == DIM_LIMITS

@@ -15,6 +15,11 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 def test_golden_cli_output(case, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN / "inputs")
     code = main(case["argv"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == case["exit"]
-    assert out == (GOLDEN / "expected" / f"{case['name']}.out").read_text()
+    assert captured.out == (GOLDEN / "expected" / f"{case['name']}.out").read_text()
+    if code == 0:
+        assert captured.err == ""
+    if code == 2:
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")

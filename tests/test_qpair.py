@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from cwclifford.errors import (AnticommutationViolated,
                                IllegalParityPattern, OddDimension,
                                OddMultiplicity, ParityMismatch)
 from cwclifford.gammarep import build_rep, extract_component, represent
-from cwclifford.qpair import (SymmetricMap, classify_family, extract_B,
+from cwclifford.qpair import (SymmetricMap, _generalized_elements,
+                              classify_family, extract_B,
                               linear_pair_from_parts, make_generalized,
                               make_linear, make_monomial, make_pseudo_monomial,
                               q_map, rotate_multivector, s_map,
@@ -263,6 +266,10 @@ def test_make_generalized_examples():
         make_generalized(4, [0b0001, 0b0010, 0b1100], [1.0, 1.0, 1.0])
     with pytest.raises(IllegalParityPattern):
         make_generalized(6, [1, 2, 4, 0b111000], [1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(IllegalParityPattern):   # a hat in odd dimension
+        make_generalized(3, [1, 0b110], [1.0, 1.0], [0.0, 0.5])
+    with pytest.raises(CoefficientConstraintViolated):   # plain and hat
+        make_generalized(4, [0b0011, 0b1100], [1.0, 0.5], [0.25, 0.0])
 
 
 def test_make_generalized_spectra_vs_oracle():
@@ -292,6 +299,90 @@ def test_make_generalized_degenerate_inputs():
     assert allzero.verified and np.allclose(allzero.B.entries, 0.0)
 
 
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for smaller in _set_partitions(rest):
+        for idx in range(len(smaller)):
+            yield smaller[:idx] + [[first] + smaller[idx]] + smaller[idx + 1:]
+        yield [[first]] + smaller
+
+
+def _role_patterns(n):
+    """Partitions into >= 2 parts with at most two odd parts, each with every
+    per-part role: N(one), P(lain), H(at) or B(oth)."""
+    for partition in _set_partitions(list(range(n))):
+        masks = [sum(1 << i for i in part) for part in partition]
+        if len(masks) >= 2 and sum(grade(m) % 2 for m in masks) <= 2:
+            for roles in itertools.product("NPHB", repeat=len(masks)):
+                yield masks, roles
+
+
+def _check_pattern(n, masks, roles, rng):
+    """make_generalized against the oracle spectrum of the template pair."""
+    def draw(keep):
+        return [float(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]))
+                if r in keep else 0.0 for r in roles]
+    coeffs, hats = draw("PB"), draw("HB")
+    spectrum = np.zeros(n)
+    for mask, ca, ha in zip(masks, coeffs, hats):
+        sig = blade_square_sign(mask)
+        val = 4 * sig * (ca * ca - ha * ha) if grade(mask) % 2 \
+            else 4 * sig * (ca * ca + ha * ha)
+        for mu in range(n):
+            if (mask >> mu) & 1:
+                spectrum[mu] = val
+    c, d = _generalized_elements(n, masks, coeffs, hats)
+    pair = extract_B(c, d)
+    spectral = pair.verified and \
+        np.max(np.abs(oracle_q_matrix(c, d) - np.diag(spectrum))) < 1e-9
+    try:
+        make_generalized(n, masks, coeffs, hats)
+        accepted = True
+    except (IllegalParityPattern, CoefficientConstraintViolated):
+        accepted = False
+    # With every part carrying a coefficient the rule is exact.  An empty
+    # part can make a rejected pattern another partition's legal one, which
+    # the classifier then finds.
+    if "N" not in roles:
+        assert accepted == spectral, (n, masks, roles)
+    assert spectral or not accepted, (n, masks, roles)
+    if spectral and set(roles) != {"N"}:   # the zero pair has no support
+        assert "generalized-monomial" in classify_family(pair), (n, masks, roles)
+
+
+def test_generalized_rule_matches_oracle_exhaustive():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for n in range(2, 6):
+        for masks, roles in _role_patterns(n):
+            _check_pattern(n, masks, roles, rng)
+            checked += 1
+    assert checked == 1760
+
+
+def test_generalized_rule_matches_oracle_sampled_n6():
+    rng = np.random.default_rng(12)
+    patterns = list(_role_patterns(6))
+    for idx in rng.choice(len(patterns), size=200, replace=False):
+        _check_pattern(6, *patterns[idx], rng)
+
+
+def test_classify_generalized_support_bound_n12():
+    # two odd parts with plain and hat coefficients and five even parts:
+    # 9 support blades, the most a legal pattern has at n = 12
+    n = 12
+    masks = [0b1, 0b10] + [0b11 << k for k in range(2, n, 2)]
+    c0, c1, h0 = 1.1, 0.6, 0.9
+    pair = make_generalized(n, masks, [c0, c1, 0.8, -1.3, 0.5, 1.7, -0.4],
+                            [h0, c0 * c1 / h0, 0, 0, 0, 0, 0])
+    support = {m for m, _ in pair.c.terms()} | {m for m, _ in pair.d.terms()}
+    assert len(support) == n // 2 + 3
+    assert "generalized-monomial" in classify_family(pair)
+
+
 # -- classification -----------------------------------------------------------
 
 def test_classify_examples():
@@ -303,6 +394,9 @@ def test_classify_examples():
     tags = classify_family(pair)
     assert "linear" in tags and "generalized-monomial" in tags
     assert tags[0] != "monomial"
+    two_odd = make_generalized(4, [0b0001, 0b1110], [1, 2], [2, 1])
+    assert classify_family(two_odd) == ["pseudo-monomial-odd",
+                                        "generalized-monomial"]
 
 
 def test_classify_other():
@@ -335,7 +429,7 @@ def test_classify_pseudo_types():
     even = make_pseudo_monomial(4, 0b0011, "even", 1.3, -0.7)
     assert classify_family(even)[0] == "pseudo-monomial-even"
     odd = make_pseudo_monomial(4, 0b0001, "odd", 0.9, 0.4, phi=0.3)
-    assert classify_family(odd) == ["pseudo-monomial-odd"]
+    assert classify_family(odd) == ["pseudo-monomial-odd", "generalized-monomial"]
 
 
 # -- identities ---------------------------------------------------------------

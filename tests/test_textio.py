@@ -88,3 +88,10 @@ def test_dumps_deterministic():
 def test_dumps_rejects_nan():
     with pytest.raises(ValueError):
         dumps({"x": float("nan")})
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                   complex(1.0, float("inf"))])
+def test_dumps_rejects_infinity(value):
+    with pytest.raises(ValueError):
+        dumps({"x": [value]})
