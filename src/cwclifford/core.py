@@ -9,6 +9,11 @@ generator squares to ``-1``; the defining relation is
 with ``g`` positive definite.  Coefficients are complex doubles, blade
 reordering signs are exact integers, and stored coefficients below
 ``PRUNE_EPS`` are dropped so sparse tables stay clean.
+
+Blade products use the bitmap sign rule (Dorst, Fontijne and Mann,
+*Geometric Algebra for Computer Science*, 2007, ch. 19): Gamma_i Gamma_j =
+(-1)^popcount(j & w(i)) Gamma_(i XOR j), where bit mu of w(i) is bit mu of
+i XOR the parity of the bits of i above mu.
 """
 
 from __future__ import annotations
@@ -66,25 +71,23 @@ def grade(mask: int) -> int:
     return mask.bit_count()
 
 
-def blade_mul(i: int, j: int) -> Tuple[int, int]:
-    """Product of basis blades: Gamma_i Gamma_j = sign * Gamma_(i XOR j).
+def _sign_mask(i: int) -> int:
+    """w(i): bit mu is bit mu of i XOR the parity of the bits of i above mu.
 
-    The sign is the reordering parity times one factor -1 per contracted
-    index (each generator squares to -1).
+    Bit mu of i counts one contraction (each generator squares to -1), the
+    parity above counts the swaps that carry e_mu past i; masks below 2^16.
     """
-    sign = 1
-    acc = i
-    rest = j
-    while rest:
-        low = rest & -rest
-        mu = low.bit_length() - 1
-        if (acc >> (mu + 1)).bit_count() & 1:
-            sign = -sign
-        if acc & low:
-            sign = -sign
-        acc ^= low
-        rest ^= low
-    return acc, sign
+    m = i >> 1
+    m ^= m >> 1
+    m ^= m >> 2
+    m ^= m >> 4
+    m ^= m >> 8
+    return i ^ m
+
+
+def blade_mul(i: int, j: int) -> Tuple[int, int]:
+    """Product of basis blades: Gamma_i Gamma_j = sign * Gamma_(i XOR j)."""
+    return i ^ j, -1 if (j & _sign_mask(i)).bit_count() & 1 else 1
 
 
 def blade_square_sign(mask: int) -> int:
@@ -192,7 +195,11 @@ class Multivector:
         return Multivector(self.dim, out)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-other)
+        self._check(other)
+        out = dict(self._terms)
+        for mask, c in other._terms.items():
+            out[mask] = out.get(mask, 0j) - c
+        return Multivector(self.dim, out)
 
     def __neg__(self) -> "Multivector":
         return Multivector(self.dim, {m: -c for m, c in self._terms.items()})
@@ -225,8 +232,10 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     out: Dict[int, complex] = {}
     for i, x in a._terms.items():
+        w = _sign_mask(i)
         for j, y in b._terms.items():
-            k, s = blade_mul(i, j)
+            k = i ^ j
+            s = -1 if (j & w).bit_count() & 1 else 1
             out[k] = out.get(k, 0j) + s * x * y
     return Multivector(a.dim, out)
 

@@ -18,8 +18,7 @@ from typing import Dict, Tuple
 
 from .core import Multivector, gp, grade, volume_element
 from .errors import DimensionMismatch, NotSoBInvariant
-from .qpair import (SymmetricMap, rotate_multivector, s_map,
-                    skew_to_bivector)
+from .qpair import SymmetricMap, s_map, skew_to_bivector
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -63,15 +62,6 @@ def omega_tensor(c: Multivector, d: Multivector) -> OmegaTensor:
     return OmegaTensor(n, entries)
 
 
-def _adapt_to_eigenbasis(c: Multivector, d: Multivector, b: SymmetricMap):
-    """Rotate the pair into the eigenbasis of B; eigenspace index sets
-    become contiguous position blocks there."""
-    if b.eigenbasis_is_identity:
-        return c, d
-    r = b.eigenvectors
-    return (rotate_multivector(c, r.T), rotate_multivector(d, r.T))
-
-
 def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
                  tol: float = MEMBERSHIP_TOL) -> Dict[str, object]:
     """Whether Omega_{c,d} lies in so_B(V) tensor the algebra.
@@ -81,7 +71,7 @@ def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
     """
     if c.dim != b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
-    c2, d2 = _adapt_to_eigenbasis(c, d, b)
+    c2, d2 = b.adapt_to_eigenbasis(c, d)
     omega = omega_tensor(c2, d2)
     scale = 1.0 + c.norm() + d.norm()
     worst = 0.0
@@ -143,7 +133,7 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
     """
     if c.dim != b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
-    c2, d2 = _adapt_to_eigenbasis(c, d, b)
+    c2, d2 = b.adapt_to_eigenbasis(c, d)
     allowed = _allowed_masks(b)
     for x in (c2, d2):
         if not is_sob_invariant_structural(x, b):
@@ -191,15 +181,16 @@ def closing_identities(c: Multivector, d: Multivector,
     gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
     sdc = [s_map(d, c, g) for g in gens]
     scd = [s_map(c, d, g) for g in gens]
+    prods = [[gp(x, y) for y in scd] for x in sdc]
     r_four = 0.0
     r_anti = 0.0
     for mu in range(n):
+        gm = gens[mu]
         for nu in range(n):
-            gm = gens[mu]
-            four = (gp(d, gp(sdc[nu], gm)) + gp(d, gp(gm, scd[nu]))
-                    - gp(gp(sdc[nu], gm), d) - gp(gp(gm, scd[nu]), d))
+            left, right = gp(sdc[nu], gm), gp(gm, scd[nu])
+            four = gp(d, left) + gp(d, right) - gp(left, d) - gp(right, d)
             r_four = max(r_four, four.norm())
-            anti = 0.5 * (gp(sdc[nu], scd[mu]) + gp(sdc[mu], scd[nu]))
+            anti = 0.5 * (prods[nu][mu] + prods[mu][nu])
             target = Multivector.scalar(n, complex(b.entries[mu, nu]))
             r_anti = max(r_anti, (anti - target).norm())
     return {"four-term": r_four, "anticommutator": r_anti}

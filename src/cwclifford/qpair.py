@@ -9,7 +9,8 @@ check them against direct evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
@@ -68,12 +69,17 @@ class SymmetricMap:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eigenspaces: List[Eigenspace]
+    # the last pair adapt_to_eigenbasis rotated, and its rotation
+    _rotated: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @staticmethod
     def from_matrix(entries, cluster_tol: float = CLUSTER_TOL) -> "SymmetricMap":
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("symmetric map entries must form a square matrix")
+        if not np.isfinite(m).all():
+            raise InputError("symmetric map entries must be finite")
         n = m.shape[0]
         scale = 1.0 + np.max(np.abs(m))
         if np.max(np.abs(m - m.T)) > 1e-9 * scale:
@@ -103,6 +109,23 @@ class SymmetricMap:
     def eigenbasis_is_identity(self) -> bool:
         """True when the eigenbasis is the standard basis (no rotation)."""
         return bool(np.max(np.abs(self.eigenvectors - np.eye(self.n))) <= 1e-14)
+
+    def adapt_to_eigenbasis(self, c: Multivector, d: Multivector):
+        """The pair rotated into the eigenbasis; eigenspace index sets become
+        contiguous position blocks there.
+
+        The last pair rotated is remembered (compared with ==), so asking
+        again for an equal pair returns the same objects without rotating.
+        """
+        if self.eigenbasis_is_identity:
+            return c, d
+        memo = self._rotated
+        if memo is not None and memo[0] == c and memo[1] == d:
+            return memo[2], memo[3]
+        r = self.eigenvectors
+        rotated = (rotate_multivector(c, r.T), rotate_multivector(d, r.T))
+        self._rotated = (c, d) + rotated
+        return rotated
 
     def distinct_count(self) -> int:
         return len(self.eigenspaces)
@@ -163,8 +186,13 @@ def q_restriction_matrix(c: Multivector, d: Multivector):
 
 def extract_B(c: Multivector, d: Multivector,
               tol_factor: float = VERIFY_TOL_FACTOR) -> QuadraticPair:
-    """Verify the pair and extract its symmetric map, status-encoded."""
+    """Verify the pair and extract its symmetric map, status-encoded.
+
+    Raises OverflowError when q overflows on the pair.
+    """
     m, offgrade = q_restriction_matrix(c, d)
+    if not (np.isfinite(m).all() and math.isfinite(offgrade)):
+        raise OverflowError("q is not finite on this pair")
     tol = verify_tolerance(c, d, tol_factor)
     if offgrade > tol:
         return QuadraticPair(c, d, STATUS_NOT_CLOSED, q_matrix=m,
@@ -192,6 +220,14 @@ def _check_prediction(pair: QuadraticPair, predicted: np.ndarray,
 
 # -- constructors ------------------------------------------------------------
 
+def _tagged(pair: QuadraticPair, family: str) -> QuadraticPair:
+    """Name the constructor's family on the pair, only if it verifies."""
+    if pair.verified:
+        pair.family = family
+        pair.tags = (family,)
+    return pair
+
+
 def make_monomial(dim: int, mask: int, alpha: complex,
                   beta: complex) -> QuadraticPair:
     """Pair (alpha Gamma_I, beta Gamma_I) with its closed-form spectrum."""
@@ -205,9 +241,7 @@ def make_monomial(dim: int, mask: int, alpha: complex,
                           for mu in range(dim)], dtype=complex)
     pair = extract_B(c, d)
     _check_prediction(pair, predicted, "monomial")
-    pair.family = "monomial"
-    pair.tags = ("monomial",)
-    return pair
+    return _tagged(pair, "monomial")
 
 
 def make_pseudo_monomial(dim: int, mask: int, kind: str, alpha: complex,
@@ -251,9 +285,7 @@ def make_pseudo_monomial(dim: int, mask: int, kind: str, alpha: complex,
                           for mu in range(dim)], dtype=complex)
     pair = extract_B(c, d)
     _check_prediction(pair, predicted, f"pseudo-monomial-{kind}")
-    pair.family = f"pseudo-monomial-{kind}"
-    pair.tags = (pair.family,)
-    return pair
+    return _tagged(pair, f"pseudo-monomial-{kind}")
 
 
 def skew_to_bivector(s: np.ndarray, dim: int) -> Multivector:
@@ -294,9 +326,7 @@ def make_linear(b: SymmetricMap) -> QuadraticPair:
     if not pair.verified or np.max(np.abs(pair.B.entries - b.entries)) > \
             verify_tolerance(a_mv, a_mv) + 1e-9 * scale:
         raise PredictionMismatch("linear pair does not reproduce the target map")
-    pair.family = "linear"
-    pair.tags = ("linear",)
-    return pair
+    return _tagged(pair, "linear")
 
 
 def linear_pair_from_parts(a0: np.ndarray, a1: np.ndarray) -> QuadraticPair:
@@ -312,10 +342,7 @@ def linear_pair_from_parts(a0: np.ndarray, a1: np.ndarray) -> QuadraticPair:
         raise AnticommutationViolated(
             "real and imaginary parts must anticommute as endomorphisms")
     a_mv = skew_to_bivector(a0 + 1j * a1, n)
-    pair = extract_B(a_mv, a_mv)
-    pair.family = "linear"
-    pair.tags = ("linear",)
-    return pair
+    return _tagged(extract_B(a_mv, a_mv), "linear")
 
 
 def _generalized_elements(dim: int, partition: Sequence[int],
@@ -387,10 +414,8 @@ def make_generalized(dim: int, partition: Sequence[int],
     if len(coeffs) != len(partition) or len(hat_coeffs) != len(partition):
         raise InputError("coefficient lists must match the partition length")
     if not partition:
-        pair = extract_B(Multivector.zero(dim), Multivector.zero(dim))
-        pair.family = "generalized-monomial"
-        pair.tags = (pair.family,)
-        return pair
+        return _tagged(extract_B(Multivector.zero(dim), Multivector.zero(dim)),
+                       "generalized-monomial")
     union = 0
     for mask in partition:
         if mask == 0:
@@ -417,9 +442,7 @@ def make_generalized(dim: int, partition: Sequence[int],
                 predicted[mu] = val
     pair = extract_B(c, d)
     _check_prediction(pair, predicted, "generalized-monomial")
-    pair.family = "generalized-monomial"
-    pair.tags = (pair.family,)
-    return pair
+    return _tagged(pair, "generalized-monomial")
 
 
 # -- classification ----------------------------------------------------------

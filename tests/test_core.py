@@ -163,6 +163,77 @@ def test_blade_square_sign_vs_closed_form():
             assert blade_square_sign(mask) == (-1) ** ((k * (k + 1) // 2) % 2)
 
 
+# -- the product kernel against the per-bit reference ----------------------
+
+def reference_blade_mul(i, j):
+    """Move the generators of j into i one at a time, lowest first: one swap
+    per generator of the product above e_mu, one -1 per contraction."""
+    sign = 1
+    acc = i
+    rest = j
+    while rest:
+        low = rest & -rest
+        mu = low.bit_length() - 1
+        if (acc >> (mu + 1)).bit_count() & 1:
+            sign = -sign
+        if acc & low:
+            sign = -sign
+        acc ^= low
+        rest ^= low
+    return acc, sign
+
+
+def reference_gp(a, b):
+    out = {}
+    for i, x in a.terms():
+        for j, y in b.terms():
+            k, s = reference_blade_mul(i, j)
+            out[k] = out.get(k, 0j) + s * x * y
+    return Multivector(a.dim, out)
+
+
+def bits(a):
+    """The terms of a, with every float spelled out (signed zeros too)."""
+    return sorted((m, c.real.hex(), c.imag.hex()) for m, c in a.terms())
+
+
+def test_blade_mul_matches_reference_exhaustive_n8():
+    for i in range(1 << 8):
+        for j in range(1 << 8):
+            assert blade_mul(i, j) == reference_blade_mul(i, j), (i, j)
+
+
+def test_blade_mul_matches_reference_random_n12():
+    rng = np.random.default_rng(12)
+    for i, j in rng.integers(0, 1 << 12, size=(20000, 2)).tolist():
+        assert blade_mul(i, j) == reference_blade_mul(i, j), (i, j)
+
+
+def test_gp_matches_reference_product_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in range(1, 13):
+        for _ in range(4):
+            a = random_multivector(rng, n, int(rng.integers(1, 24)))
+            b = random_multivector(rng, n, int(rng.integers(1, 24)))
+            assert bits(gp(a, b)) == bits(reference_gp(a, b)), n
+
+
+def test_subtraction_is_adding_the_negation_bit_for_bit():
+    rng = np.random.default_rng(6)
+    zeros = [complex(0.0, -0.0), complex(-0.0, 1.5), complex(2.5, -0.0)]
+    for n in (2, 4, 9):
+        for _ in range(10):
+            # signed zeros on overlapping blades 0-3, kept as given
+            a = Multivector(n, {**dict(random_multivector(rng, n, 6).terms()),
+                                **dict(zip(range(3), zeros))})
+            b = Multivector(n, {**dict(random_multivector(rng, n, 6).terms()),
+                                **dict(zip(range(1, 4), zeros))})
+            assert bits(a - b) == bits(a + (-b))
+            assert bits(a - a) == []
+    with pytest.raises(DimensionMismatch):
+        Multivector.unit(2) - Multivector.unit(3)
+
+
 @st.composite
 def multivectors(draw, dim=3):
     n_terms = draw(st.integers(0, 4))

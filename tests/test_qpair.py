@@ -5,9 +5,10 @@ import pytest
 
 from cwclifford.core import (Multivector, blade_square_sign, gp, grade,
                              random_multivector, volume_element)
+from cwclifford import qpair
 from cwclifford.errors import (AnticommutationViolated,
                                CoefficientConstraintViolated,
-                               IllegalParityPattern, OddDimension,
+                               IllegalParityPattern, InputError, OddDimension,
                                OddMultiplicity, ParityMismatch)
 from cwclifford.gammarep import build_rep, extract_component, represent
 from cwclifford.qpair import (SymmetricMap, _generalized_elements,
@@ -412,7 +413,6 @@ def test_classify_other():
 
 
 def test_classify_requires_verified():
-    from cwclifford.errors import InputError
     pair = extract_B(e(3, 1), e(3, 2))
     with pytest.raises(InputError):
         classify_family(pair)
@@ -463,3 +463,65 @@ def test_symmetric_map_clustering():
     assert b.distinct_count() == 2
     lone = SymmetricMap.from_diagonal([3.0, 3.0, 3.0])
     assert lone.is_multiple_of_identity()
+
+
+def test_symmetric_map_rejects_non_finite_entries():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InputError):
+            SymmetricMap.from_matrix([[1.0, 0.0], [0.0, bad]])
+
+
+def test_extract_b_raises_when_q_overflows():
+    # every input square is finite, q(e_1) is not
+    c = Multivector(3, {0b001: 1e154, 0b110: 1e154})
+    d = Multivector.blade(3, 0b001, 1e154)
+    with pytest.raises(OverflowError):
+        extract_B(c, d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_generalized(4, [0b0011, 0b1100], [1 + 1j, 0.5]),
+    lambda: make_monomial(3, 0b011, 1 + 1j, 0.3),
+    lambda: make_pseudo_monomial(4, 0b0011, "even", 1 + 1j, 0.5),
+    lambda: make_pseudo_monomial(4, 0b0001, "odd", 1 + 1j, 0.5),
+], ids=["generalized", "monomial", "pseudo-even", "pseudo-odd"])
+def test_constructors_leave_unverified_pairs_untagged(build):
+    pair = build()
+    assert pair.status == "not-symmetric"
+    assert pair.family is None and pair.tags == ()
+
+
+def test_eigenbasis_memo_rotates_each_pair_once(monkeypatch):
+    from cwclifford.omega import classify_distinguished, omega_in_soB
+    rotated = []
+    rotate = qpair.rotate_multivector
+    monkeypatch.setattr(qpair, "rotate_multivector",
+                        lambda a, r: rotated.append(a) or rotate(a, r))
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    base = make_monomial(4, 0b0011, 1.0, 0.5)
+    c, d = rotate(base.c, q), rotate(base.d, q)
+    b = extract_B(c, d).B
+    first = b.adapt_to_eigenbasis(c, d)
+    assert len(rotated) == 2
+    # an equal pair gets the same objects back; the omega checks reuse them.
+    # Equal may still differ in the sign of a zero, which the rotation drops
+    copy = Multivector(4, {m: complex(z.real, -0.0) for m, z in c.terms()})
+    again = b.adapt_to_eigenbasis(copy, d)
+    assert again[0] is first[0] and again[1] is first[1]
+    bits = [sorted((m, z.real.hex(), z.imag.hex()) for m, z in x.terms())
+            for x in (first[0], rotate(copy, b.eigenvectors.T))]
+    assert bits[0] == bits[1]
+    assert omega_in_soB(c, d, b)["holds"]
+    assert classify_distinguished(c, d, b)["match"]
+    assert len(rotated) == 2
+    # a different pair, or the same one swapped, is rotated afresh
+    r = b.eigenvectors.T
+    other = c + Multivector.blade(4, 0b0101, 0.25)
+    for pair in ((other, d), (d, c), (c, d)):
+        got = b.adapt_to_eigenbasis(*pair)
+        assert got == (rotate(pair[0], r), rotate(pair[1], r))
+    assert len(rotated) == 2 + 6
+    # a diagonal B rotates nothing
+    diag = SymmetricMap.from_diagonal([1.0, 1.0, 2.0, 2.0])
+    assert diag.adapt_to_eigenbasis(c, d) == (c, d) and len(rotated) == 8
