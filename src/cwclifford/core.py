@@ -8,7 +8,8 @@ generator squares to ``-1``; the defining relation is
 
 with ``g`` positive definite.  Coefficients are complex doubles, blade
 reordering signs are exact integers, and stored coefficients below
-``PRUNE_EPS`` are dropped so sparse tables stay clean.
+``PRUNE_EPS`` are dropped so sparse tables stay clean.  A NaN or infinite
+coefficient raises OverflowError instead of being stored or dropped.
 
 Blade products use the bitmap sign rule (Dorst, Fontijne and Mann,
 *Geometric Algebra for Computer Science*, 2007, ch. 19): Gamma_i Gamma_j =
@@ -18,6 +19,7 @@ i XOR the parity of the bits of i above mu.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Dict, Iterable, Iterator, Tuple
 
 from .errors import DimensionMismatch, DimensionTooLarge, NotGradeOne
@@ -118,8 +120,12 @@ class Multivector:
                     raise DimensionMismatch(
                         f"blade {mask:#x} does not fit dimension {dim}")
                 z = complex(coeff)
-                if abs(z) > PRUNE_EPS:
+                size = abs(z)
+                if PRUNE_EPS < size < inf:
                     clean[mask] = z
+                elif not size <= PRUNE_EPS:
+                    raise OverflowError(
+                        f"coefficient {z} of blade {mask:#x} is not finite")
         self._terms = clean
 
     # -- construction helpers ------------------------------------------------

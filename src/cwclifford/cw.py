@@ -22,12 +22,13 @@ invariant connection on basis pairs is [rho(x), rho(y)] - rho([x, y]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 import numpy as np
 
-from .core import Multivector, gp, grade_involution, volume_element
+from .core import (Multivector, blade_from_indices, gp, grade_involution,
+                   volume_element)
 from .errors import (ConstraintViolated, DimensionMismatch, InputError,
                      NotAProjector, NotInSoB, OddDimension,
                      PairNotAssociatedToMinusB)
@@ -58,43 +59,33 @@ class CWAlgebraElement:
 
     @staticmethod
     def e_plus(n: int) -> "CWAlgebraElement":
-        x = CWAlgebraElement.zero(n)
-        return CWAlgebraElement(n, x.h, x.vstar, x.v, 1.0, 0.0)
+        return replace(CWAlgebraElement.zero(n), xplus=1.0)
 
     @staticmethod
     def e_minus(n: int) -> "CWAlgebraElement":
-        x = CWAlgebraElement.zero(n)
-        return CWAlgebraElement(n, x.h, x.vstar, x.v, 0.0, 1.0)
+        return replace(CWAlgebraElement.zero(n), xminus=1.0)
 
     @staticmethod
     def vector(n: int, components) -> "CWAlgebraElement":
-        x = CWAlgebraElement.zero(n)
-        return CWAlgebraElement(n, x.h, x.vstar,
-                                np.asarray(components, dtype=float), 0.0, 0.0)
+        return replace(CWAlgebraElement.zero(n),
+                       v=np.asarray(components, dtype=float))
 
     @staticmethod
     def basis_vector(n: int, mu: int) -> "CWAlgebraElement":
-        comp = np.zeros(n)
-        comp[mu - 1] = 1.0
-        return CWAlgebraElement.vector(n, comp)
+        return CWAlgebraElement.vector(n, np.eye(n)[mu - 1])
 
     @staticmethod
     def covector(n: int, components) -> "CWAlgebraElement":
-        x = CWAlgebraElement.zero(n)
-        return CWAlgebraElement(n, x.h, np.asarray(components, dtype=float),
-                                x.v, 0.0, 0.0)
+        return replace(CWAlgebraElement.zero(n),
+                       vstar=np.asarray(components, dtype=float))
 
     @staticmethod
     def basis_covector(n: int, mu: int) -> "CWAlgebraElement":
-        comp = np.zeros(n)
-        comp[mu - 1] = 1.0
-        return CWAlgebraElement.covector(n, comp)
+        return CWAlgebraElement.covector(n, np.eye(n)[mu - 1])
 
     @staticmethod
     def rotation(n: int, h) -> "CWAlgebraElement":
-        x = CWAlgebraElement.zero(n)
-        return CWAlgebraElement(n, np.asarray(h, dtype=float), x.vstar, x.v,
-                                0.0, 0.0)
+        return replace(CWAlgebraElement.zero(n), h=np.asarray(h, dtype=float))
 
     def __add__(self, other: "CWAlgebraElement") -> "CWAlgebraElement":
         return CWAlgebraElement(self.n, self.h + other.h,
@@ -176,7 +167,8 @@ class CWElement:
                          self.r + other.r, self.s + other.s)
 
     def __sub__(self, other: "CWElement") -> "CWElement":
-        return self + (-other)
+        return CWElement(self.p - other.p, self.q - other.q,
+                         self.r - other.r, self.s - other.s)
 
     def __neg__(self) -> "CWElement":
         return CWElement(-self.p, -self.q, -self.r, -self.s)
@@ -245,8 +237,17 @@ class CliffordMapParams:
         return self.b_map.n
 
 
+def generators(n: int) -> List[CWAlgebraElement]:
+    """e-, e+, e_1..e_n, e*_1..e*_n: the order of CliffordMap.images."""
+    return w_basis(n) + [CWAlgebraElement.basis_covector(n, mu)
+                         for mu in range(1, n + 1)]
+
+
 class CliffordMap:
-    """A Clifford map as a finite table of images of basis elements."""
+    """A Clifford map as a finite table of images of basis elements.
+
+    ``images[i]`` is the image of ``generators(n)[i]``.
+    """
 
     def __init__(self, params: CliffordMapParams):
         n = params.n
@@ -258,19 +259,16 @@ class CliffordMap:
         z = Multivector.zero(n)
         cbar = grade_involution(params.c)
         bbar = grade_involution(params.b)
-        self.img_eplus = CWElement(z, SQRT2 * params.a, z, z)
-        self.img_eminus = CWElement(cbar, SQRT2 * params.e,
-                                    SQRT2 * bbar, params.d)
-        self.img_v = []
-        self.img_vstar = []
+        gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
         bm = params.b_map.entries
-        for mu in range(1, n + 1):
-            gm = Multivector.basis_vector(n, mu)
-            self.img_v.append(CWElement(
-                gp(gm, bbar), (-1.0 / SQRT2) * s_map(cbar, params.d, gm),
-                z, -gp(bbar, gm)))
-            bv = Multivector.from_vector(n, bm[:, mu - 1])
-            self.img_vstar.append(CWElement(z, (1.0 / SQRT2) * bv, z, z))
+        self.images = (
+            [CWElement(cbar, SQRT2 * params.e, SQRT2 * bbar, params.d),
+             CWElement(z, SQRT2 * params.a, z, z)]
+            + [CWElement(gp(gm, bbar),
+                         (-1.0 / SQRT2) * s_map(cbar, params.d, gm),
+                         z, -gp(bbar, gm)) for gm in gens]
+            + [CWElement(z, (1.0 / SQRT2) * Multivector.from_vector(n, bm[:, k]),
+                         z, z) for k in range(n)])
 
     def h_image(self, h: np.ndarray) -> CWElement:
         _check_sob(h, self.params.b_map.entries)
@@ -279,19 +277,16 @@ class CliffordMap:
     def __call__(self, x: CWAlgebraElement) -> CWElement:
         if x.n != self.n:
             raise DimensionMismatch("element dimension does not match the map")
-        out = self.img_eplus * complex(x.xplus) + self.img_eminus * complex(x.xminus)
-        for mu in range(self.n):
-            if x.v[mu]:
-                out = out + self.img_v[mu] * complex(x.v[mu])
-            if x.vstar[mu]:
-                out = out + self.img_vstar[mu] * complex(x.vstar[mu])
+        out = CWElement.zero(self.n)
+        for coeff, img in zip((x.xminus, x.xplus, *x.v, *x.vstar), self.images):
+            if coeff:
+                out = out + img * complex(coeff)
         if np.any(x.h):
             out = out + self.h_image(x.h)
         return out
 
 
-def validate_simple_map(params: CliffordMapParams,
-                        tol: float = FLAT_TOL) -> Dict[str, object]:
+def validate_simple_map(params: CliffordMapParams) -> Dict[str, object]:
     """Residuals of the compatibility conditions tying a to bar(b).
 
     The symmetrized sandwich of bar(b) between two generators must be
@@ -317,7 +312,7 @@ def validate_simple_map(params: CliffordMapParams,
     res24a = (a - (1.0 / n) * acc).norm()
     scale = 1.0 + a.norm() + bbar.norm()
     return {"24": res24, "24a": res24a,
-            "passes": res24 <= tol * scale and res24a <= tol * scale}
+            "passes": res24 <= FLAT_TOL * scale and res24a <= FLAT_TOL * scale}
 
 
 def curvature(rho: CliffordMap, x: CWAlgebraElement,
@@ -332,20 +327,30 @@ def w_basis(n: int) -> List[CWAlgebraElement]:
             + [CWAlgebraElement.basis_vector(n, mu) for mu in range(1, n + 1)])
 
 
+def _bracket_defect(rho: CliffordMap, gens: List[CWAlgebraElement],
+                    images: List[CWElement],
+                    proj: CWElement | None = None) -> float:
+    """max |[X_i, X_j] - P rho([x_i, x_j]) P| over pairs of generators x_i
+    with images X_i; no proj means P = 1."""
+    worst = 0.0
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            rhs = rho(cw_bracket(gens[i], gens[j], rho.params.b_map))
+            if proj is not None:
+                rhs = proj * rhs * proj
+            worst = max(worst, (images[i].commutator(images[j]) - rhs).norm())
+    return worst
+
+
 def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
     """Max curvature norm over W x W basis pairs (optionally all generators)."""
     n = rho.n
-    elements = w_basis(n)
-    if extended:
-        elements = elements + [CWAlgebraElement.basis_covector(n, mu)
-                               for mu in range(1, n + 1)]
-        elements = elements + [CWAlgebraElement.rotation(n, h)
-                               for h in rho.params.b_map.sob_basis()]
-    worst = 0.0
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            worst = max(worst, curvature(rho, elements[i], elements[j]).norm())
-    return worst
+    if not extended:
+        return _bracket_defect(rho, w_basis(n), rho.images[:n + 2])
+    rotations = rho.params.b_map.sob_basis()
+    return _bracket_defect(
+        rho, generators(n) + [CWAlgebraElement.rotation(n, h) for h in rotations],
+        rho.images + [rho.h_image(h) for h in rotations])
 
 
 def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
@@ -409,13 +414,12 @@ def flatness_scale(params: CliffordMapParams) -> float:
 # -- the two flat families ---------------------------------------------------
 
 def build_flat_rep_alphazero(c: Multivector, d: Multivector, e: Multivector,
-                             b: SymmetricMap,
-                             tol: float = FLAT_TOL) -> CliffordMap:
+                             b: SymmetricMap) -> CliffordMap:
     """Flat map with trivial center action: (bar c, d) must represent -B."""
     pair = extract_B(grade_involution(c), d)
     scale = 1.0 + float(np.max(np.abs(b.entries)))
     if not pair.verified or \
-            np.max(np.abs(pair.B.entries + b.entries)) > tol * scale:
+            np.max(np.abs(pair.B.entries + b.entries)) > FLAT_TOL * scale:
         raise PairNotAssociatedToMinusB(
             "the pair (bar c, d) must be verified and represent -B")
     n = c.dim
@@ -433,8 +437,8 @@ def half_spinor_projector(n: int, sign: int) -> Multivector:
 def build_flat_rep_alphanotzero(alpha: complex, beta: complex, rho0: complex,
                                 lam: float, e_pp: Multivector,
                                 c_offdiag: Multivector, d_offdiag: Multivector,
-                                e_offdiag: Multivector, sign: int = 1,
-                                tol: float = FLAT_TOL) -> CliffordMap:
+                                e_offdiag: Multivector,
+                                sign: int = 1) -> CliffordMap:
     """Flat map with nontrivial center action; forces B = -2 lam * identity.
 
     The off-diagonal half-spinor blocks of c, d, e must satisfy the linear
@@ -464,7 +468,7 @@ def build_flat_rep_alphanotzero(alpha: complex, beta: complex, rho0: complex,
         res = kappa * (gp(cblk, gm) - gp(gm, dblk)) \
             + 2 * alpha * (gp(e_up, gm) + gp(gm, e_dn))
         worst = max(worst, res.norm())
-    if worst > tol * scale:
+    if worst > FLAT_TOL * scale:
         raise ConstraintViolated(
             f"off-diagonal blocks violate the linear relation by {worst:.3e}")
 
@@ -490,21 +494,13 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     representation of the Lie algebra on the range, i.e.
     [P rho(x) P, P rho(y) P] = P rho([x, y]) P for all generator pairs.
     """
-    n = rho.n
     if (proj * proj - proj).norm() > tol * (1.0 + proj.norm() ** 2):
         raise NotAProjector("the supplied block matrix is not idempotent")
-    gens = w_basis(n) + [CWAlgebraElement.basis_covector(n, mu)
-                         for mu in range(1, n + 1)]
-    images = [rho(x) for x in gens]
-    compressed = [proj * img * proj for img in images]
+    images = rho.images
     scale = 1.0 + max(img.norm() for img in images) ** 2
     inv_res = max((img * proj - proj * img * proj).norm() for img in images)
-    rep_res = 0.0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            lhs = compressed[i].commutator(compressed[j])
-            rhs = proj * rho(cw_bracket(gens[i], gens[j], rho.params.b_map)) * proj
-            rep_res = max(rep_res, (lhs - rhs).norm())
+    rep_res = _bracket_defect(rho, generators(rho.n),
+                              [proj * img * proj for img in images], proj)
     return {"invariant": inv_res <= tol * scale,
             "representation": rep_res <= tol * scale,
             "invariance_residual": inv_res,
@@ -556,12 +552,11 @@ def catalog_projector(name: str, n: int) -> CWElement:
         return table[name]
     if name.startswith("x+:") or name.startswith("x-:"):
         sign = 1 if name[1] == "+" else -1
-        body = name[3:]
         try:
-            parts = body.split(";")
-            mask_i = sum(1 << (int(t) - 1) for t in parts[0].split(",") if t)
-            mask_j = sum(1 << (int(t) - 1) for t in parts[1].split(",") if t)
-        except (IndexError, ValueError) as exc:
+            mask_i, mask_j = (
+                blade_from_indices(int(t) for t in part.split(",") if t)
+                for part in name[3:].split(";"))
+        except ValueError as exc:
             raise InputError(f"cannot parse X projector spec {name!r}") from exc
         x = x_projector_element(n, mask_i, mask_j, sign)
         return CWElement(one, z, z, x)

@@ -93,13 +93,12 @@ def is_sob_invariant_structural(x: Multivector, b: SymmetricMap) -> bool:
     return all(mask in allowed for mask, _ in x.terms())
 
 
-def is_sob_invariant_commutator(x: Multivector, b: SymmetricMap,
-                                tol: float = 1e-10) -> bool:
+def is_sob_invariant_commutator(x: Multivector, b: SymmetricMap) -> bool:
     """Fallback for non-adapted bases: commute with every so_B generator."""
     scale = 1.0 + x.norm()
     for h in b.sob_basis():
         a = skew_to_bivector(h, b.n)
-        if (gp(a, x) - gp(x, a)).norm() > tol * scale:
+        if (gp(a, x) - gp(x, a)).norm() > 1e-10 * scale:
             return False
     return True
 

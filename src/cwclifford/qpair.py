@@ -74,7 +74,7 @@ class SymmetricMap:
                                       compare=False)
 
     @staticmethod
-    def from_matrix(entries, cluster_tol: float = CLUSTER_TOL) -> "SymmetricMap":
+    def from_matrix(entries) -> "SymmetricMap":
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("symmetric map entries must form a square matrix")
@@ -86,7 +86,7 @@ class SymmetricMap:
             raise InputError("matrix is not symmetric")
         m = 0.5 * (m + m.T)
         vals, vecs = np.linalg.eigh(m)
-        tol = cluster_tol * max(np.max(np.abs(vals)), 1e-300) if np.any(vals) else cluster_tol
+        tol = CLUSTER_TOL * (max(np.max(np.abs(vals)), 1e-300) if np.any(vals) else 1.0)
         spaces: List[Eigenspace] = []
         start = 0
         for i in range(1, n + 1):
@@ -453,40 +453,12 @@ def _gauge_strip(c: Multivector, d: Multivector):
     return c - shift, d - shift
 
 
-def _single_blade(a: Multivector):
-    terms = list(a.terms())
-    if not terms:
-        return 0, 0j
-    if len(terms) == 1:
-        return terms[0]
-    return None
-
-
-def _monomial_form(c: Multivector, d: Multivector, tol: float):
-    """Fit (c - s, d - s) = (alpha Gamma_M, beta Gamma_M) over the scalar gauge."""
-    gc, gd = c.scalar_part, d.scalar_part
-    cp = c - Multivector.scalar(c.dim, gc)
-    dp = d - Multivector.scalar(c.dim, gd)
-    if cp.is_zero() and dp.is_zero():
-        return 0, gc - gd, 0j
-    if cp.is_zero():
-        sd = _single_blade(dp)
-        if sd is not None and abs(gc - gd) <= tol:
-            return sd[0], 0j, sd[1]
-        return None
-    if dp.is_zero():
-        sc = _single_blade(cp)
-        if sc is not None and abs(gc - gd) <= tol:
-            return sc[0], sc[1], 0j
-        return None
-    sc = _single_blade(cp)
-    sd = _single_blade(dp)
-    if sc is None or sd is None:
-        return None
-    (mc, ac), (md, bd) = sc, sd
-    if mc != md or abs(gc - gd) > tol:
-        return None
-    return mc, ac, bd
+def _is_monomial(c: Multivector, d: Multivector, tol: float) -> bool:
+    """(c - s, d - s) = (alpha Gamma_M, beta Gamma_M) over the scalar gauge:
+    one non-scalar blade at most, and equal scalars when there is one."""
+    support = ({m for m, _ in c.terms()} | {m for m, _ in d.terms()}) - {0}
+    return not support or (len(support) == 1
+                           and abs(c.scalar_part - d.scalar_part) <= tol)
 
 
 def _is_linear(c: Multivector, d: Multivector, tol: float) -> bool:
@@ -524,13 +496,13 @@ def _pseudo_form(c: Multivector, d: Multivector, tol: float):
     k = grade(base)
     if k % 2 == 0:
         if (c - d).is_zero(tol) or (c + d).is_zero(tol):
-            return "pseudo-monomial-even", base
+            return "pseudo-monomial-even"
         return None
     ac, bc = c.coefficient(base), c.coefficient(full ^ base)
     ad, bdc = d.coefficient(base), d.coefficient(full ^ base)
     scale = 1.0 + max(abs(ac), abs(bc), abs(ad), abs(bdc)) ** 2
     if abs(ac * bdc + ad * bc) <= tol * scale:
-        return "pseudo-monomial-odd", base
+        return "pseudo-monomial-odd"
     return None
 
 
@@ -578,11 +550,11 @@ def classify_family(pair: QuadraticPair) -> List[str]:
     tol = verify_tolerance(pair.c, pair.d)
     c, d = _gauge_strip(pair.c, pair.d)
     tags = []
-    if _monomial_form(c, d, tol) is not None:
+    if _is_monomial(c, d, tol):
         tags.append("monomial")
     pseudo = _pseudo_form(c, d, tol)
     if pseudo is not None:
-        tags.append(pseudo[0])
+        tags.append(pseudo)
     if _is_linear(c, d, tol):
         tags.append("linear")
     if _generalized_form(c, d, tol) is not None:

@@ -169,6 +169,8 @@ PAIR_OK = {"dim": 2, "c": "1.0 e_{1}", "d": "0.5 e_{1}"}
 B_OK = {"dim": 2, "entries": [-1.0, 0.0, 0.0, -4.0]}
 PARAMS_OK = {"dim": 2, "B": [1.0, 0.0, 0.0, 4.0], "a": "0 e_{}",
              "b": "0 e_{}", "c": "1.0 e_{1}", "d": "0.5 e_{1}", "e": "0 e_{}"}
+PARAMS_N3 = {**PARAMS_OK, "dim": 3,
+             "B": [1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0]}
 
 
 @pytest.mark.parametrize("command, flag, doc", [
@@ -193,16 +195,19 @@ PARAMS_OK = {"dim": 2, "B": [1.0, 0.0, 0.0, 4.0], "a": "0 e_{}",
     ("verify", "--pair", {**PAIR_OK, "c": 1.0}),
     ("verify", "--pair", {"dim": 3, "c": "1e200 e_{1}", "d": "1.0 e_{1}"}),
     ("search", "--b", {"dim": 2, "entries": [1e308, 0, 0, -1e308]}),
+    ("cw-restrict --projector x+:1,1;3", "--params", PARAMS_N3),
+    ("cw-restrict --projector x+:1;2;3", "--params", PARAMS_N3),
 ], ids=["pair-dim-true", "b-dim-true", "params-dim-true", "entries-string",
         "entries-nested", "entries-bool", "B-string", "B-nested",
         "entries-nan", "entries-infinity", "entries-huge-int", "B-nan",
         "B-infinity", "coeff-inf", "coeff-nan", "coeff-1e400",
         "coeff-imaginary-1e400", "params-coeff-nan", "coeff-not-a-string",
-        "coeff-square-overflows", "entries-square-overflows"])
+        "coeff-square-overflows", "entries-square-overflows",
+        "x-projector-repeated-index", "x-projector-three-lists"])
 def test_hostile_input_is_exit_2(tmp_path, capsys, command, flag, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, command, flag, str(path))
+    code, out, err = run(capsys, *command.split(), flag, str(path))
     assert code == 2 and out == "" and err.startswith("error:")
 
 

@@ -234,6 +234,20 @@ def test_subtraction_is_adding_the_negation_bit_for_bit():
         Multivector.unit(2) - Multivector.unit(3)
 
 
+def test_non_finite_coefficients_raise():
+    with pytest.raises(OverflowError):
+        Multivector(2, {1: float("nan")})
+    with pytest.raises(OverflowError):
+        Multivector(2, {3: complex(0.0, float("-inf"))})
+    with pytest.raises(OverflowError):
+        Multivector(1, {0: float("inf")})
+    with pytest.raises(OverflowError):   # inf - inf no longer vanishes
+        Multivector(1, {0: 1e308}) - Multivector(1, {0: -1e308})
+    c = Multivector(2, {1: 1e200, 2: 1e200})
+    with pytest.raises(OverflowError):   # -inf scalar and a NaN e_{1,2}
+        gp(c, c)
+
+
 @st.composite
 def multivectors(draw, dim=3):
     n_terms = draw(st.integers(0, 4))

@@ -9,8 +9,8 @@ from cwclifford.cw import (CliffordMap, CliffordMapParams, CWAlgebraElement,
                            check_restriction, clw_generator_eminus,
                            clw_generator_eplus, clw_generator_vector,
                            curvature, curvature_sweep, cw_bracket,
-                           cw_to_matrix, flatness_report, half_spinor_projector,
-                           validate_simple_map, w_basis,
+                           cw_to_matrix, flatness_report, generators,
+                           half_spinor_projector, validate_simple_map, w_basis,
                            x_projector_element)
 from cwclifford.errors import (ConstraintViolated, InputError, NotAProjector,
                                NotInSoB, OddDimension,
@@ -373,3 +373,48 @@ def test_catalog_names():
 
 def test_w_basis_size():
     assert len(w_basis(4)) == 6
+
+
+# -- the shared bracket-defect loop against the per-pair definitions ----------
+
+def reference_sweep(rho, extended=False):
+    gens = w_basis(rho.n)
+    if extended:
+        gens = generators(rho.n) + [CWAlgebraElement.rotation(rho.n, h)
+                                    for h in rho.params.b_map.sob_basis()]
+    return max(curvature(rho, x, y).norm()
+               for i, x in enumerate(gens) for y in gens[i + 1:])
+
+
+def reference_restriction(rho, proj):
+    gens = generators(rho.n)
+    images = [rho(x) for x in gens]
+    compressed = [proj * img * proj for img in images]
+    inv_res = max((img * proj - proj * img * proj).norm() for img in images)
+    rep_res = 0.0
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            lhs = compressed[i].commutator(compressed[j])
+            rhs = proj * rho(cw_bracket(gens[i], gens[j], rho.params.b_map)) * proj
+            rep_res = max(rep_res, (lhs - rhs).norm())
+    return inv_res, rep_res
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bracket_defect_loop_matches_reference(n):
+    rng = np.random.default_rng(20 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n]   # repeated
+    for b in (SymmetricMap.from_diagonal(rng.standard_normal(n)),
+              SymmetricMap.from_matrix(q @ np.diag(vals) @ q.T)):
+        rho = CliffordMap(rand_params(rng, n, b))
+        for x, img in zip(generators(n), rho.images, strict=True):
+            assert (img - rho(x)).is_zero()
+        assert curvature_sweep(rho) == reference_sweep(rho)
+        assert curvature_sweep(rho, extended=True) == \
+            reference_sweep(rho, extended=True)
+        for name in ["sigma-", "x+:1;2"] + (["s+w"] if n % 2 == 0 else []):
+            proj = catalog_projector(name, n)
+            out = check_restriction(rho, proj)
+            assert (out["invariance_residual"], out["representation_residual"]) \
+                == reference_restriction(rho, proj)
