@@ -259,14 +259,14 @@ class CliffordMap:
         z = Multivector.zero(n)
         cbar = grade_involution(params.c)
         bbar = grade_involution(params.b)
-        gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
+        basis = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
         bm = params.b_map.entries
         self.images = (
             [CWElement(cbar, SQRT2 * params.e, SQRT2 * bbar, params.d),
              CWElement(z, SQRT2 * params.a, z, z)]
             + [CWElement(gp(gm, bbar),
                          (-1.0 / SQRT2) * s_map(cbar, params.d, gm),
-                         z, -gp(bbar, gm)) for gm in gens]
+                         z, -gp(bbar, gm)) for gm in basis]
             + [CWElement(z, (1.0 / SQRT2) * Multivector.from_vector(n, bm[:, k]),
                          z, z) for k in range(n)])
 
