@@ -7,6 +7,7 @@ input, 3 an internal tolerance check failed or a number overflowed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -158,6 +159,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cwclifford",
@@ -166,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tol(p, default=1e-9):
-        p.add_argument("--tol", type=float, default=default,
+        p.add_argument("--tol", type=_positive_finite, default=default,
                        help="verification tolerance (default %(default)g)")
 
     p = sub.add_parser("verify", help="verify a pair and extract its map")

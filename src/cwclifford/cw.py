@@ -23,7 +23,7 @@ invariant connection on basis pairs is [rho(x), rho(y)] - rho([x, y]).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class CWAlgebraElement:
 
     @staticmethod
     def basis_vector(n: int, mu: int) -> "CWAlgebraElement":
-        return CWAlgebraElement.vector(n, np.eye(n)[mu - 1])
+        return CWAlgebraElement.vector(n, _unit_components(n, mu))
 
     @staticmethod
     def covector(n: int, components) -> "CWAlgebraElement":
@@ -81,7 +81,7 @@ class CWAlgebraElement:
 
     @staticmethod
     def basis_covector(n: int, mu: int) -> "CWAlgebraElement":
-        return CWAlgebraElement.covector(n, np.eye(n)[mu - 1])
+        return CWAlgebraElement.covector(n, _unit_components(n, mu))
 
     @staticmethod
     def rotation(n: int, h) -> "CWAlgebraElement":
@@ -97,6 +97,13 @@ class CWAlgebraElement:
         return float(np.sqrt(np.sum(self.h ** 2) + np.sum(self.vstar ** 2)
                              + np.sum(self.v ** 2) + self.xplus ** 2
                              + self.xminus ** 2))
+
+
+def _unit_components(n: int, mu: int) -> np.ndarray:
+    """Components of the 1-based basis vector e_mu of R^n."""
+    if not 1 <= mu <= n:
+        raise DimensionMismatch(f"index {mu} is outside 1..{n}")
+    return np.eye(n)[mu - 1]
 
 
 def _check_sob(h: np.ndarray, b: np.ndarray) -> None:
@@ -176,10 +183,10 @@ class CWElement:
     def __mul__(self, other):
         if isinstance(other, CWElement):
             return CWElement(
-                gp(self.p, other.p) + gp(self.q, other.r),
-                gp(self.p, other.q) + gp(self.q, other.s),
-                gp(self.r, other.p) + gp(self.s, other.r),
-                gp(self.r, other.q) + gp(self.s, other.s))
+                _block(self.p, other.p, self.q, other.r),
+                _block(self.p, other.q, self.q, other.s),
+                _block(self.r, other.p, self.s, other.r),
+                _block(self.r, other.q, self.s, other.s))
         return CWElement(self.p * other, self.q * other,
                          self.r * other, self.s * other)
 
@@ -195,6 +202,29 @@ class CWElement:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(x.is_zero(tol) for x in (self.p, self.q, self.r, self.s))
+
+
+def _block(a: Multivector, b: Multivector, c: Multivector,
+           d: Multivector) -> Multivector:
+    """a b + c d, calling gp only on products whose factors both have terms."""
+    ab = not (a.is_zero() or b.is_zero())
+    cd = not (c.is_zero() or d.is_zero())
+    if ab and cd:
+        return gp(a, b) + gp(c, d)
+    if ab:
+        return gp(a, b)
+    if cd:
+        return gp(c, d)
+    return Multivector.zero(a.dim)
+
+
+def _combine(n: int, terms) -> CWElement:
+    """Sum of coeff * image over (coeff, image) pairs with coeff nonzero."""
+    out = CWElement.zero(n)
+    for coeff, img in terms:
+        if coeff:
+            out = out + img * complex(coeff)
+    return out
 
 
 _GAMMA_PLUS = np.array([[0.0, SQRT2], [0.0, 0.0]])
@@ -277,10 +307,8 @@ class CliffordMap:
     def __call__(self, x: CWAlgebraElement) -> CWElement:
         if x.n != self.n:
             raise DimensionMismatch("element dimension does not match the map")
-        out = CWElement.zero(self.n)
-        for coeff, img in zip((x.xminus, x.xplus, *x.v, *x.vstar), self.images):
-            if coeff:
-                out = out + img * complex(coeff)
+        out = _combine(self.n, zip((x.xminus, x.xplus, *x.v, *x.vstar),
+                                   self.images))
         if np.any(x.h):
             out = out + self.h_image(x.h)
         return out
@@ -327,30 +355,66 @@ def w_basis(n: int) -> List[CWAlgebraElement]:
             + [CWAlgebraElement.basis_vector(n, mu) for mu in range(1, n + 1)])
 
 
-def _bracket_defect(rho: CliffordMap, gens: List[CWAlgebraElement],
-                    images: List[CWElement],
+def _bracket_images(rho: CliffordMap, rotations: Sequence[np.ndarray],
+                    size: int) -> Dict[Tuple[int, int], CWElement]:
+    """rho([x_i, x_j]) for i < j < size over generators(n) + rotations,
+    only for the pairs whose bracket is nonzero.
+
+    The structure constants on these generators are [e-, e_mu] = e*_mu,
+    [e-, e*_mu] = -B e_mu, [e_mu, e*_nu] = B_{mu nu} e+, [e_mu, h] = -h e_mu,
+    [e*_mu, h] = -h e*_mu and [h, h'] = hh' - h'h; e+ is central and all
+    other pairs commute.  Each image sums the table entries in the order
+    and with the coefficients of rho(cw_bracket(x_i, x_j, B)).
+    """
+    n, bm = rho.n, rho.params.b_map.entries
+    vec, cov, rot = 2, n + 2, 2 * n + 2    # first index of each kind
+    coords: Dict[Tuple[int, int], Dict[int, float]] = {}
+    for mu in range(n):
+        coords[0, vec + mu] = {cov + mu: 1.0}
+        coords[0, cov + mu] = {vec + k: -bm[k, mu] for k in range(n)}
+        for nu in range(n):
+            coords[vec + mu, cov + nu] = {1: bm[mu, nu]}
+        for r, h in enumerate(rotations):
+            coords[vec + mu, rot + r] = {vec + k: -h[k, mu] for k in range(n)}
+            coords[cov + mu, rot + r] = {cov + k: -h[k, mu] for k in range(n)}
+    out = {pair: _combine(n, ((f, rho.images[k]) for k, f in fs.items()))
+           for pair, fs in coords.items()
+           if pair[1] < size and any(fs.values())}
+    for r, h in enumerate(rotations):
+        for s in range(r + 1, len(rotations)):
+            hh = h @ rotations[s] - rotations[s] @ h
+            if np.any(hh):
+                out[rot + r, rot + s] = rho.h_image(hh)
+    return out
+
+
+def _bracket_defect(rho: CliffordMap, images: List[CWElement],
+                    rotations: Sequence[np.ndarray] = (),
                     proj: CWElement | None = None) -> float:
-    """max |[X_i, X_j] - P rho([x_i, x_j]) P| over pairs of generators x_i
-    with images X_i; no proj means P = 1."""
+    """max |[X_i, X_j] - P rho([x_i, x_j]) P| over pairs of the generators
+    x_i of generators(n) + rotations with images X_i, as many as there are
+    images; no proj means P = 1."""
+    brackets = _bracket_images(rho, rotations, len(images))
     worst = 0.0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            rhs = rho(cw_bracket(gens[i], gens[j], rho.params.b_map))
-            if proj is not None:
-                rhs = proj * rhs * proj
-            worst = max(worst, (images[i].commutator(images[j]) - rhs).norm())
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            defect = images[i].commutator(images[j])
+            rhs = brackets.get((i, j))
+            if rhs is not None:
+                if proj is not None:
+                    rhs = proj * rhs * proj
+                defect = defect - rhs
+            worst = max(worst, defect.norm())
     return worst
 
 
 def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
     """Max curvature norm over W x W basis pairs (optionally all generators)."""
-    n = rho.n
     if not extended:
-        return _bracket_defect(rho, w_basis(n), rho.images[:n + 2])
+        return _bracket_defect(rho, rho.images[:rho.n + 2])
     rotations = rho.params.b_map.sob_basis()
-    return _bracket_defect(
-        rho, generators(n) + [CWAlgebraElement.rotation(n, h) for h in rotations],
-        rho.images + [rho.h_image(h) for h in rotations])
+    images = rho.images + [rho.h_image(h) for h in rotations]
+    return _bracket_defect(rho, images, rotations)
 
 
 def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
@@ -499,8 +563,8 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     images = rho.images
     scale = 1.0 + max(img.norm() for img in images) ** 2
     inv_res = max((img * proj - proj * img * proj).norm() for img in images)
-    rep_res = _bracket_defect(rho, generators(rho.n),
-                              [proj * img * proj for img in images], proj)
+    rep_res = _bracket_defect(rho, [proj * img * proj for img in images],
+                              proj=proj)
     return {"invariant": inv_res <= tol * scale,
             "representation": rep_res <= tol * scale,
             "invariance_residual": inv_res,

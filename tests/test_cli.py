@@ -242,3 +242,22 @@ def test_rep_check_rejects_trials_below_one(capsys, trials):
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == ""
     assert "--trials" in out.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", [
+    "verify --pair pair.json", "cw-flat --params params.json",
+    "cw-restrict --params params.json --projector sigma+",
+    "omega --pair pair.json --b b.json", "rep-check --dim 3"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, monkeypatch,
+                                         command, tol):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in (("pair.json", PAIR_OK), ("b.json", B_OK),
+                      ("params.json", PARAMS_OK)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert run(capsys, *command.split())[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--tol", tol])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "--tol" in out.err

@@ -3,8 +3,9 @@ import pytest
 
 from cwclifford.core import (Multivector, gp, grade_involution,
                              random_multivector, volume_element)
-from cwclifford.cw import (CliffordMap, CliffordMapParams, CWAlgebraElement,
-                           CWElement, build_flat_rep_alphanotzero,
+from cwclifford.cw import (_bracket_images, CliffordMap, CliffordMapParams,
+                           CWAlgebraElement, CWElement,
+                           build_flat_rep_alphanotzero,
                            build_flat_rep_alphazero, catalog_projector,
                            check_restriction, clw_generator_eminus,
                            clw_generator_eplus, clw_generator_vector,
@@ -12,9 +13,9 @@ from cwclifford.cw import (CliffordMap, CliffordMapParams, CWAlgebraElement,
                            cw_to_matrix, flatness_report, generators,
                            half_spinor_projector, validate_simple_map, w_basis,
                            x_projector_element)
-from cwclifford.errors import (ConstraintViolated, InputError, NotAProjector,
-                               NotInSoB, OddDimension,
-                               PairNotAssociatedToMinusB)
+from cwclifford.errors import (ConstraintViolated, DimensionMismatch,
+                               InputError, NotAProjector, NotInSoB,
+                               OddDimension, PairNotAssociatedToMinusB)
 from cwclifford.gammarep import build_rep
 from cwclifford.qpair import (SymmetricMap, make_generalized,
                               make_monomial)
@@ -67,6 +68,16 @@ def test_bracket_jacobi_random():
         assert j.norm() < 1e-12 * (1 + x.norm() * y.norm() * z.norm())
 
 
+@pytest.mark.parametrize("mu", [0, -1, 4])
+def test_basis_index_outside_range_is_rejected(mu):
+    for make in (CWAlgebraElement.basis_vector,
+                 CWAlgebraElement.basis_covector):
+        with pytest.raises(DimensionMismatch):
+            make(3, mu)
+    assert list(CWAlgebraElement.basis_vector(3, 3).v) == [0.0, 0.0, 1.0]
+    assert list(CWAlgebraElement.basis_covector(3, 1).vstar) == [1.0, 0.0, 0.0]
+
+
 def test_bracket_rejects_rotations_outside_sob():
     n = 3
     b = SymmetricMap.from_diagonal([1.0, 2.0, 3.0])
@@ -90,6 +101,25 @@ def test_clw_generators_satisfy_relations():
             anti = gi * gj + gj * gi
             want = CWElement.identity(n) * complex(-2 * metric[i, j])
             assert (anti - want).norm() < 1e-12
+
+
+def full_block_product(x, y):
+    return CWElement(gp(x.p, y.p) + gp(x.q, y.r), gp(x.p, y.q) + gp(x.q, y.s),
+                     gp(x.r, y.p) + gp(x.s, y.r), gp(x.r, y.q) + gp(x.s, y.s))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_block_product_matches_all_eight_products(n):
+    rng = np.random.default_rng(30 + n)
+    z = Multivector.zero(n)
+
+    def rand_blocks():
+        return CWElement(*(random_multivector(rng, n, 3)
+                           if rng.random() < 0.6 else z for _ in range(4)))
+    for _ in range(60):
+        x, y = rand_blocks(), rand_blocks()
+        assert x * y == full_block_product(x, y)
+        assert CWElement.zero(n) * x == full_block_product(CWElement.zero(n), x)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -418,3 +448,30 @@ def test_bracket_defect_loop_matches_reference(n):
             out = check_restriction(rho, proj)
             assert (out["invariance_residual"], out["representation_residual"]) \
                 == reference_restriction(rho, proj)
+
+
+# -- the bracket images read from the structure constants ---------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_bracket_images_match_rho_of_cw_bracket(n):
+    rng = np.random.default_rng(40 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = rng.standard_normal(n)
+    vals[:3] = vals[0]                                  # a 3-cluster
+    diagonal = SymmetricMap.from_diagonal(rng.standard_normal(n))
+    for b in (diagonal, SymmetricMap.from_matrix(q @ np.diag(vals) @ q.T),
+              SymmetricMap.from_matrix(-1.4 * np.eye(n))):   # alpha != 0
+        rho = CliffordMap(rand_params(rng, n, b))
+        rotations = b.sob_basis()
+        gens = generators(n) + [CWAlgebraElement.rotation(n, h)
+                                for h in rotations]
+        table = _bracket_images(rho, rotations, len(gens))
+        for i, x in enumerate(gens):
+            for j in range(i + 1, len(gens)):
+                bracket = cw_bracket(x, gens[j], b)
+                if (i, j) in table:
+                    assert table[i, j] == rho(bracket)
+                else:
+                    assert bracket.norm() == 0.0
+        if n >= 3 and b is not diagonal:    # some [h, h'] is nonzero
+            assert any(i >= 2 * n + 2 for i, _ in table)
