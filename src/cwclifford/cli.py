@@ -153,14 +153,20 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return value
 
 
 def _positive_finite(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"must be finite and positive, got {text}")

@@ -22,6 +22,8 @@ from __future__ import annotations
 from math import inf
 from typing import Dict, Iterable, Iterator, Tuple
 
+import numpy as np
+
 from .errors import DimensionMismatch, DimensionTooLarge, NotGradeOne
 
 # The dimension limits on n = dim V, stated once; error messages quote them.
@@ -132,7 +134,10 @@ class Multivector:
 
     @staticmethod
     def zero(dim: int) -> "Multivector":
-        return Multivector(dim, {})
+        """The zero element, one shared instance per dimension."""
+        if not (MIN_DIM <= dim <= MAX_DIM):
+            _check_dim("algebra", dim)
+        return _ZEROS[dim]
 
     @staticmethod
     def unit(dim: int) -> "Multivector":
@@ -232,6 +237,14 @@ class Multivector:
         return f"Multivector({self.dim}, {multivector_to_text(self)!r})"
 
 
+# products formed at once by _dense_gp, in float64 elements per array
+_DENSE_BLOCK = 1 << 13
+
+# Multivector values are immutable (only __init__ assigns _terms), so one
+# zero per dimension can be shared
+_ZEROS = {n: Multivector(n) for n in range(MIN_DIM, MAX_DIM + 1)}
+
+
 def gp(a: Multivector, b: Multivector) -> Multivector:
     """Geometric (Clifford) product, the bilinear extension of blade_mul."""
     if a.dim != b.dim:
@@ -244,6 +257,100 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
             s = -1 if (j & w).bit_count() & 1 else 1
             out[k] = out.get(k, 0j) + s * x * y
     return Multivector(a.dim, out)
+
+
+def _dense(a: Multivector):
+    """Real and imaginary coefficient arrays of a over all 2^n blades."""
+    re = np.zeros(1 << a.dim)
+    im = np.zeros(1 << a.dim)
+    for mask, z in a._terms.items():
+        re[mask] = z.real
+        im[mask] = z.imag
+    return re, im
+
+
+def _prune_dense(re: np.ndarray, im: np.ndarray) -> None:
+    """Zero in place what Multivector drops, raise on what it refuses."""
+    size = np.hypot(re, im)           # abs(complex) is hypot
+    if not (size < inf).all():
+        raise OverflowError("a dense coefficient is not finite")
+    small = size <= PRUNE_EPS
+    re[small] = 0.0
+    im[small] = 0.0
+
+
+def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip):
+    """gp(a, y) for every row y of the dense (yr, yi), bit for bit.
+
+    The products of a's terms with their partners in y are formed as arrays,
+    a block of terms at a time, then summed one term after another in a's
+    dict order, gp's outer loop: each output blade sums its partners in
+    gp's order, and a partner missing from y adds a signed zero, which
+    leaves the sum unchanged.  The complex product stays real arithmetic:
+    numpy's complex multiply may fuse multiply-adds.
+    """
+    blades = np.arange(yr.shape[-1])
+    masks = np.fromiter(a._terms, dtype=np.int64, count=len(a._terms))
+    coeffs = np.fromiter(a._terms.values(), dtype=complex,
+                         count=len(a._terms))
+    tr = np.zeros(yr.shape)
+    ti = np.zeros(yr.shape)
+    block = max(1, _DENSE_BLOCK // yr.size)
+    for start in range(0, len(masks), block):
+        i = masks[start:start + block, None]
+        x = coeffs[start:start + block, None]
+        j = i ^ blades                        # the partner of each output
+        s = flip[j & w[i]]
+        sxr, sxi = s * x.real, s * x.imag
+        ur, ui = yr[..., j], yi[..., j]
+        pr = sxr * ur - sxi * ui
+        pi = sxr * ui + sxi * ur
+        for t in range(len(j)):
+            tr += pr[..., t, :]
+            ti += pi[..., t, :]
+    _prune_dense(tr, ti)
+    return tr, ti
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises instead
+def q_basis_images(a: Multivector, b: Multivector):
+    """q(e_mu) = a^2 e_mu + e_mu b^2 - 2 a e_mu b for every mu at once.
+
+    Returns float64 arrays (re, im) of shape (n, 2^n); row mu - 1 holds the
+    blade coefficients of q(e_mu), bit for bit those of the gp loop
+    gp(gp(a, a), e_mu) + gp(e_mu, gp(b, b)) - 2 gp(a, gp(e_mu, b)).  a^2, b^2
+    and a (e_mu b) are dense passes over a's and b's terms (`_dense_gp`);
+    e_mu b, a^2 e_mu and e_mu b^2 are signed permutations.  Coefficients are
+    pruned wherever the gp loop builds a Multivector.
+    """
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    n = a.dim
+    blades = np.arange(1 << n)
+    w = _sign_mask(blades)
+    # bit 0 of w(x) is the parity of x, so flip[x] = (-1)^popcount(x)
+    flip = 1.0 - 2.0 * (w & 1)
+    gens = 1 << np.arange(n)
+    partner = blades ^ gens[:, None]          # [mu, k] = k XOR e_mu
+    # signs of e_mu Gamma_j and of Gamma_i e_mu for the partner of blade k
+    left = flip[partner & w[gens][:, None]]
+    right = flip[w[partner] & gens[:, None]]
+
+    ar, ai = _dense(a)
+    br, bi = _dense(b)
+    a2r, a2i = _dense_gp(a, ar, ai, w, flip)
+    b2r, b2i = _dense_gp(b, br, bi, w, flip)
+    # a^2 e_mu + e_mu b^2; "0.0 +" turns a sum of two negative zeros into
+    # the positive zero that gp's "0j +" leaves
+    sr = 0.0 + (right * a2r[partner] + left * b2r[partner])
+    si = 0.0 + (right * a2i[partner] + left * b2i[partner])
+    _prune_dense(sr, si)
+    # a (e_mu b); the sign of a zero in e_mu b never reaches the sums
+    tr, ti = _dense_gp(a, left * br[partner], left * bi[partner], w, flip)
+    re = sr - 2.0 * tr
+    im = si - 2.0 * ti
+    _prune_dense(re, im)
+    return re, im
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:

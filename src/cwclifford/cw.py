@@ -430,10 +430,8 @@ def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
     cbar = grade_involution(params.c)
     d, e = params.d, params.e
 
-    def s(x):
-        return s_map(cbar, d, x)
-
     gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
+    s = [s_map(cbar, d, g) for g in gens]
     rows: Dict[str, float] = {}
     rows["23-1"] = (gp(cbar, a) - gp(a, d)).norm()
     rows["23-2"] = max(gp(a, bbar).norm(), gp(bbar, a).norm())
@@ -446,8 +444,8 @@ def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
             gm, gn = gens[mu], gens[nu]
             anti = 0.5 * (gp(gm, gp(bbar, gn)) - gp(gn, gp(bbar, gm)))
             r251 = max(r251, gp(bbar, anti).norm(), gp(anti, bbar).norm())
-            mix = 0.5 * (gp(gm, gp(bbar, s(gn))) - gp(gn, gp(bbar, s(gm)))
-                         - gp(s(gm), gp(bbar, gn)) + gp(s(gn), gp(bbar, gm)))
+            mix = 0.5 * (gp(gm, gp(bbar, s[nu])) - gp(gn, gp(bbar, s[mu]))
+                         - gp(s[mu], gp(bbar, gn)) + gp(s[nu], gp(bbar, gm)))
             r252 = max(r252, mix.norm())
     rows["25-1"] = r251
     rows["25-2"] = r252

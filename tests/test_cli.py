@@ -244,6 +244,22 @@ def test_rep_check_rejects_trials_below_one(capsys, trials):
     assert "--trials" in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--pair", "pair.json", "--tol", "abc"],
+    ["rep-check", "--dim", "3", "--trials", "x"],
+    ["rep-check", "--dim", "3", "--trials", "2.5"]])
+def test_unparsable_numbers_get_the_range_message(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair.json").write_text(json.dumps(PAIR_OK))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "_positive" not in out.err
+    assert f"{argv[-2]}: must be" in out.err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize("command", [
     "verify --pair pair.json", "cw-flat --params params.json",

@@ -10,7 +10,7 @@ from cwclifford.core import (DIM_LIMITS, Multivector, blade_from_indices,
                              grade, grade_involution, grade_project, involute,
                              left_contract, random_multivector, reversal,
                              trace_pairing, volume_element)
-from cwclifford.errors import DimensionMismatch, NotGradeOne
+from cwclifford.errors import DimensionMismatch, DimensionTooLarge, NotGradeOne
 
 
 def e(n, mu):
@@ -246,6 +246,17 @@ def test_non_finite_coefficients_raise():
     c = Multivector(2, {1: 1e200, 2: 1e200})
     with pytest.raises(OverflowError):   # -inf scalar and a NaN e_{1,2}
         gp(c, c)
+
+
+def test_zero_is_one_instance_per_dimension():
+    assert Multivector.zero(3) is Multivector.zero(3)
+    assert Multivector.zero(3) is not Multivector.zero(4)
+    assert Multivector.zero(4) == Multivector(4, {}) and not list(
+        Multivector.zero(4).terms())
+    assert Multivector.zero(3) + e(3, 1) == e(3, 1)
+    assert Multivector.zero(3).is_zero()
+    with pytest.raises(DimensionTooLarge):
+        Multivector.zero(13)
 
 
 @st.composite

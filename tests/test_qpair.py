@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from cwclifford.core import (Multivector, blade_square_sign, gp, grade,
-                             random_multivector, volume_element)
+                             q_basis_images, random_multivector,
+                             volume_element)
 from cwclifford import qpair
 from cwclifford.errors import (AnticommutationViolated,
                                CoefficientConstraintViolated,
@@ -525,3 +527,104 @@ def test_eigenbasis_memo_rotates_each_pair_once(monkeypatch):
     # a diagonal B rotates nothing
     diag = SymmetricMap.from_diagonal([1.0, 1.0, 2.0, 2.0])
     assert diag.adapt_to_eigenbasis(c, d) == (c, d) and len(rotated) == 8
+
+
+# -- the dense q-restriction against the per-mu q_map loop --------------------
+
+def reference_q_restriction(c, d):
+    """q restricted to V by six gp products per mu, the loop the dense path
+    replaces, kept as the reference it must match bit for bit; also the
+    images q(e_mu) as (real, imaginary) arrays over all blades."""
+    n = c.dim
+    m = np.zeros((n, n), dtype=complex)
+    offgrade = 0.0
+    images = np.zeros((2, n, 1 << n))
+    for mu in range(n):
+        for mask, coeff in q_map(c, d, e(n, mu + 1)).terms():
+            images[:, mu, mask] = coeff.real, coeff.imag
+            if grade(mask) == 1:
+                m[mask.bit_length() - 1, mu] = coeff
+            else:
+                offgrade = max(offgrade, abs(coeff))
+    return m, offgrade, images
+
+
+def assert_dense_matches_reference(c, d):
+    want_m, want_off, want_images = reference_q_restriction(c, d)
+    # signed zeros included
+    assert np.array(q_basis_images(c, d)).tobytes() == want_images.tobytes()
+    for got_m, got_off in (qpair._dense_q_restriction(c, d),
+                           qpair.q_restriction_matrix(c, d)):
+        assert got_m.tobytes() == want_m.tobytes()
+        assert repr(got_off) == repr(want_off)
+
+
+def _real(a):
+    return Multivector(a.dim, {m: z.real for m, z in a.terms()})
+
+
+def _reordered(a):
+    """An equal element whose terms come in the opposite order, so its
+    products round differently."""
+    return Multivector(a.dim, dict(reversed(list(a.terms()))))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dense_q_restriction_matches_reference_on_random_pairs(
+        n, monkeypatch):
+    dense = []
+    monkeypatch.setattr(qpair, "_dense_q_restriction",
+                        lambda c, d, f=qpair._dense_q_restriction:
+                        dense.append(n) or f(c, d))
+    rng = np.random.default_rng(100 + n)
+    # below and above the dispatch rule |c| |d| > max(16, 2^n)
+    above = min(1 << n, math.isqrt(max(16, 1 << n)) + 1)
+    for kc, kd in ((1, 1), (2, 3), (above - 1, above + 1)):
+        assert_dense_matches_reference(random_multivector(rng, n, kc),
+                                       random_multivector(rng, n, kd))
+    # three direct calls, and the public function's for the last pair, which
+    # lies above the rule from n = 3 on (at n <= 2, |c| |d| <= 16)
+    assert len(dense) == 3 + (n > 2)
+    if n > 10:
+        return          # the reference loop takes seconds at n = 11-12
+    c = random_multivector(rng, n, above)
+    d = random_multivector(rng, n, above)
+    bivector = random_multivector(rng, n, above, grades=[2]) if n > 1 else c
+    # cancelling pairs (c = d, c = -d, real and imaginary coefficients),
+    # equal pairs that round apart, and a tiny factor: each prunes at a
+    # different step
+    for pair in ((c, d), (c, c), (c, -c), (_real(c), -_real(d)),
+                 (_real(c), _real(c)), (1j * _real(c), -1j * _real(d)),
+                 (c, _reordered(c)), (c, -_reordered(c)),
+                 (bivector, _reordered(bivector)),
+                 (1e-8 * c, d), (c, 1e-8 * d)):
+        assert_dense_matches_reference(*pair)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_dense_q_restriction_matches_reference_on_rotated_search_hits(n):
+    from cwclifford.search import search_pairs_for_B
+    q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    half = n // 2
+    b = q @ np.diag([-1.0] * half + [-4.0] * (n - half)) @ q.T
+    hits = search_pairs_for_B(SymmetricMap.from_matrix(0.5 * (b + b.T)))
+    assert hits
+    # the reference loop takes about a second per hit at n = 9-10
+    for hit in hits[:1] if n >= 9 else hits:
+        c, d = hit.pair.c, hit.pair.d
+        assert_dense_matches_reference(c, d)
+        assert hit.pair.q_matrix.tobytes() == \
+            reference_q_restriction(c, d)[0].tobytes()
+
+
+def test_dense_q_restriction_raises_where_the_reference_overflows():
+    c = Multivector(3, {0b001: 1e154, 0b110: 1e154})
+    d = Multivector.blade(3, 0b001, 1e154)
+    dense = random_multivector(np.random.default_rng(3), 3, 6)
+    for pair in ((c, d), (1e154 * dense, 1e154 * dense)):
+        with pytest.raises(OverflowError):
+            reference_q_restriction(*pair)
+        with pytest.raises(OverflowError):
+            qpair._dense_q_restriction(*pair)
+        with pytest.raises(OverflowError):
+            extract_B(*pair)
