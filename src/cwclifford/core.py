@@ -312,7 +312,7 @@ def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip):
     return tr, ti
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow raises instead
+@np.errstate(over="ignore", invalid="ignore")  # _prune_dense raises on it
 def q_basis_images(a: Multivector, b: Multivector):
     """q(e_mu) = a^2 e_mu + e_mu b^2 - 2 a e_mu b for every mu at once.
 

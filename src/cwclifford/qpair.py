@@ -184,9 +184,10 @@ def q_restriction_matrix(c: Multivector, d: Multivector):
     if c.dim != d.dim:
         raise DimensionMismatch("pair elements live in different dimensions")
     n = c.dim
-    # The dense pass costs about 0.2 ms at n <= 8 and beats six gp per mu
-    # once |c| |d| exceeds max(16, 2^n): the crossover table of the dense
-    # q-restriction entry in CHANGES.md.  Both give the same bits.
+    # One dense pass beats six gp per mu once |c| |d| exceeds max(16, 2^n);
+    # below 16 products its fixed cost loses at every n (the crossover table
+    # of the dense q-restriction entry in CHANGES.md).  Both give the same
+    # bits.
     if len(c._terms) * len(d._terms) > max(16, 1 << n):
         return _dense_q_restriction(c, d)
     m = np.zeros((n, n), dtype=complex)
