@@ -19,6 +19,7 @@ i XOR the parity of the bits of i above mu.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import inf
 from typing import Dict, Iterable, Iterator, Tuple
 
@@ -312,6 +313,29 @@ def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip):
     return tr, ti
 
 
+@lru_cache(maxsize=None)
+def _sign_tables(n: int):
+    """Read-only sign tables of dimension n for the dense passes.
+
+    w[x] = w(x) over all 2^n blades; flip[x] = (-1)^popcount(x);
+    partner[mu, k] = k XOR e_mu (0-based mu); left[mu, k] and right[mu, k]
+    are the signs of e_mu Gamma_j and of Gamma_j e_mu for j = partner[mu, k],
+    so row mu of e_mu x (of x e_mu) is left (right) times x[partner].
+    """
+    blades = np.arange(1 << n)
+    w = _sign_mask(blades)
+    # bit 0 of w(x) is the parity of x
+    flip = 1.0 - 2.0 * (w & 1)
+    gens = 1 << np.arange(n)
+    partner = blades ^ gens[:, None]
+    left = flip[partner & w[gens][:, None]]
+    right = flip[w[partner] & gens[:, None]]
+    tables = (w, flip, partner, left, right)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _prune_dense raises on it
 def q_basis_images(a: Multivector, b: Multivector):
     """q(e_mu) = a^2 e_mu + e_mu b^2 - 2 a e_mu b for every mu at once.
@@ -325,17 +349,7 @@ def q_basis_images(a: Multivector, b: Multivector):
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    n = a.dim
-    blades = np.arange(1 << n)
-    w = _sign_mask(blades)
-    # bit 0 of w(x) is the parity of x, so flip[x] = (-1)^popcount(x)
-    flip = 1.0 - 2.0 * (w & 1)
-    gens = 1 << np.arange(n)
-    partner = blades ^ gens[:, None]          # [mu, k] = k XOR e_mu
-    # signs of e_mu Gamma_j and of Gamma_i e_mu for the partner of blade k
-    left = flip[partner & w[gens][:, None]]
-    right = flip[w[partner] & gens[:, None]]
-
+    w, flip, partner, left, right = _sign_tables(a.dim)
     ar, ai = _dense(a)
     br, bi = _dense(b)
     a2r, a2i = _dense_gp(a, ar, ai, w, flip)

@@ -438,14 +438,17 @@ def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
     val = validate_simple_map(params)
     rows["24"] = float(val["24"])
     rows["24a"] = float(val["24a"])
+    # bbar e_mu and bbar s(e_mu), formed once per index
+    bg = [gp(bbar, g) for g in gens]
+    bs = [gp(bbar, x) for x in s]
     r251 = r252 = 0.0
     for mu in range(n):
         for nu in range(mu + 1, n):
             gm, gn = gens[mu], gens[nu]
-            anti = 0.5 * (gp(gm, gp(bbar, gn)) - gp(gn, gp(bbar, gm)))
+            anti = 0.5 * (gp(gm, bg[nu]) - gp(gn, bg[mu]))
             r251 = max(r251, gp(bbar, anti).norm(), gp(anti, bbar).norm())
-            mix = 0.5 * (gp(gm, gp(bbar, s[nu])) - gp(gn, gp(bbar, s[mu]))
-                         - gp(s[mu], gp(bbar, gn)) + gp(s[nu], gp(bbar, gm)))
+            mix = 0.5 * (gp(gm, bs[nu]) - gp(gn, bs[mu])
+                         - gp(s[mu], bg[nu]) + gp(s[nu], bg[mu]))
             r252 = max(r252, mix.norm())
     rows["25-1"] = r251
     rows["25-2"] = r252

@@ -167,6 +167,19 @@ class QuadraticPair:
         return self.status == STATUS_VERIFIED
 
 
+def _dense_pair(c: Multivector, d: Multivector) -> bool:
+    """Whether per-pair work on (c, d) goes through the dense passes.
+
+    The rule, |c| |d| > max(16, 2^n) in term counts, serves the q-restriction
+    and the closing identities.  It sits at the q-restriction's measured
+    crossover; for the closing identities it keeps the few-term family pairs
+    on the gp loop, which beats the dense passes on them at n = 7-8.  The
+    crossover tables are in the CHANGES.md entries of the dense
+    q-restriction and of the dense closing identities.
+    """
+    return len(c._terms) * len(d._terms) > max(16, 1 << c.dim)
+
+
 def _dense_q_restriction(c: Multivector, d: Multivector):
     """q_restriction_matrix from one dense pass (core.q_basis_images)."""
     re, im = q_basis_images(c, d)
@@ -184,11 +197,7 @@ def q_restriction_matrix(c: Multivector, d: Multivector):
     if c.dim != d.dim:
         raise DimensionMismatch("pair elements live in different dimensions")
     n = c.dim
-    # One dense pass beats six gp per mu once |c| |d| exceeds max(16, 2^n);
-    # below 16 products its fixed cost loses at every n (the crossover table
-    # of the dense q-restriction entry in CHANGES.md).  Both give the same
-    # bits.
-    if len(c._terms) * len(d._terms) > max(16, 1 << n):
+    if _dense_pair(c, d):   # both paths give the same bits
         return _dense_q_restriction(c, d)
     m = np.zeros((n, n), dtype=complex)
     offgrade = 0.0

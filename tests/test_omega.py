@@ -1,16 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
+from cwclifford import omega
 from cwclifford.core import (Multivector, gp, grade, random_multivector,
                              volume_element)
 from cwclifford.errors import NotSoBInvariant
-from cwclifford.omega import (classify_distinguished, closing_identities,
+from cwclifford.omega import (_dense_closing_identities,
+                              classify_distinguished, closing_identities,
                               is_sob_invariant_commutator,
                               is_sob_invariant_structural, omega_bilinear,
                               omega_in_soB, omega_tensor)
 from cwclifford.qpair import (SymmetricMap, extract_B, make_generalized,
                               make_linear, make_monomial,
-                              make_pseudo_monomial, rotate_multivector)
+                              make_pseudo_monomial, rotate_multivector,
+                              s_map)
 
 
 def e(n, mu):
@@ -240,3 +245,90 @@ def test_closing_identities():
     d = random_multivector(rng, 3, 4)
     out = closing_identities(c, d, SymmetricMap.from_diagonal([1.0, 1.0, 1.0]))
     assert set(out) == {"four-term", "anticommutator"}
+
+
+# -- the dense closing identities against the gp loop ---------------------------
+
+def reference_closing_identities(c, d, b):
+    """The two closing residuals by the gp loop over (mu, nu), the loop the
+    dense passes replace, kept as the reference they must match."""
+    n = c.dim
+    gens = [e(n, mu) for mu in range(1, n + 1)]
+    sdc = [s_map(d, c, g) for g in gens]
+    scd = [s_map(c, d, g) for g in gens]
+    prods = [[gp(x, y) for y in scd] for x in sdc]
+    r_four = r_anti = 0.0
+    for mu in range(n):
+        gm = gens[mu]
+        for nu in range(n):
+            left, right = gp(sdc[nu], gm), gp(gm, scd[nu])
+            four = gp(d, left) + gp(d, right) - gp(left, d) - gp(right, d)
+            r_four = max(r_four, four.norm())
+            anti = 0.5 * (prods[nu][mu] + prods[mu][nu])
+            target = Multivector.scalar(n, complex(b.entries[mu, nu]))
+            r_anti = max(r_anti, (anti - target).norm())
+    return {"four-term": r_four, "anticommutator": r_anti}
+
+
+def assert_closing_matches_reference(c, d, b):
+    want = reference_closing_identities(c, d, b)
+    bound = 1e-12 * (1 + c.norm() ** 2 + d.norm() ** 2) ** 2
+    for got in (_dense_closing_identities(c, d, b), closing_identities(c, d, b)):
+        assert set(got) == set(want)
+        for key in want:
+            assert abs(got[key] - want[key]) <= bound, (key, got, want)
+    return want
+
+
+def _count_dense(monkeypatch):
+    calls = []
+    monkeypatch.setattr(omega, "_dense_closing_identities",
+                        lambda c, d, b, f=_dense_closing_identities:
+                        calls.append(c.dim) or f(c, d, b))
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dense_closing_identities_match_reference_on_random_pairs(
+        n, monkeypatch):
+    calls = _count_dense(monkeypatch)
+    rng = np.random.default_rng(200 + n)
+    b = SymmetricMap.from_matrix(np.diag(rng.uniform(-2.0, 2.0, n)))
+    # below and above the dispatch rule |c| |d| > max(16, 2^n)
+    above = min(1 << n, math.isqrt(max(16, 1 << n)) + 1)
+    sizes = ((1, 1), (2, 3), (above - 1, above + 1))
+    worst = 0.0
+    for kc, kd in sizes:
+        c = random_multivector(rng, n, kc)
+        d = random_multivector(rng, n, kd)
+        want = assert_closing_matches_reference(c, d, b)
+        worst = max(worst, *want.values())
+    # the public function went dense only for the last pair, which lies
+    # above the rule from n = 3 on (at n <= 2, |c| |d| <= 16)
+    assert len(calls) == (n > 2)
+    # random pairs are far from closing: the residuals are of order one
+    assert worst > 0.1
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_dense_closing_identities_match_reference_on_rotated_search_hits(
+        n, monkeypatch):
+    from cwclifford.search import search_pairs_for_B
+    q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    half = n // 2
+    m = q @ np.diag([-1.0] * half + [-4.0] * (n - half)) @ q.T
+    b = SymmetricMap.from_matrix(0.5 * (m + m.T))
+    hits = search_pairs_for_B(b)
+    assert hits
+    calls = _count_dense(monkeypatch)
+    # the reference loop takes about 0.4 s per hit at n = 8
+    chosen = hits[:1] if n >= 7 else hits
+    for hit in chosen:
+        want = assert_closing_matches_reference(hit.pair.c, hit.pair.d, b)
+        assert want["four-term"] < 1e-9
+    assert len(calls) == len(chosen)
+    # a perturbed hit is far from closing; the dense path still agrees
+    c, d = chosen[0].pair.c, chosen[0].pair.d
+    bad = d + Multivector.blade(n, 0b11, 0.5)
+    assert max(assert_closing_matches_reference(c, bad, b).values()) > 0.1
+    assert len(calls) == len(chosen) + 1
