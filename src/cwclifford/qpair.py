@@ -9,9 +9,10 @@ check them against direct evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +26,8 @@ from .errors import (AnticommutationViolated, CoefficientConstraintViolated,
 
 VERIFY_TOL_FACTOR = 1e-9
 CLUSTER_TOL = 1e-8
+# largest max |r^T r - I| that rotate_multivector accepts
+ORTHOGONALITY_TOL = 1e-12
 
 STATUS_VERIFIED = "verified"
 STATUS_NOT_CLOSED = "not-closed-in-V"
@@ -620,14 +623,85 @@ def transpose_relation_check(c: Multivector, d: Multivector) -> float:
 
 
 def rotate_multivector(a: Multivector, r: np.ndarray) -> Multivector:
-    """Algebra map induced by an orthogonal change of basis e_mu -> r[:, mu]."""
+    """Algebra map induced by an orthogonal change of basis e_mu -> r[:, mu].
+
+    Gamma_I goes to the product of the images of its generators.  For an
+    orthogonal r these are orthonormal, so the product is their wedge,
+    sum over |J| = |I| of det(r[J, I]) Gamma_J: column I of the |I|-th
+    compound matrix of r.  The minors are built grade by grade by Laplace
+    expansion along the last column, det(r[J, I]) = sum over t of
+    (-1)^(t + k - 1) r[J_t, I_top] det(r[J - J_t, I - I_top]), only for the
+    columns I in the support of a and their prefixes; the largest array is
+    one grade's (|J|, columns) table, at most 924 x 924 at n = 12.
+    Raises InputError unless r is a finite n x n matrix with
+    max |r^T r - I| at most ORTHOGONALITY_TOL.
+    """
     n = a.dim
-    images = [Multivector.from_vector(n, r[:, mu]) for mu in range(n)]
-    out = Multivector.zero(n)
-    for mask, coeff in a.terms():
-        word = Multivector.scalar(n, coeff)
-        for mu in range(n):
-            if (mask >> mu) & 1:
-                word = gp(word, images[mu])
-        out = out + word
-    return out
+    r = np.asarray(r, dtype=float)
+    if r.shape != (n, n):
+        raise InputError(f"a rotation of dimension {n} must be {n} x {n}, "
+                         f"got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise InputError("rotation entries must be finite")
+    deviation = float(np.max(np.abs(r.T @ r - np.eye(n))))
+    if not deviation <= ORTHOGONALITY_TOL:
+        raise InputError(f"rotation is not orthogonal: max |r^T r - I| = "
+                         f"{deviation:.3e} > {ORTHOGONALITY_TOL:g}")
+    support: List[dict] = [{} for _ in range(n + 1)]
+    for mask, z in a._terms.items():
+        support[grade(mask)][mask] = z
+    # the columns each grade needs: the support, closed under dropping the
+    # top generator
+    needed = [set(terms) for terms in support]
+    top_grade = max((k for k in range(n + 1) if needed[k]), default=0)
+    for k in range(top_grade, 1, -1):
+        needed[k - 1].update(m ^ (1 << (m.bit_length() - 1))
+                             for m in needed[k])
+    out_r = np.zeros(1 << n)
+    out_i = np.zeros(1 << n)
+    z = a.scalar_part
+    out_r[0], out_i[0] = z.real, z.imag
+    minors = np.ones((1, 1))          # grade 0: det of the empty matrix
+    where = {0: 0}
+    for k in range(1, top_grade + 1):
+        rows, row_masks, below = _grade_table(n, k)
+        cols = sorted(needed[k])
+        tops = [m.bit_length() - 1 for m in cols]
+        # r[:, I_top] and the grade k - 1 minors on the columns I - I_top
+        rt = r[:, tops]
+        sub = minors[:, [where[m ^ (1 << t)] for m, t in zip(cols, tops)]]
+        minors = np.zeros((len(rows), len(cols)))
+        for t in range(k):
+            term = rt[rows[:, t]] * sub[below[:, t]]
+            if (t + k - 1) % 2:
+                minors -= term
+            else:
+                minors += term
+        where = {m: i for i, m in enumerate(cols)}
+        if support[k]:
+            sel = minors[:, [where[m] for m in support[k]]]
+            x = np.array(list(support[k].values()))
+            out_r[row_masks] += sel @ x.real
+            out_i[row_masks] += sel @ x.imag
+    return Multivector(n, {int(m): complex(out_r[m], out_i[m])
+                           for m in np.flatnonzero((out_r != 0.0)
+                                                   | (out_i != 0.0))})
+
+
+@lru_cache(maxsize=None)
+def _grade_table(n: int, k: int):
+    """The blades of grade k as ascending 0-based positions (lexicographic),
+    their masks, and below[j, t], the index among the grade k - 1 blades of
+    blade j without its position t; read-only."""
+    def positions(g):
+        combos = list(itertools.combinations(range(n), g))
+        return np.array(combos, dtype=np.intp).reshape(len(combos), g)
+
+    rows = positions(k)
+    masks = (1 << rows).sum(axis=1)
+    rank = np.zeros(1 << n, dtype=np.intp)
+    rank[(1 << positions(k - 1)).sum(axis=1)] = np.arange(math.comb(n, k - 1))
+    below = rank[masks[:, None] ^ (1 << rows)]
+    for t in (rows, masks, below):
+        t.setflags(write=False)
+    return rows, masks, below

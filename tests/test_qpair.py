@@ -459,6 +459,93 @@ def test_rotate_multivector_is_algebra_map():
     assert (rotate_multivector(gp(a, b), q) - gp(ra, rb)).is_zero(1e-10)
 
 
+def chain_rotation(a, r):
+    """The rotation as the gp chain of the generator images, term by term:
+    the per-term product the compound-matrix rotation replaces, kept as its
+    reference."""
+    n = a.dim
+    images = [Multivector.from_vector(n, r[:, mu]) for mu in range(n)]
+    out = Multivector.zero(n)
+    for mask, coeff in a.terms():
+        word = Multivector.scalar(n, coeff)
+        for mu in range(n):
+            if (mask >> mu) & 1:
+                word = gp(word, images[mu])
+        out = out + word
+    return out
+
+
+def _max_coefficient_gap(a, b):
+    masks = {m for m, _ in a.terms()} | {m for m, _ in b.terms()}
+    return max((abs(a.coefficient(m) - b.coefficient(m)) for m in masks),
+               default=0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rotation_matches_the_gp_chain(n):
+    rng = np.random.default_rng(300 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    swap = np.eye(n)[::-1] * rng.choice([-1.0, 1.0], n)   # a signed permutation
+    for r in (q, swap, np.eye(n)):
+        for a in (random_multivector(rng, n, 1),
+                  random_multivector(rng, n, 12),
+                  random_multivector(rng, n, 6, grades=[n // 2]),
+                  Multivector.scalar(n, 0.5 - 2j), Multivector.zero(n)):
+            got = rotate_multivector(a, r)
+            assert _max_coefficient_gap(got, chain_rotation(a, r)) \
+                <= 1e-14 * a.norm()
+    # a whole dense element, where the chain is still quick
+    if n <= 8:
+        a = random_multivector(rng, n, 1 << n)
+        got = rotate_multivector(a, q)
+        assert _max_coefficient_gap(got, chain_rotation(a, q)) \
+            <= 1e-14 * a.norm()
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_rotation_is_an_algebra_map_on_dense_elements(n):
+    rng = np.random.default_rng(400 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = random_multivector(rng, n, 1 << n)
+    # at n = 12 b stays in grades 0-2, so that gp(ra, rb) takes no more than
+    # 4096 x 79 blade pairs
+    b = (random_multivector(rng, n, 1 << n) if n <= 8 else
+         random_multivector(rng, n, 6, grades=[0, 1, 2]))
+    ra, rb = rotate_multivector(a, q), rotate_multivector(b, q)
+    gap = _max_coefficient_gap(rotate_multivector(gp(a, b), q), gp(ra, rb))
+    assert gap <= 1e-12 * a.norm() * b.norm()
+    # the rotation back undoes it
+    assert _max_coefficient_gap(rotate_multivector(ra, q.T), a) \
+        <= 1e-12 * a.norm()
+
+
+@pytest.mark.parametrize("bad", [
+    np.eye(3),                                  # not n x n
+    np.eye(4)[:, :3],
+    np.eye(4).ravel(),
+    np.where(np.eye(4) == 1, np.nan, 0.0),      # not finite
+    np.diag([1.0, 1.0, np.inf, 1.0]),
+    1.001 * np.eye(4),                          # not orthogonal
+    np.eye(4) + np.triu(np.ones((4, 4)), 1),
+    np.eye(4) + 1e-10 * np.ones((4, 4)),
+    np.zeros((4, 4)),
+], ids=["3x3", "4x3", "flat", "nan", "inf", "scaled", "shear", "1e-10",
+        "zero"])
+def test_rotation_refuses_what_is_not_an_orthogonal_n_by_n_matrix(bad):
+    a = random_multivector(np.random.default_rng(5), 4, 6)
+    with pytest.raises(InputError):
+        rotate_multivector(a, bad)
+
+
+def test_rotation_accepts_orthogonality_up_to_its_bound():
+    a = random_multivector(np.random.default_rng(6), 4, 6)
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))
+    near = q + 1e-14 * np.ones((4, 4))
+    assert np.max(np.abs(near.T @ near - np.eye(4))) <= qpair.ORTHOGONALITY_TOL
+    assert _max_coefficient_gap(rotate_multivector(a, near),
+                                chain_rotation(a, near)) <= 1e-12
+
+
 def test_symmetric_map_clustering():
     b = SymmetricMap.from_diagonal([2.0, 2.0 + 1e-12, -1.0])
     assert [s.multiplicity for s in b.eigenspaces] == [1, 2]
