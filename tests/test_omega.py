@@ -332,3 +332,14 @@ def test_dense_closing_identities_match_reference_on_rotated_search_hits(
     bad = d + Multivector.blade(n, 0b11, 0.5)
     assert max(assert_closing_matches_reference(c, bad, b).values()) > 0.1
     assert len(calls) == len(chosen) + 1
+
+
+def test_dense_closing_identities_raise_where_the_reference_overflows():
+    rng = np.random.default_rng(3)
+    c = 1e160 * random_multivector(rng, 3, 6)
+    d = 1e160 * random_multivector(rng, 3, 6)
+    b = SymmetricMap.from_diagonal([1.0, 1.0, 1.0])
+    for closing in (reference_closing_identities, _dense_closing_identities,
+                    closing_identities):
+        with pytest.raises(OverflowError):
+            closing(c, d, b)

@@ -519,21 +519,21 @@ def test_rotation_is_an_algebra_map_on_dense_elements(n):
         <= 1e-12 * a.norm()
 
 
-@pytest.mark.parametrize("bad", [
-    np.eye(3),                                  # not n x n
-    np.eye(4)[:, :3],
-    np.eye(4).ravel(),
-    np.where(np.eye(4) == 1, np.nan, 0.0),      # not finite
-    np.diag([1.0, 1.0, np.inf, 1.0]),
-    1.001 * np.eye(4),                          # not orthogonal
-    np.eye(4) + np.triu(np.ones((4, 4)), 1),
-    np.eye(4) + 1e-10 * np.ones((4, 4)),
-    np.zeros((4, 4)),
+@pytest.mark.parametrize("bad, why", [
+    (np.eye(3), "4 x 4"),
+    (np.eye(4)[:, :3], "4 x 4"),
+    (np.eye(4).ravel(), "4 x 4"),
+    (np.where(np.eye(4) == 1, np.nan, 0.0), "finite"),
+    (np.diag([1.0, 1.0, np.inf, 1.0]), "finite"),
+    (1.001 * np.eye(4), "not orthogonal"),
+    (np.eye(4) + np.triu(np.ones((4, 4)), 1), "not orthogonal"),
+    (np.eye(4) + 1e-10 * np.ones((4, 4)), "not orthogonal"),
+    (np.zeros((4, 4)), "not orthogonal"),
 ], ids=["3x3", "4x3", "flat", "nan", "inf", "scaled", "shear", "1e-10",
         "zero"])
-def test_rotation_refuses_what_is_not_an_orthogonal_n_by_n_matrix(bad):
+def test_rotation_refuses_what_is_not_an_orthogonal_n_by_n_matrix(bad, why):
     a = random_multivector(np.random.default_rng(5), 4, 6)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=why):
         rotate_multivector(a, bad)
 
 
