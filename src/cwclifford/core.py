@@ -367,6 +367,78 @@ def q_basis_images(a: Multivector, b: Multivector):
     return re, im
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _prune_dense raises on it
+def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
+    """Entry norms of the two closing identities of (c, d) for every (mu, nu).
+
+    Returns two (n, n) float64 arrays holding, at [nu - 1, mu - 1], the
+    norms of the anticommutator residual
+    (s_{d,c}(e_nu) s_{c,d}(e_mu) + s_{d,c}(e_mu) s_{c,d}(e_nu)) / 2
+    - b[mu - 1, nu - 1] and of the four-term residual [d, X] with
+    X = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu), where
+    s_{a,b}(x) = a x - x b.  The s rows are signed permutations of c
+    and d; the n^2 products are n `_dense_gp` passes, one per s_{d,c}(e_nu);
+    d X is one pass over all n^2 rows and X d another, through
+    rev(X d) = rev(d) rev(X).  Rows are pruned wherever the gp loop of
+    `omega.closing_identities` builds a Multivector; values agree with it up
+    to rounding.
+    """
+    if c.dim != d.dim:
+        raise DimensionMismatch(f"dimensions differ: {c.dim} vs {d.dim}")
+    n = c.dim
+    w, flip, partner, left, right = _sign_tables(n)
+    cr, ci = _dense(c)
+    dr, di = _dense(d)
+    # row nu: d e_nu - e_nu c and c e_nu - e_nu d
+    sdc_r = right * dr[partner] - left * cr[partner]
+    sdc_i = right * di[partner] - left * ci[partner]
+    scd_r = right * cr[partner] - left * dr[partner]
+    scd_i = right * ci[partner] - left * di[partner]
+    _prune_dense(sdc_r, sdc_i)
+    _prune_dense(scd_r, scd_i)
+
+    # [nu, mu] = s_{d,c}(e_nu) s_{c,d}(e_mu); the identity symmetrizes it
+    prods = [_dense_gp(_from_row(n, sdc_r[nu], sdc_i[nu]), scd_r, scd_i,
+                       w, flip) for nu in range(n)]
+    pr = np.array([p[0] for p in prods])
+    pi = np.array([p[1] for p in prods])
+    ar = 0.5 * (pr + pr.transpose(1, 0, 2))
+    ai = 0.5 * (pi + pi.transpose(1, 0, 2))
+    ar[..., 0] -= b
+    _prune_dense(ar, ai)
+
+    # [nu, mu] = X_{mu nu}: e_mu sits at partner[mu] of each s row
+    xr = right * sdc_r[:, partner] + left * scd_r[:, partner]
+    xi = right * sdc_i[:, partner] + left * scd_i[:, partner]
+    _prune_dense(xr, xi)
+    dxr, dxi = _dense_gp(d, xr, xi, w, flip)
+    rev = _reversal_signs(n)
+    xdr, xdi = _dense_gp(reversal(d), rev * xr, rev * xi, w, flip)
+    fr = dxr - rev * xdr
+    fi = dxi - rev * xdi
+    _prune_dense(fr, fi)
+    return _row_norms(ar, ai), _row_norms(fr, fi)
+
+
+def _from_row(n: int, re: np.ndarray, im: np.ndarray) -> Multivector:
+    """The Multivector of one dense coefficient row."""
+    return Multivector(n, {int(k): complex(re[k], im[k])
+                           for k in np.flatnonzero((re != 0) | (im != 0))})
+
+
+@lru_cache(maxsize=None)
+def _reversal_signs(n: int) -> np.ndarray:
+    """(-1)^(k(k-1)/2) for the grade k of every blade, read-only."""
+    k = np.array([grade(m) for m in range(1 << n)])
+    signs = 1.0 - 2.0 * ((k * (k - 1) // 2) & 1)
+    signs.setflags(write=False)
+    return signs
+
+
+def _row_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return np.sqrt((re * re + im * im).sum(axis=-1))
+
+
 def grade_project(a: Multivector, k: int) -> Multivector:
     """Keep exactly the blades of grade k."""
     return Multivector(a.dim,

@@ -14,13 +14,10 @@ depending on how many distinct eigenvalues B has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Tuple
 
-import numpy as np
-
-from .core import (Multivector, _dense, _dense_gp, _prune_dense, _sign_tables,
-                   gp, grade, reversal, volume_element)
+from .core import (Multivector, closing_residuals, gp, grade,
+                   volume_element)
 from .errors import DimensionMismatch, NotSoBInvariant
 from .qpair import SymmetricMap, _dense_pair, s_map, skew_to_bivector
 
@@ -179,12 +176,15 @@ def closing_identities(c: Multivector, d: Multivector,
 
     The anticommutator identity is normalized with the factor 1/2 fixed by
     direct evaluation on monomial pairs.  Dense pairs (`qpair._dense_pair`)
-    take the dense passes of `_dense_closing_identities`.
+    take the dense passes of `core.closing_residuals`; the others the gp
+    loop below.
     """
     if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
     if _dense_pair(c, d):
-        return _dense_closing_identities(c, d, b)
+        anti, four = closing_residuals(c, d, b.entries)
+        return {"four-term": float(four.max()),
+                "anticommutator": float(anti.max())}
     n = c.dim
     gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
     sdc = [s_map(d, c, g) for g in gens]
@@ -202,70 +202,3 @@ def closing_identities(c: Multivector, d: Multivector,
             target = Multivector.scalar(n, complex(b.entries[mu, nu]))
             r_anti = max(r_anti, (anti - target).norm())
     return {"four-term": r_four, "anticommutator": r_anti}
-
-
-@np.errstate(over="ignore", invalid="ignore")  # _prune_dense raises on it
-def _dense_closing_identities(c: Multivector, d: Multivector,
-                              b: SymmetricMap) -> Dict[str, float]:
-    """closing_identities from dense passes over (n, 2^n) coefficient rows.
-
-    s_{d,c}(e_nu) and s_{c,d}(e_nu) are signed permutations of d and c; the
-    n^2 products s_{d,c}(e_nu) s_{c,d}(e_mu) are n `_dense_gp` passes; the
-    four-term entry is the commutator [d, X] with
-    X = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu), where X d comes from the
-    pass rev(d) rev(X) = rev(X d).  Rows are pruned where the loop builds a
-    Multivector; values agree with it up to rounding.
-    """
-    n = c.dim
-    w, flip, partner, left, right = _sign_tables(n)
-    cr, ci = _dense(c)
-    dr, di = _dense(d)
-    # row nu: d e_nu - e_nu c and c e_nu - e_nu d
-    sdc_r = right * dr[partner] - left * cr[partner]
-    sdc_i = right * di[partner] - left * ci[partner]
-    scd_r = right * cr[partner] - left * dr[partner]
-    scd_i = right * ci[partner] - left * di[partner]
-    _prune_dense(sdc_r, sdc_i)
-    _prune_dense(scd_r, scd_i)
-
-    # [nu, mu] = s_{d,c}(e_nu) s_{c,d}(e_mu); the identity symmetrizes it
-    prods = [_dense_gp(_row(n, sdc_r[nu], sdc_i[nu]), scd_r, scd_i, w, flip)
-             for nu in range(n)]
-    pr = np.array([p[0] for p in prods])
-    pi = np.array([p[1] for p in prods])
-    ar = 0.5 * (pr + pr.transpose(1, 0, 2))
-    ai = 0.5 * (pi + pi.transpose(1, 0, 2))
-    ar[..., 0] -= b.entries
-    _prune_dense(ar, ai)
-
-    # [nu, mu] = X_{mu nu}: e_mu sits at partner[mu] of each s row
-    xr = right * sdc_r[:, partner] + left * scd_r[:, partner]
-    xi = right * sdc_i[:, partner] + left * scd_i[:, partner]
-    _prune_dense(xr, xi)
-    dxr, dxi = _dense_gp(d, xr, xi, w, flip)
-    rev = _reversal_signs(n)
-    xdr, xdi = _dense_gp(reversal(d), rev * xr, rev * xi, w, flip)
-    fr = dxr - rev * xdr
-    fi = dxi - rev * xdi
-    _prune_dense(fr, fi)
-    return {"four-term": _max_row_norm(fr, fi),
-            "anticommutator": _max_row_norm(ar, ai)}
-
-
-def _row(n: int, re: np.ndarray, im: np.ndarray) -> Multivector:
-    """The Multivector of one dense coefficient row."""
-    return Multivector(n, {int(k): complex(re[k], im[k])
-                           for k in np.flatnonzero((re != 0) | (im != 0))})
-
-
-@lru_cache(maxsize=None)
-def _reversal_signs(n: int) -> np.ndarray:
-    """(-1)^(k(k-1)/2) for the grade k of every blade, read-only."""
-    k = np.array([grade(m) for m in range(1 << n)])
-    signs = 1.0 - 2.0 * ((k * (k - 1) // 2) & 1)
-    signs.setflags(write=False)
-    return signs
-
-
-def _max_row_norm(re: np.ndarray, im: np.ndarray) -> float:
-    return float(np.sqrt((re * re + im * im).sum(axis=-1)).max())

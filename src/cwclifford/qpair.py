@@ -670,22 +670,23 @@ def rotate_multivector(a: Multivector, r: np.ndarray) -> Multivector:
         # r[:, I_top] and the grade k - 1 minors on the columns I - I_top
         rt = r[:, tops]
         sub = minors[:, [where[m ^ (1 << t)] for m, t in zip(cols, tops)]]
-        minors = np.zeros((len(rows), len(cols)))
-        for t in range(k):
-            term = rt[rows[:, t]] * sub[below[:, t]]
-            if (t + k - 1) % 2:
-                minors -= term
-            else:
-                minors += term
+        minors = np.einsum("t,jtc,jtc->jc", _laplace_signs(k), rt[rows],
+                           sub[below])
         where = {m: i for i, m in enumerate(cols)}
         if support[k]:
             sel = minors[:, [where[m] for m in support[k]]]
             x = np.array(list(support[k].values()))
             out_r[row_masks] += sel @ x.real
             out_i[row_masks] += sel @ x.imag
-    return Multivector(n, {int(m): complex(out_r[m], out_i[m])
-                           for m in np.flatnonzero((out_r != 0.0)
-                                                   | (out_i != 0.0))})
+    masks = np.flatnonzero((out_r != 0.0) | (out_i != 0.0))
+    coeffs = np.empty(len(masks), dtype=complex)
+    coeffs.real, coeffs.imag = out_r[masks], out_i[masks]
+    return Multivector(n, dict(zip(masks.tolist(), coeffs.tolist())))
+
+
+def _laplace_signs(k: int) -> np.ndarray:
+    """(-1)^(t + k - 1) for t < k: the cofactor signs down the last column."""
+    return np.where(np.arange(k) % 2 == (k - 1) % 2, 1.0, -1.0)
 
 
 @lru_cache(maxsize=None)
