@@ -664,14 +664,13 @@ def rotate_multivector(a: Multivector, r: np.ndarray) -> Multivector:
     minors = np.ones((1, 1))          # grade 0: det of the empty matrix
     where = {0: 0}
     for k in range(1, top_grade + 1):
-        rows, row_masks, below = _grade_table(n, k)
+        rows, row_masks, below, signs = _grade_table(n, k)
         cols = sorted(needed[k])
         tops = [m.bit_length() - 1 for m in cols]
         # r[:, I_top] and the grade k - 1 minors on the columns I - I_top
         rt = r[:, tops]
         sub = minors[:, [where[m ^ (1 << t)] for m, t in zip(cols, tops)]]
-        minors = np.einsum("t,jtc,jtc->jc", _laplace_signs(k), rt[rows],
-                           sub[below])
+        minors = np.einsum("t,jtc,jtc->jc", signs, rt[rows], sub[below])
         where = {m: i for i, m in enumerate(cols)}
         if support[k]:
             sel = minors[:, [where[m] for m in support[k]]]
@@ -684,16 +683,12 @@ def rotate_multivector(a: Multivector, r: np.ndarray) -> Multivector:
     return Multivector(n, dict(zip(masks.tolist(), coeffs.tolist())))
 
 
-def _laplace_signs(k: int) -> np.ndarray:
-    """(-1)^(t + k - 1) for t < k: the cofactor signs down the last column."""
-    return np.where(np.arange(k) % 2 == (k - 1) % 2, 1.0, -1.0)
-
-
 @lru_cache(maxsize=None)
 def _grade_table(n: int, k: int):
     """The blades of grade k as ascending 0-based positions (lexicographic),
-    their masks, and below[j, t], the index among the grade k - 1 blades of
-    blade j without its position t; read-only."""
+    their masks, below[j, t], the index among the grade k - 1 blades of
+    blade j without its position t, and the cofactor signs (-1)^(t + k - 1)
+    down a last column; read-only."""
     def positions(g):
         combos = list(itertools.combinations(range(n), g))
         return np.array(combos, dtype=np.intp).reshape(len(combos), g)
@@ -703,6 +698,8 @@ def _grade_table(n: int, k: int):
     rank = np.zeros(1 << n, dtype=np.intp)
     rank[(1 << positions(k - 1)).sum(axis=1)] = np.arange(math.comb(n, k - 1))
     below = rank[masks[:, None] ^ (1 << rows)]
-    for t in (rows, masks, below):
+    signs = np.where(np.arange(k) % 2 == (k - 1) % 2, 1.0, -1.0)
+    tables = (rows, masks, below, signs)
+    for t in tables:
         t.setflags(write=False)
-    return rows, masks, below
+    return tables
