@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import cw, omega, search, textio
-from .core import gp, random_multivector
+from .core import (CHECK_TOL, ORACLE_TOL, gp, random_multivector,
+                   threshold)
 from .errors import InputError, InternalToleranceError, NotSoBInvariant
 from .gammarep import build_rep, represent
 from .qpair import SymmetricMap, classify_family, extract_B
@@ -66,13 +67,12 @@ def _cmd_cw_flat(args) -> dict:
     rho = cw.CliffordMap(params)
     report = cw.flatness_report(params)
     sweep = cw.curvature_sweep(rho, extended=args.extended)
-    scale = cw.flatness_scale(params)
+    cut = threshold(args.tol, params.norm())
     return {
         "dim": params.n,
         "report": report,
         "curvature_max": sweep,
-        "flat": bool(sweep <= args.tol * scale
-                     and all(v <= args.tol * scale for v in report.values())),
+        "flat": bool(sweep <= cut and all(v <= cut for v in report.values())),
     }
 
 
@@ -121,9 +121,9 @@ def _cmd_rep_check(args) -> dict:
         b = random_multivector(rng, args.dim, 8)
         lhs = represent(gp(a, b), rep)
         rhs = represent(a, rep) @ represent(b, rep)
-        err = float(np.linalg.norm(lhs - rhs))
-        scale = max(a.norm() * b.norm(), 1e-300)
-        worst = max(worst, err / scale)
+        # relative to the product of the factors' norms
+        err = float(np.linalg.norm(lhs - rhs)) / (a.norm() * b.norm())
+        worst = max(worst, err)
     out = {"dim": args.dim, "trials": args.trials, "max_error": worst,
            "tolerance": args.tol}
     if worst > args.tol:
@@ -180,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "on Cahen-Wallach spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tol(p, default=1e-9):
+    def add_tol(p, default=CHECK_TOL):
         p.add_argument("--tol", type=_positive_finite, default=default,
-                       help="verification tolerance (default %(default)g)")
+                       help="relative tolerance factor (default %(default)g)")
 
     p = sub.add_parser("verify", help="verify a pair and extract its map")
     p.add_argument("--pair", required=True, help="pair.json input file")
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    add_tol(p, default=1e-10)
+    add_tol(p, default=ORACLE_TOL)
     p.set_defaults(func=_cmd_rep_check)
 
     p = sub.add_parser("enumerate-cases", help="two-monomial case analysis")

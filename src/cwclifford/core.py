@@ -7,9 +7,10 @@ generator squares to ``-1``; the defining relation is
     v w + w v = -2 g(v, w)
 
 with ``g`` positive definite.  Coefficients are complex doubles, blade
-reordering signs are exact integers, and stored coefficients below
-``PRUNE_EPS`` are dropped so sparse tables stay clean.  A NaN or infinite
-coefficient raises OverflowError instead of being stored or dropped.
+reordering signs are exact integers, and coefficients at the rounding
+level of the data they came from are dropped (``PRUNE_EPS``, relative) so
+sparse tables stay clean.  A NaN or infinite coefficient raises
+OverflowError instead of being stored or dropped.
 
 Blade products use the bitmap sign rule (Dorst, Fontijne and Mann,
 *Geometric Algebra for Computer Science*, 2007, ch. 19): Gamma_i Gamma_j =
@@ -25,7 +26,8 @@ from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooLarge, NotGradeOne
+from .errors import (DimensionMismatch, DimensionTooLarge, InputError,
+                     NotGradeOne)
 
 # The dimension limits on n = dim V, stated once; error messages quote them.
 DIM_LIMITS = {
@@ -36,7 +38,25 @@ DIM_LIMITS = {
     "transpose sweep": (1, 6),        # qpair.transpose_relation_check
 }
 MIN_DIM, MAX_DIM = DIM_LIMITS["algebra"]
-PRUNE_EPS = 1e-14
+
+# The tolerance table, every relative factor of the package stated once.  A
+# check compares its residual with threshold(factor, norm).
+PRUNE_EPS = 1e-14           # coefficient cuts of products, sums, raw terms
+ORTHOGONALITY_TOL = 1e-12   # exact identities: rotations, skew parts
+ORACLE_TOL = 1e-10          # the default --tol of rep-check
+CHECK_TOL = 1e-9            # the default --tol of every other verdict
+CLUSTER_TOL = 1e-8          # eigenvalue clusters and zero eigenvalues
+
+
+def threshold(factor: float, norm: float) -> float:
+    """factor * norm, the absolute threshold a check applies to a residual of
+    data with the homogeneous norm norm, such as (|c| + |d|)^2 for q_{c,d}.
+    No absolute floor, so verdicts do not depend on the scale of the data.
+    Raises InputError unless factor is finite and positive."""
+    if not 0.0 < factor < inf:
+        raise InputError(f"tolerance factor {factor!r} is not finite and "
+                         "positive")
+    return factor * norm
 
 
 def _check_dim(limit: str, n: int) -> None:
@@ -106,30 +126,26 @@ class Multivector:
     """Element of the complex Clifford algebra, stored as mask -> coefficient.
 
     Values are immutable after construction; all operations return new
-    instances and are pure.
+    instances and are pure.  Built from raw terms, an element drops every
+    coefficient of size at most PRUNE_EPS times its largest one; `gp` and
+    sums cut relative to their operands instead.
     """
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "_terms", "_top")
 
-    def __init__(self, dim: int, terms: Dict[int, complex] | None = None):
+    def __new__(cls, dim: int, terms: Dict[int, complex] | None = None):
         if not (MIN_DIM <= dim <= MAX_DIM):
             _check_dim("algebra", dim)
-        self.dim = dim
         clean: Dict[int, complex] = {}
         if terms:
-            top = 1 << dim
+            end = 1 << dim
             for mask, coeff in terms.items():
-                if not (0 <= mask < top):
+                if not (0 <= mask < end):
                     raise DimensionMismatch(
                         f"blade {mask:#x} does not fit dimension {dim}")
-                z = complex(coeff)
-                size = abs(z)
-                if PRUNE_EPS < size < inf:
-                    clean[mask] = z
-                elif not size <= PRUNE_EPS:
-                    raise OverflowError(
-                        f"coefficient {z} of blade {mask:#x} is not finite")
-        self._terms = clean
+                clean[mask] = complex(coeff)
+        top = max(map(abs, clean.values()), default=0.0)
+        return _element(dim, clean, PRUNE_EPS * top)
 
     # -- construction helpers ------------------------------------------------
 
@@ -204,23 +220,28 @@ class Multivector:
         out = dict(self._terms)
         for mask, c in other._terms.items():
             out[mask] = out.get(mask, 0j) + c
-        return Multivector(self.dim, out)
+        ta, tb = self._top, other._top
+        return _element(self.dim, out, PRUNE_EPS * (ta if ta > tb else tb))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         self._check(other)
         out = dict(self._terms)
         for mask, c in other._terms.items():
             out[mask] = out.get(mask, 0j) - c
-        return Multivector(self.dim, out)
+        ta, tb = self._top, other._top
+        return _element(self.dim, out, PRUNE_EPS * (ta if ta > tb else tb))
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.dim, {m: -c for m, c in self._terms.items()})
+        return _element(self.dim, {m: -c for m, c in self._terms.items()},
+                        PRUNE_EPS * self._top)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return gp(self, other)
-        return Multivector(self.dim,
-                           {m: c * other for m, c in self._terms.items()})
+        # raw terms: the cut is relative to the largest product
+        terms = {m: complex(c * other) for m, c in self._terms.items()}
+        return _element(self.dim, terms, PRUNE_EPS * max(
+            map(abs, terms.values()), default=0.0))
 
     def __rmul__(self, scalar) -> "Multivector":
         return self.__mul__(scalar)
@@ -233,15 +254,43 @@ class Multivector:
     def __hash__(self):
         return hash((self.dim, frozenset(self._terms.items())))
 
+    def __reduce__(self):
+        # pickled as stored: a cut of 0 keeps every term
+        return _element, (self.dim, self._terms, 0.0)
+
     def __repr__(self) -> str:
         from .textio import multivector_to_text
         return f"Multivector({self.dim}, {multivector_to_text(self)!r})"
 
 
+def _element(dim: int, terms: Dict[int, complex], cut: float) -> Multivector:
+    """The Multivector of terms (complex, masks in range) without the
+    coefficients of size at most cut, which it keeps the largest size of
+    as _top; raises OverflowError on a NaN or infinite coefficient or cut."""
+    if not cut < inf:
+        raise OverflowError("a coefficient is not finite")
+    clean = {}
+    top = 0.0
+    for mask, z in terms.items():
+        size = abs(z)
+        if cut < size < inf:
+            clean[mask] = z
+            if size > top:
+                top = size
+        elif not size <= cut:
+            raise OverflowError(
+                f"coefficient {z} of blade {mask:#x} is not finite")
+    out = object.__new__(Multivector)
+    out.dim = dim
+    out._terms = clean
+    out._top = top
+    return out
+
+
 # products formed at once by _dense_gp, in float64 elements per array
 _DENSE_BLOCK = 1 << 13
 
-# Multivector values are immutable (only __init__ assigns _terms), so one
+# Multivector values are immutable (only _element assigns _terms), so one
 # zero per dimension can be shared
 _ZEROS = {n: Multivector(n) for n in range(MIN_DIM, MAX_DIM + 1)}
 
@@ -257,7 +306,7 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
             k = i ^ j
             s = -1 if (j & w).bit_count() & 1 else 1
             out[k] = out.get(k, 0j) + s * x * y
-    return Multivector(a.dim, out)
+    return _element(a.dim, out, PRUNE_EPS * a._top * b._top)
 
 
 def _dense(a: Multivector):
@@ -270,14 +319,24 @@ def _dense(a: Multivector):
     return re, im
 
 
-def _prune_dense(re: np.ndarray, im: np.ndarray) -> None:
-    """Zero in place what Multivector drops, raise on what it refuses."""
+def _prune_dense(re: np.ndarray, im: np.ndarray, cut=None) -> np.ndarray:
+    """Zero in place, row by row, what a Multivector built at the same point
+    drops, raise on what it refuses, and return the largest coefficient
+    size of each row (a column, which the cut keeps).
+
+    cut broadcasts against the rows; None cuts as raw terms do, at PRUNE_EPS
+    times the largest coefficient of the row.
+    """
     size = np.hypot(re, im)           # abs(complex) is hypot
-    if not (size < inf).all():
+    top = size.max(axis=-1, keepdims=True)
+    if cut is None:
+        cut = PRUNE_EPS * top
+    if not ((size < inf).all() and np.all(cut < inf)):
         raise OverflowError("a dense coefficient is not finite")
-    small = size <= PRUNE_EPS
+    small = size <= cut
     re[small] = 0.0
     im[small] = 0.0
+    return top
 
 
 def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip):
@@ -288,7 +347,8 @@ def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip):
     dict order, gp's outer loop: each output blade sums its partners in
     gp's order, and a partner missing from y adds a signed zero, which
     leaves the sum unchanged.  The complex product stays real arithmetic:
-    numpy's complex multiply may fuse multiply-adds.
+    numpy's complex multiply may fuse multiply-adds.  Each row is pruned at
+    gp's cut, PRUNE_EPS times the largest coefficients of a and of the row.
     """
     blades = np.arange(yr.shape[-1])
     masks = np.fromiter(a._terms, dtype=np.int64, count=len(a._terms))
@@ -309,7 +369,8 @@ def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip):
         for t in range(len(j)):
             tr += pr[..., t, :]
             ti += pi[..., t, :]
-    _prune_dense(tr, ti)
+    _prune_dense(tr, ti, PRUNE_EPS * a._top
+                 * np.hypot(yr, yi).max(axis=-1, keepdims=True))
     return tr, ti
 
 
@@ -345,7 +406,9 @@ def q_basis_images(a: Multivector, b: Multivector):
     gp(gp(a, a), e_mu) + gp(e_mu, gp(b, b)) - 2 gp(a, gp(e_mu, b)).  a^2, b^2
     and a (e_mu b) are dense passes over a's and b's terms (`_dense_gp`);
     e_mu b, a^2 e_mu and e_mu b^2 are signed permutations.  Coefficients are
-    pruned wherever the gp loop builds a Multivector.
+    pruned wherever the gp loop builds a Multivector, at the same cuts:
+    a product of e_mu with x cuts x at its own largest coefficient, so
+    a^2, b^2 and b are pruned that way before their permutations.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
@@ -354,16 +417,22 @@ def q_basis_images(a: Multivector, b: Multivector):
     br, bi = _dense(b)
     a2r, a2i = _dense_gp(a, ar, ai, w, flip)
     b2r, b2i = _dense_gp(b, br, bi, w, flip)
+    top = np.maximum(_prune_dense(a2r, a2i), _prune_dense(b2r, b2i))
+    _prune_dense(br, bi)
     # a^2 e_mu + e_mu b^2; "0.0 +" turns a sum of two negative zeros into
     # the positive zero that gp's "0j +" leaves
     sr = 0.0 + (right * a2r[partner] + left * b2r[partner])
     si = 0.0 + (right * a2i[partner] + left * b2i[partner])
-    _prune_dense(sr, si)
-    # a (e_mu b); the sign of a zero in e_mu b never reaches the sums
+    top_s = _prune_dense(sr, si, PRUNE_EPS * top)
+    # 2 a (e_mu b), built from raw terms; the sign of a zero in e_mu b never
+    # reaches the sums
     tr, ti = _dense_gp(a, left * br[partner], left * bi[partner], w, flip)
-    re = sr - 2.0 * tr
-    im = si - 2.0 * ti
-    _prune_dense(re, im)
+    tr *= 2.0
+    ti *= 2.0
+    top = np.maximum(top_s, _prune_dense(tr, ti))
+    re = sr - tr
+    im = si - ti
+    _prune_dense(re, im, PRUNE_EPS * top)
     return re, im
 
 
@@ -389,13 +458,14 @@ def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
     w, flip, partner, left, right = _sign_tables(n)
     cr, ci = _dense(c)
     dr, di = _dense(d)
-    # row nu: d e_nu - e_nu c and c e_nu - e_nu d
+    cut = PRUNE_EPS * np.maximum(_prune_dense(cr, ci), _prune_dense(dr, di))
+    # row nu: d e_nu - e_nu c and c e_nu - e_nu d, pruned like their sums
     sdc_r = right * dr[partner] - left * cr[partner]
     sdc_i = right * di[partner] - left * ci[partner]
     scd_r = right * cr[partner] - left * dr[partner]
     scd_i = right * ci[partner] - left * di[partner]
-    _prune_dense(sdc_r, sdc_i)
-    _prune_dense(scd_r, scd_i)
+    _prune_dense(sdc_r, sdc_i, cut)
+    _prune_dense(scd_r, scd_i, cut)
 
     # [nu, mu] = s_{d,c}(e_nu) s_{c,d}(e_mu); the identity symmetrizes it
     prods = [_dense_gp(_from_row(n, sdc_r[nu], sdc_i[nu]), scd_r, scd_i,
@@ -404,19 +474,23 @@ def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
     pi = np.array([p[1] for p in prods])
     ar = 0.5 * (pr + pr.transpose(1, 0, 2))
     ai = 0.5 * (pi + pi.transpose(1, 0, 2))
+    cut = PRUNE_EPS * np.maximum(_prune_dense(ar, ai), np.abs(b)[..., None])
     ar[..., 0] -= b
-    _prune_dense(ar, ai)
+    _prune_dense(ar, ai, cut)
 
     # [nu, mu] = X_{mu nu}: e_mu sits at partner[mu] of each s row
+    top = np.maximum(_prune_dense(sdc_r, sdc_i), _prune_dense(scd_r, scd_i))
     xr = right * sdc_r[:, partner] + left * scd_r[:, partner]
     xi = right * sdc_i[:, partner] + left * scd_i[:, partner]
-    _prune_dense(xr, xi)
+    _prune_dense(xr, xi, PRUNE_EPS * top[:, None])
     dxr, dxi = _dense_gp(d, xr, xi, w, flip)
     rev = _reversal_signs(n)
     xdr, xdi = _dense_gp(reversal(d), rev * xr, rev * xi, w, flip)
+    top = np.maximum(np.hypot(dxr, dxi).max(axis=-1, keepdims=True),
+                     np.hypot(xdr, xdi).max(axis=-1, keepdims=True))
     fr = dxr - rev * xdr
     fi = dxi - rev * xdi
-    _prune_dense(fr, fi)
+    _prune_dense(fr, fi, PRUNE_EPS * top)
     return _row_norms(ar, ai), _row_norms(fr, fi)
 
 

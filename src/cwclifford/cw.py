@@ -27,8 +27,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Multivector, blade_from_indices, gp, grade_involution,
-                   volume_element)
+from .core import (CHECK_TOL, PRUNE_EPS, Multivector, blade_from_indices, gp,
+                   grade_involution, threshold, volume_element)
 from .errors import (ConstraintViolated, DimensionMismatch, InputError,
                      NotAProjector, NotInSoB, OddDimension,
                      PairNotAssociatedToMinusB)
@@ -36,7 +36,6 @@ from .qpair import (SymmetricMap, extract_B, q_map, s_map,
                     skew_to_bivector)
 
 SQRT2 = float(np.sqrt(2.0))
-FLAT_TOL = 1e-9
 
 
 # -- the Lie algebra ---------------------------------------------------------
@@ -107,9 +106,17 @@ def _unit_components(n: int, mu: int) -> np.ndarray:
 
 
 def _check_sob(h: np.ndarray, b: np.ndarray) -> None:
-    scale = 1.0 + np.max(np.abs(h)) * (1.0 + np.max(np.abs(b)))
-    if np.max(np.abs(h @ b - b @ h)) > 1e-9 * scale:
+    if np.max(np.abs(h @ b - b @ h)) > \
+            threshold(CHECK_TOL, np.max(np.abs(h)) * np.max(np.abs(b))):
         raise NotInSoB("rotation block must commute with the symmetric map")
+
+
+def _commutator(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """hk - kh without the entries at most PRUNE_EPS max |h| max |k|, the
+    cut of a product, so a bracket that vanishes leaves no rounding."""
+    out = h @ k - k @ h
+    out[np.abs(out) <= PRUNE_EPS * np.max(np.abs(h)) * np.max(np.abs(k))] = 0
+    return out
 
 
 def cw_bracket(x: CWAlgebraElement, y: CWAlgebraElement,
@@ -121,7 +128,7 @@ def cw_bracket(x: CWAlgebraElement, y: CWAlgebraElement,
     for h in (x.h, y.h):
         if np.any(h):
             _check_sob(h, bm)
-    h = x.h @ y.h - y.h @ x.h
+    h = _commutator(x.h, y.h)
     vstar = (x.xminus * y.v - y.xminus * x.v
              + x.h @ y.vstar - y.h @ x.vstar)
     v = (y.xminus * (bm @ x.vstar) - x.xminus * (bm @ y.vstar)
@@ -266,6 +273,12 @@ class CliffordMapParams:
     def n(self) -> int:
         return self.b_map.n
 
+    def norm(self) -> float:
+        """The homogeneous norm of the map's data, of degree two: B weighs
+        as a square of a, b, c, d and e, as q_{c,d} = B does."""
+        top = max(getattr(self, k).norm() for k in ("a", "b", "c", "d", "e"))
+        return top ** 2 + float(np.max(np.abs(self.b_map.entries)))
+
 
 def generators(n: int) -> List[CWAlgebraElement]:
     """e-, e+, e_1..e_n, e*_1..e*_n: the order of CliffordMap.images."""
@@ -338,9 +351,9 @@ def validate_simple_map(params: CliffordMapParams) -> Dict[str, object]:
         gm = Multivector.basis_vector(n, mu)
         acc = acc + gp(gm, gp(bbar, gm))
     res24a = (a - (1.0 / n) * acc).norm()
-    scale = 1.0 + a.norm() + bbar.norm()
+    cut = threshold(CHECK_TOL, a.norm() + bbar.norm())
     return {"24": res24, "24a": res24a,
-            "passes": res24 <= FLAT_TOL * scale and res24a <= FLAT_TOL * scale}
+            "passes": res24 <= cut and res24a <= cut}
 
 
 def curvature(rho: CliffordMap, x: CWAlgebraElement,
@@ -382,7 +395,7 @@ def _bracket_images(rho: CliffordMap, rotations: Sequence[np.ndarray],
            if pair[1] < size and any(fs.values())}
     for r, h in enumerate(rotations):
         for s in range(r + 1, len(rotations)):
-            hh = h @ rotations[s] - rotations[s] @ h
+            hh = _commutator(h, rotations[s])
             if np.any(hh):
                 out[rot + r, rot + s] = rho.h_image(hh)
     return out
@@ -471,20 +484,14 @@ def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
     return rows
 
 
-def flatness_scale(params: CliffordMapParams) -> float:
-    norms = [getattr(params, k).norm() for k in ("a", "b", "c", "d", "e")]
-    return 1.0 + max(norms) ** 2 + float(np.max(np.abs(params.b_map.entries)))
-
-
 # -- the two flat families ---------------------------------------------------
 
 def build_flat_rep_alphazero(c: Multivector, d: Multivector, e: Multivector,
                              b: SymmetricMap) -> CliffordMap:
     """Flat map with trivial center action: (bar c, d) must represent -B."""
     pair = extract_B(grade_involution(c), d)
-    scale = 1.0 + float(np.max(np.abs(b.entries)))
-    if not pair.verified or \
-            np.max(np.abs(pair.B.entries + b.entries)) > FLAT_TOL * scale:
+    if not pair.verified or np.max(np.abs(pair.B.entries + b.entries)) > \
+            threshold(CHECK_TOL, np.max(np.abs(b.entries))):
         raise PairNotAssociatedToMinusB(
             "the pair (bar c, d) must be verified and represent -B")
     n = c.dim
@@ -525,15 +532,14 @@ def build_flat_rep_alphanotzero(alpha: complex, beta: complex, rho0: complex,
     e_dn = gp(pi_b, gp(e_offdiag, pi_a))
     epp = gp(pi_a, gp(e_pp, pi_a))
 
-    scale = 1.0 + max(x.norm() for x in (cblk, dblk, e_up, e_dn)) ** 2 \
-        + abs(alpha) ** 2 + abs(kappa) ** 2
     worst = 0.0
     for mu in range(1, n + 1):
         gm = Multivector.basis_vector(n, mu)
         res = kappa * (gp(cblk, gm) - gp(gm, dblk)) \
             + 2 * alpha * (gp(e_up, gm) + gp(gm, e_dn))
         worst = max(worst, res.norm())
-    if worst > FLAT_TOL * scale:
+    if worst > threshold(CHECK_TOL, abs(alpha) ** 2 + abs(kappa) ** 2 + max(
+            x.norm() for x in (cblk, dblk, e_up, e_dn)) ** 2):
         raise ConstraintViolated(
             f"off-diagonal blocks violate the linear relation by {worst:.3e}")
 
@@ -551,23 +557,24 @@ def build_flat_rep_alphanotzero(alpha: complex, beta: complex, rho0: complex,
 # -- restrictions of the spinor module ---------------------------------------
 
 def check_restriction(rho: CliffordMap, proj: CWElement,
-                      tol: float = FLAT_TOL) -> Dict[str, object]:
+                      tol: float = CHECK_TOL) -> Dict[str, object]:
     """Invariance and compressed-representation tests for a projector.
 
     invariant: rho(x) maps the range of the projector into itself for every
     generator.  representation: the compressed maps P rho(.) P form a
     representation of the Lie algebra on the range, i.e.
     [P rho(x) P, P rho(y) P] = P rho([x, y]) P for all generator pairs.
+    Both residuals meet threshold(tol, the norm of the map's data).
     """
-    if (proj * proj - proj).norm() > tol * (1.0 + proj.norm() ** 2):
+    cut = threshold(tol, rho.params.norm())
+    if (proj * proj - proj).norm() > threshold(tol, proj.norm() ** 2):
         raise NotAProjector("the supplied block matrix is not idempotent")
     images = rho.images
-    scale = 1.0 + max(img.norm() for img in images) ** 2
     inv_res = max((img * proj - proj * img * proj).norm() for img in images)
     rep_res = _bracket_defect(rho, [proj * img * proj for img in images],
                               proj=proj)
-    return {"invariant": inv_res <= tol * scale,
-            "representation": rep_res <= tol * scale,
+    return {"invariant": inv_res <= cut,
+            "representation": rep_res <= cut,
             "invariance_residual": inv_res,
             "representation_residual": rep_res}
 

@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .core import (Multivector, closing_residuals, gp, grade,
-                   volume_element)
+from .core import (CHECK_TOL, Multivector, closing_residuals, gp, grade,
+                   threshold, volume_element)
 from .errors import DimensionMismatch, NotSoBInvariant
 from .qpair import SymmetricMap, _dense_pair, s_map, skew_to_bivector
-
-MEMBERSHIP_TOL = 1e-9
 
 
 @dataclass
@@ -64,17 +62,18 @@ def omega_tensor(c: Multivector, d: Multivector) -> OmegaTensor:
 
 
 def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
-                 tol: float = MEMBERSHIP_TOL) -> Dict[str, object]:
+                 tol: float = CHECK_TOL) -> Dict[str, object]:
     """Whether Omega_{c,d} lies in so_B(V) tensor the algebra.
 
     Rotates into the eigenbasis of B first, then requires every
-    eigenspace-crossing entry to vanish.
+    eigenspace-crossing entry to vanish to threshold(tol, |c| + |d|), Omega
+    being linear in the pair.
     """
+    cut = threshold(tol, c.norm() + d.norm())
     if c.dim != b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
     c2, d2 = b.adapt_to_eigenbasis(c, d)
     omega = omega_tensor(c2, d2)
-    scale = 1.0 + c.norm() + d.norm()
     worst = 0.0
     worst_at = None
     for (mu, nu), entry in omega.entries.items():
@@ -84,7 +83,7 @@ def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
         norm = entry.norm()
         if norm > worst:
             worst, worst_at = norm, (mu, nu)
-    return {"holds": worst <= tol * scale, "worst_norm": worst,
+    return {"holds": worst <= cut, "worst_norm": worst,
             "worst_entry": worst_at}
 
 
@@ -96,10 +95,10 @@ def is_sob_invariant_structural(x: Multivector, b: SymmetricMap) -> bool:
 
 def is_sob_invariant_commutator(x: Multivector, b: SymmetricMap) -> bool:
     """Fallback for non-adapted bases: commute with every so_B generator."""
-    scale = 1.0 + x.norm()
+    cut = threshold(CHECK_TOL, x.norm())
     for h in b.sob_basis():
         a = skew_to_bivector(h, b.n)
-        if (gp(a, x) - gp(x, a)).norm() > 1e-10 * scale:
+        if (gp(a, x) - gp(x, a)).norm() > cut:
             return False
     return True
 
@@ -119,7 +118,7 @@ def _allowed_masks(b: SymmetricMap) -> Dict[int, Tuple[int, ...]]:
 
 
 def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
-                           tol: float = MEMBERSHIP_TOL) -> Dict[str, object]:
+                           tol: float = CHECK_TOL) -> Dict[str, object]:
     """Template matching for so_B-invariant pairs.
 
     The per-sector constraints are read off the homogeneous entry formula:
@@ -129,7 +128,8 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
     sector to vanish.  Templates by eigenvalue count: one (scalar and
     volume sectors free), two (the middle sectors free as well), more than
     two (everything constrained).  For odd dimensions the volume-twisted
-    copy of the pair is accepted too.
+    copy of the pair is accepted too.  Coefficients count as zero to
+    threshold(tol, |c| + |d|).
     """
     if c.dim != b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
@@ -143,18 +143,18 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
     template = "kl2" if r == 1 else ("gl2" if r == 2 else "gr2")
 
     def fit(cc: Multivector, dd: Multivector):
-        scale = 1.0 + cc.norm() + dd.norm()
+        cut = threshold(tol, cc.norm() + dd.norm())
         coeffs = {}
         for mask, members in allowed.items():
             t = len(members)
             cm = cc.coefficient(mask)
             dm = dd.coefficient(mask)
             sign = (-1) ** grade(mask)
-            if t >= 2 and abs(dm + sign * cm) > tol * scale:
+            if t >= 2 and abs(dm + sign * cm) > cut:
                 return None
-            if r - t >= 2 and abs(dm - sign * cm) > tol * scale:
+            if r - t >= 2 and abs(dm - sign * cm) > cut:
                 return None
-            if abs(cm) > tol * scale or abs(dm) > tol * scale:
+            if abs(cm) > cut or abs(dm) > cut:
                 coeffs[mask] = (cm, dm)
         return coeffs
 

@@ -17,17 +17,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Multivector, _check_dim, blade_square_sign, gp, grade,
-                   q_basis_images, volume_element)
+from .core import (CHECK_TOL, CLUSTER_TOL, ORTHOGONALITY_TOL, PRUNE_EPS,
+                   Multivector, _check_dim, blade_square_sign, gp, grade,
+                   q_basis_images, threshold, volume_element)
 from .errors import (AnticommutationViolated, CoefficientConstraintViolated,
                      DimensionMismatch, IllegalParityPattern, InputError,
                      OddDimension, OddMultiplicity, ParityMismatch,
                      PredictionMismatch)
-
-VERIFY_TOL_FACTOR = 1e-9
-CLUSTER_TOL = 1e-8
-# largest max |r^T r - I| that rotate_multivector accepts
-ORTHOGONALITY_TOL = 1e-12
 
 STATUS_VERIFIED = "verified"
 STATUS_NOT_CLOSED = "not-closed-in-V"
@@ -45,11 +41,6 @@ def s_map(a: Multivector, b: Multivector, x: Multivector) -> Multivector:
 def q_map(a: Multivector, b: Multivector, x: Multivector) -> Multivector:
     """x -> a^2 x + x b^2 - 2 a x b."""
     return gp(gp(a, a), x) + gp(x, gp(b, b)) - 2 * gp(a, gp(x, b))
-
-
-def verify_tolerance(c: Multivector, d: Multivector,
-                     factor: float = VERIFY_TOL_FACTOR) -> float:
-    return factor * (1.0 + c.norm() * d.norm())
 
 
 # -- symmetric maps ----------------------------------------------------------
@@ -84,12 +75,11 @@ class SymmetricMap:
         if not np.isfinite(m).all():
             raise InputError("symmetric map entries must be finite")
         n = m.shape[0]
-        scale = 1.0 + np.max(np.abs(m))
-        if np.max(np.abs(m - m.T)) > 1e-9 * scale:
+        if np.max(np.abs(m - m.T)) > threshold(CHECK_TOL, np.max(np.abs(m))):
             raise InputError("matrix is not symmetric")
         m = 0.5 * (m + m.T)
         vals, vecs = np.linalg.eigh(m)
-        tol = CLUSTER_TOL * (max(np.max(np.abs(vals)), 1e-300) if np.any(vals) else 1.0)
+        tol = threshold(CLUSTER_TOL, np.max(np.abs(vals)))
         spaces: List[Eigenspace] = []
         start = 0
         for i in range(1, n + 1):
@@ -110,8 +100,10 @@ class SymmetricMap:
 
     @cached_property
     def eigenbasis_is_identity(self) -> bool:
-        """True when the eigenbasis is the standard basis (no rotation)."""
-        return bool(np.max(np.abs(self.eigenvectors - np.eye(self.n))) <= 1e-14)
+        """True when the eigenbasis is the standard basis (no rotation), to
+        the rounding level of its unit columns."""
+        return bool(np.max(np.abs(self.eigenvectors - np.eye(self.n)))
+                    <= PRUNE_EPS)
 
     def adapt_to_eigenbasis(self, c: Multivector, d: Multivector):
         """The pair rotated into the eigenbasis; eigenspace index sets become
@@ -129,6 +121,11 @@ class SymmetricMap:
         rotated = (rotate_multivector(c, r.T), rotate_multivector(d, r.T))
         self._rotated = (c, d) + rotated
         return rotated
+
+    def nonzero_eigenspaces(self) -> List[Eigenspace]:
+        """The eigenspaces whose eigenvalue is not zero to CLUSTER_TOL."""
+        cut = threshold(CLUSTER_TOL, np.max(np.abs(self.eigenvalues)))
+        return [s for s in self.eigenspaces if abs(s.value) > cut]
 
     def distinct_count(self) -> int:
         return len(self.eigenspaces)
@@ -163,6 +160,7 @@ class QuadraticPair:
     tags: Tuple[str, ...] = ()
     q_matrix: Optional[np.ndarray] = None      # complex, columns q(e_mu)
     offgrade_residual: float = 0.0
+    threshold: float = 0.0     # the absolute threshold the residuals met
     predicted_diagonal: Optional[np.ndarray] = None
 
     @property
@@ -215,35 +213,37 @@ def q_restriction_matrix(c: Multivector, d: Multivector):
 
 
 def extract_B(c: Multivector, d: Multivector,
-              tol_factor: float = VERIFY_TOL_FACTOR) -> QuadraticPair:
+              tol_factor: float = CHECK_TOL) -> QuadraticPair:
     """Verify the pair and extract its symmetric map, status-encoded.
 
-    Raises OverflowError when q overflows on the pair.
+    The residuals meet threshold(tol_factor, (|c| + |d|)^2), q being
+    quadratic in the pair.  Raises InputError on a factor that is not
+    finite and positive, OverflowError when q overflows on the pair.
     """
+    tol = threshold(tol_factor, (c.norm() + d.norm()) ** 2)
     m, offgrade = q_restriction_matrix(c, d)
     if not (np.isfinite(m).all() and math.isfinite(offgrade)):
         raise OverflowError("q is not finite on this pair")
-    tol = verify_tolerance(c, d, tol_factor)
+    status, b = STATUS_VERIFIED, None
     if offgrade > tol:
-        return QuadraticPair(c, d, STATUS_NOT_CLOSED, q_matrix=m,
-                             offgrade_residual=offgrade)
-    if np.max(np.abs(m.imag)) > tol or np.max(np.abs(m - m.T)) > tol:
-        return QuadraticPair(c, d, STATUS_NOT_SYMMETRIC, q_matrix=m,
-                             offgrade_residual=offgrade)
-    b = SymmetricMap.from_matrix(0.5 * (m.real + m.real.T))
-    return QuadraticPair(c, d, STATUS_VERIFIED, B=b, q_matrix=m,
-                         offgrade_residual=offgrade)
+        status = STATUS_NOT_CLOSED
+    elif np.max(np.abs(m.imag)) > tol or np.max(np.abs(m - m.T)) > tol:
+        status = STATUS_NOT_SYMMETRIC
+    else:
+        b = SymmetricMap.from_matrix(0.5 * (m.real + m.real.T))
+    return QuadraticPair(c, d, status, B=b, q_matrix=m,
+                         offgrade_residual=offgrade, threshold=tol)
 
 
 def _check_prediction(pair: QuadraticPair, predicted: np.ndarray,
                       what: str) -> None:
-    """Constructors promise a diagonal q|_V; enforce it on the raw matrix."""
-    tol = verify_tolerance(pair.c, pair.d)
+    """Constructors promise a diagonal q|_V; enforce it on the raw matrix,
+    to the threshold the pair was verified against."""
     m = pair.q_matrix
     off = m - np.diag(np.diag(m))
     err = max(np.max(np.abs(np.diag(m) - predicted)), np.max(np.abs(off)),
               pair.offgrade_residual)
-    if err > tol:
+    if err > pair.threshold:
         raise PredictionMismatch(f"{what}: predicted spectrum off by {err:.3e}")
     pair.predicted_diagonal = predicted
 
@@ -334,11 +334,8 @@ def make_linear(b: SymmetricMap) -> QuadraticPair:
     even multiplicity.  Negative eigenvalues become real rotation blocks of
     the square root, positive ones imaginary blocks."""
     n = b.n
-    scale = max(np.max(np.abs(b.eigenvalues)), 1.0)
     delta = np.zeros((n, n), dtype=complex)
-    for space in b.eigenspaces:
-        if abs(space.value) <= CLUSTER_TOL * scale:
-            continue
+    for space in b.nonzero_eigenspaces():
         if space.multiplicity % 2:
             raise OddMultiplicity(
                 f"eigenvalue {space.value} has odd multiplicity {space.multiplicity}")
@@ -354,7 +351,7 @@ def make_linear(b: SymmetricMap) -> QuadraticPair:
     a_mv = skew_to_bivector(a_skew, n)
     pair = extract_B(a_mv, a_mv)
     if not pair.verified or np.max(np.abs(pair.B.entries - b.entries)) > \
-            verify_tolerance(a_mv, a_mv) + 1e-9 * scale:
+            threshold(CHECK_TOL, np.max(np.abs(b.entries))):
         raise PredictionMismatch("linear pair does not reproduce the target map")
     return _tagged(pair, "linear")
 
@@ -364,11 +361,11 @@ def linear_pair_from_parts(a0: np.ndarray, a1: np.ndarray) -> QuadraticPair:
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
     n = a0.shape[0]
-    scale = 1.0 + max(np.max(np.abs(a0)), np.max(np.abs(a1))) ** 2
-    if np.max(np.abs(a0 + a0.T)) > 1e-12 * scale or \
-       np.max(np.abs(a1 + a1.T)) > 1e-12 * scale:
+    top = max(np.max(np.abs(a0)), np.max(np.abs(a1)))
+    skew = threshold(ORTHOGONALITY_TOL, top)
+    if np.max(np.abs(a0 + a0.T)) > skew or np.max(np.abs(a1 + a1.T)) > skew:
         raise InputError("linear pair parts must be skew-symmetric")
-    if np.max(np.abs(a0 @ a1 + a1 @ a0)) > 1e-9 * scale:
+    if np.max(np.abs(a0 @ a1 + a1 @ a0)) > threshold(CHECK_TOL, top ** 2):
         raise AnticommutationViolated(
             "real and imaginary parts must anticommute as endomorphisms")
     a_mv = skew_to_bivector(a0 + 1j * a1, n)
@@ -396,8 +393,8 @@ def generalized_pattern_error(dim: int, parts: Sequence[int],
     """The legal-pattern rule of `make_generalized`, stated once.
 
     Returns the error an illegal pattern raises, None for a legal one.  A
-    coefficient counts as nonzero above tol, and the cross constraint holds
-    to tol * (1 + max |coefficient|^2).
+    coefficient counts as nonzero above tol, and the cross constraint, of
+    degree two, holds to tol times the largest coefficient.
     """
     odd = [i for i, mask in enumerate(parts) if grade(mask) % 2]
     if len(odd) > 2:
@@ -417,8 +414,7 @@ def generalized_pattern_error(dim: int, parts: Sequence[int],
             "even parts must have vanishing hat coefficients here")
     i0, i1 = odd
     top = max(abs(x) for x in list(coeffs) + list(hats))
-    if abs(coeffs[i0] * coeffs[i1] - hats[i0] * hats[i1]) > \
-            tol * (1.0 + top * top):
+    if abs(coeffs[i0] * coeffs[i1] - hats[i0] * hats[i1]) > tol * top:
         return CoefficientConstraintViolated(
             "odd parts need c_0 c_1 = hat_c_0 hat_c_1")
     return None
@@ -434,7 +430,8 @@ def make_generalized(dim: int, partition: Sequence[int],
     pattern is legal when it has at most two odd parts, no hat coefficients
     in odd dimension, a plain or a hat coefficient (never both) on each part
     when no part is odd, and, with two odd parts, hats only on those two and
-    c_0 c_1 = hat_c_0 hat_c_1 (`generalized_pattern_error`, to 1e-12).
+    c_0 c_1 = hat_c_0 hat_c_1 (`generalized_pattern_error`, to
+    ORTHOGONALITY_TOL relative to the largest coefficient).
     """
     partition = list(partition)
     coeffs = [complex(x) for x in coeffs]
@@ -457,7 +454,8 @@ def make_generalized(dim: int, partition: Sequence[int],
         raise IllegalParityPattern("partition must cover all generators")
     if len(partition) < 2:
         raise InputError("a generalized pair needs at least two parts")
-    err = generalized_pattern_error(dim, partition, coeffs, hat_coeffs, 1e-12)
+    tol = threshold(ORTHOGONALITY_TOL, max(map(abs, coeffs + hat_coeffs)))
+    err = generalized_pattern_error(dim, partition, coeffs, hat_coeffs, tol)
     if err is not None:
         raise err
 
@@ -530,8 +528,8 @@ def _pseudo_form(c: Multivector, d: Multivector, tol: float):
         return None
     ac, bc = c.coefficient(base), c.coefficient(full ^ base)
     ad, bdc = d.coefficient(base), d.coefficient(full ^ base)
-    scale = 1.0 + max(abs(ac), abs(bc), abs(ad), abs(bdc)) ** 2
-    if abs(ac * bdc + ad * bc) <= tol * scale:
+    # of degree two: tol times the largest coefficient
+    if abs(ac * bdc + ad * bc) <= tol * max(map(abs, (ac, bc, ad, bdc))):
         return "pseudo-monomial-odd"
     return None
 
@@ -577,7 +575,8 @@ def classify_family(pair: QuadraticPair) -> List[str]:
     """All family tags matching the verified pair, most specific first."""
     if not pair.verified:
         raise InputError("classification needs a verified pair")
-    tol = verify_tolerance(pair.c, pair.d)
+    # the templates compare coefficients, of degree one in the pair
+    tol = threshold(CHECK_TOL, pair.c.norm() + pair.d.norm())
     c, d = _gauge_strip(pair.c, pair.d)
     tags = []
     if _is_monomial(c, d, tol):
@@ -634,7 +633,7 @@ def rotate_multivector(a: Multivector, r: np.ndarray) -> Multivector:
     columns I in the support of a and their prefixes; the largest array is
     one grade's (|J|, columns) table, at most 924 x 924 at n = 12.
     Raises InputError unless r is a finite n x n matrix with
-    max |r^T r - I| at most ORTHOGONALITY_TOL.
+    max |r^T r - I| at most ORTHOGONALITY_TOL (r has unit columns).
     """
     n = a.dim
     r = np.asarray(r, dtype=float)

@@ -18,14 +18,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Multivector, _check_dim, blade_square_sign, gp, grade
+from .core import (CHECK_TOL, Multivector, _check_dim, blade_square_sign,
+                   gp, grade, threshold)
 from .errors import InputError
 from .qpair import (QuadraticPair, SymmetricMap, extract_B, make_generalized,
                     make_linear, make_monomial, make_pseudo_monomial,
                     rotate_multivector)
 
 ANSAETZE = ("monomial", "pseudo-monomial", "linear", "generalized", "all")
-ZERO_EIGENVALUE_GUARD = 1e-8
 
 
 # -- exact linear algebra over Q ----------------------------------------------
@@ -307,7 +307,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
     rot = b.eigenvectors
     masks = [space.mask for space in b.eigenspaces]
     values = [space.value for space in b.eigenspaces]
-    scale = max(np.max(np.abs(b.entries)), 1.0)
+    cut = threshold(CHECK_TOL, np.max(np.abs(b.entries)))
     r = len(b.eigenspaces)
 
     def emit(family: str, builder, parameters: Dict[str, object],
@@ -324,7 +324,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
             if not pair.verified:
                 return
         residual = float(np.max(np.abs(pair.B.entries - b.entries)))
-        if residual > 1e-9 * scale:
+        if residual > cut:
             return
         pair.family = family
         hits.append(SearchHit(family, pair, parameters, residual))
@@ -383,9 +383,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
                       "beta": str(beta), "phi": phi, "psi": 0.0,
                       "family_parameter": "circle in phi"})
     if ansatz in ("linear", "all"):
-        nonzero = [s for s in b.eigenspaces
-                   if abs(s.value) > ZERO_EIGENVALUE_GUARD * scale]
-        if all(s.multiplicity % 2 == 0 for s in nonzero):
+        if all(s.multiplicity % 2 == 0 for s in b.nonzero_eigenspaces()):
             emit("linear", lambda: make_linear(b),
                  {"construction": "rotation blocks on the eigenspaces"},
                  rotate=False)
