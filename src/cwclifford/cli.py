@@ -27,6 +27,7 @@ def _cmd_verify(args) -> dict:
         "dim": dim,
         "status": pair.status,
         "offgrade_residual": pair.offgrade_residual,
+        "threshold": pair.threshold,
         "B": None,
         "family": None,
         "tags": [],
@@ -72,6 +73,7 @@ def _cmd_cw_flat(args) -> dict:
         "dim": params.n,
         "report": report,
         "curvature_max": sweep,
+        "threshold": cut,
         "flat": bool(sweep <= cut and all(v <= cut for v in report.values())),
     }
 
@@ -97,6 +99,7 @@ def _cmd_omega(args) -> dict:
         "dim": dim,
         "holds": membership["holds"],
         "worst_norm": membership["worst_norm"],
+        "threshold": membership["threshold"],
         "worst_entry": list(membership["worst_entry"])
         if membership["worst_entry"] else None,
         "sob_invariant": True,

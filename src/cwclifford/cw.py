@@ -576,7 +576,7 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     return {"invariant": inv_res <= cut,
             "representation": rep_res <= cut,
             "invariance_residual": inv_res,
-            "representation_residual": rep_res}
+            "representation_residual": rep_res, "threshold": cut}
 
 
 def x_projector_element(n: int, mask_i: int, mask_j: int,

@@ -83,7 +83,7 @@ def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
         norm = entry.norm()
         if norm > worst:
             worst, worst_at = norm, (mu, nu)
-    return {"holds": worst <= cut, "worst_norm": worst,
+    return {"holds": worst <= cut, "worst_norm": worst, "threshold": cut,
             "worst_entry": worst_at}
 
 
