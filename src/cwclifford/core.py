@@ -31,8 +31,7 @@ from .errors import (DimensionMismatch, DimensionTooLarge, InputError,
 
 # The dimension limits on n = dim V, stated once; error messages quote them.
 DIM_LIMITS = {
-    "algebra": (1, 12),               # Multivector
-    "gamma representation": (1, 10),  # gammarep.build_rep
+    "algebra": (1, 12),               # Multivector, gammarep.build_rep
     "search": (1, 10),                # search.search_pairs_for_B
     "case sweep": (2, 6),             # search.enumerate_two_monomial_cases
     "transpose sweep": (1, 6),        # qpair.transpose_relation_check

@@ -69,7 +69,7 @@ class GammaRep:
 def build_rep(n: int, kind: str = "faithful") -> GammaRep:
     if kind not in ("irreducible", "faithful"):
         raise ValueError(f"unknown representation kind {kind!r}")
-    _check_dim("gamma representation", n)
+    _check_dim("algebra", n)
     if n % 2 == 0:
         mats = _pair_generators(n // 2)
         return GammaRep(n, kind, tuple(mats), 1 << (n // 2))
@@ -106,16 +106,18 @@ def represent(a: Multivector, rep: GammaRep) -> np.ndarray:
 def extract_component(m: np.ndarray, mask: int, rep: GammaRep) -> complex:
     """Coefficient of Gamma_mask recovered from a represented matrix.
 
-    Uses the trace formula with prefactor (-1)^(k(k+1)/2); requires a
-    faithful representation when dim_v is odd, otherwise Gamma_mask and its
-    volume dual represent the same matrix and the answer is ambiguous.
+    Uses the trace formula with prefactor (-1)^(k(k+1)/2), the trace of the
+    product summed elementwise in O(rep_dim^2); requires a faithful
+    representation when dim_v is odd, otherwise Gamma_mask and its volume
+    dual represent the same matrix and the answer is ambiguous.
     """
     if rep.dim_v % 2 == 1 and rep.kind == "irreducible":
         raise AmbiguousOddIrreducible(
             "component extraction needs the faithful representation for odd n")
     k = grade(mask)
     pref = -1 if (k * (k + 1) // 2) % 2 else 1
-    return pref * complex(np.trace(m @ rep.blade_matrix(mask))) / rep.rep_dim
+    trace = np.einsum("ij,ji->", m, rep.blade_matrix(mask))
+    return pref * complex(trace) / rep.rep_dim
 
 
 def multivector_from_matrix(m: np.ndarray, rep: GammaRep) -> Multivector:

@@ -19,7 +19,8 @@ from cwclifford.cw import (CliffordMap, CliffordMapParams,
                            flatness_report, half_spinor_projector)
 from cwclifford.errors import (AnticommutationViolated, OddDimension,
                                OddMultiplicity)
-from cwclifford.gammarep import build_rep, extract_component, represent
+from cwclifford.gammarep import (build_rep, extract_component,
+                                 multivector_from_matrix, represent)
 from cwclifford.omega import (classify_distinguished, closing_identities,
                               omega_in_soB, omega_tensor)
 from cwclifford.qpair import (SymmetricMap, extract_B,
@@ -83,6 +84,41 @@ def test_criterion_2_oracle_equivalence():
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 2 took {elapsed:.1f}s"
     report("criterion 2 (matrix oracle equivalence and extraction round trip)")
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_criterion_2_oracle_at_n_11_and_12(n):
+    """The oracle beyond n = 10: the product homomorphism, the extraction
+    round trip, and q(e_mu) = sum_nu B[nu, mu] e_nu as matrices for a pair
+    of every family constructor."""
+    rep = build_rep(n, "faithful")
+    rng = np.random.default_rng(1100 + n)
+    for _ in range(20):
+        a = random_multivector(rng, n, 6)
+        b = random_multivector(rng, n, 6)
+        err = np.linalg.norm(represent(gp(a, b), rep)
+                             - represent(a, rep) @ represent(b, rep))
+        assert err <= 1e-10 * a.norm() * b.norm()
+    back = multivector_from_matrix(represent(a, rep), rep)
+    assert (back - a).norm() <= 1e-12 * a.norm()
+    low = (1 << (n // 2)) - 1
+    pairs = [make_monomial(n, 0b111, 1.3, -0.4),
+             make_linear(SymmetricMap.from_diagonal(
+                 [-1.0] * (n - n % 2) + [0.0] * (n % 2))),
+             make_generalized(n, [low, ((1 << n) - 1) ^ low], [1.0, 0.7])]
+    if n % 2 == 0:
+        pairs += [make_pseudo_monomial(n, 0b11, "even", 1.1, 0.7),
+                  make_pseudo_monomial(n, 0b111, "odd", 0.9, 0.4, phi=0.3)]
+    gens = [rep.blade_matrix(1 << mu) for mu in range(n)]
+    for pair in pairs:
+        assert pair.verified, pair.family
+        cm, dm = represent(pair.c, rep), represent(pair.d, rep)
+        bound = 1e-10 * (pair.c.norm() + pair.d.norm()) ** 2
+        for mu, x in enumerate(gens):
+            q = cm @ cm @ x + x @ dm @ dm - 2 * cm @ x @ dm
+            want = sum(pair.B.entries[nu, mu] * g for nu, g in enumerate(gens))
+            assert np.max(np.abs(q - want)) <= bound, pair.family
+    report(f"criterion 2 at n = {n} (oracle beyond the old cap of 10)")
 
 
 def test_criterion_3_monomial_eigenvalues():

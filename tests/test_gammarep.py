@@ -29,7 +29,7 @@ def test_rep_dims():
 
 def test_dimension_cap():
     with pytest.raises(DimensionTooLarge):
-        build_rep(11)
+        build_rep(13)
     with pytest.raises(DimensionTooLarge):
         build_rep(0)
 
