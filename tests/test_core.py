@@ -1,3 +1,5 @@
+import ast
+import pickle
 import re
 from pathlib import Path
 
@@ -5,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwclifford.core import (DIM_LIMITS, Multivector, blade_from_indices,
-                             blade_indices, blade_mul, blade_square_sign, gp,
-                             grade, grade_involution, grade_project, involute,
-                             left_contract, random_multivector, reversal,
+from cwclifford.core import (DIM_LIMITS, Multivector,
+                             blade_from_indices, blade_indices, blade_mul,
+                             blade_square_sign, gp, grade, grade_involution,
+                             grade_project, involute, left_contract,
+                             random_multivector, reversal, threshold,
                              trace_pairing, volume_element)
-from cwclifford.errors import DimensionMismatch, DimensionTooLarge, NotGradeOne
+from cwclifford.errors import (DimensionMismatch, DimensionTooLarge,
+                               InputError, NotGradeOne)
 
 
 def e(n, mu):
@@ -287,3 +291,64 @@ def test_readme_dimension_limits_match_core():
     section = readme.split("### Dimension limits", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([^`]+)` \| (\d+)-(\d+) \|", section, re.M)
     assert {key: (int(lo), int(hi)) for key, lo, hi in rows} == DIM_LIMITS
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_threshold_refuses_a_factor_that_is_not_finite_and_positive(factor):
+    with pytest.raises(InputError, match="tolerance factor"):
+        threshold(factor, 1.0)
+
+
+def test_threshold_is_the_factor_times_the_norm_without_a_floor():
+    assert threshold(1e-9, 4.0) == 4e-9
+    assert threshold(1e-9, 0.0) == 0.0
+
+
+def test_pruning_is_relative_to_the_operands():
+    # raw terms: relative to the largest coefficient, whatever its size
+    tiny = Multivector(2, {0b00: 1e-20, 0b01: 1e-34, 0b10: 1e-33})
+    assert dict(tiny.terms()) == {0b00: 1e-20, 0b10: 1e-33}
+    # a sum cuts at PRUNE_EPS times its operands' largest coefficient, so
+    # what is rounding of the operands goes, though it is large in the sum
+    a = Multivector(2, {0b00: 1.0, 0b01: 1e-13})
+    b = Multivector(2, {0b00: 1.0, 0b01: 1e-13 - 2e-27})
+    assert (a - b).is_zero()
+    assert not Multivector(2, {0b01: 2e-27}).is_zero()
+    # a product at PRUNE_EPS max |a| max |b|
+    x = Multivector(2, {0b00: 1.0, 0b01: 1e8})
+    y = Multivector(2, {0b00: 1e-6, 0b10: 1e3})
+    assert gp(x, y).coefficient(0b00) == 0 and \
+        gp(x, y).coefficient(0b01) == 1e2
+
+
+def test_pickle_keeps_every_term():
+    a = random_multivector(np.random.default_rng(5), 6, 9) + \
+        Multivector.blade(6, 0b11, 1e-15)
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and back._top == a._top
+
+
+def test_small_float_literals_live_in_the_tolerance_table():
+    """Every float literal below 1e-6 in the package is a constant of the
+    tolerance table of core (module-level names ending in _TOL or _EPS), so
+    the tolerance policy stays in one place."""
+    package = Path(__file__).parents[1] / "src" / "cwclifford"
+    table, strays = set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in tree.body:
+            names = [t.id for t in getattr(node, "targets", ())
+                     if isinstance(t, ast.Name)]
+            if any(name.endswith(("_TOL", "_EPS")) for name in names):
+                assert path.name == "core.py", f"{path.name} defines {names}"
+                table.update(names)
+                allowed.update(map(id, ast.walk(node)))
+        strays += [f"{path.name}:{node.lineno}: {node.value!r}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, (float, complex))
+                   and 0 < abs(node.value) < 1e-6 and id(node) not in allowed]
+    assert not strays
+    assert table == {"PRUNE_EPS", "ORTHOGONALITY_TOL", "ORACLE_TOL",
+                     "CHECK_TOL", "CLUSTER_TOL"}

@@ -475,3 +475,12 @@ def test_bracket_images_match_rho_of_cw_bracket(n):
                     assert bracket.norm() == 0.0
         if n >= 3 and b is not diagonal:    # some [h, h'] is nonzero
             assert any(i >= 2 * n + 2 for i, _ in table)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0])
+def test_restriction_refuses_a_bad_tolerance_factor(factor):
+    rho = CliffordMap(rand_params(np.random.default_rng(7), 3))
+    proj = catalog_projector("sigma+", 3)
+    assert not check_restriction(rho, proj)["invariant"]
+    with pytest.raises(InputError, match="tolerance factor"):
+        check_restriction(rho, proj, tol=factor)

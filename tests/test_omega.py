@@ -6,7 +6,7 @@ import pytest
 from cwclifford import omega
 from cwclifford.core import (Multivector, closing_residuals, gp, grade,
                              random_multivector, volume_element)
-from cwclifford.errors import NotSoBInvariant
+from cwclifford.errors import InputError, NotSoBInvariant
 from cwclifford.omega import (classify_distinguished, closing_identities,
                               is_sob_invariant_commutator,
                               is_sob_invariant_structural, omega_bilinear,
@@ -347,3 +347,12 @@ def test_dense_closing_identities_raise_where_the_reference_overflows():
                     closing_identities):
         with pytest.raises(OverflowError):
             closing(c, d, b)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0])
+def test_membership_refuses_a_bad_tolerance_factor(factor):
+    b = SymmetricMap.from_diagonal([-1.0, -4.0, -4.0])
+    c, d = Multivector.blade(3, 0b001, 1.5), Multivector.blade(3, 0b010, 0.5)
+    assert not omega_in_soB(c, d, b)["holds"]
+    with pytest.raises(InputError, match="tolerance factor"):
+        omega_in_soB(c, d, b, tol=factor)

@@ -714,3 +714,12 @@ def test_dense_q_restriction_raises_where_the_reference_overflows():
             qpair._dense_q_restriction(*pair)
         with pytest.raises(OverflowError):
             extract_B(*pair)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0])
+def test_extract_b_refuses_a_bad_tolerance_factor(factor):
+    # the off-grade residual of this pair is 4: a NaN threshold passed it
+    c = Multivector(3, {0b001: 1.0, 0b110: 0.5})
+    assert extract_B(c, c).status == "not-closed-in-V"
+    with pytest.raises(InputError, match="tolerance factor"):
+        extract_B(c, c, tol_factor=factor)

@@ -1,0 +1,129 @@
+"""Verdicts do not depend on the overall scale of the input.
+
+The relation q_{c,d}|_V = B is homogeneous: (lam c, lam d) realizes
+lam^2 B.  Every check compares its residual with core.threshold(factor,
+norm), the norm being homogeneous in the data, and coefficients are pruned
+relative to their operands, so statuses, memberships and search families
+are the same for every lam in [1e-8, 1e8] (drawn log-uniform).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cwclifford.core import Multivector
+from cwclifford.omega import omega_in_soB
+from cwclifford.qpair import (SymmetricMap, extract_B, make_generalized,
+                              make_linear, make_monomial, make_pseudo_monomial)
+from cwclifford.search import search_pairs_for_B
+
+LAMBDAS = st.floats(-8.0, 8.0).map(lambda x: 10.0 ** x)
+
+
+def _rotated(n, values):
+    q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    b = q @ np.diag(values) @ q.T
+    return 0.5 * (b + b.T)
+
+
+TARGETS = [np.diag(v) for v in ([-1.0, -4.0, -4.0], [-1.0, -1.0, -4.0, -4.0],
+                                [-1.0, -2.0, -2.0, -3.0, -3.0],
+                                [-2.0] * 6, [0.0, 0.0, -1.0, -1.0])] + [
+    _rotated(4, [-1.0, -1.0, -4.0, -4.0]),
+    _rotated(6, [-1.0] * 3 + [-4.0] * 3)]
+
+FAMILY = [
+    make_monomial(3, 0b011, 1.3, -0.4),
+    make_pseudo_monomial(4, 0b0011, "even", 1.1, 0.7),
+    make_pseudo_monomial(4, 0b0111, "odd", 0.9, 0.4, phi=0.3),
+    make_linear(SymmetricMap.from_diagonal([-1.0, -1.0, -4.0, -4.0])),
+    make_generalized(5, [0b00011, 0b01100, 0b10000], [1.0, 2.0, 3.0]),
+    make_generalized(6, [0b000111, 0b111000], [1.0, 0.6], [0.5, 1.2]),
+] + [hit.pair for hit in search_pairs_for_B(
+    SymmetricMap.from_matrix(TARGETS[-1]))]
+
+
+@st.composite
+def sparse_pairs(draw):
+    n = draw(st.integers(2, 6))
+
+    def element():
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            mask = draw(st.integers(0, (1 << n) - 1))
+            terms[mask] = complex(draw(st.floats(-2.0, 2.0)),
+                                  draw(st.sampled_from([0.0, 0.5, -1.5])))
+        return Multivector(n, terms)
+
+    return element(), element()
+
+
+def assert_scales(c, d, lam):
+    """extract_B keeps the status and B(lam c, lam d) = lam^2 B(c, d)."""
+    pair, scaled = extract_B(c, d), extract_B(lam * c, lam * d)
+    assert scaled.status == pair.status
+    if pair.verified:
+        err = np.max(np.abs(scaled.B.entries - lam ** 2 * pair.B.entries))
+        assert err <= scaled.threshold
+
+
+def test_family_pairs_cover_the_dense_path():
+    assert all(pair.verified for pair in FAMILY)
+    assert max(len(list(p.c.terms())) for p in FAMILY) == 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILY), LAMBDAS)
+def test_extract_b_scales_on_family_pairs(pair, lam):
+    assert_scales(pair.c, pair.d, lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_pairs(), LAMBDAS)
+def test_extract_b_scales_on_random_sparse_pairs(pair, lam):
+    assert_scales(*pair, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILY), sparse_pairs(), LAMBDAS)
+def test_omega_membership_does_not_depend_on_scale(family, sparse, lam):
+    for c, d, b in ((family.c, family.d, family.B.entries),
+                    (*sparse, np.diag(np.arange(sparse[0].dim) // 2 - 3.0))):
+        want = omega_in_soB(c, d, SymmetricMap.from_matrix(b))
+        got = omega_in_soB(lam * c, lam * d,
+                           SymmetricMap.from_matrix(lam ** 2 * b))
+        assert got["holds"] == want["holds"]
+        assert got["threshold"] == pytest.approx(lam * want["threshold"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(TARGETS), LAMBDAS)
+def test_search_finds_the_same_families_at_every_scale(b, lam):
+    def families(entries):
+        return [hit.family for hit in
+                search_pairs_for_B(SymmetricMap.from_matrix(entries))]
+
+    assert families(lam ** 2 * b) == families(b)
+
+
+@pytest.mark.parametrize("exponent", range(-8, 9))
+def test_unclosed_pair_is_unclosed_at_every_scale(exponent):
+    """c = d = lam (e_1 + 0.5 e_{2,3}) has the off-grade residual 4 lam^2;
+    with an absolute floor it passed as verified for lam <= 1e-5, and an
+    absolute pruning cutoff read its residual as 0 from lam = 1e-7."""
+    lam = 10.0 ** exponent
+    c = Multivector(3, {0b001: lam, 0b110: 0.5 * lam})
+    pair = extract_B(c, c)
+    assert pair.status == "not-closed-in-V"
+    assert pair.offgrade_residual == pytest.approx(4 * lam ** 2, rel=1e-12)
+    assert pair.threshold == pytest.approx(5e-9 * lam ** 2, rel=1e-12)
+
+
+def test_small_pair_keeps_its_small_map():
+    """c = d = 1e-8 e_1 realizes diag(0, -4e-16, -4e-16); an absolute
+    pruning cutoff of 1e-14 read it as B = 0."""
+    c = Multivector(3, {0b001: 1e-8})
+    pair = extract_B(c, c)
+    assert pair.verified
+    assert np.allclose(pair.B.entries, np.diag([0.0, -4e-16, -4e-16]),
+                       rtol=1e-12, atol=0.0)
