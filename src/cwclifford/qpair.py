@@ -320,13 +320,8 @@ def make_pseudo_monomial(dim: int, mask: int, kind: str, alpha: complex,
 
 def skew_to_bivector(s: np.ndarray, dim: int) -> Multivector:
     """Identify a (complex) skew matrix with a grade-2 element."""
-    terms = {}
-    for mu in range(dim):
-        for nu in range(mu + 1, dim):
-            coeff = -0.5 * s[mu, nu]
-            if coeff:
-                terms[(1 << mu) | (1 << nu)] = terms.get((1 << mu) | (1 << nu), 0j) + coeff
-    return Multivector(dim, terms)
+    return Multivector(dim, {(1 << mu) | (1 << nu): -0.5 * s[mu, nu]
+                             for mu in range(dim) for nu in range(mu + 1, dim)})
 
 
 def make_linear(b: SymmetricMap) -> QuadraticPair:
