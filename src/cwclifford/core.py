@@ -299,12 +299,13 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     out: Dict[int, complex] = {}
+    get, terms = out.get, b._terms.items()
     for i, x in a._terms.items():
         w = _sign_mask(i)
-        for j, y in b._terms.items():
+        for j, y in terms:
             k = i ^ j
             s = -1 if (j & w).bit_count() & 1 else 1
-            out[k] = out.get(k, 0j) + s * x * y
+            out[k] = get(k, 0j) + s * x * y
     return _element(a.dim, out, PRUNE_EPS * a._top * b._top)
 
 
