@@ -41,7 +41,7 @@ MIN_DIM, MAX_DIM = DIM_LIMITS["algebra"]
 # The tolerance table, every relative factor of the package stated once.  A
 # check compares its residual with threshold(factor, norm).
 PRUNE_EPS = 1e-14           # coefficient cuts of products, sums, raw terms
-ORTHOGONALITY_TOL = 1e-12   # exact identities: rotations, skew parts
+ORTHOGONALITY_TOL = 1e-12   # exact identities: rotations, skew parts, patterns
 ORACLE_TOL = 1e-10          # the default --tol of rep-check
 CHECK_TOL = 1e-9            # the default --tol of every other verdict
 CLUSTER_TOL = 1e-8          # eigenvalue clusters and zero eigenvalues
@@ -132,19 +132,34 @@ class Multivector:
 
     __slots__ = ("dim", "_terms", "_top")
 
-    def __new__(cls, dim: int, terms: Dict[int, complex] | None = None):
+    def __init__(self, dim: int, terms: Dict[int, complex] | None = None):
         if not (MIN_DIM <= dim <= MAX_DIM):
             _check_dim("algebra", dim)
+        self.dim = dim
         clean: Dict[int, complex] = {}
+        top, low = 0.0, inf
         if terms:
             end = 1 << dim
             for mask, coeff in terms.items():
                 if not (0 <= mask < end):
                     raise DimensionMismatch(
                         f"blade {mask:#x} does not fit dimension {dim}")
-                clean[mask] = complex(coeff)
-        top = max(map(abs, clean.values()), default=0.0)
-        return _element(dim, clean, PRUNE_EPS * top)
+                z = complex(coeff)
+                size = abs(z)
+                if 0.0 < size < inf:
+                    clean[mask] = z
+                    if size > top:
+                        top = size
+                    if size < low:
+                        low = size
+                elif size != 0.0:
+                    raise OverflowError(
+                        f"coefficient {z} of blade {mask:#x} is not finite")
+        cut = PRUNE_EPS * top
+        if low <= cut:
+            clean = {m: z for m, z in clean.items() if abs(z) > cut}
+        self._terms = clean
+        self._top = top
 
     # -- construction helpers ------------------------------------------------
 
@@ -231,16 +246,13 @@ class Multivector:
         return _element(self.dim, out, PRUNE_EPS * (ta if ta > tb else tb))
 
     def __neg__(self) -> "Multivector":
-        return _element(self.dim, {m: -c for m, c in self._terms.items()},
-                        PRUNE_EPS * self._top)
+        return Multivector(self.dim, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return gp(self, other)
-        # raw terms: the cut is relative to the largest product
-        terms = {m: complex(c * other) for m, c in self._terms.items()}
-        return _element(self.dim, terms, PRUNE_EPS * max(
-            map(abs, terms.values()), default=0.0))
+        return Multivector(self.dim,
+                           {m: c * other for m, c in self._terms.items()})
 
     def __rmul__(self, scalar) -> "Multivector":
         return self.__mul__(scalar)
@@ -253,13 +265,12 @@ class Multivector:
     def __hash__(self):
         return hash((self.dim, frozenset(self._terms.items())))
 
-    def __reduce__(self):
-        # pickled as stored: a cut of 0 keeps every term
-        return _element, (self.dim, self._terms, 0.0)
-
     def __repr__(self) -> str:
         from .textio import multivector_to_text
         return f"Multivector({self.dim}, {multivector_to_text(self)!r})"
+
+
+_new = object.__new__
 
 
 def _element(dim: int, terms: Dict[int, complex], cut: float) -> Multivector:
@@ -279,7 +290,7 @@ def _element(dim: int, terms: Dict[int, complex], cut: float) -> Multivector:
         elif not size <= cut:
             raise OverflowError(
                 f"coefficient {z} of blade {mask:#x} is not finite")
-    out = object.__new__(Multivector)
+    out = _new(Multivector)
     out.dim = dim
     out._terms = clean
     out._top = top
@@ -289,7 +300,7 @@ def _element(dim: int, terms: Dict[int, complex], cut: float) -> Multivector:
 # products formed at once by _dense_gp, in float64 elements per array
 _DENSE_BLOCK = 1 << 13
 
-# Multivector values are immutable (only _element assigns _terms), so one
+# Multivector values are immutable (only construction assigns _terms), so one
 # zero per dimension can be shared
 _ZEROS = {n: Multivector(n) for n in range(MIN_DIM, MAX_DIM + 1)}
 
@@ -322,7 +333,7 @@ def _dense(a: Multivector):
 def _prune_dense(re: np.ndarray, im: np.ndarray, cut=None) -> np.ndarray:
     """Zero in place, row by row, what a Multivector built at the same point
     drops, raise on what it refuses, and return the largest coefficient
-    size of each row (a column, which the cut keeps).
+    size of each row after the cut, as a column.
 
     cut broadcasts against the rows; None cuts as raw terms do, at PRUNE_EPS
     times the largest coefficient of the row.
@@ -331,16 +342,18 @@ def _prune_dense(re: np.ndarray, im: np.ndarray, cut=None) -> np.ndarray:
     top = size.max(axis=-1, keepdims=True)
     if cut is None:
         cut = PRUNE_EPS * top
-    if not ((size < inf).all() and np.all(cut < inf)):
+    if not (np.all(top < inf) and np.all(cut < inf)):  # max keeps a NaN
         raise OverflowError("a dense coefficient is not finite")
     small = size <= cut
     re[small] = 0.0
     im[small] = 0.0
-    return top
+    return np.where(top > cut, top, 0.0)
 
 
-def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip):
-    """gp(a, y) for every row y of the dense (yr, yi), bit for bit.
+def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip,
+              ytop):
+    """gp(a, y) for every row y of the dense (yr, yi), bit for bit, and the
+    largest coefficient size of each result row.
 
     The products of a's terms with their partners in y are formed as arrays,
     a block of terms at a time, then summed one term after another in a's
@@ -348,7 +361,8 @@ def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip):
     gp's order, and a partner missing from y adds a signed zero, which
     leaves the sum unchanged.  The complex product stays real arithmetic:
     numpy's complex multiply may fuse multiply-adds.  Each row is pruned at
-    gp's cut, PRUNE_EPS times the largest coefficients of a and of the row.
+    gp's cut, PRUNE_EPS times the largest coefficients of a and of the row,
+    ytop (a column of the rows' largest sizes).
     """
     blades = np.arange(yr.shape[-1])
     masks = np.fromiter(a._terms, dtype=np.int64, count=len(a._terms))
@@ -369,9 +383,7 @@ def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip):
         for t in range(len(j)):
             tr += pr[..., t, :]
             ti += pi[..., t, :]
-    _prune_dense(tr, ti, PRUNE_EPS * a._top
-                 * np.hypot(yr, yi).max(axis=-1, keepdims=True))
-    return tr, ti
+    return tr, ti, _prune_dense(tr, ti, PRUNE_EPS * a._top * ytop)
 
 
 @lru_cache(maxsize=None)
@@ -415,18 +427,20 @@ def q_basis_images(a: Multivector, b: Multivector):
     w, flip, partner, left, right = _sign_tables(a.dim)
     ar, ai = _dense(a)
     br, bi = _dense(b)
-    a2r, a2i = _dense_gp(a, ar, ai, w, flip)
-    b2r, b2i = _dense_gp(b, br, bi, w, flip)
-    top = np.maximum(_prune_dense(a2r, a2i), _prune_dense(b2r, b2i))
-    _prune_dense(br, bi)
+    a2r, a2i, top_a2 = _dense_gp(a, ar, ai, w, flip, a._top)
+    b2r, b2i, top_b2 = _dense_gp(b, br, bi, w, flip, b._top)
+    _prune_dense(a2r, a2i, PRUNE_EPS * top_a2)
+    _prune_dense(b2r, b2i, PRUNE_EPS * top_b2)
+    top_b = _prune_dense(br, bi)
     # a^2 e_mu + e_mu b^2; "0.0 +" turns a sum of two negative zeros into
     # the positive zero that gp's "0j +" leaves
     sr = 0.0 + (right * a2r[partner] + left * b2r[partner])
     si = 0.0 + (right * a2i[partner] + left * b2i[partner])
-    top_s = _prune_dense(sr, si, PRUNE_EPS * top)
+    top_s = _prune_dense(sr, si, PRUNE_EPS * np.maximum(top_a2, top_b2))
     # 2 a (e_mu b), built from raw terms; the sign of a zero in e_mu b never
     # reaches the sums
-    tr, ti = _dense_gp(a, left * br[partner], left * bi[partner], w, flip)
+    tr, ti, _ = _dense_gp(a, left * br[partner], left * bi[partner], w, flip,
+                          top_b)
     tr *= 2.0
     ti *= 2.0
     top = np.maximum(top_s, _prune_dense(tr, ti))
@@ -465,11 +479,11 @@ def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
     scd_r = right * cr[partner] - left * dr[partner]
     scd_i = right * ci[partner] - left * di[partner]
     _prune_dense(sdc_r, sdc_i, cut)
-    _prune_dense(scd_r, scd_i, cut)
+    top_scd = _prune_dense(scd_r, scd_i, cut)
 
     # [nu, mu] = s_{d,c}(e_nu) s_{c,d}(e_mu); the identity symmetrizes it
     prods = [_dense_gp(_from_row(n, sdc_r[nu], sdc_i[nu]), scd_r, scd_i,
-                       w, flip) for nu in range(n)]
+                       w, flip, top_scd) for nu in range(n)]
     pr = np.array([p[0] for p in prods])
     pi = np.array([p[1] for p in prods])
     ar = 0.5 * (pr + pr.transpose(1, 0, 2))
@@ -482,12 +496,12 @@ def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
     top = np.maximum(_prune_dense(sdc_r, sdc_i), _prune_dense(scd_r, scd_i))
     xr = right * sdc_r[:, partner] + left * scd_r[:, partner]
     xi = right * sdc_i[:, partner] + left * scd_i[:, partner]
-    _prune_dense(xr, xi, PRUNE_EPS * top[:, None])
-    dxr, dxi = _dense_gp(d, xr, xi, w, flip)
+    top = _prune_dense(xr, xi, PRUNE_EPS * top[:, None])
+    dxr, dxi, top_dx = _dense_gp(d, xr, xi, w, flip, top)
     rev = _reversal_signs(n)
-    xdr, xdi = _dense_gp(reversal(d), rev * xr, rev * xi, w, flip)
-    top = np.maximum(np.hypot(dxr, dxi).max(axis=-1, keepdims=True),
-                     np.hypot(xdr, xdi).max(axis=-1, keepdims=True))
+    xdr, xdi, top_xd = _dense_gp(reversal(d), rev * xr, rev * xi, w, flip,
+                                 top)
+    top = np.maximum(top_dx, top_xd)
     fr = dxr - rev * xdr
     fi = dxi - rev * xdi
     _prune_dense(fr, fi, PRUNE_EPS * top)

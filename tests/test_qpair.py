@@ -723,3 +723,18 @@ def test_extract_b_refuses_a_bad_tolerance_factor(factor):
     assert extract_B(c, c).status == "not-closed-in-V"
     with pytest.raises(InputError, match="tolerance factor"):
         extract_B(c, c, tol_factor=factor)
+
+
+def test_dense_q_restriction_matches_reference_when_a_square_vanishes():
+    """c = u + i v with u, v orthogonal vectors of equal length squares to
+    rounding only, which the cut of gp(c, c) drops whole."""
+    rng = np.random.default_rng(11)
+    for n in (4, 6, 8):
+        u = rng.standard_normal(n)
+        v = np.empty(n)
+        v[0::2], v[1::2] = -u[1::2], u[0::2]
+        c = Multivector.from_vector(n, u + 1j * v)
+        assert gp(c, c).is_zero()
+        for d in (random_multivector(rng, n, 8), 1e-3 * c, c):
+            assert_dense_matches_reference(c, d)
+            assert_dense_matches_reference(d, c)
