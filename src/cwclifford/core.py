@@ -340,13 +340,14 @@ def _prune_dense(re: np.ndarray, im: np.ndarray, cut=None) -> np.ndarray:
     """
     size = np.hypot(re, im)           # abs(complex) is hypot
     top = size.max(axis=-1, keepdims=True)
+    if not (top < inf).all():         # the maximum keeps a NaN
+        raise OverflowError("a dense coefficient is not finite")
     if cut is None:
         cut = PRUNE_EPS * top
-    if not (np.all(top < inf) and np.all(cut < inf)):  # max keeps a NaN
-        raise OverflowError("a dense coefficient is not finite")
     small = size <= cut
-    re[small] = 0.0
-    im[small] = 0.0
+    if small.any():
+        np.putmask(re, small, 0.0)
+        np.putmask(im, small, 0.0)
     return np.where(top > cut, top, 0.0)
 
 
