@@ -155,6 +155,8 @@ class Multivector:
                 elif size != 0.0:
                     raise OverflowError(
                         f"coefficient {z} of blade {mask:#x} is not finite")
+        # the cut needs the largest size, so a second pass runs only when the
+        # smallest one is at or below it
         cut = PRUNE_EPS * top
         if low <= cut:
             clean = {m: z for m, z in clean.items() if abs(z) > cut}
