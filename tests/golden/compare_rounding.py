@@ -70,7 +70,8 @@ def _compare_value(key, old, new, new_keys, dim, where):
             return [f"{where}: length {len(old)} -> {len(new)}"], 0.0
         problems, move = [], 0.0
         for i, (a, b) in enumerate(zip(old, new)):
-            found, m = _compare_value(key, a, b, new_keys, dim, f"{where}[{i}]")
+            found, m = _compare_value(key, a, b, new_keys, dim,
+                                      f"{where}[{i}]")
             problems += found
             move = max(move, m)
         return problems, move
@@ -96,7 +97,8 @@ def _is_number(x):
 
 
 def main(argv):
-    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.strip().splitlines()[0])
     parser.add_argument("rev")
     parser.add_argument("--new-key", action="append", default=[])
     parser.add_argument("--case-change", action="append", default=[])
