@@ -332,20 +332,23 @@ def _dense(a: Multivector):
     return re, im
 
 
-def _prune_dense(re: np.ndarray, im: np.ndarray, cut=None) -> np.ndarray:
+def _prune_dense(re: np.ndarray, im: np.ndarray, cut=0.0,
+                 own: bool = False) -> np.ndarray:
     """Zero in place, row by row, what a Multivector built at the same point
     drops, raise on what it refuses, and return the largest coefficient
     size of each row after the cut, as a column.
 
-    cut broadcasts against the rows; None cuts as raw terms do, at PRUNE_EPS
-    times the largest coefficient of the row.
+    cut broadcasts against the rows; own adds the cut of raw terms, PRUNE_EPS
+    times the largest coefficient of the row.  The largest coefficient
+    survives any cut below it, so a cut followed by the raw-terms cut is one
+    pass with own.
     """
     size = np.hypot(re, im)           # abs(complex) is hypot
     top = size.max(axis=-1, keepdims=True)
     if not (top < inf).all():         # the maximum keeps a NaN
         raise OverflowError("a dense coefficient is not finite")
-    if cut is None:
-        cut = PRUNE_EPS * top
+    if own:
+        cut = np.maximum(cut, PRUNE_EPS * top)
     small = size <= cut
     if small.any():
         np.putmask(re, small, 0.0)
@@ -354,7 +357,7 @@ def _prune_dense(re: np.ndarray, im: np.ndarray, cut=None) -> np.ndarray:
 
 
 def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip,
-              ytop):
+              ytop, own: bool = False):
     """gp(a, y) for every row y of the dense (yr, yi), bit for bit, and the
     largest coefficient size of each result row.
 
@@ -365,7 +368,8 @@ def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip,
     leaves the sum unchanged.  The complex product stays real arithmetic:
     numpy's complex multiply may fuse multiply-adds.  Each row is pruned at
     gp's cut, PRUNE_EPS times the largest coefficients of a and of the row,
-    ytop (a column of the rows' largest sizes).
+    ytop (a column of the rows' largest sizes), and with own at the cut of
+    raw terms as well.
     """
     blades = np.arange(yr.shape[-1])
     masks = np.fromiter(a._terms, dtype=np.int64, count=len(a._terms))
@@ -386,7 +390,7 @@ def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip,
         for t in range(len(j)):
             tr += pr[..., t, :]
             ti += pi[..., t, :]
-    return tr, ti, _prune_dense(tr, ti, PRUNE_EPS * a._top * ytop)
+    return tr, ti, _prune_dense(tr, ti, PRUNE_EPS * a._top * ytop, own)
 
 
 @lru_cache(maxsize=None)
@@ -430,11 +434,9 @@ def q_basis_images(a: Multivector, b: Multivector):
     w, flip, partner, left, right = _sign_tables(a.dim)
     ar, ai = _dense(a)
     br, bi = _dense(b)
-    a2r, a2i, top_a2 = _dense_gp(a, ar, ai, w, flip, a._top)
-    b2r, b2i, top_b2 = _dense_gp(b, br, bi, w, flip, b._top)
-    _prune_dense(a2r, a2i, PRUNE_EPS * top_a2)
-    _prune_dense(b2r, b2i, PRUNE_EPS * top_b2)
-    top_b = _prune_dense(br, bi)
+    a2r, a2i, top_a2 = _dense_gp(a, ar, ai, w, flip, a._top, own=True)
+    b2r, b2i, top_b2 = _dense_gp(b, br, bi, w, flip, b._top, own=True)
+    top_b = _prune_dense(br, bi, own=True)
     # a^2 e_mu + e_mu b^2; "0.0 +" turns a sum of two negative zeros into
     # the positive zero that gp's "0j +" leaves
     sr = 0.0 + (right * a2r[partner] + left * b2r[partner])
@@ -446,7 +448,7 @@ def q_basis_images(a: Multivector, b: Multivector):
                           top_b)
     tr *= 2.0
     ti *= 2.0
-    top = np.maximum(top_s, _prune_dense(tr, ti))
+    top = np.maximum(top_s, _prune_dense(tr, ti, own=True))
     re = sr - tr
     im = si - ti
     _prune_dense(re, im, PRUNE_EPS * top)
@@ -465,9 +467,10 @@ def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
     s_{a,b}(x) = a x - x b.  The s rows are signed permutations of c
     and d; the n^2 products are n `_dense_gp` passes, one per s_{d,c}(e_nu);
     d X is one pass over all n^2 rows and X d another, through
-    rev(X d) = rev(d) rev(X).  Rows are pruned wherever the gp loop of
-    `omega.closing_identities` builds a Multivector; values agree with it up
-    to rounding.
+    rev(X d) = rev(d) rev(X).  Rows are cut relative to the data they came
+    from, as the products and sums of the gp loop of
+    `omega.closing_identities` cut theirs; values agree with it up to
+    rounding.
     """
     if c.dim != d.dim:
         raise DimensionMismatch(f"dimensions differ: {c.dim} vs {d.dim}")
@@ -475,31 +478,31 @@ def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
     w, flip, partner, left, right = _sign_tables(n)
     cr, ci = _dense(c)
     dr, di = _dense(d)
-    cut = PRUNE_EPS * np.maximum(_prune_dense(cr, ci), _prune_dense(dr, di))
-    # row nu: d e_nu - e_nu c and c e_nu - e_nu d, pruned like their sums
+    # row nu: d e_nu - e_nu c and c e_nu - e_nu d, cut like their sums
     sdc_r = right * dr[partner] - left * cr[partner]
     sdc_i = right * di[partner] - left * ci[partner]
     scd_r = right * cr[partner] - left * dr[partner]
     scd_i = right * ci[partner] - left * di[partner]
-    _prune_dense(sdc_r, sdc_i, cut)
-    top_scd = _prune_dense(scd_r, scd_i, cut)
+    cut = PRUNE_EPS * max(c._top, d._top)
+    top_dc = _prune_dense(sdc_r, sdc_i, cut)
+    top_cd = _prune_dense(scd_r, scd_i, cut)
 
     # [nu, mu] = s_{d,c}(e_nu) s_{c,d}(e_mu); the identity symmetrizes it
     prods = [_dense_gp(_from_row(n, sdc_r[nu], sdc_i[nu]), scd_r, scd_i,
-                       w, flip, top_scd) for nu in range(n)]
-    pr = np.array([p[0] for p in prods])
-    pi = np.array([p[1] for p in prods])
+                       w, flip, top_cd) for nu in range(n)]
+    pr, pi, top = (np.array([p[k] for p in prods]) for k in range(3))
     ar = 0.5 * (pr + pr.transpose(1, 0, 2))
     ai = 0.5 * (pi + pi.transpose(1, 0, 2))
-    cut = PRUNE_EPS * np.maximum(_prune_dense(ar, ai), np.abs(b)[..., None])
+    top = np.maximum(np.maximum(top, top.transpose(1, 0, 2)),
+                     np.abs(b)[..., None])
     ar[..., 0] -= b
-    _prune_dense(ar, ai, cut)
+    _prune_dense(ar, ai, PRUNE_EPS * top)
 
     # [nu, mu] = X_{mu nu}: e_mu sits at partner[mu] of each s row
-    top = np.maximum(_prune_dense(sdc_r, sdc_i), _prune_dense(scd_r, scd_i))
     xr = right * sdc_r[:, partner] + left * scd_r[:, partner]
     xi = right * sdc_i[:, partner] + left * scd_i[:, partner]
-    top = _prune_dense(xr, xi, PRUNE_EPS * top[:, None])
+    top = np.maximum(top_dc, top_cd)[:, None]
+    top = _prune_dense(xr, xi, PRUNE_EPS * top)
     dxr, dxi, top_dx = _dense_gp(d, xr, xi, w, flip, top)
     rev = _reversal_signs(n)
     xdr, xdi, top_xd = _dense_gp(reversal(d), rev * xr, rev * xi, w, flip,
