@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import inf
-from typing import Dict, Iterable, Iterator, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -531,6 +532,190 @@ def _reversal_signs(n: int) -> np.ndarray:
 
 def _row_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.sqrt((re * re + im * im).sum(axis=-1))
+
+
+# -- sparse row tables: many elements at once, bit for bit ------------------
+#
+# A row table holds Multivectors as rows of terms in their dict order: row k
+# is entries ptr[k]:ptr[k + 1] of blade, re and im, and top[k] is its _top.
+# The kernels below build what gp, a sum, the raw-terms constructor and
+# norm build, row by row, with the same values, dict order and cuts, and
+# raise OverflowError where those do.  Row -1 of every table is an empty
+# row.
+
+class _Rows(NamedTuple):
+    ptr: np.ndarray
+    blade: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    top: np.ndarray
+
+
+def _rows_of(elements: Sequence[Multivector]) -> _Rows:
+    """The row table of elements, one row each."""
+    ptr = np.zeros(len(elements) + 1, np.intp)
+    np.fromiter((len(x._terms) for x in elements), np.intp,
+                len(elements)).cumsum(out=ptr[1:])
+    z = np.fromiter(chain.from_iterable(x._terms.values() for x in elements),
+                    complex, ptr[-1])
+    return _Rows(ptr, np.fromiter(chain.from_iterable(
+        x._terms for x in elements), np.intp, ptr[-1]), z.real.copy(),
+        z.imag.copy(), np.fromiter((x._top for x in elements), float,
+                                   len(elements)))
+
+
+def _rows_cat(*tables: _Rows) -> _Rows:
+    """The rows of tables, one after another."""
+    ends = np.cumsum([t.ptr[-1] for t in tables]) - [t.ptr[-1] for t in tables]
+    return _Rows(np.concatenate([tables[0].ptr[:1]] + [
+        t.ptr[1:] + end for t, end in zip(tables, ends)]),
+        *(np.concatenate(x) for x in list(zip(*tables))[1:]))
+
+
+def _counts(a: _Rows, ia: np.ndarray) -> np.ndarray:
+    """The number of terms of the rows ia, 0 for row -1."""
+    return np.append(a.ptr[1:] - a.ptr[:-1], 0)[ia]
+
+
+def _spread(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[k], start[k] + 1, ..., start[k] + count[k] - 1 for each k."""
+    end = count.cumsum()
+    return np.arange(end[-1] if len(end) else 0) + (start - end + count
+                                                    ).repeat(count)
+
+
+def _row_max(ptr: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The largest size of each row, 0.0 for an empty one."""
+    out = np.zeros(len(ptr) - 1)
+    full = ptr[1:] > ptr[:-1]
+    if full.any():
+        out[full] = np.maximum.reduceat(size, ptr[:-1][full])
+    return out
+
+
+def _cut_rows(ptr, row, blade, re, im, cut, own: bool = False) -> _Rows:
+    """The row table of entries grouped by row without the coefficients of
+    size at most cut[row] and, with own, at most PRUNE_EPS times their row's
+    largest one (the raw-terms cut)."""
+    size = np.hypot(re, im)           # abs(complex) is hypot
+    if not (size < inf).all() or not np.all(cut < inf):
+        raise OverflowError("a coefficient is not finite")
+    if own:
+        cut = np.maximum(cut, PRUNE_EPS * _row_max(ptr, size))
+    keep = size > (cut[row] if np.ndim(cut) else cut)
+    kept = np.zeros(len(keep) + 1, np.intp)
+    keep.cumsum(out=kept[1:])
+    ptr = kept[ptr]
+    size = size[keep]
+    return _Rows(ptr, blade[keep], re[keep], im[keep], _row_max(ptr, size))
+
+
+def _collect(count, row, blade, re, im, cut, dim: int,
+             unique: bool) -> _Rows:
+    """The row table of the sums of the entries (count per row, in row
+    order) that share a row and a blade, as a dict built entry by entry
+    sums them: from 0.0 in entry order, each blade where it first appears;
+    then cut as _cut_rows.  unique says that no two entries share both."""
+    ptr = np.zeros(len(count) + 1, np.intp)
+    if not unique:
+        key = row * (1 << dim) + blade
+        order = key.argsort(kind="stable")
+        ordered = key[order]
+        new = np.empty(len(key), bool)
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        group = np.empty(len(key), np.intp)
+        group[order] = new.cumsum() - 1
+        first = np.zeros(len(key), bool)
+        first[order[new]] = True
+        del key, order, ordered, new
+        first = first.nonzero()[0]
+        g = group[first]
+        row, blade = row[first], blade[first]
+        re, im = np.bincount(group, re)[g], np.bincount(group, im)[g]
+        count = np.bincount(row, minlength=len(count))
+    count.cumsum(out=ptr[1:])
+    return _cut_rows(ptr, row, blade, re, im, cut)
+
+
+@np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
+def _rows_gp(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
+             dim: int) -> _Rows:
+    """Row k is gp(a[ia[k]], b[ib[k]]), bit for bit: the term pairs in gp's
+    loop order, each product as real arithmetic, sign times x times y."""
+    w, flip = _sign_tables(dim)[:2]
+    na, nb = _counts(a, ia), _counts(b, ib)
+    count = na * nb
+    row = np.arange(len(ia)).repeat(count)
+    i, j = np.divmod(_spread(np.zeros_like(count), count), nb[row])
+    i += a.ptr[ia][row]
+    j += b.ptr[ib][row]
+    s = flip[b.blade[j] & w[a.blade[i]]]
+    xr, xi = s * a.re[i], s * a.im[i]
+    yr, yi = b.re[j], b.im[j]
+    blade = a.blade[i] ^ b.blade[j]
+    re, im = xr * yr - xi * yi, xr * yi + xi * yr
+    del i, j, s, xr, xi, yr, yi       # before the grouping pass
+    return _collect(count, row, blade, re, im,
+                    PRUNE_EPS * a.top[ia] * b.top[ib], dim,
+                    not ((na > 1) & (nb > 1)).any())
+
+
+@np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
+def _rows_sum(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
+              sign: float, summed, dim: int) -> _Rows:
+    """Row k is a[ia[k]] + sign b[ib[k]] as Multivector's + or - builds it
+    where summed[k]; elsewhere the two rows' terms uncut, which is the
+    nonempty one of them."""
+    na, nb = _counts(a, ia), _counts(b, ib)
+    count = na + nb
+    cut = np.where(summed, PRUNE_EPS * np.maximum(
+        np.append(a.top, 0.0)[ia], np.append(b.top, 0.0)[ib]), 0.0)
+    pool = a if b is a else _rows_cat(a, b)
+    # each row's terms of a, then its terms of b
+    row = np.arange(len(ia)).repeat(count)
+    at = _spread(np.zeros_like(count), count)
+    in_b = at >= na[row]
+    at += np.where(in_b, (pool.ptr[ib + (0 if b is a else len(a.top))]
+                          - na)[row], a.ptr[ia][row])
+    re, im = pool.re[at], pool.im[at]
+    if sign != 1.0:
+        re[in_b] *= sign
+        im[in_b] *= sign
+    return _collect(count, row, pool.blade[at], re, im, cut, dim,
+                    not ((na > 0) & (nb > 0)).any())
+
+
+@np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
+def _rows_scaled(a: _Rows, ia: np.ndarray, factor: np.ndarray) -> _Rows:
+    """Row k is a[ia[k]] * complex(factor[k]) for real factors, as the
+    raw-terms constructor builds it."""
+    count = _counts(a, ia)
+    ptr = np.zeros(len(ia) + 1, np.intp)
+    count.cumsum(out=ptr[1:])
+    at = _spread(a.ptr[ia], count)
+    factor = factor.repeat(count)
+    return _cut_rows(ptr, np.arange(len(ia)).repeat(count), a.blade[at],
+                     a.re[at] * factor, a.im[at] * factor, 0.0, own=True)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rows_norm_squared(a: _Rows) -> np.ndarray:
+    """x.norm() ** 2 for every row x, bit for bit: Python sums floats in
+    order (before 3.12), and its ** calls libm pow, as np.float_power does;
+    np.power and x * x may round differently.  Raises OverflowError where
+    ** does, on the square of a finite number."""
+    sq = np.float_power(np.hypot(a.re, a.im), 2)
+    if not (sq < inf).all():
+        raise OverflowError("a squared coefficient size is not finite")
+    n_rows = len(a.top)
+    norm = np.float_power(np.bincount(
+        np.arange(n_rows).repeat(a.ptr[1:] - a.ptr[:-1]), sq,
+        minlength=n_rows), 0.5)
+    out = np.float_power(norm, 2)
+    if ((out == inf) & (norm < inf)).any():
+        raise OverflowError("a squared norm is not finite")
+    return out
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:

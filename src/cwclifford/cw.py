@@ -23,12 +23,14 @@ invariant connection on basis pairs is [rho(x), rho(y)] - rho([x, y]).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .core import (CHECK_TOL, PRUNE_EPS, Multivector, blade_from_indices, gp,
-                   grade_involution, threshold, volume_element)
+from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _Rows, _rows_cat,
+                   _rows_gp, _rows_norm_squared, _rows_of, _rows_scaled,
+                   _rows_sum, blade_from_indices, gp, grade_involution,
+                   threshold, volume_element)
 from .errors import (ConstraintViolated, DimensionMismatch, InputError,
                      NotAProjector, NotInSoB, OddDimension,
                      PairNotAssociatedToMinusB)
@@ -337,19 +339,18 @@ def validate_simple_map(params: CliffordMapParams) -> Dict[str, object]:
     """
     n = params.n
     a, bbar = params.a, grade_involution(params.b)
+    gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
+    bg = [gp(bbar, g) for g in gens]      # bar(b) e_mu, once per index
     res24 = 0.0
-    for mu in range(1, n + 1):
-        gm = Multivector.basis_vector(n, mu)
-        for nu in range(mu, n + 1):
-            gn = Multivector.basis_vector(n, nu)
-            sym = 0.5 * (gp(gm, gp(bbar, gn)) + gp(gn, gp(bbar, gm)))
+    for mu in range(n):
+        for nu in range(mu, n):
+            sym = 0.5 * (gp(gens[mu], bg[nu]) + gp(gens[nu], bg[mu]))
             if mu == nu:
                 sym = sym - a
             res24 = max(res24, sym.norm())
     acc = Multivector.zero(n)
-    for mu in range(1, n + 1):
-        gm = Multivector.basis_vector(n, mu)
-        acc = acc + gp(gm, gp(bbar, gm))
+    for mu in range(n):
+        acc = acc + gp(gens[mu], bg[mu])
     res24a = (a - (1.0 / n) * acc).norm()
     cut = threshold(CHECK_TOL, a.norm() + bbar.norm())
     return {"24": res24, "24a": res24a,
@@ -368,66 +369,161 @@ def w_basis(n: int) -> List[CWAlgebraElement]:
             + [CWAlgebraElement.basis_vector(n, mu) for mu in range(1, n + 1)])
 
 
-def _bracket_images(rho: CliffordMap, rotations: Sequence[np.ndarray],
-                    size: int) -> Dict[Tuple[int, int], CWElement]:
-    """rho([x_i, x_j]) for i < j < size over generators(n) + rotations,
-    only for the pairs whose bracket is nonzero.
+# the two factors of each output block p, q, r, s of a CWElement product,
+# blocks numbered 0-3 in that order
+_LEFT = np.array([0, 1, 0, 1, 2, 3, 2, 3])
+_RIGHT = np.array([0, 2, 1, 3, 0, 2, 1, 3])
+
+# term products and product rows formed at once by the bracket-defect pass
+_DEFECT_BLOCK = 1 << 12
+
+
+def _element_rows(elements: Sequence[CWElement]) -> _Rows:
+    """The row table of CWElements: element k is rows 4k..4k+3, p q r s."""
+    return _rows_of([x for e in elements for x in (e.p, e.q, e.r, e.s)])
+
+
+def _blocks(k: np.ndarray) -> np.ndarray:
+    """The rows of the elements k; element -1 gives the empty row -1."""
+    return np.where(k[:, None] < 0, -1, 4 * k[:, None] + np.arange(4)).ravel()
+
+
+def _block_mul(x: _Rows, ix: np.ndarray, y: _Rows, iy: np.ndarray,
+               n: int) -> _Rows:
+    """Element k is x[ix[k]] * y[iy[k]], as CWElement.__mul__ forms it."""
+    left = (4 * ix[:, None] + _LEFT).ravel()
+    right = (4 * iy[:, None] + _RIGHT).ravel()
+    full = (x.ptr[left + 1] > x.ptr[left]) & (y.ptr[right + 1] > y.ptr[right])
+    # gp only where both factors have terms, as _block calls it
+    at = np.where(full, full.cumsum() - 1, -1)
+    prods = _rows_gp(x, left[full], y, right[full], n)
+    return _rows_sum(prods, at[::2], prods, at[1::2], 1.0,
+                     full[::2] & full[1::2], n)
+
+
+@np.errstate(over="ignore")     # an infinite norm is a result, as in norm()
+def _element_norms(x: _Rows) -> np.ndarray:
+    """CWElement.norm of every element, bit for bit."""
+    sq = _rows_norm_squared(x).reshape(-1, 4)
+    return np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
+
+
+def _structure_constants(n: int, bm: np.ndarray, rotations: np.ndarray,
+                         size: int):
+    """The nonzero brackets [x_i, x_j], i < j < size, over the generators x
+    of generators(n) + rotations, (r, n, n), and the nonzero [h, h'].
 
     The structure constants on these generators are [e-, e_mu] = e*_mu,
     [e-, e*_mu] = -B e_mu, [e_mu, e*_nu] = B_{mu nu} e+, [e_mu, h] = -h e_mu,
     [e*_mu, h] = -h e*_mu and [h, h'] = hh' - h'h; e+ is central and all
-    other pairs commute.  Each image sums the table entries in the order
-    and with the coefficients of rho(cw_bracket(x_i, x_j, B)).
+    other pairs commute.  Returns the chains (i, j, k, f), each pair's a
+    run with k ascending, and the commutators, (c, n, n).  rho([x_i, x_j])
+    sums f images[k] over the chain of (i, j), in the order and with the
+    coefficients of rho(cw_bracket(x_i, x_j, B)), where images holds the
+    images of generators(n) + rotations + commutators.
     """
-    n, bm = rho.n, rho.params.b_map.entries
     vec, cov, rot = 2, n + 2, 2 * n + 2    # first index of each kind
-    coords: Dict[Tuple[int, int], Dict[int, float]] = {}
-    for mu in range(n):
-        coords[0, vec + mu] = {cov + mu: 1.0}
-        coords[0, cov + mu] = {vec + k: -bm[k, mu] for k in range(n)}
-        for nu in range(n):
-            coords[vec + mu, cov + nu] = {1: bm[mu, nu]}
-        for r, h in enumerate(rotations):
-            coords[vec + mu, rot + r] = {vec + k: -h[k, mu] for k in range(n)}
-            coords[cov + mu, rot + r] = {cov + k: -h[k, mu] for k in range(n)}
-    out = {pair: _combine(n, ((f, rho.images[k]) for k, f in fs.items()))
-           for pair, fs in coords.items()
-           if pair[1] < size and any(fs.values())}
-    for r, h in enumerate(rotations):
-        for s in range(r + 1, len(rotations)):
-            hh = _commutator(h, rotations[s])
-            if np.any(hh):
-                out[rot + r, rot + s] = rho.h_image(hh)
-    return out
+    mu, r = np.arange(n), np.arange(len(rotations))
+    hk = -rotations.transpose(2, 0, 1)     # [mu, r, k] = -h_r[k, mu]
+    # the nonzero [h_r, h_s], r < s, cut as _commutator cuts them
+    top = np.abs(rotations).max(axis=(1, 2))
+    pairs, comm = [np.zeros((2, 0), np.intp)], [np.zeros((0, n, n))]
+    for t, h in enumerate(rotations):
+        c = h @ rotations[t + 1:] - rotations[t + 1:] @ h
+        c[np.abs(c) <= (PRUNE_EPS * top[t] * top[t + 1:])[:, None, None]] = 0
+        s = c.any(axis=(1, 2)).nonzero()[0]
+        pairs.append(np.stack((np.full(len(s), t), t + 1 + s)))
+        comm.append(c[s])
+    (rr, ss), comm = np.concatenate(pairs, axis=1), np.concatenate(comm)
+    parts = [(0, vec + mu, cov + mu, np.ones(n)),
+             (0, cov + mu[:, None], vec + mu, -bm.T),
+             (vec + mu[:, None], cov + mu, 1, bm),
+             (vec + mu[:, None, None], rot + r[:, None], vec + mu, hk),
+             (cov + mu[:, None, None], rot + r[:, None], cov + mu, hk),
+             (rot + rr, rot + ss, rot + len(r) + np.arange(len(rr)),
+              np.ones(len(rr)))]
+    # (i, j, k) broadcast to the shape of f, all flattened
+    i, j, k, f = (np.concatenate(x) for x in zip(*(
+        [(np.zeros(f.shape, np.intp) + x).ravel() for x in p[:3]]
+        + [f.ravel()] for *p, f in parts)))
+    keep = (f != 0) & (j < size)
+    return tuple(x[keep] for x in (i, j, k, f)), comm
 
 
-def _bracket_defect(rho: CliffordMap, images: List[CWElement],
-                    rotations: Sequence[np.ndarray] = (),
-                    proj: CWElement | None = None) -> float:
-    """max |[X_i, X_j] - P rho([x_i, x_j]) P| over pairs of the generators
-    x_i of generators(n) + rotations with images X_i, as many as there are
-    images; no proj means P = 1."""
-    brackets = _bracket_images(rho, rotations, len(images))
+def _chain_sums(sources: _Rows, chains, n: int):
+    """The elements _combine sums from the chains over the elements of
+    sources, one per pair (pi, pj) of the chains, and those pairs."""
+    i, j, k, f = chains
+    new = np.ones(len(i), bool)
+    new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+    start = new.nonzero()[0]
+    pair = new.cumsum() - 1
+    step = np.arange(len(i)) - start[pair]
+    # the first sum is 0 + f image, cut as f image is
+    out = _rows_scaled(sources, _blocks(k[start]), f[start].repeat(4))
+    rows = np.arange(4 * len(start))
+    for s in range(1, int(step.max(initial=0)) + 1):
+        at = step == s
+        term = np.full(len(start), -1)
+        term[pair[at]] = np.arange(at.sum())
+        out = _rows_sum(out, rows, _rows_scaled(
+            sources, _blocks(k[at]), f[at].repeat(4)), _blocks(term), 1.0,
+            True, n)
+    return out, i[start], j[start]
+
+
+def _pair_table(size: int, pi: np.ndarray, pj: np.ndarray,
+                offset: int) -> np.ndarray:
+    """The element of pair (i, j), offset + t for the pair (pi[t], pj[t]),
+    as a (size, size) table, -1 elsewhere."""
+    at = np.full((size, size), -1)
+    at[pi, pj] = offset + np.arange(len(pi))
+    return at
+
+
+def _bracket_defect(gens: _Rows, size: int, rhs: _Rows, at: np.ndarray,
+                    n: int) -> float:
+    """max |[X_i, X_j] - R_ij| over i < j < size, X_i element i of gens and
+    R_ij element at[i, j] of rhs, zero where at[i, j] < 0.
+
+    Every pair is one array pass, a block of pairs at a time: the products
+    X_i X_j and X_j X_i, their difference, then R_ij and the norm, each bit
+    for bit as the CWElement arithmetic forms it.
+    """
+    i, j = np.triu_indices(size, 1)
+    count = (gens.ptr[1:] - gens.ptr[:-1]).reshape(-1, 4)
+    # a pair's share: its term products and its 16 products' rows
+    cost = count[:, _LEFT] @ count[:, _RIGHT].T + 8
+    blocks = (cost[i, j] + cost[j, i]).cumsum() // _DEFECT_BLOCK
     worst = 0.0
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            defect = images[i].commutator(images[j])
-            rhs = brackets.get((i, j))
-            if rhs is not None:
-                if proj is not None:
-                    rhs = proj * rhs * proj
-                defect = defect - rhs
-            worst = max(worst, defect.norm())
+    for part in np.split(np.arange(len(i)), np.diff(blocks).nonzero()[0] + 1):
+        x, y = i[part], j[part]
+        prods = _block_mul(gens, np.concatenate((x, y)), gens,
+                           np.concatenate((y, x)), n)
+        rows = np.arange(4 * len(part))
+        defect = _rows_sum(prods, rows, prods, rows + len(rows), -1.0, True,
+                           n)
+        image = at[x, y]
+        if (image >= 0).any():
+            defect = _rows_sum(defect, rows, rhs, _blocks(image), -1.0, True,
+                               n)
+        worst = max(worst, float(_element_norms(defect).max()))
     return worst
 
 
 def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
     """Max curvature norm over W x W basis pairs (optionally all generators)."""
-    if not extended:
-        return _bracket_defect(rho, rho.images[:rho.n + 2])
-    rotations = rho.params.b_map.sob_basis()
-    images = rho.images + [rho.h_image(h) for h in rotations]
-    return _bracket_defect(rho, images, rotations)
+    n = rho.n
+    rotations = np.array(rho.params.b_map.sob_basis() if extended else [],
+                         dtype=float).reshape(-1, n, n)
+    size = len(rho.images) + len(rotations) if extended else n + 2
+    chains, commutators = _structure_constants(
+        n, rho.params.b_map.entries, rotations, size)
+    images = _element_rows(rho.images + [
+        rho.h_image(h) for h in (*rotations, *commutators)])
+    rhs, pi, pj = _chain_sums(images, chains, n)
+    return _bracket_defect(images, size, rhs, _pair_table(size, pi, pj, 0),
+                           n)
 
 
 def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
@@ -569,10 +665,23 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     cut = threshold(tol, rho.params.norm())
     if (proj * proj - proj).norm() > threshold(tol, proj.norm() ** 2):
         raise NotAProjector("the supplied block matrix is not idempotent")
-    images = rho.images
-    inv_res = max((img * proj - proj * img * proj).norm() for img in images)
-    rep_res = _bracket_defect(rho, [proj * img * proj for img in images],
-                              proj=proj)
+    n, m = rho.n, len(rho.images)
+    images = _element_rows(rho.images)
+    chains, _ = _structure_constants(n, rho.params.b_map.entries,
+                                     np.zeros((0, n, n)), m)
+    rhs, pi, pj = _chain_sums(images, chains, n)
+    table = _rows_cat(_element_rows([proj]), images, rhs)   # P, X_k, R_t
+    inner = np.arange(1, m + len(pi) + 1)
+    once = np.zeros(len(inner), np.intp)
+    # P X_k, P R_t and X_k P, then P X_k P and P R_t P
+    first = _block_mul(table, np.concatenate((once, inner[:m])), table,
+                       np.concatenate((inner, once[:m])), n)
+    second = _block_mul(first, inner - 1, table, once, n)
+    rows = np.arange(4 * m)
+    inv_res = float(_element_norms(_rows_sum(
+        first, rows + 4 * len(inner), second, rows, -1.0, True, n)).max())
+    rep_res = _bracket_defect(second, m, second,
+                              _pair_table(m, pi, pj, m), n)
     return {"invariant": inv_res <= cut,
             "representation": rep_res <= cut,
             "invariance_residual": inv_res,

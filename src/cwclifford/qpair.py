@@ -70,8 +70,9 @@ class SymmetricMap:
     @staticmethod
     def from_matrix(entries) -> "SymmetricMap":
         m = np.array(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError("symmetric map entries must form a square matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise InputError("symmetric map entries must form a nonempty "
+                             "square matrix")
         if not np.isfinite(m).all():
             raise InputError("symmetric map entries must be finite")
         n = m.shape[0]

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwclifford.core import (DIM_LIMITS, Multivector,
-                             blade_from_indices, blade_indices, blade_mul,
+from cwclifford.core import (DIM_LIMITS, Multivector, _rows_gp,
+                             _rows_norm_squared, _rows_of, _rows_scaled,
+                             _rows_sum, blade_from_indices, blade_indices, blade_mul,
                              blade_square_sign, gp, grade, grade_involution,
                              grade_project, involute, left_contract,
                              random_multivector, reversal, threshold,
@@ -236,6 +237,44 @@ def test_subtraction_is_adding_the_negation_bit_for_bit():
             assert bits(a - a) == []
     with pytest.raises(DimensionMismatch):
         Multivector.unit(2) - Multivector.unit(3)
+
+
+def row_terms(table, k):
+    """Row k of a row table as a Multivector's terms in dict order, and its
+    largest coefficient size."""
+    lo, hi = table.ptr[k], table.ptr[k + 1]
+    return ([(int(m), complex(r, i)) for m, r, i in zip(
+        table.blade[lo:hi], table.re[lo:hi], table.im[lo:hi])],
+        float(table.top[k]))
+
+
+def dict_terms(a):
+    return list(a.terms()), a._top
+
+
+def test_row_kernels_match_the_multivector_arithmetic():
+    """gp, sums, scalar multiples and norms of many elements at once give
+    the values (a zero's sign aside), dict order and cuts of Multivector."""
+    rng = np.random.default_rng(11)
+    for n in (2, 4, 7):
+        xs = [random_multivector(rng, n, int(rng.integers(0, 16)))
+              * float(10.0 ** rng.integers(-6, 7)) for _ in range(24)]
+        table = _rows_of(xs)
+        ia, ib = (x.ravel() for x in np.indices((len(xs), len(xs))))
+        f = rng.standard_normal(len(ia))
+        for out, build in (
+                (_rows_gp(table, ia, table, ib, n), lambda a, b, _: gp(a, b)),
+                (_rows_sum(table, ia, table, ib, 1.0, True, n),
+                 lambda a, b, _: a + b),
+                (_rows_sum(table, ia, table, ib, -1.0, True, n),
+                 lambda a, b, _: a - b),
+                (_rows_scaled(table, ia, f), lambda a, b, c: a * complex(c))):
+            for k in range(len(ia)):
+                assert row_terms(out, k) == dict_terms(
+                    build(xs[ia[k]], xs[ib[k]], f[k])), (n, k)
+        many = _rows_gp(table, ia, table, ib, n)
+        assert _rows_norm_squared(many).tolist() == [
+            gp(xs[i], xs[j]).norm() ** 2 for i, j in zip(ia, ib)]
 
 
 def test_non_finite_coefficients_raise():

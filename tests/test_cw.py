@@ -3,8 +3,9 @@ import pytest
 
 from cwclifford.core import (Multivector, gp, grade_involution,
                              random_multivector, volume_element)
-from cwclifford.cw import (_bracket_images, CliffordMap, CliffordMapParams,
-                           CWAlgebraElement, CWElement,
+from cwclifford import cw
+from cwclifford.cw import (_combine, _structure_constants, CliffordMap,
+                           CliffordMapParams, CWAlgebraElement, CWElement,
                            build_flat_rep_alphanotzero,
                            build_flat_rep_alphazero, catalog_projector,
                            check_restriction, clw_generator_eminus,
@@ -430,24 +431,104 @@ def reference_restriction(rho, proj):
     return inv_res, rep_res
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_bracket_defect_loop_matches_reference(n):
-    rng = np.random.default_rng(20 + n)
+def _maps(n, rng):
+    """Random maps over a diagonal B, a rotated B with a repeated eigenvalue
+    and B = -1.4 I, where all of so(n) enters, and at even n an alpha != 0
+    flat map with that B."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     vals = np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n]   # repeated
-    for b in (SymmetricMap.from_diagonal(rng.standard_normal(n)),
-              SymmetricMap.from_matrix(q @ np.diag(vals) @ q.T)):
-        rho = CliffordMap(rand_params(rng, n, b))
-        for x, img in zip(generators(n), rho.images, strict=True):
-            assert (img - rho(x)).is_zero()
-        assert curvature_sweep(rho) == reference_sweep(rho)
-        assert curvature_sweep(rho, extended=True) == \
-            reference_sweep(rho, extended=True)
-        for name in ["sigma-", "x+:1;2"] + (["s+w"] if n % 2 == 0 else []):
-            proj = catalog_projector(name, n)
-            out = check_restriction(rho, proj)
-            assert (out["invariance_residual"], out["representation_residual"]) \
-                == reference_restriction(rho, proj)
+    b_maps = [SymmetricMap.from_diagonal(rng.standard_normal(n)),
+              SymmetricMap.from_matrix(q @ np.diag(vals) @ q.T),
+              SymmetricMap.from_matrix(-1.4 * np.eye(n))]
+    if n >= 3:                                          # a 3-cluster
+        vals = rng.standard_normal(n)
+        vals[:3] = vals[0]
+        b_maps.append(SymmetricMap.from_matrix(q @ np.diag(vals) @ q.T))
+    maps = [CliffordMap(rand_params(rng, n, b)) for b in b_maps]
+    if n % 2 == 0:
+        z = Multivector.zero(n)
+        maps.append(build_flat_rep_alphanotzero(
+            0.8, -0.3, 0.4, 0.7, random_multivector(rng, n, 3), z, z, z))
+    return maps
+
+
+def _check_against_reference(rho):
+    n = rho.n
+    for x, img in zip(generators(n), rho.images, strict=True):
+        assert (img - rho(x)).is_zero()
+    assert curvature_sweep(rho) == reference_sweep(rho)
+    assert curvature_sweep(rho, extended=True) == \
+        reference_sweep(rho, extended=True)
+    for name in ["sigma-", "x+:1;2"] + (["s+w"] if n % 2 == 0 else []):
+        proj = catalog_projector(name, n)
+        out = check_restriction(rho, proj)
+        assert (out["invariance_residual"], out["representation_residual"]) \
+            == reference_restriction(rho, proj)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bracket_defect_loop_matches_reference(n):
+    for rho in _maps(n, np.random.default_rng(20 + n)):
+        _check_against_reference(rho)
+
+
+@pytest.mark.parametrize("block", [1, float("inf")], ids=["pair", "all"])
+def test_bracket_defect_pass_is_blocked_without_changing_a_bit(block,
+                                                               monkeypatch):
+    """One pair at a time, and every pair at once."""
+    monkeypatch.setattr(cw, "_DEFECT_BLOCK", block)
+    for n in (3, 4):
+        for rho in _maps(n, np.random.default_rng(30 + n)):
+            _check_against_reference(rho)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160])
+def test_bracket_defect_overflows_where_the_loop_does(scale):
+    n = 4
+    z = Multivector.zero(n)
+    c = Multivector.blade(n, 0b0001, scale)
+    e = Multivector.blade(n, 0b0011, scale)
+    rho = CliffordMap(CliffordMapParams(
+        SymmetricMap.from_diagonal([1.0, 2.0, 3.0, 4.0]), z, z, c, c, e))
+    for extended in (False, True):
+        with pytest.raises(OverflowError):
+            curvature_sweep(rho, extended=extended)
+    proj = catalog_projector("sigma+", n)
+    if scale == 1e160:
+        with pytest.raises(OverflowError):
+            check_restriction(rho, proj)
+    else:
+        out = check_restriction(rho, proj)
+        assert (out["invariance_residual"], out["representation_residual"]) \
+            == reference_restriction(rho, proj)
+        assert np.isfinite(out["invariance_residual"])
+
+
+def test_block_products_and_norms_match_the_cwelement_arithmetic():
+    rng = np.random.default_rng(12)
+    n = 4
+    z = Multivector.zero(n)
+    xs = [CWElement(*(random_multivector(rng, n, int(rng.integers(0, 6)))
+                      for _ in range(4))) for _ in range(10)]
+    # gp(a, b) leaves 1.5e-14 e_1 - 1.5e-14 e_2 beside 2 e_{1,2}, above gp's
+    # cut and below a sum's, so a block of one product must not be cut again
+    a = Multivector(n, {0b00: 1.0, 0b11: 1.0, 0b01: 1.5e-14})
+    b = Multivector(n, {0b00: 1.0, 0b11: 1.0})
+    xs += [CWElement(a, z, z, z), CWElement(b, z, z, z)]
+    ix, iy = (x.ravel() for x in np.indices((len(xs), len(xs))))
+    prods = cw._block_mul(cw._element_rows(xs), ix, cw._element_rows(xs), iy,
+                          n)
+    assert cw._element_rows([xs[-2] * xs[-1]]).ptr[1] == 3
+    for k, (i, j) in enumerate(zip(ix, iy)):
+        want = xs[i] * xs[j]
+        for block, x in enumerate((want.p, want.q, want.r, want.s)):
+            lo, hi = prods.ptr[4 * k + block:4 * k + block + 2]
+            assert [(int(m), complex(r, c)) for m, r, c in zip(
+                prods.blade[lo:hi], prods.re[lo:hi], prods.im[lo:hi])] \
+                == list(x.terms()), (i, j, block)
+            assert prods.top[4 * k + block] == x._top
+    assert cw._element_norms(prods).tolist() == [
+        (xs[i] * xs[j]).norm() for i, j in zip(ix, iy)]
 
 
 # -- the bracket images read from the structure constants ---------------------
@@ -465,16 +546,22 @@ def test_bracket_images_match_rho_of_cw_bracket(n):
         rotations = b.sob_basis()
         gens = generators(n) + [CWAlgebraElement.rotation(n, h)
                                 for h in rotations]
-        table = _bracket_images(rho, rotations, len(gens))
+        chains, commutators = _structure_constants(
+            n, b.entries, np.array(rotations).reshape(-1, n, n), len(gens))
+        images = rho.images + [rho.h_image(h)
+                               for h in rotations + list(commutators)]
+        table = {}
+        for i, j, k, f in zip(*chains):
+            table.setdefault((int(i), int(j)), []).append((f, images[k]))
         for i, x in enumerate(gens):
             for j in range(i + 1, len(gens)):
                 bracket = cw_bracket(x, gens[j], b)
                 if (i, j) in table:
-                    assert table[i, j] == rho(bracket)
+                    assert _combine(n, table[i, j]) == rho(bracket)
                 else:
                     assert bracket.norm() == 0.0
         if n >= 3 and b is not diagonal:    # some [h, h'] is nonzero
-            assert any(i >= 2 * n + 2 for i, _ in table)
+            assert len(commutators)
 
 
 @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0])

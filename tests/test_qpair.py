@@ -560,6 +560,15 @@ def test_symmetric_map_rejects_non_finite_entries():
             SymmetricMap.from_matrix([[1.0, 0.0], [0.0, bad]])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SymmetricMap.from_matrix(np.zeros((0, 0))),
+    lambda: SymmetricMap.from_diagonal([]),
+], ids=["matrix", "diagonal"])
+def test_symmetric_map_rejects_an_empty_map(build):
+    with pytest.raises(InputError, match="nonempty"):
+        build()
+
+
 def test_extract_b_raises_when_q_overflows():
     # every input square is finite, q(e_1) is not
     c = Multivector(3, {0b001: 1e154, 0b110: 1e154})
