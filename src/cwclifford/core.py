@@ -210,7 +210,12 @@ class Multivector:
         return self._terms.get(0, 0j)
 
     def norm(self) -> float:
-        return sum(abs(c) ** 2 for c in self._terms.values()) ** 0.5
+        # in order: sum() compensates from Python 3.12 on, the row kernels
+        # do not
+        total = 0.0
+        for c in self._terms.values():
+            total += abs(c) ** 2
+        return total ** 0.5
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol == 0.0:
@@ -300,9 +305,6 @@ def _element(dim: int, terms: Dict[int, complex], cut: float) -> Multivector:
     return out
 
 
-# products formed at once by _dense_gp, in float64 elements per array
-_DENSE_BLOCK = 1 << 13
-
 # Multivector values are immutable (only construction assigns _terms), so one
 # zero per dimension can be shared
 _ZEROS = {n: Multivector(n) for n in range(MIN_DIM, MAX_DIM + 1)}
@@ -323,225 +325,17 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
     return _element(a.dim, out, PRUNE_EPS * a._top * b._top)
 
 
-def _dense(a: Multivector):
-    """Real and imaginary coefficient arrays of a over all 2^n blades."""
-    re = np.zeros(1 << a.dim)
-    im = np.zeros(1 << a.dim)
-    for mask, z in a._terms.items():
-        re[mask] = z.real
-        im[mask] = z.imag
-    return re, im
-
-
-def _prune_dense(re: np.ndarray, im: np.ndarray, cut=0.0,
-                 own: bool = False) -> np.ndarray:
-    """Zero in place, row by row, what a Multivector built at the same point
-    drops, raise on what it refuses, and return the largest coefficient
-    size of each row after the cut, as a column.
-
-    cut broadcasts against the rows; own adds the cut of raw terms, PRUNE_EPS
-    times the largest coefficient of the row.  The largest coefficient
-    survives any cut below it, so a cut followed by the raw-terms cut is one
-    pass with own.
-    """
-    size = np.hypot(re, im)           # abs(complex) is hypot
-    top = size.max(axis=-1, keepdims=True)
-    if not (top < inf).all():         # the maximum keeps a NaN
-        raise OverflowError("a dense coefficient is not finite")
-    if own:
-        cut = np.maximum(cut, PRUNE_EPS * top)
-    small = size <= cut
-    if small.any():
-        np.putmask(re, small, 0.0)
-        np.putmask(im, small, 0.0)
-    return np.where(top > cut, top, 0.0)
-
-
-def _dense_gp(a: Multivector, yr: np.ndarray, yi: np.ndarray, w, flip,
-              ytop, own: bool = False):
-    """gp(a, y) for every row y of the dense (yr, yi), bit for bit, and the
-    largest coefficient size of each result row.
-
-    The products of a's terms with their partners in y are formed as arrays,
-    a block of terms at a time, then summed one term after another in a's
-    dict order, gp's outer loop: each output blade sums its partners in
-    gp's order, and a partner missing from y adds a signed zero, which
-    leaves the sum unchanged.  The complex product stays real arithmetic:
-    numpy's complex multiply may fuse multiply-adds.  Each row is pruned at
-    gp's cut, PRUNE_EPS times the largest coefficients of a and of the row,
-    ytop (a column of the rows' largest sizes), and with own at the cut of
-    raw terms as well.
-    """
-    blades = np.arange(yr.shape[-1])
-    masks = np.fromiter(a._terms, dtype=np.int64, count=len(a._terms))
-    coeffs = np.fromiter(a._terms.values(), dtype=complex,
-                         count=len(a._terms))
-    tr = np.zeros(yr.shape)
-    ti = np.zeros(yr.shape)
-    block = max(1, _DENSE_BLOCK // yr.size)
-    for start in range(0, len(masks), block):
-        i = masks[start:start + block, None]
-        x = coeffs[start:start + block, None]
-        j = i ^ blades                        # the partner of each output
-        s = flip[j & w[i]]
-        sxr, sxi = s * x.real, s * x.imag
-        ur, ui = yr[..., j], yi[..., j]
-        pr = sxr * ur - sxi * ui
-        pi = sxr * ui + sxi * ur
-        for t in range(len(j)):
-            tr += pr[..., t, :]
-            ti += pi[..., t, :]
-    return tr, ti, _prune_dense(tr, ti, PRUNE_EPS * a._top * ytop, own)
-
-
-@lru_cache(maxsize=None)
-def _sign_tables(n: int):
-    """Read-only sign tables of dimension n for the dense passes.
-
-    w[x] = w(x) over all 2^n blades; flip[x] = (-1)^popcount(x);
-    partner[mu, k] = k XOR e_mu (0-based mu); left[mu, k] and right[mu, k]
-    are the signs of e_mu Gamma_j and of Gamma_j e_mu for j = partner[mu, k],
-    so row mu of e_mu x (of x e_mu) is left (right) times x[partner].
-    """
-    blades = np.arange(1 << n)
-    w = _sign_mask(blades)
-    # bit 0 of w(x) is the parity of x
-    flip = 1.0 - 2.0 * (w & 1)
-    gens = 1 << np.arange(n)
-    partner = blades ^ gens[:, None]
-    left = flip[partner & w[gens][:, None]]
-    right = flip[w[partner] & gens[:, None]]
-    tables = (w, flip, partner, left, right)
-    for t in tables:
-        t.setflags(write=False)
-    return tables
-
-
-@np.errstate(over="ignore", invalid="ignore")  # _prune_dense raises on it
-def q_basis_images(a: Multivector, b: Multivector):
-    """q(e_mu) = a^2 e_mu + e_mu b^2 - 2 a e_mu b for every mu at once.
-
-    Returns float64 arrays (re, im) of shape (n, 2^n); row mu - 1 holds the
-    blade coefficients of q(e_mu), bit for bit those of the gp loop
-    gp(gp(a, a), e_mu) + gp(e_mu, gp(b, b)) - 2 gp(a, gp(e_mu, b)).  a^2, b^2
-    and a (e_mu b) are dense passes over a's and b's terms (`_dense_gp`);
-    e_mu b, a^2 e_mu and e_mu b^2 are signed permutations.  Coefficients are
-    pruned wherever the gp loop builds a Multivector, at the same cuts:
-    a product of e_mu with x cuts x at its own largest coefficient, so
-    a^2, b^2 and b are pruned that way before their permutations.
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    w, flip, partner, left, right = _sign_tables(a.dim)
-    ar, ai = _dense(a)
-    br, bi = _dense(b)
-    a2r, a2i, top_a2 = _dense_gp(a, ar, ai, w, flip, a._top, own=True)
-    b2r, b2i, top_b2 = _dense_gp(b, br, bi, w, flip, b._top, own=True)
-    top_b = _prune_dense(br, bi, own=True)
-    # a^2 e_mu + e_mu b^2; "0.0 +" turns a sum of two negative zeros into
-    # the positive zero that gp's "0j +" leaves
-    sr = 0.0 + (right * a2r[partner] + left * b2r[partner])
-    si = 0.0 + (right * a2i[partner] + left * b2i[partner])
-    top_s = _prune_dense(sr, si, PRUNE_EPS * np.maximum(top_a2, top_b2))
-    # 2 a (e_mu b), built from raw terms; the sign of a zero in e_mu b never
-    # reaches the sums
-    tr, ti, _ = _dense_gp(a, left * br[partner], left * bi[partner], w, flip,
-                          top_b)
-    tr *= 2.0
-    ti *= 2.0
-    top = np.maximum(top_s, _prune_dense(tr, ti, own=True))
-    re = sr - tr
-    im = si - ti
-    _prune_dense(re, im, PRUNE_EPS * top)
-    return re, im
-
-
-@np.errstate(over="ignore", invalid="ignore")  # _prune_dense raises on it
-def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
-    """Entry norms of the two closing identities of (c, d) for every (mu, nu).
-
-    Returns two (n, n) float64 arrays holding, at [nu - 1, mu - 1], the
-    norms of the anticommutator residual
-    (s_{d,c}(e_nu) s_{c,d}(e_mu) + s_{d,c}(e_mu) s_{c,d}(e_nu)) / 2
-    - b[mu - 1, nu - 1] and of the four-term residual [d, X] with
-    X = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu), where
-    s_{a,b}(x) = a x - x b.  The s rows are signed permutations of c
-    and d; the n^2 products are n `_dense_gp` passes, one per s_{d,c}(e_nu);
-    d X is one pass over all n^2 rows and X d another, through
-    rev(X d) = rev(d) rev(X).  Rows are cut relative to the data they came
-    from, as the products and sums of the gp loop of
-    `omega.closing_identities` cut theirs; values agree with it up to
-    rounding.
-    """
-    if c.dim != d.dim:
-        raise DimensionMismatch(f"dimensions differ: {c.dim} vs {d.dim}")
-    n = c.dim
-    w, flip, partner, left, right = _sign_tables(n)
-    cr, ci = _dense(c)
-    dr, di = _dense(d)
-    # row nu: d e_nu - e_nu c and c e_nu - e_nu d, cut like their sums
-    sdc_r = right * dr[partner] - left * cr[partner]
-    sdc_i = right * di[partner] - left * ci[partner]
-    scd_r = right * cr[partner] - left * dr[partner]
-    scd_i = right * ci[partner] - left * di[partner]
-    cut = PRUNE_EPS * max(c._top, d._top)
-    top_dc = _prune_dense(sdc_r, sdc_i, cut)
-    top_cd = _prune_dense(scd_r, scd_i, cut)
-
-    # [nu, mu] = s_{d,c}(e_nu) s_{c,d}(e_mu); the identity symmetrizes it
-    prods = [_dense_gp(_from_row(n, sdc_r[nu], sdc_i[nu]), scd_r, scd_i,
-                       w, flip, top_cd) for nu in range(n)]
-    pr, pi, top = (np.array([p[k] for p in prods]) for k in range(3))
-    ar = 0.5 * (pr + pr.transpose(1, 0, 2))
-    ai = 0.5 * (pi + pi.transpose(1, 0, 2))
-    top = np.maximum(np.maximum(top, top.transpose(1, 0, 2)),
-                     np.abs(b)[..., None])
-    ar[..., 0] -= b
-    _prune_dense(ar, ai, PRUNE_EPS * top)
-
-    # [nu, mu] = X_{mu nu}: e_mu sits at partner[mu] of each s row
-    xr = right * sdc_r[:, partner] + left * scd_r[:, partner]
-    xi = right * sdc_i[:, partner] + left * scd_i[:, partner]
-    top = np.maximum(top_dc, top_cd)[:, None]
-    top = _prune_dense(xr, xi, PRUNE_EPS * top)
-    dxr, dxi, top_dx = _dense_gp(d, xr, xi, w, flip, top)
-    rev = _reversal_signs(n)
-    xdr, xdi, top_xd = _dense_gp(reversal(d), rev * xr, rev * xi, w, flip,
-                                 top)
-    top = np.maximum(top_dx, top_xd)
-    fr = dxr - rev * xdr
-    fi = dxi - rev * xdi
-    _prune_dense(fr, fi, PRUNE_EPS * top)
-    return _row_norms(ar, ai), _row_norms(fr, fi)
-
-
-def _from_row(n: int, re: np.ndarray, im: np.ndarray) -> Multivector:
-    """The Multivector of one dense coefficient row."""
-    return Multivector(n, {int(k): complex(re[k], im[k])
-                           for k in np.flatnonzero((re != 0) | (im != 0))})
-
-
-@lru_cache(maxsize=None)
-def _reversal_signs(n: int) -> np.ndarray:
-    """(-1)^(k(k-1)/2) for the grade k of every blade, read-only."""
-    k = np.array([grade(m) for m in range(1 << n)])
-    signs = 1.0 - 2.0 * ((k * (k - 1) // 2) & 1)
-    signs.setflags(write=False)
-    return signs
-
-
-def _row_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return np.sqrt((re * re + im * im).sum(axis=-1))
-
-
 # -- sparse row tables: many elements at once, bit for bit ------------------
 #
 # A row table holds Multivectors as rows of terms in their dict order: row k
 # is entries ptr[k]:ptr[k + 1] of blade, re and im, and top[k] is its _top.
 # The kernels below build what gp, a sum, the raw-terms constructor and
-# norm build, row by row, with the same values, dict order and cuts, and
-# raise OverflowError where those do.  Row -1 of every table is an empty
-# row.
+# norm build, row by row, with the same values (a zero's sign aside), dict
+# order and cuts, and raise OverflowError where those do.  Row -1 of every
+# table is an empty row.
+
+# term products formed at once by _rows_gp, a bound on its memory
+_GP_BLOCK = 1 << 14
 
 class _Rows(NamedTuple):
     ptr: np.ndarray
@@ -615,37 +409,64 @@ def _collect(count, row, blade, re, im, cut, dim: int,
     """The row table of the sums of the entries (count per row, in row
     order) that share a row and a blade, as a dict built entry by entry
     sums them: from 0.0 in entry order, each blade where it first appears;
-    then cut as _cut_rows.  unique says that no two entries share both."""
+    then cut as _cut_rows.  unique says that no two entries share both.
+
+    The groups are the keys row 2^dim + blade.  Where the table of all
+    keys has at most 4 slots per entry, a scatter into it finds the first
+    entry of each key; elsewhere a stable sort of the keys does.  np.bincount
+    then sums each group in entry order."""
     ptr = np.zeros(len(count) + 1, np.intp)
     if not unique:
         key = row * (1 << dim) + blade
-        order = key.argsort(kind="stable")
-        ordered = key[order]
-        new = np.empty(len(key), bool)
-        new[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        group = np.empty(len(key), np.intp)
-        group[order] = new.cumsum() - 1
-        first = np.zeros(len(key), bool)
-        first[order[new]] = True
-        del key, order, ordered, new
-        first = first.nonzero()[0]
-        g = group[first]
+        slots = len(count) << dim
+        if slots <= 4 * len(key):
+            first = np.full(slots, len(key))
+            np.minimum.at(first, key, np.arange(len(key)))
+            first = np.sort(first[first < len(key)])
+        else:
+            order = key.argsort(kind="stable")
+            ordered = key[order]
+            new = np.empty(len(key), bool)
+            new[:1] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+            key[order] = new.cumsum() - 1     # the key of a group is its rank
+            first = np.zeros(len(key), bool)
+            first[order[new]] = True
+            del order, ordered, new
+            first = first.nonzero()[0]
+        g = key[first]
         row, blade = row[first], blade[first]
-        re, im = np.bincount(group, re)[g], np.bincount(group, im)[g]
+        re, im = np.bincount(key, re)[g], np.bincount(key, im)[g]
         count = np.bincount(row, minlength=len(count))
     count.cumsum(out=ptr[1:])
     return _cut_rows(ptr, row, blade, re, im, cut)
+
+
+@lru_cache(maxsize=None)
+def _sign_tables(n: int):
+    """Read-only sign tables of dimension n: w[x] = w(x) over all 2^n blades
+    and flip[x] = (-1)^popcount(x)."""
+    w = _sign_mask(np.arange(1 << n))
+    flip = 1.0 - 2.0 * (w & 1)        # bit 0 of w(x) is the parity of x
+    w.setflags(write=False)
+    flip.setflags(write=False)
+    return w, flip
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
 def _rows_gp(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
              dim: int) -> _Rows:
     """Row k is gp(a[ia[k]], b[ib[k]]), bit for bit: the term pairs in gp's
-    loop order, each product as real arithmetic, sign times x times y."""
-    w, flip = _sign_tables(dim)[:2]
+    loop order, each product as real arithmetic, sign times x times y.  Rows
+    of more than _GP_BLOCK term products go in blocks of rows."""
     na, nb = _counts(a, ia), _counts(b, ib)
     count = na * nb
+    if len(ia) > 1 and count.sum() > _GP_BLOCK:
+        at = np.flatnonzero(np.diff(count.cumsum() // _GP_BLOCK)) + 1
+        if len(at):
+            return _rows_cat(*(_rows_gp(a, x, b, y, dim) for x, y in
+                               zip(np.split(ia, at), np.split(ib, at))))
+    w, flip = _sign_tables(dim)
     row = np.arange(len(ia)).repeat(count)
     i, j = np.divmod(_spread(np.zeros_like(count), count), nb[row])
     i += a.ptr[ia][row]
@@ -701,8 +522,8 @@ def _rows_scaled(a: _Rows, ia: np.ndarray, factor: np.ndarray) -> _Rows:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _rows_norm_squared(a: _Rows) -> np.ndarray:
-    """x.norm() ** 2 for every row x, bit for bit: Python sums floats in
-    order (before 3.12), and its ** calls libm pow, as np.float_power does;
+    """x.norm() ** 2 for every row x, bit for bit: norm sums in order, as
+    np.bincount does, and ** calls libm pow, as np.float_power does;
     np.power and x * x may round differently.  Raises OverflowError where
     ** does, on the square of a finite number."""
     sq = np.float_power(np.hypot(a.re, a.im), 2)
@@ -716,6 +537,93 @@ def _rows_norm_squared(a: _Rows) -> np.ndarray:
     if ((out == inf) & (norm < inf)).any():
         raise OverflowError("a squared norm is not finite")
     return out
+
+
+def q_basis_images(a: Multivector, b: Multivector):
+    """q(e_mu) = a^2 e_mu + e_mu b^2 - 2 a e_mu b for every mu at once.
+
+    Returns float64 arrays (re, im) of shape (n, 2^n); row mu - 1 holds the
+    blade coefficients of q(e_mu), bit for bit those of the gp loop
+    gp(gp(a, a), e_mu) + gp(e_mu, gp(b, b)) - 2 gp(a, gp(e_mu, b)): its
+    products in two row-kernel calls, then its scaling and sums.
+    """
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    n = a.dim
+    mu = np.arange(n)
+    at_a, at_b, at_e = 0 * mu, 0 * mu + 1, mu + 2
+    # rows a, b, e_1 .. e_n
+    pool = _rows_of([a, b] + [Multivector.basis_vector(n, k)
+                              for k in range(1, n + 1)])
+    # rows a^2, b^2, e_mu b, then the pool
+    first = _rows_cat(_rows_gp(pool, np.r_[0, 1, at_e], pool,
+                               np.r_[0, 1, at_b], n), pool)
+    # rows a^2 e_mu, e_mu b^2, a (e_mu b); a^2, b^2 and e_mu b are rows 0,
+    # 1 and mu + 2 of first
+    at_a, at_e = at_a + n + 2, at_e + n + 2
+    prods = _rows_gp(first, np.r_[0 * mu, at_e, at_a], first,
+                     np.r_[at_e, 0 * mu + 1, mu + 2], n)
+    twice = _rows_scaled(prods, 2 * n + mu, np.full(n, 2.0))
+    q = _rows_sum(_rows_sum(prods, mu, prods, n + mu, 1.0, True, n), mu,
+                  twice, mu, -1.0, True, n)
+    re, im = np.zeros((2, n, 1 << n))
+    row = mu.repeat(q.ptr[1:] - q.ptr[:-1])
+    # "0.0 +" turns a row kernel's negative zero into gp's positive one
+    re[row, q.blade] = 0.0 + q.re
+    im[row, q.blade] = 0.0 + q.im
+    return re, im
+
+
+def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
+    """Entry norms of the two closing identities of (c, d) for every (mu, nu).
+
+    Returns two (n, n) float64 arrays holding, at [nu - 1, mu - 1], the
+    norms of the anticommutator residual
+    (s_{d,c}(e_nu) s_{c,d}(e_mu) + s_{d,c}(e_mu) s_{c,d}(e_nu)) / 2
+    - b[mu - 1, nu - 1] and of the four-term residual [d, X] with
+    X = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu), where
+    s_{a,b}(x) = a x - x b.  Each step is one row-kernel call over all
+    (mu, nu); [d, X] takes the 2 n^2 products d X and X d where the gp loop
+    of `omega.closing_identities` takes 4 n^2, so values agree with it up
+    to rounding.
+    """
+    if c.dim != d.dim:
+        raise DimensionMismatch(f"dimensions differ: {c.dim} vs {d.dim}")
+    n, m = c.dim, c.dim ** 2
+    mu = np.arange(n)
+    at_c, at_d, at_e = 0 * mu, 0 * mu + 1, mu + 2
+    # rows c, d, e_1 .. e_n
+    pool = _rows_of([c, d] + [Multivector.basis_vector(n, k)
+                              for k in range(1, n + 1)])
+    # rows d e_nu, c e_nu, e_nu c, e_nu d
+    ends = _rows_gp(pool, np.r_[at_d, at_c, at_e, at_e], pool,
+                    np.r_[at_e, at_e, at_c, at_d], n)
+    # rows s_{d,c}(e_nu), s_{c,d}(e_nu), then the pool
+    both = np.arange(2 * n)
+    s = _rows_cat(_rows_sum(ends, both, ends, 2 * n + both, -1.0, True, n),
+                  pool)
+    # row nu n + mu of three blocks: s_{d,c}(e_nu) s_{c,d}(e_mu),
+    # s_{d,c}(e_nu) e_mu and e_mu s_{c,d}(e_nu)
+    k = np.arange(m)
+    nu, mu = np.divmod(k, n)
+    at_e = 2 * n + 2 + mu
+    prods = _rows_gp(s, np.r_[nu, nu, at_e], s, np.r_[n + mu, at_e, n + nu],
+                     n)
+    # rows X, twice the anticommutator, then the pool
+    sums = _rows_cat(_rows_sum(prods, np.r_[m + k, k], prods,
+                               np.r_[2 * m + k, mu * n + nu], 1.0, True, n),
+                     pool)
+    at_d = np.full(m, 2 * m + 1)
+    # rows d X, X d, the anticommutator, b[mu, nu]
+    table = _rows_cat(
+        _rows_gp(sums, np.r_[at_d, k], sums, np.r_[k, at_d], n),
+        _rows_scaled(sums, m + k, np.full(m, 0.5)),
+        _rows_of([Multivector.scalar(n, x) for x in b.T.ravel()]))
+    # rows [d, X], then the anticommutator residuals
+    res = _rows_sum(table, np.r_[k, 2 * m + k], table,
+                    np.r_[m + k, 3 * m + k], -1.0, True, n)
+    four, anti = np.sqrt(_rows_norm_squared(res)).reshape(2, n, n)
+    return anti, four
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:

@@ -176,7 +176,7 @@ def closing_identities(c: Multivector, d: Multivector,
 
     The anticommutator identity is normalized with the factor 1/2 fixed by
     direct evaluation on monomial pairs.  Dense pairs (`qpair._dense_pair`)
-    take the dense passes of `core.closing_residuals`; the others the gp
+    take the row kernels of `core.closing_residuals`; the others the gp
     loop below.
     """
     if not c.dim == d.dim == b.n:

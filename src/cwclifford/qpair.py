@@ -170,20 +170,21 @@ class QuadraticPair:
 
 
 def _dense_pair(c: Multivector, d: Multivector) -> bool:
-    """Whether per-pair work on (c, d) goes through the dense passes.
+    """Whether per-pair work on (c, d) goes through the row kernels of
+    `core` (`q_basis_images`, `closing_residuals`) or the gp loop.
 
-    The rule, |c| |d| > max(16, 2^n) in term counts, serves the q-restriction
+    The rule, |c| |d| > max(64, 2^n) in term counts, serves the q-restriction
     and the closing identities.  It sits at the q-restriction's measured
-    crossover; for the closing identities it keeps the few-term family pairs
-    on the gp loop, which beats the dense passes on them at n = 7-8.  The
-    crossover tables are in the CHANGES.md entries of the dense
-    q-restriction and of the dense closing identities.
+    crossover: the row kernels carry a fixed numpy cost per call, and the gp
+    loop beats them on pairs of at most 64 term products.  The closing
+    identities cross over lower, but are called less often.  The crossover
+    table is in the CHANGES.md entry of the batched product kernel.
     """
-    return len(c._terms) * len(d._terms) > max(16, 1 << c.dim)
+    return len(c._terms) * len(d._terms) > max(64, 1 << c.dim)
 
 
 def _dense_q_restriction(c: Multivector, d: Multivector):
-    """q_restriction_matrix from one dense pass (core.q_basis_images)."""
+    """q_restriction_matrix from core.q_basis_images, every mu at once."""
     re, im = q_basis_images(c, d)
     gens = 1 << np.arange(c.dim)
     m = np.zeros((c.dim, c.dim), dtype=complex)

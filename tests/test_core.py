@@ -1,4 +1,5 @@
 import ast
+import math
 import pickle
 import re
 from pathlib import Path
@@ -254,11 +255,15 @@ def dict_terms(a):
 
 def test_row_kernels_match_the_multivector_arithmetic():
     """gp, sums, scalar multiples and norms of many elements at once give
-    the values (a zero's sign aside), dict order and cuts of Multivector."""
+    the values (a zero's sign aside), dict order and cuts of Multivector.
+    The last two tables lie on either side of the fill rule of _collect: a
+    few full rows at n = 8 group by scatter, many one- and two-term rows by
+    sort."""
     rng = np.random.default_rng(11)
-    for n in (2, 4, 7):
-        xs = [random_multivector(rng, n, int(rng.integers(0, 16)))
-              * float(10.0 ** rng.integers(-6, 7)) for _ in range(24)]
+    for n, size, low, high in ((2, 24, 0, 16), (4, 24, 0, 16), (7, 24, 0, 16),
+                               (8, 3, 256, 257), (8, 48, 1, 3)):
+        xs = [random_multivector(rng, n, int(rng.integers(low, high)))
+              * float(10.0 ** rng.integers(-6, 7)) for _ in range(size)]
         table = _rows_of(xs)
         ia, ib = (x.ravel() for x in np.indices((len(xs), len(xs))))
         f = rng.standard_normal(len(ia))
@@ -275,6 +280,16 @@ def test_row_kernels_match_the_multivector_arithmetic():
         many = _rows_gp(table, ia, table, ib, n)
         assert _rows_norm_squared(many).tolist() == [
             gp(xs[i], xs[j]).norm() ** 2 for i, j in zip(ia, ib)]
+
+
+def test_norm_sums_the_squares_in_order():
+    """1e16 + 1 + 1 is 1e16 in order; a compensated sum (math.fsum, or sum
+    from Python 3.12 on) is 1e16 + 2.  The row kernels sum in order."""
+    a = Multivector(2, {0: 1e8, 1: 1.0, 2: 1.0})
+    squares = [abs(z) ** 2 for _, z in a.terms()]
+    assert math.fsum(squares) == 1e16 + 2
+    assert a.norm() == 1e8 != math.fsum(squares) ** 0.5
+    assert _rows_norm_squared(_rows_of([a])).tolist() == [a.norm() ** 2]
 
 
 def test_non_finite_coefficients_raise():

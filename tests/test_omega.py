@@ -250,7 +250,7 @@ def test_closing_identities():
 
 def reference_closing_identities(c, d, b):
     """The two closing residuals by the gp loop over (mu, nu), the loop the
-    dense passes replace, kept as the reference they must match."""
+    row kernels replace, kept as the reference they must match."""
     n = c.dim
     gens = [e(n, mu) for mu in range(1, n + 1)]
     sdc = [s_map(d, c, g) for g in gens]
@@ -298,8 +298,8 @@ def test_dense_closing_identities_match_reference_on_random_pairs(
     calls = _count_dense(monkeypatch)
     rng = np.random.default_rng(200 + n)
     b = SymmetricMap.from_matrix(np.diag(rng.uniform(-2.0, 2.0, n)))
-    # below and above the dispatch rule |c| |d| > max(16, 2^n)
-    above = min(1 << n, math.isqrt(max(16, 1 << n)) + 1)
+    # below and above the dispatch rule |c| |d| > max(64, 2^n)
+    above = min(1 << n, math.isqrt(max(64, 1 << n)) + 1)
     sizes = ((1, 1), (2, 3), (above - 1, above + 1))
     worst = 0.0
     for kc, kd in sizes:
@@ -308,8 +308,8 @@ def test_dense_closing_identities_match_reference_on_random_pairs(
         want = assert_closing_matches_reference(c, d, b)
         worst = max(worst, *want.values())
     # the public function went dense only for the last pair, which lies
-    # above the rule from n = 3 on (at n <= 2, |c| |d| <= 16)
-    assert len(calls) == (n > 2)
+    # above the rule from n = 4 on (at n <= 3, |c| |d| <= 64)
+    assert len(calls) == (n > 3)
     # random pairs are far from closing: the residuals are of order one
     assert worst > 0.1
 
@@ -330,12 +330,15 @@ def test_dense_closing_identities_match_reference_on_rotated_search_hits(
     for hit in chosen:
         want = assert_closing_matches_reference(hit.pair.c, hit.pair.d, b)
         assert want["four-term"] < 1e-9
-    assert len(calls) == len(chosen)
+    # the public function went dense for every hit from n = 5 on; at n = 4
+    # the hits carry 6 terms (7 perturbed), below the rule |c| |d| > 64
+    dense = n > 4
+    assert len(calls) == dense * len(chosen)
     # a perturbed hit is far from closing; the dense path still agrees
     c, d = chosen[0].pair.c, chosen[0].pair.d
     bad = d + Multivector.blade(n, 0b11, 0.5)
     assert max(assert_closing_matches_reference(c, bad, b).values()) > 0.1
-    assert len(calls) == len(chosen) + 1
+    assert len(calls) == dense * (len(chosen) + 1)
 
 
 def test_dense_closing_identities_raise_where_the_reference_overflows():

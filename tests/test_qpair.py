@@ -674,14 +674,14 @@ def test_dense_q_restriction_matches_reference_on_random_pairs(
                         lambda c, d, f=qpair._dense_q_restriction:
                         dense.append(n) or f(c, d))
     rng = np.random.default_rng(100 + n)
-    # below and above the dispatch rule |c| |d| > max(16, 2^n)
-    above = min(1 << n, math.isqrt(max(16, 1 << n)) + 1)
+    # below and above the dispatch rule |c| |d| > max(64, 2^n)
+    above = min(1 << n, math.isqrt(max(64, 1 << n)) + 1)
     for kc, kd in ((1, 1), (2, 3), (above - 1, above + 1)):
         assert_dense_matches_reference(random_multivector(rng, n, kc),
                                        random_multivector(rng, n, kd))
     # three direct calls, and the public function's for the last pair, which
-    # lies above the rule from n = 3 on (at n <= 2, |c| |d| <= 16)
-    assert len(dense) == 3 + (n > 2)
+    # lies above the rule from n = 4 on (at n <= 3, |c| |d| <= 64)
+    assert len(dense) == 3 + (n > 3)
     if n > 10:
         return          # the reference loop takes seconds at n = 11-12
     c = random_multivector(rng, n, above)
@@ -689,12 +689,13 @@ def test_dense_q_restriction_matches_reference_on_random_pairs(
     bivector = random_multivector(rng, n, above, grades=[2]) if n > 1 else c
     # cancelling pairs (c = d, c = -d, real and imaginary coefficients),
     # equal pairs that round apart, and a tiny factor: each prunes at a
-    # different step
+    # different step; one-term factors with a real and an imaginary
+    # coefficient leave products with a zero part unsummed
     for pair in ((c, d), (c, c), (c, -c), (_real(c), -_real(d)),
                  (_real(c), _real(c)), (1j * _real(c), -1j * _real(d)),
                  (c, _reordered(c)), (c, -_reordered(c)),
                  (bivector, _reordered(bivector)),
-                 (1e-8 * c, d), (c, 1e-8 * d)):
+                 (1e-8 * c, d), (c, 1e-8 * d), (1j * e(n, 1), e(n, 1))):
         assert_dense_matches_reference(*pair)
 
 
