@@ -334,8 +334,10 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
 # order and cuts, and raise OverflowError where those do.  Row -1 of every
 # table is an empty row.
 
-# term products formed at once by _rows_gp, a bound on its memory
+# term products formed at once by _rows_gp, a bound on its memory; a single
+# row of more products is formed whole
 _GP_BLOCK = 1 << 14
+
 
 class _Rows(NamedTuple):
     ptr: np.ndarray
