@@ -523,8 +523,8 @@ def _rows_scaled(a: _Rows, ia: np.ndarray, factor: np.ndarray) -> _Rows:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rows_norm_squared(a: _Rows) -> np.ndarray:
-    """x.norm() ** 2 for every row x, bit for bit: norm sums in order, as
+def _rows_norm(a: _Rows) -> np.ndarray:
+    """x.norm() for every row x, bit for bit: norm sums in order, as
     np.bincount does, and ** calls libm pow, as np.float_power does;
     np.power and x * x may round differently.  Raises OverflowError where
     ** does, on the square of a finite number."""
@@ -532,9 +532,15 @@ def _rows_norm_squared(a: _Rows) -> np.ndarray:
     if not (sq < inf).all():
         raise OverflowError("a squared coefficient size is not finite")
     n_rows = len(a.top)
-    norm = np.float_power(np.bincount(
+    return np.float_power(np.bincount(
         np.arange(n_rows).repeat(a.ptr[1:] - a.ptr[:-1]), sq,
         minlength=n_rows), 0.5)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rows_norm_squared(a: _Rows) -> np.ndarray:
+    """x.norm() ** 2 for every row x, bit for bit, as _rows_norm."""
+    norm = _rows_norm(a)
     out = np.float_power(norm, 2)
     if ((out == inf) & (norm < inf)).any():
         raise OverflowError("a squared norm is not finite")
@@ -577,17 +583,15 @@ def q_basis_images(a: Multivector, b: Multivector):
 
 
 def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
-    """Entry norms of the two closing identities of (c, d) for every (mu, nu).
+    """Entry norms of the two closing identities of (c, d) on the triangle.
 
-    Returns two (n, n) float64 arrays holding, at [nu - 1, mu - 1], the
-    norms of the anticommutator residual
-    (s_{d,c}(e_nu) s_{c,d}(e_mu) + s_{d,c}(e_mu) s_{c,d}(e_nu)) / 2
-    - b[mu - 1, nu - 1] and of the four-term residual [d, X] with
-    X = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu), where
-    s_{a,b}(x) = a x - x b.  Each step is one row-kernel call over all
-    (mu, nu); [d, X] takes the 2 n^2 products d X and X d where the gp loop
-    of `omega.closing_identities` takes 4 n^2, so values agree with it up
-    to rounding.
+    With s_{a,b}(x) = a x - x b and Omega_{mu nu} = s_{d,c}(e_nu) e_mu
+    + e_mu s_{c,d}(e_nu), returns two float64 arrays: the norms of the
+    anticommutator residual (s_{d,c}(e_nu) s_{c,d}(e_mu)
+    + s_{d,c}(e_mu) s_{c,d}(e_nu)) / 2 - b[mu - 1, nu - 1] over mu <= nu and
+    of the four-term residual d Omega_{mu nu} - Omega_{mu nu} d over mu < nu,
+    each in the order of np.triu_indices.  Each step is one row-kernel call
+    over all entries, bit for bit the gp loop of `omega.closing_identities`.
     """
     if c.dim != d.dim:
         raise DimensionMismatch(f"dimensions differ: {c.dim} vs {d.dim}")
@@ -604,28 +608,29 @@ def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
     both = np.arange(2 * n)
     s = _rows_cat(_rows_sum(ends, both, ends, 2 * n + both, -1.0, True, n),
                   pool)
-    # row nu n + mu of three blocks: s_{d,c}(e_nu) s_{c,d}(e_mu),
-    # s_{d,c}(e_nu) e_mu and e_mu s_{c,d}(e_nu)
-    k = np.arange(m)
-    nu, mu = np.divmod(k, n)
+    lo, hi = np.triu_indices(n)               # mu <= nu
+    mu, nu = lo[lo < hi], hi[lo < hi]         # mu < nu
+    t, a = len(mu), len(lo)
+    # row x n + y: s_{d,c}(e_x) s_{c,d}(e_y); then s_{d,c}(e_nu) e_mu and
+    # e_mu s_{c,d}(e_nu)
+    x, y = np.divmod(np.arange(m), n)
     at_e = 2 * n + 2 + mu
-    prods = _rows_gp(s, np.r_[nu, nu, at_e], s, np.r_[n + mu, at_e, n + nu],
-                     n)
-    # rows X, twice the anticommutator, then the pool
-    sums = _rows_cat(_rows_sum(prods, np.r_[m + k, k], prods,
-                               np.r_[2 * m + k, mu * n + nu], 1.0, True, n),
-                     pool)
-    at_d = np.full(m, 2 * m + 1)
-    # rows d X, X d, the anticommutator, b[mu, nu]
+    prods = _rows_gp(s, np.r_[x, nu, at_e], s, np.r_[n + y, at_e, n + nu], n)
+    # rows Omega_{mu nu}, twice the anticommutator, then the pool
+    sums = _rows_cat(_rows_sum(prods, np.r_[m:m + t, hi * n + lo], prods,
+                               np.r_[m + t:m + 2 * t, lo * n + hi], 1.0, True,
+                               n), pool)
+    at_d = np.full(t, t + a + 1)
+    # rows d Omega, Omega d, the anticommutator, b[mu, nu]
     table = _rows_cat(
-        _rows_gp(sums, np.r_[at_d, k], sums, np.r_[k, at_d], n),
-        _rows_scaled(sums, m + k, np.full(m, 0.5)),
-        _rows_of([Multivector.scalar(n, x) for x in b.T.ravel()]))
-    # rows [d, X], then the anticommutator residuals
-    res = _rows_sum(table, np.r_[k, 2 * m + k], table,
-                    np.r_[m + k, 3 * m + k], -1.0, True, n)
-    four, anti = np.sqrt(_rows_norm_squared(res)).reshape(2, n, n)
-    return anti, four
+        _rows_gp(sums, np.r_[at_d, :t], sums, np.r_[:t, at_d], n),
+        _rows_scaled(sums, np.r_[t:t + a], np.full(a, 0.5)),
+        _rows_of([Multivector.scalar(n, v) for v in b[lo, hi]]))
+    # rows [d, Omega], then the anticommutator residuals
+    res = _rows_sum(table, np.r_[:t, 2 * t:2 * t + a], table,
+                    np.r_[t:2 * t, 2 * t + a:2 * t + 2 * a], -1.0, True, n)
+    norms = _rows_norm(res)
+    return norms[t:], norms[:t]
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:

@@ -160,12 +160,6 @@ class CWElement:
         return CWElement(z, z, z, z)
 
     @staticmethod
-    def identity(n: int) -> "CWElement":
-        one = Multivector.unit(n)
-        z = Multivector.zero(n)
-        return CWElement(one, z, z, one)
-
-    @staticmethod
     def diagonal(x: Multivector) -> "CWElement":
         z = Multivector.zero(x.dim)
         return CWElement(x, z, z, x)
@@ -519,8 +513,11 @@ def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
     size = len(rho.images) + len(rotations) if extended else n + 2
     chains, commutators = _structure_constants(
         n, rho.params.b_map.entries, rotations, size)
+    # the sweep's own rotations span so_B(V) for eigenvalues clustered to
+    # CLUSTER_TOL, so they can miss h_image's check of a caller's rotation
     images = _element_rows(rho.images + [
-        rho.h_image(h) for h in (*rotations, *commutators)])
+        CWElement.diagonal(skew_to_bivector(h, n))
+        for h in (*rotations, *commutators)])
     rhs, pi, pj = _chain_sums(images, chains, n)
     return _bracket_defect(images, size, rhs, _pair_table(size, pi, pj, 0),
                            n)

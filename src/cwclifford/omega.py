@@ -5,10 +5,16 @@ On an orthonormal basis the tensor is
     Omega_{mu nu} = Gamma_mu c Gamma_nu - Gamma_nu c Gamma_mu
                     - (Gamma_{mu nu} d + d Gamma_{mu nu}),
 
-antisymmetric in (mu, nu).  It lies in so_B(V) tensor the algebra exactly
-when every entry crossing two different eigenspaces of B vanishes; for
-pairs invariant under so_B(V) this singles out three coefficient templates
-depending on how many distinct eigenvalues B has.
+antisymmetric in (mu, nu).  As Gamma_nu Gamma_mu = -Gamma_mu Gamma_nu for
+mu != nu, it equals, with s_{a,b}(x) = a x - x b,
+
+    Omega_{mu nu} = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu),
+
+the one form evaluated here, for the tensor and both closing identities.
+It lies in so_B(V) tensor the algebra exactly when every entry crossing two
+different eigenspaces of B vanishes; for pairs invariant under so_B(V) this
+singles out three coefficient templates depending on how many distinct
+eigenvalues B has.
 """
 
 from __future__ import annotations
@@ -40,25 +46,23 @@ class OmegaTensor:
         return max((e.norm() for e in self.entries.values()), default=0.0)
 
 
-def omega_bilinear(c: Multivector, d: Multivector, v: Multivector,
-                   w: Multivector) -> Multivector:
-    """Bilinear form of the tensor; sign fixed to match the basis formula."""
-    return -(gp(s_map(d, c, v), w) + gp(w, s_map(c, d, v)))
+def _omega_parts(c: Multivector, d: Multivector):
+    """The s-images s_{d,c}(e_nu) and s_{c,d}(e_nu), nu = 1..n, and the
+    entries Omega_{mu nu} = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu), mu < nu,
+    keyed by 1-based (mu, nu)."""
+    n = c.dim
+    gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
+    sdc = [s_map(d, c, g) for g in gens]
+    scd = [s_map(c, d, g) for g in gens]
+    entries = {(mu + 1, nu + 1): gp(sdc[nu], gens[mu]) + gp(gens[mu], scd[nu])
+               for mu in range(n) for nu in range(mu + 1, n)}
+    return sdc, scd, entries
 
 
 def omega_tensor(c: Multivector, d: Multivector) -> OmegaTensor:
     if c.dim != d.dim:
         raise DimensionMismatch("pair elements live in different dimensions")
-    n = c.dim
-    entries = {}
-    for mu in range(1, n + 1):
-        gm = Multivector.basis_vector(n, mu)
-        for nu in range(mu + 1, n + 1):
-            gn = Multivector.basis_vector(n, nu)
-            gmn = gp(gm, gn)
-            entries[(mu, nu)] = (gp(gm, gp(c, gn)) - gp(gn, gp(c, gm))
-                                 - gp(gmn, d) - gp(d, gmn))
-    return OmegaTensor(n, entries)
+    return OmegaTensor(c.dim, _omega_parts(c, d)[2])
 
 
 def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
@@ -172,33 +176,25 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
 
 def closing_identities(c: Multivector, d: Multivector,
                        b: SymmetricMap) -> Dict[str, float]:
-    """Max residuals of the two closing algebraic identities.
-
-    The anticommutator identity is normalized with the factor 1/2 fixed by
-    direct evaluation on monomial pairs.  Dense pairs (`qpair._dense_pair`)
-    take the row kernels of `core.closing_residuals`; the others the gp
-    loop below.
+    """Max residuals of the two closing identities: |d Omega_{mu nu}
+    - Omega_{mu nu} d| over mu < nu (Omega is antisymmetric, zero on the
+    diagonal) and the anticommutator residual, symmetric, over mu <= nu,
+    normalized with the factor 1/2 fixed by direct evaluation on monomial
+    pairs.  Dense pairs (`qpair._dense_pair`) take the row kernels of
+    `core.closing_residuals`, the others the gp loop below, bit for bit.
     """
     if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
     if _dense_pair(c, d):
         anti, four = closing_residuals(c, d, b.entries)
-        return {"four-term": float(four.max()),
+        return {"four-term": float(four.max(initial=0.0)),
                 "anticommutator": float(anti.max())}
     n = c.dim
-    gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
-    sdc = [s_map(d, c, g) for g in gens]
-    scd = [s_map(c, d, g) for g in gens]
+    sdc, scd, omega = _omega_parts(c, d)
     prods = [[gp(x, y) for y in scd] for x in sdc]
-    r_four = 0.0
-    r_anti = 0.0
-    for mu in range(n):
-        gm = gens[mu]
-        for nu in range(n):
-            left, right = gp(sdc[nu], gm), gp(gm, scd[nu])
-            four = gp(d, left) + gp(d, right) - gp(left, d) - gp(right, d)
-            r_four = max(r_four, four.norm())
-            anti = 0.5 * (prods[nu][mu] + prods[mu][nu])
-            target = Multivector.scalar(n, complex(b.entries[mu, nu]))
-            r_anti = max(r_anti, (anti - target).norm())
+    r_four = max(((gp(d, x) - gp(x, d)).norm() for x in omega.values()),
+                 default=0.0)
+    r_anti = max((0.5 * (prods[nu][mu] + prods[mu][nu])
+                  - Multivector.scalar(n, complex(b.entries[mu, nu]))).norm()
+                 for mu in range(n) for nu in range(mu, n))
     return {"four-term": r_four, "anticommutator": r_anti}

@@ -131,9 +131,6 @@ class SymmetricMap:
     def distinct_count(self) -> int:
         return len(self.eigenspaces)
 
-    def is_multiple_of_identity(self) -> bool:
-        return len(self.eigenspaces) == 1
-
     def sob_basis(self) -> List[np.ndarray]:
         """Elementary rotations of each eigenspace, spanning so_B(V)."""
         out = []

@@ -105,6 +105,20 @@ def test_cw_flat_cli(tmp_path, capsys):
     assert json.loads(out)["flat"] is True
 
 
+def test_cw_flat_extended_cli_on_a_near_degenerate_b(tmp_path, capsys):
+    """-1 and -1 - 5e-9 form one eigenspace; the extended sweep takes its
+    rotation as a symmetry instead of refusing it as a bad input."""
+    params = tmp_path / "params.json"
+    b = np.diag([-1.0, -1.0 - 5e-9, -4.0, -4.0])
+    params.write_text(json.dumps({**PARAMS_OK, "dim": 4,
+                                  "B": b.ravel().tolist()}))
+    for flags in ((), ("--extended",)):
+        code, out, err = run(capsys, "cw-flat", "--params", str(params),
+                             *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["flat"] is False
+
+
 def test_cw_restrict_cli(tmp_path, capsys):
     pair = make_monomial(3, 0b001, 2.0, 1.0)
     params = tmp_path / "params.json"

@@ -100,7 +100,8 @@ def test_clw_generators_satisfy_relations():
     for i, gi in enumerate(gens):
         for j, gj in enumerate(gens):
             anti = gi * gj + gj * gi
-            want = CWElement.identity(n) * complex(-2 * metric[i, j])
+            want = CWElement.diagonal(Multivector.unit(n)) * complex(
+                -2 * metric[i, j])
             assert (anti - want).norm() < 1e-12
 
 
@@ -359,7 +360,7 @@ def test_restriction_rejects_non_projector():
     n = 3
     rng = np.random.default_rng(11)
     rho = CliffordMap(rand_params(rng, n))
-    bad = CWElement.identity(n) * 0.5
+    bad = CWElement.diagonal(Multivector.unit(n)) * 0.5
     with pytest.raises(NotAProjector):
         check_restriction(rho, bad)
 
@@ -480,6 +481,21 @@ def test_bracket_defect_pass_is_blocked_without_changing_a_bit(block,
     for n in (3, 4):
         for rho in _maps(n, np.random.default_rng(30 + n)):
             _check_against_reference(rho)
+
+
+def test_extended_sweep_takes_a_near_degenerate_cluster():
+    """-1 and -1 - 5e-9 share an eigenspace to CLUSTER_TOL, so its rotation
+    enters so_B(V) although it commutes with B only to about 5e-9, beyond
+    h_image's check to CHECK_TOL; the sweep takes its own rotations without
+    that check, and a caller's rotation is still checked."""
+    b = SymmetricMap.from_diagonal([-1.0, -1.0 - 5e-9, -4.0, -4.0])
+    assert [s.multiplicity for s in b.eigenspaces] == [2, 2]
+    rho = CliffordMap(rand_params(np.random.default_rng(40), 4, b))
+    plain = curvature_sweep(rho)
+    extended = curvature_sweep(rho, extended=True)
+    assert np.isfinite(extended) and extended >= plain > 0.1
+    with pytest.raises(NotInSoB):
+        rho.h_image(b.sob_basis()[1])
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e160])

@@ -9,8 +9,8 @@ from cwclifford.core import (Multivector, closing_residuals, gp, grade,
 from cwclifford.errors import InputError, NotSoBInvariant
 from cwclifford.omega import (classify_distinguished, closing_identities,
                               is_sob_invariant_commutator,
-                              is_sob_invariant_structural, omega_bilinear,
-                              omega_in_soB, omega_tensor)
+                              is_sob_invariant_structural, omega_in_soB,
+                              omega_tensor)
 from cwclifford.qpair import (SymmetricMap, extract_B, make_generalized,
                               make_linear, make_monomial,
                               make_pseudo_monomial, rotate_multivector,
@@ -56,7 +56,18 @@ def test_homogeneous_entry_formula():
     assert (om2.entry(3, 4) - want2).is_zero(1e-12)
 
 
+def basis_formula(c, d, mu, nu):
+    """Omega_{mu nu} = e_mu c e_nu - e_nu c e_mu - (e_{mu nu} d + d e_{mu nu})."""
+    n = c.dim
+    gm, gn = e(n, mu), e(n, nu)
+    gmn = gp(gm, gn)
+    return (gp(gm, gp(c, gn)) - gp(gn, gp(c, gm)) - gp(gmn, d)
+            - gp(d, gmn))
+
+
 def test_basis_formula_matches_bilinear():
+    """omega_tensor's s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu) against the
+    basis formula."""
     rng = np.random.default_rng(1)
     for n in (3, 4, 5, 6):
         c = random_multivector(rng, n, 6)
@@ -64,8 +75,8 @@ def test_basis_formula_matches_bilinear():
         om = omega_tensor(c, d)
         for mu in range(1, n + 1):
             for nu in range(mu + 1, n + 1):
-                bil = omega_bilinear(c, d, e(n, mu), e(n, nu))
-                assert (om.entry(mu, nu) - bil).is_zero(1e-12)
+                want = basis_formula(c, d, mu, nu)
+                assert (om.entry(mu, nu) - want).is_zero(1e-12)
 
 
 def _vanishing_template(n, rng):
@@ -271,7 +282,8 @@ def reference_closing_identities(c, d, b):
 
 def dense_closing_identities(c, d, b):
     anti, four = closing_residuals(c, d, b.entries)
-    return {"four-term": float(four.max()), "anticommutator": float(anti.max())}
+    return {"four-term": float(four.max(initial=0.0)),
+            "anticommutator": float(anti.max())}
 
 
 def assert_closing_matches_reference(c, d, b):
@@ -282,6 +294,13 @@ def assert_closing_matches_reference(c, d, b):
         for key in want:
             assert abs(got[key] - want[key]) <= bound, (key, got, want)
     return want
+
+
+def assert_rows_are_the_gp_loop(c, d, b, monkeypatch):
+    """The row path and the gp loop of closing_identities give equal bits."""
+    with monkeypatch.context() as patch:
+        patch.setattr(omega, "_dense_pair", lambda c, d: False)
+        assert closing_identities(c, d, b) == dense_closing_identities(c, d, b)
 
 
 def _count_dense(monkeypatch):
@@ -307,6 +326,8 @@ def test_dense_closing_identities_match_reference_on_random_pairs(
         d = random_multivector(rng, n, kd)
         want = assert_closing_matches_reference(c, d, b)
         worst = max(worst, *want.values())
+        # on both sides of the rule
+        assert_rows_are_the_gp_loop(c, d, b, monkeypatch)
     # the public function went dense only for the last pair, which lies
     # above the rule from n = 4 on (at n <= 3, |c| |d| <= 64)
     assert len(calls) == (n > 3)
@@ -330,6 +351,7 @@ def test_dense_closing_identities_match_reference_on_rotated_search_hits(
     for hit in chosen:
         want = assert_closing_matches_reference(hit.pair.c, hit.pair.d, b)
         assert want["four-term"] < 1e-9
+        assert_rows_are_the_gp_loop(hit.pair.c, hit.pair.d, b, monkeypatch)
     # the public function went dense for every hit from n = 5 on; at n = 4
     # the hits carry 6 terms (7 perturbed), below the rule |c| |d| > 64
     dense = n > 4

@@ -551,7 +551,7 @@ def test_symmetric_map_clustering():
     assert [s.multiplicity for s in b.eigenspaces] == [1, 2]
     assert b.distinct_count() == 2
     lone = SymmetricMap.from_diagonal([3.0, 3.0, 3.0])
-    assert lone.is_multiple_of_identity()
+    assert len(lone.eigenspaces) == 1
 
 
 def test_symmetric_map_rejects_non_finite_entries():
