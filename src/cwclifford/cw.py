@@ -23,14 +23,15 @@ invariant connection on basis pairs is [rho(x), rho(y)] - rho([x, y]).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _Rows, _rows_cat,
-                   _rows_gp, _rows_norm_squared, _rows_of, _rows_scaled,
-                   _rows_sum, blade_from_indices, gp, grade_involution,
-                   threshold, volume_element)
+from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _cut_rows, _Rows,
+                   _rows_cat, _rows_gp, _rows_norm_squared, _rows_of,
+                   _rows_scaled, _rows_sum, blade_from_indices, gp,
+                   grade_involution, threshold, volume_element)
 from .errors import (ConstraintViolated, DimensionMismatch, InputError,
                      NotAProjector, NotInSoB, OddDimension,
                      PairNotAssociatedToMinusB)
@@ -164,14 +165,6 @@ class CWElement:
         z = Multivector.zero(x.dim)
         return CWElement(x, z, z, x)
 
-    @staticmethod
-    def from_graded(r2: np.ndarray, a: Multivector) -> "CWElement":
-        """Embedding of the graded tensor r (x) a; the parity twist puts
-        bar(a) in the first column."""
-        ab = grade_involution(a)
-        return CWElement(r2[0, 0] * ab, r2[0, 1] * a,
-                         r2[1, 0] * ab, r2[1, 1] * a)
-
     def __add__(self, other: "CWElement") -> "CWElement":
         return CWElement(self.p + other.p, self.q + other.q,
                          self.r + other.r, self.s + other.s)
@@ -230,23 +223,6 @@ def _combine(n: int, terms) -> CWElement:
     return out
 
 
-_GAMMA_PLUS = np.array([[0.0, SQRT2], [0.0, 0.0]])
-_GAMMA_MINUS = np.array([[0.0, 0.0], [-SQRT2, 0.0]])
-_ID2 = np.eye(2)
-
-
-def clw_generator_eplus(n: int) -> CWElement:
-    return CWElement.from_graded(_GAMMA_PLUS, Multivector.unit(n))
-
-
-def clw_generator_eminus(n: int) -> CWElement:
-    return CWElement.from_graded(_GAMMA_MINUS, Multivector.unit(n))
-
-
-def clw_generator_vector(n: int, mu: int) -> CWElement:
-    return CWElement.from_graded(_ID2, Multivector.basis_vector(n, mu))
-
-
 def cw_to_matrix(x: CWElement, rep) -> np.ndarray:
     """Bridge to the dense representation of the big Clifford algebra."""
     from .gammarep import represent
@@ -285,7 +261,8 @@ def generators(n: int) -> List[CWAlgebraElement]:
 class CliffordMap:
     """A Clifford map as a finite table of images of basis elements.
 
-    ``images[i]`` is the image of ``generators(n)[i]``.
+    ``images[i]`` is the image of ``generators(n)[i]``.  The map is a value:
+    the CW checks read ``cw_table``, built from it on first use.
     """
 
     def __init__(self, params: CliffordMapParams):
@@ -308,6 +285,17 @@ class CliffordMap:
                          z, -gp(bbar, gm)) for gm in basis]
             + [CWElement(z, (1.0 / SQRT2) * Multivector.from_vector(n, bm[:, k]),
                          z, z) for k in range(n)])
+
+    @cached_property
+    def cw_table(self) -> "_CWTable":
+        images = _element_rows(self.images)
+        chains, _ = _structure_constants(self.n, self.params.b_map.entries,
+                                         np.zeros((0, self.n, self.n)))
+        rhs, pi, pj = _chain_sums(images, chains, self.n)
+        at = _pair_table(len(self.images), pi, pj)
+        for x in (*images, *chains, *rhs, pi, pj, at):
+            x.setflags(write=False)
+        return _CWTable(images, chains, rhs, pi, pj, at)
 
     def h_image(self, h: np.ndarray) -> CWElement:
         _check_sob(h, self.params.b_map.entries)
@@ -377,6 +365,19 @@ def _element_rows(elements: Sequence[CWElement]) -> _Rows:
     return _rows_of([x for e in elements for x in (e.p, e.q, e.r, e.s)])
 
 
+def _rotation_rows(h: np.ndarray, n: int) -> _Rows:
+    """_element_rows of CWElement.diagonal(skew_to_bivector(h_t, n)) over
+    the stack h, (t, n, n), in one step: blocks p and s hold -h_t[mu, nu] / 2
+    on e_mu e_nu for mu < nu, cut as raw terms, and q and r are empty."""
+    mu, nu = np.triu_indices(n, 1)
+    count = np.tile([len(mu), 0, 0, len(mu)], len(h))
+    row = np.arange(len(count)).repeat(count)
+    re = (-0.5 * h[:, mu, nu]).repeat(2, axis=0).ravel()
+    return _cut_rows(np.append(0, count.cumsum()), row, np.tile(
+        (1 << mu) | (1 << nu), 2 * len(h)), re, np.zeros_like(re), 0.0,
+        own=True)
+
+
 def _blocks(k: np.ndarray) -> np.ndarray:
     """The rows of the elements k; element -1 gives the empty row -1."""
     return np.where(k[:, None] < 0, -1, 4 * k[:, None] + np.arange(4)).ravel()
@@ -402,10 +403,9 @@ def _element_norms(x: _Rows) -> np.ndarray:
     return np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
 
 
-def _structure_constants(n: int, bm: np.ndarray, rotations: np.ndarray,
-                         size: int):
-    """The nonzero brackets [x_i, x_j], i < j < size, over the generators x
-    of generators(n) + rotations, (r, n, n), and the nonzero [h, h'].
+def _structure_constants(n: int, bm: np.ndarray, rotations: np.ndarray):
+    """The nonzero brackets [x_i, x_j], i < j, over the generators x of
+    generators(n) + rotations, (r, n, n), and the nonzero [h, h'].
 
     The structure constants on these generators are [e-, e_mu] = e*_mu,
     [e-, e*_mu] = -B e_mu, [e_mu, e*_nu] = B_{mu nu} e+, [e_mu, h] = -h e_mu,
@@ -440,7 +440,7 @@ def _structure_constants(n: int, bm: np.ndarray, rotations: np.ndarray,
     i, j, k, f = (np.concatenate(x) for x in zip(*(
         [(np.zeros(f.shape, np.intp) + x).ravel() for x in p[:3]]
         + [f.ravel()] for *p, f in parts)))
-    keep = (f != 0) & (j < size)
+    keep = f != 0
     return tuple(x[keep] for x in (i, j, k, f)), comm
 
 
@@ -466,12 +466,22 @@ def _chain_sums(sources: _Rows, chains, n: int):
     return out, i[start], j[start]
 
 
-def _pair_table(size: int, pi: np.ndarray, pj: np.ndarray,
-                offset: int) -> np.ndarray:
-    """The element of pair (i, j), offset + t for the pair (pi[t], pj[t]),
-    as a (size, size) table, -1 elsewhere."""
+class _CWTable(NamedTuple):
+    """The image rows of generators(n), their bracket chains, the rho-sums
+    (element t for the pair (pi[t], pj[t])) and their pair table."""
+    images: _Rows
+    chains: tuple
+    rhs: _Rows
+    pi: np.ndarray
+    pj: np.ndarray
+    at: np.ndarray
+
+
+def _pair_table(size: int, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
+    """The element of pair (i, j), t for the pair (pi[t], pj[t]), as a
+    (size, size) table, -1 elsewhere."""
     at = np.full((size, size), -1)
-    at[pi, pj] = offset + np.arange(len(pi))
+    at[pi, pj] = np.arange(len(pi))
     return at
 
 
@@ -507,20 +517,23 @@ def _bracket_defect(gens: _Rows, size: int, rhs: _Rows, at: np.ndarray,
 
 def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
     """Max curvature norm over W x W basis pairs (optionally all generators)."""
-    n = rho.n
-    rotations = np.array(rho.params.b_map.sob_basis() if extended else [],
+    n, m, t = rho.n, len(rho.images), rho.cw_table
+    if not extended:
+        return _bracket_defect(t.images, n + 2, t.rhs, t.at, n)
+    rotations = np.array(rho.params.b_map.sob_basis(),
                          dtype=float).reshape(-1, n, n)
-    size = len(rho.images) + len(rotations) if extended else n + 2
     chains, commutators = _structure_constants(
-        n, rho.params.b_map.entries, rotations, size)
+        n, rho.params.b_map.entries, rotations)
     # the sweep's own rotations span so_B(V) for eigenvalues clustered to
     # CLUSTER_TOL, so they can miss h_image's check of a caller's rotation
-    images = _element_rows(rho.images + [
-        CWElement.diagonal(skew_to_bivector(h, n))
-        for h in (*rotations, *commutators)])
-    rhs, pi, pj = _chain_sums(images, chains, n)
-    return _bracket_defect(images, size, rhs, _pair_table(size, pi, pj, 0),
-                           n)
+    images = _rows_cat(t.images, _rotation_rows(
+        np.concatenate((rotations, commutators)), n))
+    # the pairs with a rotation; the table holds the others
+    rhs, pi, pj = _chain_sums(images, tuple(x[chains[1] >= m]
+                                            for x in chains), n)
+    size = m + len(rotations)
+    return _bracket_defect(images, size, _rows_cat(t.rhs, rhs), _pair_table(
+        size, np.concatenate((t.pi, pi)), np.concatenate((t.pj, pj))), n)
 
 
 def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
@@ -659,26 +672,26 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     [P rho(x) P, P rho(y) P] = P rho([x, y]) P for all generator pairs.
     Both residuals meet threshold(tol, the norm of the map's data).
     """
+    if proj.dim != rho.n:
+        raise DimensionMismatch("projector and map differ in dimension")
     cut = threshold(tol, rho.params.norm())
-    if (proj * proj - proj).norm() > threshold(tol, proj.norm() ** 2):
-        raise NotAProjector("the supplied block matrix is not idempotent")
-    n, m = rho.n, len(rho.images)
-    images = _element_rows(rho.images)
-    chains, _ = _structure_constants(n, rho.params.b_map.entries,
-                                     np.zeros((0, n, n)), m)
-    rhs, pi, pj = _chain_sums(images, chains, n)
-    table = _rows_cat(_element_rows([proj]), images, rhs)   # P, X_k, R_t
-    inner = np.arange(1, m + len(pi) + 1)
+    n, m, t = rho.n, len(rho.images), rho.cw_table
+    table = _rows_cat(_element_rows([proj]), t.images, t.rhs)  # P, X_k, R_t
+    inner = np.arange(1, m + len(t.pi) + 1)
     once = np.zeros(len(inner), np.intp)
-    # P X_k, P R_t and X_k P, then P X_k P and P R_t P
-    first = _block_mul(table, np.concatenate((once, inner[:m])), table,
-                       np.concatenate((inner, once[:m])), n)
-    second = _block_mul(first, inner - 1, table, once, n)
+    # P X_k, P R_t, X_k P and P P, then P X_k P and P R_t P
+    first = _block_mul(table, np.concatenate((once, inner[:m], [0])), table,
+                       np.concatenate((inner, once[:m], [0])), n)
     rows = np.arange(4 * m)
+    idem = _rows_sum(first, 4 * (len(inner) + m) + rows[:4], table, rows[:4],
+                     -1.0, True, n)                    # P P - P
+    if _element_norms(idem)[0] > threshold(tol, proj.norm() ** 2):
+        raise NotAProjector("the supplied block matrix is not idempotent")
+    second = _block_mul(first, inner - 1, table, once, n)
     inv_res = float(_element_norms(_rows_sum(
         first, rows + 4 * len(inner), second, rows, -1.0, True, n)).max())
     rep_res = _bracket_defect(second, m, second,
-                              _pair_table(m, pi, pj, m), n)
+                              np.where(t.at < 0, -1, t.at + m), n)
     return {"invariant": inv_res <= cut,
             "representation": rep_res <= cut,
             "invariance_residual": inv_res,

@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 from .core import (CHECK_TOL, Multivector, closing_residuals, gp, grade,
                    threshold, volume_element)
 from .errors import DimensionMismatch, NotSoBInvariant
-from .qpair import SymmetricMap, _dense_pair, s_map, skew_to_bivector
+from .qpair import SymmetricMap, _dense_pair, s_map
 
 
 @dataclass
@@ -95,16 +95,6 @@ def is_sob_invariant_structural(x: Multivector, b: SymmetricMap) -> bool:
     """Support test: only products of eigenspace volume blades allowed."""
     allowed = _allowed_masks(b)
     return all(mask in allowed for mask, _ in x.terms())
-
-
-def is_sob_invariant_commutator(x: Multivector, b: SymmetricMap) -> bool:
-    """Fallback for non-adapted bases: commute with every so_B generator."""
-    cut = threshold(CHECK_TOL, x.norm())
-    for h in b.sob_basis():
-        a = skew_to_bivector(h, b.n)
-        if (gp(a, x) - gp(x, a)).norm() > cut:
-            return False
-    return True
 
 
 def _allowed_masks(b: SymmetricMap) -> Dict[int, Tuple[int, ...]]:

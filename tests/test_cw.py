@@ -1,25 +1,23 @@
 import numpy as np
 import pytest
 
-from cwclifford.core import (Multivector, gp, grade_involution,
-                             random_multivector, volume_element)
+from cwclifford.core import (PRUNE_EPS, Multivector, gp, grade_involution,
+                             random_multivector, threshold, volume_element)
 from cwclifford import cw
-from cwclifford.cw import (_combine, _structure_constants, CliffordMap,
-                           CliffordMapParams, CWAlgebraElement, CWElement,
-                           build_flat_rep_alphanotzero,
+from cwclifford.cw import (SQRT2, _combine, _structure_constants,
+                           CliffordMap, CliffordMapParams, CWAlgebraElement,
+                           CWElement, build_flat_rep_alphanotzero,
                            build_flat_rep_alphazero, catalog_projector,
-                           check_restriction, clw_generator_eminus,
-                           clw_generator_eplus, clw_generator_vector,
-                           curvature, curvature_sweep, cw_bracket,
-                           cw_to_matrix, flatness_report, generators,
-                           half_spinor_projector, validate_simple_map, w_basis,
-                           x_projector_element)
+                           check_restriction, curvature, curvature_sweep,
+                           cw_bracket, cw_to_matrix, flatness_report,
+                           generators, half_spinor_projector,
+                           validate_simple_map, w_basis, x_projector_element)
 from cwclifford.errors import (ConstraintViolated, DimensionMismatch,
                                InputError, NotAProjector, NotInSoB,
                                OddDimension, PairNotAssociatedToMinusB)
 from cwclifford.gammarep import build_rep
 from cwclifford.qpair import (SymmetricMap, make_generalized,
-                              make_monomial)
+                              make_monomial, skew_to_bivector)
 
 
 def rand_params(rng, n, b=None):
@@ -89,6 +87,30 @@ def test_bracket_rejects_rotations_outside_sob():
 
 
 # -- block endomorphisms ------------------------------------------------------
+
+def from_graded(r2, a):
+    """Embedding of the graded tensor r (x) a; the parity twist puts bar(a)
+    in the first column."""
+    ab = grade_involution(a)
+    return CWElement(r2[0, 0] * ab, r2[0, 1] * a, r2[1, 0] * ab, r2[1, 1] * a)
+
+
+_GAMMA_PLUS = np.array([[0.0, SQRT2], [0.0, 0.0]])
+_GAMMA_MINUS = np.array([[0.0, 0.0], [-SQRT2, 0.0]])
+_ID2 = np.eye(2)
+
+
+def clw_generator_eplus(n):
+    return from_graded(_GAMMA_PLUS, Multivector.unit(n))
+
+
+def clw_generator_eminus(n):
+    return from_graded(_GAMMA_MINUS, Multivector.unit(n))
+
+
+def clw_generator_vector(n, mu):
+    return from_graded(_ID2, Multivector.basis_vector(n, mu))
+
 
 def test_clw_generators_satisfy_relations():
     n = 3
@@ -229,9 +251,9 @@ def test_curvature_center_pair_closed_form():
     rho = CliffordMap(params)
     r = curvature(rho, CWAlgebraElement.e_minus(n), CWAlgebraElement.e_plus(n))
     sigma = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    want = CWElement.from_graded(sigma, Multivector.scalar(n, -2 * alpha ** 2)) \
-        + CWElement.from_graded(np.array([[0.0, np.sqrt(2)], [0.0, 0.0]]),
-                                alpha * (grade_involution(c) - d))
+    want = from_graded(sigma, Multivector.scalar(n, -2 * alpha ** 2)) \
+        + from_graded(np.array([[0.0, np.sqrt(2)], [0.0, 0.0]]),
+                      alpha * (grade_involution(c) - d))
     assert (r - want).norm() < 1e-12
     assert r.norm() > 0.1
 
@@ -564,7 +586,7 @@ def test_bracket_images_match_rho_of_cw_bracket(n):
         gens = generators(n) + [CWAlgebraElement.rotation(n, h)
                                 for h in rotations]
         chains, commutators = _structure_constants(
-            n, b.entries, np.array(rotations).reshape(-1, n, n), len(gens))
+            n, b.entries, np.array(rotations).reshape(-1, n, n))
         images = rho.images + [rho.h_image(h)
                                for h in rotations + list(commutators)]
         table = {}
@@ -588,3 +610,120 @@ def test_restriction_refuses_a_bad_tolerance_factor(factor):
     assert not check_restriction(rho, proj)["invariant"]
     with pytest.raises(InputError, match="tolerance factor"):
         check_restriction(rho, proj, tol=factor)
+
+
+@pytest.mark.parametrize("name, dim", [("x+:1;2", 3), ("x+:5;6", 6),
+                                       ("s+w", 6)])
+def test_restriction_rejects_a_projector_of_another_dimension(name, dim):
+    rho = CliffordMap(rand_params(np.random.default_rng(13), 4))
+    with pytest.raises(DimensionMismatch):
+        check_restriction(rho, catalog_projector(name, dim))
+
+
+# -- the CW table of a map ----------------------------------------------------
+
+def _rotation_stacks(n, rng):
+    """sob_basis() stacks, their nonzero commutators and both together for
+    a rotated B with a 3-cluster, B = -1.4 I and, at n = 4, a cluster joined
+    to CLUSTER_TOL."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = rng.standard_normal(n)
+    vals[:3] = vals[0]
+    b_maps = [SymmetricMap.from_matrix(q @ np.diag(vals) @ q.T),
+              SymmetricMap.from_matrix(-1.4 * np.eye(n))]
+    if n == 4:
+        b_maps.append(SymmetricMap.from_diagonal([-1.0, -1.0 - 5e-9, -4.0,
+                                                  -4.0]))
+    for b in b_maps:
+        rotations = np.array(b.sob_basis(), dtype=float).reshape(-1, n, n)
+        _, commutators = _structure_constants(n, b.entries, rotations)
+        yield from (rotations, commutators,
+                    np.concatenate((rotations, commutators)))
+
+
+def assert_same_rows(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_rotation_rows_are_the_diagonal_bivector_images(n):
+    stacks = list(_rotation_stacks(n, np.random.default_rng(60 + n)))
+    # an entry at PRUNE_EPS times the largest one goes by the raw-terms cut
+    tiny = np.zeros((1, n, n))
+    tiny[0, 0, 1], tiny[0, 0, -1] = 1.0, PRUNE_EPS
+    stacks.append(tiny - tiny.transpose(0, 2, 1))
+    assert n < 3 or len(stacks[1])          # some [h, h'] is nonzero
+    for h in stacks:
+        assert_same_rows(cw._rotation_rows(h, n), cw._element_rows(
+            [CWElement.diagonal(skew_to_bivector(x, n)) for x in h]))
+    if n >= 3:
+        assert np.diff(cw._rotation_rows(stacks[-1], n).ptr).tolist() == \
+            [1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_table_serves_every_call_in_any_order(n, monkeypatch):
+    """Restriction, extended and plain sweep, restriction again: each as the
+    per-pair loop gives it, from one table, and no rotation image is built
+    as a Multivector."""
+    built = []
+    element_rows = cw._element_rows
+    monkeypatch.setattr(cw, "_element_rows",
+                        lambda xs: built.append(xs) or element_rows(xs))
+
+    def refuse(*args):
+        raise AssertionError("a rotation image built one by one")
+    name = "x+:1;2" if n > 2 else "sigma-"
+    for rho in _maps(n, np.random.default_rng(50 + n)):
+        proj = catalog_projector(name, n)
+        want = reference_restriction(rho, proj)
+        sweeps = reference_sweep(rho, extended=True), reference_sweep(rho)
+        with monkeypatch.context() as m:
+            m.setattr(cw, "skew_to_bivector", refuse)
+            m.setattr(CWElement, "diagonal", refuse)
+            out = check_restriction(rho, proj)
+            table = rho.cw_table
+            assert (curvature_sweep(rho, extended=True),
+                    curvature_sweep(rho)) == sweeps
+            again = check_restriction(rho, proj)
+        for x in (out, again):
+            assert (x["invariance_residual"],
+                    x["representation_residual"]) == want
+        assert rho.cw_table is table
+        assert sum(xs is rho.images for xs in built) == 1
+
+
+def test_the_table_is_read_only():
+    rho = CliffordMap(rand_params(np.random.default_rng(14), 3))
+    table = rho.cw_table
+    arrays = (*table.images, *table.chains, *table.rhs, table.pi, table.pj,
+              table.at)
+    assert len(arrays) == 17
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+
+
+def test_idempotence_test_is_the_cwelement_arithmetic():
+    """NotAProjector at exactly the tolerance factors where
+    |P P - P| > threshold(tol, |P|^2) in the CWElement arithmetic."""
+    rng = np.random.default_rng(15)
+    n = 4
+    rho = CliffordMap(rand_params(rng, n))
+    for name in ("sv+s-", "s+w", "x+:1;2,3", "x-:2;4"):
+        p = catalog_projector(name, n)
+        noise = CWElement(*(1e-6 * random_multivector(rng, n, 3)
+                            for _ in range(4)))
+        for proj in (p * (1 + 1e-9), p + noise):
+            res = (proj * proj - proj).norm()
+            norm2 = proj.norm() ** 2
+            factor = res / norm2
+            for tol in (factor, *(np.nextafter(factor, k * np.inf)
+                                  for k in (-1, 1)), 2 * factor):
+                if res > threshold(tol, norm2):
+                    with pytest.raises(NotAProjector):
+                        check_restriction(rho, proj, tol)
+                else:
+                    check_restriction(rho, proj, tol)
