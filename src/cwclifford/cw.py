@@ -288,6 +288,7 @@ class CliffordMap:
 
     @cached_property
     def cw_table(self) -> "_CWTable":
+        """The CW table of the map, read-only, built on first use."""
         images = _element_rows(self.images)
         chains, _ = _structure_constants(self.n, self.params.b_map.entries,
                                          np.zeros((0, self.n, self.n)))
