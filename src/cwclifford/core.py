@@ -537,16 +537,6 @@ def _rows_norm(a: _Rows) -> np.ndarray:
         minlength=n_rows), 0.5)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _rows_norm_squared(a: _Rows) -> np.ndarray:
-    """x.norm() ** 2 for every row x, bit for bit, as _rows_norm."""
-    norm = _rows_norm(a)
-    out = np.float_power(norm, 2)
-    if ((out == inf) & (norm < inf)).any():
-        raise OverflowError("a squared norm is not finite")
-    return out
-
-
 def q_basis_images(a: Multivector, b: Multivector):
     """q(e_mu) = a^2 e_mu + e_mu b^2 - 2 a e_mu b for every mu at once.
 

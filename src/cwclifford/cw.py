@@ -24,19 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import inf
 from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _cut_rows, _Rows,
-                   _rows_cat, _rows_gp, _rows_norm_squared, _rows_of,
-                   _rows_scaled, _rows_sum, blade_from_indices, gp,
-                   grade_involution, threshold, volume_element)
+                   _rows_cat, _rows_gp, _rows_norm, _rows_of, _rows_scaled,
+                   _rows_sum, blade_from_indices, gp, grade_involution,
+                   threshold, volume_element)
 from .errors import (ConstraintViolated, DimensionMismatch, InputError,
                      NotAProjector, NotInSoB, OddDimension,
                      PairNotAssociatedToMinusB)
-from .qpair import (SymmetricMap, extract_B, q_map, s_map,
-                    skew_to_bivector)
+from .qpair import SymmetricMap, extract_B, s_map, skew_to_bivector
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -232,7 +232,7 @@ def cw_to_matrix(x: CWElement, rep) -> np.ndarray:
 
 # -- Clifford maps -----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CliffordMapParams:
     b_map: SymmetricMap
     a: Multivector
@@ -261,8 +261,9 @@ def generators(n: int) -> List[CWAlgebraElement]:
 class CliffordMap:
     """A Clifford map as a finite table of images of basis elements.
 
-    ``images[i]`` is the image of ``generators(n)[i]``.  The map is a value:
-    the CW checks read ``cw_table``, built from it on first use.
+    ``images[i]`` is the image of ``generators(n)[i]``.  The map is a value,
+    its images a tuple and its params frozen: the CW checks read
+    ``cw_table``, built from it on first use.
     """
 
     def __init__(self, params: CliffordMapParams):
@@ -278,25 +279,24 @@ class CliffordMap:
         basis = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
         bm = params.b_map.entries
         self.images = (
-            [CWElement(cbar, SQRT2 * params.e, SQRT2 * bbar, params.d),
-             CWElement(z, SQRT2 * params.a, z, z)]
-            + [CWElement(gp(gm, bbar),
-                         (-1.0 / SQRT2) * s_map(cbar, params.d, gm),
-                         z, -gp(bbar, gm)) for gm in basis]
-            + [CWElement(z, (1.0 / SQRT2) * Multivector.from_vector(n, bm[:, k]),
-                         z, z) for k in range(n)])
+            CWElement(cbar, SQRT2 * params.e, SQRT2 * bbar, params.d),
+            CWElement(z, SQRT2 * params.a, z, z),
+            *(CWElement(gp(gm, bbar),
+                        (-1.0 / SQRT2) * s_map(cbar, params.d, gm),
+                        z, -gp(bbar, gm)) for gm in basis),
+            *(CWElement(z, (1.0 / SQRT2) * Multivector.from_vector(n, bm[:, k]),
+                        z, z) for k in range(n)))
 
     @cached_property
     def cw_table(self) -> "_CWTable":
         """The CW table of the map, read-only, built on first use."""
         images = _element_rows(self.images)
-        chains, _ = _structure_constants(self.n, self.params.b_map.entries,
-                                         np.zeros((0, self.n, self.n)))
-        rhs, pi, pj = _chain_sums(images, chains, self.n)
+        rhs, pi, pj = _chain_sums(images, _structure_constants(
+            self.n, self.params.b_map.entries), self.n)
         at = _pair_table(len(self.images), pi, pj)
-        for x in (*images, *chains, *rhs, pi, pj, at):
+        for x in (*images, *rhs, pi, pj, at):
             x.setflags(write=False)
-        return _CWTable(images, chains, rhs, pi, pj, at)
+        return _CWTable(images, rhs, pi, pj, at)
 
     def h_image(self, h: np.ndarray) -> CWElement:
         _check_sob(h, self.params.b_map.entries)
@@ -398,29 +398,53 @@ def _block_mul(x: _Rows, ix: np.ndarray, y: _Rows, iy: np.ndarray,
 
 
 @np.errstate(over="ignore")     # an infinite norm is a result, as in norm()
-def _element_norms(x: _Rows) -> np.ndarray:
-    """CWElement.norm of every element, bit for bit."""
-    sq = _rows_norm_squared(x).reshape(-1, 4)
+def _element_norms(block_norms: np.ndarray) -> np.ndarray:
+    """CWElement.norm of every element from the norms of its blocks p, q,
+    r, s, four a row, bit for bit: the squares as ** forms them, summed in
+    order.  Raises OverflowError where ** does, on the square of a finite
+    norm."""
+    norms = block_norms.reshape(-1, 4)
+    sq = np.float_power(norms, 2)
+    if ((sq == inf) & (norms < inf)).any():
+        raise OverflowError("a squared norm is not finite")
     return np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
 
 
-def _structure_constants(n: int, bm: np.ndarray, rotations: np.ndarray):
-    """The nonzero brackets [x_i, x_j], i < j, over the generators x of
-    generators(n) + rotations, (r, n, n), and the nonzero [h, h'].
+def _chains(parts):
+    """The chains (i, j, k, f) of the parts (i, j, k, f): i, j and k
+    broadcast to the shape of f, all flattened, where f is nonzero."""
+    i, j, k, f = (np.concatenate(x) for x in zip(*(
+        [(np.zeros(f.shape, np.intp) + x).ravel() for x in p[:3]]
+        + [f.ravel()] for *p, f in parts)))
+    keep = f != 0
+    return tuple(x[keep] for x in (i, j, k, f))
 
-    The structure constants on these generators are [e-, e_mu] = e*_mu,
-    [e-, e*_mu] = -B e_mu, [e_mu, e*_nu] = B_{mu nu} e+, [e_mu, h] = -h e_mu,
-    [e*_mu, h] = -h e*_mu and [h, h'] = hh' - h'h; e+ is central and all
-    other pairs commute.  Returns the chains (i, j, k, f), each pair's a
-    run with k ascending, and the commutators, (c, n, n).  rho([x_i, x_j])
-    sums f images[k] over the chain of (i, j), in the order and with the
-    coefficients of rho(cw_bracket(x_i, x_j, B)), where images holds the
-    images of generators(n) + rotations + commutators.
+
+def _structure_constants(n: int, bm: np.ndarray):
+    """The nonzero brackets [x_i, x_j], i < j, over the generators x of
+    generators(n) as chains (i, j, k, f), each pair's a run with k
+    ascending: rho([x_i, x_j]) sums f images[k] over the chain of (i, j),
+    in the order and with the coefficients of rho(cw_bracket(x_i, x_j, B)).
+
+    The structure constants are [e-, e_mu] = e*_mu, [e-, e*_mu] = -B e_mu
+    and [e_mu, e*_nu] = B_{mu nu} e+; e+ is central and all other pairs
+    commute.
     """
-    vec, cov, rot = 2, n + 2, 2 * n + 2    # first index of each kind
+    vec, cov, mu = 2, n + 2, np.arange(n)   # first index of each kind
+    return _chains([(0, vec + mu, cov + mu, np.ones(n)),
+                    (0, cov + mu[:, None], vec + mu, -bm.T),
+                    (vec + mu[:, None], cov + mu, 1, bm)])
+
+
+def _rotation_constants(n: int, rotations: np.ndarray):
+    """The chains, as _structure_constants gives them, of the nonzero
+    brackets with a rotation over generators(n) + rotations, (r, n, n), and
+    the nonzero commutators [h, h'], (c, n, n), whose images follow those
+    of the rotations: [e_mu, h] = -h e_mu, [e*_mu, h] = -h e*_mu and
+    [h, h'] = hh' - h'h, cut as _commutator cuts it."""
+    vec, cov, rot = 2, n + 2, 2 * n + 2     # first index of each kind
     mu, r = np.arange(n), np.arange(len(rotations))
     hk = -rotations.transpose(2, 0, 1)     # [mu, r, k] = -h_r[k, mu]
-    # the nonzero [h_r, h_s], r < s, cut as _commutator cuts them
     top = np.abs(rotations).max(axis=(1, 2))
     pairs, comm = [np.zeros((2, 0), np.intp)], [np.zeros((0, n, n))]
     for t, h in enumerate(rotations):
@@ -430,19 +454,10 @@ def _structure_constants(n: int, bm: np.ndarray, rotations: np.ndarray):
         pairs.append(np.stack((np.full(len(s), t), t + 1 + s)))
         comm.append(c[s])
     (rr, ss), comm = np.concatenate(pairs, axis=1), np.concatenate(comm)
-    parts = [(0, vec + mu, cov + mu, np.ones(n)),
-             (0, cov + mu[:, None], vec + mu, -bm.T),
-             (vec + mu[:, None], cov + mu, 1, bm),
-             (vec + mu[:, None, None], rot + r[:, None], vec + mu, hk),
-             (cov + mu[:, None, None], rot + r[:, None], cov + mu, hk),
-             (rot + rr, rot + ss, rot + len(r) + np.arange(len(rr)),
-              np.ones(len(rr)))]
-    # (i, j, k) broadcast to the shape of f, all flattened
-    i, j, k, f = (np.concatenate(x) for x in zip(*(
-        [(np.zeros(f.shape, np.intp) + x).ravel() for x in p[:3]]
-        + [f.ravel()] for *p, f in parts)))
-    keep = f != 0
-    return tuple(x[keep] for x in (i, j, k, f)), comm
+    return _chains([(vec + mu[:, None, None], rot + r[:, None], vec + mu, hk),
+                    (cov + mu[:, None, None], rot + r[:, None], cov + mu, hk),
+                    (rot + rr, rot + ss, rot + len(r) + np.arange(len(rr)),
+                     np.ones(len(rr)))]), comm
 
 
 def _chain_sums(sources: _Rows, chains, n: int):
@@ -468,10 +483,9 @@ def _chain_sums(sources: _Rows, chains, n: int):
 
 
 class _CWTable(NamedTuple):
-    """The image rows of generators(n), their bracket chains, the rho-sums
-    (element t for the pair (pi[t], pj[t])) and their pair table."""
+    """The image rows of generators(n), the rho-sums of their nonzero
+    brackets (element t for the pair (pi[t], pj[t])) and their pair table."""
     images: _Rows
-    chains: tuple
     rhs: _Rows
     pi: np.ndarray
     pj: np.ndarray
@@ -486,21 +500,22 @@ def _pair_table(size: int, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
     return at
 
 
-def _bracket_defect(gens: _Rows, size: int, rhs: _Rows, at: np.ndarray,
-                    n: int) -> float:
-    """max |[X_i, X_j] - R_ij| over i < j < size, X_i element i of gens and
-    R_ij element at[i, j] of rhs, zero where at[i, j] < 0.
+def _defect_norms(gens: _Rows, size: int, rhs: _Rows, at: np.ndarray,
+                  n: int) -> np.ndarray:
+    """The norms of the blocks p, q, r, s of [X_i, X_j] - R_ij, one row
+    for each pair i < j < size in np.triu_indices order, X_i element i of
+    gens and R_ij element at[i, j] of rhs, zero where at[i, j] < 0.
 
     Every pair is one array pass, a block of pairs at a time: the products
-    X_i X_j and X_j X_i, their difference, then R_ij and the norm, each bit
-    for bit as the CWElement arithmetic forms it.
+    X_i X_j and X_j X_i, their difference, then R_ij and the block norms,
+    each bit for bit as the CWElement arithmetic forms it.
     """
     i, j = np.triu_indices(size, 1)
     count = (gens.ptr[1:] - gens.ptr[:-1]).reshape(-1, 4)
     # a pair's share: its term products and its 16 products' rows
     cost = count[:, _LEFT] @ count[:, _RIGHT].T + 8
     blocks = (cost[i, j] + cost[j, i]).cumsum() // _DEFECT_BLOCK
-    worst = 0.0
+    norms = []
     for part in np.split(np.arange(len(i)), np.diff(blocks).nonzero()[0] + 1):
         x, y = i[part], j[part]
         prods = _block_mul(gens, np.concatenate((x, y)), gens,
@@ -512,8 +527,15 @@ def _bracket_defect(gens: _Rows, size: int, rhs: _Rows, at: np.ndarray,
         if (image >= 0).any():
             defect = _rows_sum(defect, rows, rhs, _blocks(image), -1.0, True,
                                n)
-        worst = max(worst, float(_element_norms(defect).max()))
-    return worst
+        norms.append(_rows_norm(defect).reshape(-1, 4))
+    return np.concatenate(norms)
+
+
+def _bracket_defect(gens: _Rows, size: int, rhs: _Rows, at: np.ndarray,
+                    n: int) -> float:
+    """max |[X_i, X_j] - R_ij| over the pairs of _defect_norms."""
+    return float(_element_norms(_defect_norms(gens, size, rhs, at, n)).max(
+        initial=0.0))
 
 
 def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
@@ -523,15 +545,13 @@ def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
         return _bracket_defect(t.images, n + 2, t.rhs, t.at, n)
     rotations = np.array(rho.params.b_map.sob_basis(),
                          dtype=float).reshape(-1, n, n)
-    chains, commutators = _structure_constants(
-        n, rho.params.b_map.entries, rotations)
+    chains, commutators = _rotation_constants(n, rotations)
     # the sweep's own rotations span so_B(V) for eigenvalues clustered to
     # CLUSTER_TOL, so they can miss h_image's check of a caller's rotation
     images = _rows_cat(t.images, _rotation_rows(
         np.concatenate((rotations, commutators)), n))
     # the pairs with a rotation; the table holds the others
-    rhs, pi, pj = _chain_sums(images, tuple(x[chains[1] >= m]
-                                            for x in chains), n)
+    rhs, pi, pj = _chain_sums(images, chains, n)
     size = m + len(rotations)
     return _bracket_defect(images, size, _rows_cat(t.rhs, rhs), _pair_table(
         size, np.concatenate((t.pi, pi)), np.concatenate((t.pj, pj))), n)
@@ -540,55 +560,42 @@ def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
 def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
     """Per-equation max residuals of the flatness obstructions.
 
-    Rows 23-1/23-2 correspond to the (e-, e+) curvature blocks, 25-* to
-    (V, V), 26-* and 27 to (e-, V); rows 24/24a are the Clifford-map
-    compatibility conditions (the (V*, V) part of the sweep).
-    """
-    n = params.n
-    a = params.a
-    bbar = grade_involution(params.b)
-    cbar = grade_involution(params.c)
-    d, e = params.d, params.e
+    Rows 23, 25, 26 and 27 are read off the norms of the curvature blocks
+    [[p, q], [r, s]] on the W x W pairs, as curvature_sweep forms them:
 
-    gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
-    s = [s_map(cbar, d, g) for g in gens]
-    rows: Dict[str, float] = {}
-    rows["23-1"] = (gp(cbar, a) - gp(a, d)).norm()
-    rows["23-2"] = max(gp(a, bbar).norm(), gp(bbar, a).norm())
+        pair            blocks                         rows
+        (e-, e+)        p = -2 a bbar, s = 2 bbar a,    23-1 = |q|/sqrt2
+                        q = sqrt2 (bar c a - a d)       23-2 = max(|p|, |s|)/2
+        (e_mu, e_nu)    p = 2 A bbar, s = 2 bbar A,     25-1 = max(|p|, |s|)/2
+                        q = -sqrt2 M                    25-2 = |q|/sqrt2
+        (e-, e_mu)      p = 2 bar c e_mu bbar - e_mu m, 26-1 = max(|p|, |s|)
+                        s = 2 bbar e_mu d - m e_mu,     26-2 = |r|/(2 sqrt2)
+                        r = 2 sqrt2 bbar e_mu bbar,     27 = sqrt2 |q|
+                        |q| = |q_{bar c, d}(e_mu) + B e_mu
+                               + 2 (e bbar e_mu + e_mu bbar e)|/sqrt2
+
+    with mu < nu, m = bbar bar c + d bbar, s_mu = s_{bar c, d}(e_mu),
+    A = (e_mu bbar e_nu - e_nu bbar e_mu)/2 and M = (e_mu bbar s_nu
+    - e_nu bbar s_mu - s_mu bbar e_nu + s_nu bbar e_mu)/2; each row is the
+    max over its pairs, 0.0 over none (n = 1 has no (e_mu, e_nu)).  Rows
+    24/24a are the Clifford-map compatibility conditions of
+    validate_simple_map: the (V*, V) blocks are -sqrt2 sum_l B_lk times
+    the row-24 terms, which a singular B does not give back.
+    """
+    rho = CliffordMap(params)
+    n, t = rho.n, rho.cw_table
+    p, q, r, s = _defect_norms(t.images, n + 2, t.rhs, t.at, n).T
+    i, j = np.triu_indices(n + 2, 1)
+    ps = np.maximum(p, s)
+    vv, ev = i >= 2, (i == 0) & (j >= 2)     # (e_mu, e_nu), (e-, e_mu)
     val = validate_simple_map(params)
-    rows["24"] = float(val["24"])
-    rows["24a"] = float(val["24a"])
-    # bbar e_mu and bbar s(e_mu), formed once per index
-    bg = [gp(bbar, g) for g in gens]
-    bs = [gp(bbar, x) for x in s]
-    r251 = r252 = 0.0
-    for mu in range(n):
-        for nu in range(mu + 1, n):
-            gm, gn = gens[mu], gens[nu]
-            anti = 0.5 * (gp(gm, bg[nu]) - gp(gn, bg[mu]))
-            r251 = max(r251, gp(bbar, anti).norm(), gp(anti, bbar).norm())
-            mix = 0.5 * (gp(gm, bs[nu]) - gp(gn, bs[mu])
-                         - gp(s[mu], bg[nu]) + gp(s[nu], bg[mu]))
-            r252 = max(r252, mix.norm())
-    rows["25-1"] = r251
-    rows["25-2"] = r252
-    mixed = gp(bbar, cbar) + gp(d, bbar)
-    r261 = r262 = r27 = 0.0
-    ebbar = gp(e, bbar)
-    bbare = gp(bbar, e)
-    bm = params.b_map.entries
-    for mu in range(n):
-        gm = gens[mu]
-        r261 = max(r261, (gp(gm, mixed) - 2 * gp(cbar, gp(gm, bbar))).norm(),
-                   (gp(mixed, gm) - 2 * gp(bbar, gp(gm, d))).norm())
-        r262 = max(r262, gp(bbar, gp(gm, bbar)).norm())
-        bv = Multivector.from_vector(n, bm[:, mu])
-        r27 = max(r27, (q_map(cbar, d, gm)
-                        + 2 * (gp(ebbar, gm) + gp(gm, bbare)) + bv).norm())
-    rows["26-1"] = r261
-    rows["26-2"] = r262
-    rows["27"] = r27
-    return rows
+    return {"23-1": float(q[0] / SQRT2), "23-2": float(ps[0] / 2),
+            "24": float(val["24"]), "24a": float(val["24a"]),
+            "25-1": float(ps[vv].max(initial=0.0) / 2),
+            "25-2": float(q[vv].max(initial=0.0) / SQRT2),
+            "26-1": float(ps[ev].max()),
+            "26-2": float(r[ev].max() / (2 * SQRT2)),
+            "27": float(SQRT2 * q[ev].max())}
 
 
 # -- the two flat families ---------------------------------------------------
@@ -686,11 +693,11 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     rows = np.arange(4 * m)
     idem = _rows_sum(first, 4 * (len(inner) + m) + rows[:4], table, rows[:4],
                      -1.0, True, n)                    # P P - P
-    if _element_norms(idem)[0] > threshold(tol, proj.norm() ** 2):
+    if _element_norms(_rows_norm(idem))[0] > threshold(tol, proj.norm() ** 2):
         raise NotAProjector("the supplied block matrix is not idempotent")
     second = _block_mul(first, inner - 1, table, once, n)
-    inv_res = float(_element_norms(_rows_sum(
-        first, rows + 4 * len(inner), second, rows, -1.0, True, n)).max())
+    inv_res = float(_element_norms(_rows_norm(_rows_sum(
+        first, rows + 4 * len(inner), second, rows, -1.0, True, n))).max())
     rep_res = _bracket_defect(second, m, second,
                               np.where(t.at < 0, -1, t.at + m), n)
     return {"invariant": inv_res <= cut,

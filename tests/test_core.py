@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cwclifford.core import (DIM_LIMITS, Multivector, _rows_gp,
-                             _rows_norm_squared, _rows_of, _rows_scaled,
+                             _rows_norm, _rows_of, _rows_scaled,
                              _rows_sum, blade_from_indices, blade_indices, blade_mul,
                              blade_square_sign, gp, grade, grade_involution,
                              grade_project, involute, left_contract,
                              random_multivector, reversal, threshold,
                              trace_pairing, volume_element)
+from cwclifford.cw import CWElement, _element_norms
 from cwclifford.errors import (DimensionMismatch, DimensionTooLarge,
                                InputError, NotGradeOne)
 
@@ -278,8 +279,12 @@ def test_row_kernels_match_the_multivector_arithmetic():
                 assert row_terms(out, k) == dict_terms(
                     build(xs[ia[k]], xs[ib[k]], f[k])), (n, k)
         many = _rows_gp(table, ia, table, ib, n)
-        assert _rows_norm_squared(many).tolist() == [
-            gp(xs[i], xs[j]).norm() ** 2 for i, j in zip(ia, ib)]
+        prods = [gp(xs[i], xs[j]) for i, j in zip(ia, ib)]
+        assert _rows_norm(many).tolist() == [x.norm() for x in prods]
+        # four products a CWElement, as its norm sums their squares
+        whole = len(prods) // 4 * 4
+        assert _element_norms(_rows_norm(many)[:whole]).tolist() == [
+            CWElement(*prods[k:k + 4]).norm() for k in range(0, whole, 4)]
 
 
 def test_norm_sums_the_squares_in_order():
@@ -289,7 +294,23 @@ def test_norm_sums_the_squares_in_order():
     squares = [abs(z) ** 2 for _, z in a.terms()]
     assert math.fsum(squares) == 1e16 + 2
     assert a.norm() == 1e8 != math.fsum(squares) ** 0.5
-    assert _rows_norm_squared(_rows_of([a])).tolist() == [a.norm() ** 2]
+    z = Multivector.zero(2)
+    assert _rows_norm(_rows_of([a])).tolist() == [a.norm()]
+    assert _element_norms(_rows_norm(_rows_of([a, z, z, a]))).tolist() == [
+        CWElement(a, z, z, a).norm()]
+
+
+def test_element_norms_overflow_where_the_square_does():
+    """A finite block norm whose square overflows raises, as ** does; an
+    infinite block norm gives an infinite element norm, as norm() does."""
+    with pytest.raises(OverflowError):
+        _element_norms(np.array([1e160, 0.0, 0.0, 0.0]))
+    with pytest.raises(OverflowError):
+        (1e160) ** 2
+    assert _element_norms(np.array([[1.0, math.inf, 0.0, 2.0],
+                                    [1e150, 1e150, 0.0, 0.0]])).tolist() == [
+        math.inf, CWElement(*(Multivector.scalar(1, x) for x in (
+            1e150, 1e150, 0.0, 0.0))).norm()]
 
 
 def test_non_finite_coefficients_raise():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from cwclifford.errors import (ConstraintViolated, DimensionMismatch,
                                OddDimension, PairNotAssociatedToMinusB)
 from cwclifford.gammarep import build_rep
 from cwclifford.qpair import (SymmetricMap, make_generalized,
-                              make_monomial, skew_to_bivector)
+                              make_monomial, q_map, s_map, skew_to_bivector)
 
 
 def rand_params(rng, n, b=None):
@@ -258,6 +260,64 @@ def test_curvature_center_pair_closed_form():
     assert r.norm() > 0.1
 
 
+def reference_flatness_report(params):
+    """The flatness rows as gp loops over the obstruction terms."""
+    n = params.n
+    a = params.a
+    bbar = grade_involution(params.b)
+    cbar = grade_involution(params.c)
+    d, e = params.d, params.e
+
+    gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
+    s = [s_map(cbar, d, g) for g in gens]
+    rows = {}
+    rows["23-1"] = (gp(cbar, a) - gp(a, d)).norm()
+    rows["23-2"] = max(gp(a, bbar).norm(), gp(bbar, a).norm())
+    val = validate_simple_map(params)
+    rows["24"] = float(val["24"])
+    rows["24a"] = float(val["24a"])
+    bg = [gp(bbar, g) for g in gens]
+    bs = [gp(bbar, x) for x in s]
+    r251 = r252 = 0.0
+    for mu in range(n):
+        for nu in range(mu + 1, n):
+            gm, gn = gens[mu], gens[nu]
+            anti = 0.5 * (gp(gm, bg[nu]) - gp(gn, bg[mu]))
+            r251 = max(r251, gp(bbar, anti).norm(), gp(anti, bbar).norm())
+            mix = 0.5 * (gp(gm, bs[nu]) - gp(gn, bs[mu])
+                         - gp(s[mu], bg[nu]) + gp(s[nu], bg[mu]))
+            r252 = max(r252, mix.norm())
+    rows["25-1"] = r251
+    rows["25-2"] = r252
+    mixed = gp(bbar, cbar) + gp(d, bbar)
+    r261 = r262 = r27 = 0.0
+    ebbar = gp(e, bbar)
+    bbare = gp(bbar, e)
+    bm = params.b_map.entries
+    for mu in range(n):
+        gm = gens[mu]
+        r261 = max(r261, (gp(gm, mixed) - 2 * gp(cbar, gp(gm, bbar))).norm(),
+                   (gp(mixed, gm) - 2 * gp(bbar, gp(gm, d))).norm())
+        r262 = max(r262, gp(bbar, gp(gm, bbar)).norm())
+        bv = Multivector.from_vector(n, bm[:, mu])
+        r27 = max(r27, (q_map(cbar, d, gm)
+                        + 2 * (gp(ebbar, gm) + gp(gm, bbare)) + bv).norm())
+    rows["26-1"] = r261
+    rows["26-2"] = r262
+    rows["27"] = r27
+    return rows
+
+
+def assert_report_matches_reference(params):
+    report = flatness_report(params)
+    want = reference_flatness_report(params)
+    assert list(report) == list(want)
+    for key, value in want.items():
+        assert type(report[key]) is float
+        assert abs(report[key] - value) <= 1e-14 * max(1.0, abs(value)), key
+    return report
+
+
 def test_flatness_report_matches_curvature():
     # 200 random draws across n <= 5: the per-equation residual rows are
     # exactly the curvature obstruction on the matching basis pairs
@@ -274,7 +334,7 @@ def test_flatness_report_matches_curvature():
                                            random_multivector(rng, n, 4)))
         for params in draws:
             rho = CliffordMap(params)
-            report = flatness_report(params)
+            report = assert_report_matches_reference(params)
             w_rows = max(report[k] for k in
                          ("23-1", "23-2", "25-1", "25-2", "26-1", "26-2", "27"))
             w_curv = curvature_sweep(rho)
@@ -287,6 +347,9 @@ def test_flatness_report_matches_curvature():
                         rho, CWAlgebraElement.basis_covector(n, mu),
                         CWAlgebraElement.basis_vector(n, nu)).norm())
             assert (report["24"] < 1e-9) == (vs_curv < 1e-9)
+    # n = 1 has no (e_mu, e_nu) pair: its rows read 0.0
+    report = assert_report_matches_reference(rand_params(rng, 1))
+    assert report["25-1"] == report["25-2"] == 0.0 < report["27"]
 
 
 def test_flat_reports_are_zero_for_flat_family():
@@ -566,7 +629,7 @@ def test_block_products_and_norms_match_the_cwelement_arithmetic():
                 prods.blade[lo:hi], prods.re[lo:hi], prods.im[lo:hi])] \
                 == list(x.terms()), (i, j, block)
             assert prods.top[4 * k + block] == x._top
-    assert cw._element_norms(prods).tolist() == [
+    assert cw._element_norms(cw._rows_norm(prods)).tolist() == [
         (xs[i] * xs[j]).norm() for i, j in zip(ix, iy)]
 
 
@@ -585,10 +648,12 @@ def test_bracket_images_match_rho_of_cw_bracket(n):
         rotations = b.sob_basis()
         gens = generators(n) + [CWAlgebraElement.rotation(n, h)
                                 for h in rotations]
-        chains, commutators = _structure_constants(
-            n, b.entries, np.array(rotations).reshape(-1, n, n))
-        images = rho.images + [rho.h_image(h)
-                               for h in rotations + list(commutators)]
+        rotation_chains, commutators = cw._rotation_constants(
+            n, np.array(rotations).reshape(-1, n, n))
+        chains = (np.concatenate(x) for x in zip(
+            _structure_constants(n, b.entries), rotation_chains))
+        images = [*rho.images, *(rho.h_image(h)
+                                 for h in rotations + list(commutators))]
         table = {}
         for i, j, k, f in zip(*chains):
             table.setdefault((int(i), int(j)), []).append((f, images[k]))
@@ -636,7 +701,7 @@ def _rotation_stacks(n, rng):
                                                   -4.0]))
     for b in b_maps:
         rotations = np.array(b.sob_basis(), dtype=float).reshape(-1, n, n)
-        _, commutators = _structure_constants(n, b.entries, rotations)
+        _, commutators = cw._rotation_constants(n, rotations)
         yield from (rotations, commutators,
                     np.concatenate((rotations, commutators)))
 
@@ -698,12 +763,36 @@ def test_one_table_serves_every_call_in_any_order(n, monkeypatch):
 def test_the_table_is_read_only():
     rho = CliffordMap(rand_params(np.random.default_rng(14), 3))
     table = rho.cw_table
-    arrays = (*table.images, *table.chains, *table.rhs, table.pi, table.pj,
-              table.at)
-    assert len(arrays) == 17
+    arrays = (*table.images, *table.rhs, table.pi, table.pj, table.at)
+    assert len(arrays) == 13
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x[...] = 0
+
+
+def test_the_map_is_immutable():
+    """A map's table is built from it once, so neither its images nor its
+    parameters can change afterwards."""
+    rho = CliffordMap(rand_params(np.random.default_rng(16), 3))
+    curvature_sweep(rho)
+    with pytest.raises(TypeError):
+        rho.images[0] = rho.images[0] * 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.params.a = rho.params.b
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_extended_sweep_forms_only_rotation_chains(n, monkeypatch):
+    """Once the table is built, the extended sweep reads the brackets of
+    the W and V* generators from it and forms only those with a rotation."""
+    def refuse(*args):
+        raise AssertionError("the W and V* chains formed again")
+    for rho in _maps(n, np.random.default_rng(70 + n)):
+        want = reference_sweep(rho, extended=True)
+        rho.cw_table
+        with monkeypatch.context() as m:
+            m.setattr(cw, "_structure_constants", refuse)
+            assert curvature_sweep(rho, extended=True) == want
 
 
 def test_idempotence_test_is_the_cwelement_arithmetic():
