@@ -352,6 +352,19 @@ def test_flatness_report_matches_curvature():
     assert report["25-1"] == report["25-2"] == 0.0 < report["27"]
 
 
+def test_flatness_report_reads_the_sweep(monkeypatch):
+    """The report forms no product of its own: every gp call is one of its
+    map's images or of validate_simple_map."""
+    params = rand_params(np.random.default_rng(17), 4)
+    calls = []
+    monkeypatch.setattr(cw, "gp", lambda a, b: calls.append(1) or gp(a, b))
+    CliffordMap(params)
+    validate_simple_map(params)
+    own = len(calls)
+    flatness_report(params)
+    assert len(calls) == 2 * own
+
+
 def test_flat_reports_are_zero_for_flat_family():
     rng = np.random.default_rng(6)
     pair = make_generalized(5, [0b00011, 0b01100, 0b10000], [1.0, 2.0, 3.0])
