@@ -234,12 +234,20 @@ def cw_to_matrix(x: CWElement, rep) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CliffordMapParams:
+    """A Clifford map's data, and the owner of its images, CW table and
+    W x W curvature, built on first use; frozen, so none goes stale."""
+
     b_map: SymmetricMap
     a: Multivector
     b: Multivector
     c: Multivector
     d: Multivector
     e: Multivector
+
+    def __post_init__(self):
+        for name in ("a", "b", "c", "d", "e"):
+            if getattr(self, name).dim != self.n:
+                raise DimensionMismatch(f"parameter {name} has the wrong dimension")
 
     @property
     def n(self) -> int:
@@ -251,52 +259,59 @@ class CliffordMapParams:
         top = max(getattr(self, k).norm() for k in ("a", "b", "c", "d", "e"))
         return top ** 2 + float(np.max(np.abs(self.b_map.entries)))
 
+    @cached_property
+    def images(self) -> tuple:
+        """images[i] is the image of generators(n)[i]."""
+        n, z = self.n, Multivector.zero(self.n)
+        cbar, bbar = grade_involution(self.c), grade_involution(self.b)
+        basis = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
+        return (
+            CWElement(cbar, SQRT2 * self.e, SQRT2 * bbar, self.d),
+            CWElement(z, SQRT2 * self.a, z, z),
+            *(CWElement(gp(gm, bbar), (-1.0 / SQRT2) * s_map(cbar, self.d, gm),
+                        z, -gp(bbar, gm)) for gm in basis),
+            *(CWElement(z, (1.0 / SQRT2) * Multivector.from_vector(n, col),
+                        z, z) for col in self.b_map.entries.T))
+
+    @cached_property
+    def cw_table(self) -> "_CWTable":
+        """The CW table of the map, read-only."""
+        images = _element_rows(self.images)
+        rhs, pi, pj = _chain_sums(images, _structure_constants(
+            self.n, self.b_map.entries), self.n)
+        at = np.full((len(self.images),) * 2, -1)
+        at[pi, pj] = np.arange(len(pi))
+        for x in (*images, *rhs, at):
+            x.setflags(write=False)
+        return _CWTable(images, rhs, at)
+
+    @cached_property
+    def ww_norms(self) -> np.ndarray:
+        """The _defect_norms of the W x W pairs, read-only."""
+        t = self.cw_table
+        norms = _defect_norms(t.images, self.n + 2, t.rhs, t.at, self.n)
+        norms.setflags(write=False)
+        return norms
+
 
 def generators(n: int) -> List[CWAlgebraElement]:
-    """e-, e+, e_1..e_n, e*_1..e*_n: the order of CliffordMap.images."""
+    """e-, e+, e_1..e_n, e*_1..e*_n: the order of CliffordMapParams.images."""
     return w_basis(n) + [CWAlgebraElement.basis_covector(n, mu)
                          for mu in range(1, n + 1)]
 
 
 class CliffordMap:
-    """A Clifford map as a finite table of images of basis elements.
+    """A Clifford map x -> rho(x), read off its params, which own its
+    images and CW table; rebinding params rebinds both."""
 
-    ``images[i]`` is the image of ``generators(n)[i]``.  The map is a value,
-    its images a tuple and its params frozen: the CW checks read
-    ``cw_table``, built from it on first use.
-    """
+    __slots__ = ("params",)
 
     def __init__(self, params: CliffordMapParams):
-        n = params.n
-        for name in ("a", "b", "c", "d", "e"):
-            if getattr(params, name).dim != n:
-                raise DimensionMismatch(f"parameter {name} has the wrong dimension")
         self.params = params
-        self.n = n
-        z = Multivector.zero(n)
-        cbar = grade_involution(params.c)
-        bbar = grade_involution(params.b)
-        basis = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
-        bm = params.b_map.entries
-        self.images = (
-            CWElement(cbar, SQRT2 * params.e, SQRT2 * bbar, params.d),
-            CWElement(z, SQRT2 * params.a, z, z),
-            *(CWElement(gp(gm, bbar),
-                        (-1.0 / SQRT2) * s_map(cbar, params.d, gm),
-                        z, -gp(bbar, gm)) for gm in basis),
-            *(CWElement(z, (1.0 / SQRT2) * Multivector.from_vector(n, bm[:, k]),
-                        z, z) for k in range(n)))
 
-    @cached_property
-    def cw_table(self) -> "_CWTable":
-        """The CW table of the map, read-only, built on first use."""
-        images = _element_rows(self.images)
-        rhs, pi, pj = _chain_sums(images, _structure_constants(
-            self.n, self.params.b_map.entries), self.n)
-        at = _pair_table(len(self.images), pi, pj)
-        for x in (*images, *rhs, pi, pj, at):
-            x.setflags(write=False)
-        return _CWTable(images, rhs, pi, pj, at)
+    @property
+    def n(self) -> int:
+        return self.params.n
 
     def h_image(self, h: np.ndarray) -> CWElement:
         _check_sob(h, self.params.b_map.entries)
@@ -306,7 +321,7 @@ class CliffordMap:
         if x.n != self.n:
             raise DimensionMismatch("element dimension does not match the map")
         out = _combine(self.n, zip((x.xminus, x.xplus, *x.v, *x.vstar),
-                                   self.images))
+                                   self.params.images))
         if np.any(x.h):
             out = out + self.h_image(x.h)
         return out
@@ -484,20 +499,11 @@ def _chain_sums(sources: _Rows, chains, n: int):
 
 class _CWTable(NamedTuple):
     """The image rows of generators(n), the rho-sums of their nonzero
-    brackets (element t for the pair (pi[t], pj[t])) and their pair table."""
+    brackets and the pair table: the sum of [x_i, x_j] is element at[i, j]
+    of rhs, -1 where the bracket is zero."""
     images: _Rows
     rhs: _Rows
-    pi: np.ndarray
-    pj: np.ndarray
     at: np.ndarray
-
-
-def _pair_table(size: int, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
-    """The element of pair (i, j), t for the pair (pi[t], pj[t]), as a
-    (size, size) table, -1 elsewhere."""
-    at = np.full((size, size), -1)
-    at[pi, pj] = np.arange(len(pi))
-    return at
 
 
 def _defect_norms(gens: _Rows, size: int, rhs: _Rows, at: np.ndarray,
@@ -531,30 +537,25 @@ def _defect_norms(gens: _Rows, size: int, rhs: _Rows, at: np.ndarray,
     return np.concatenate(norms)
 
 
-def _bracket_defect(gens: _Rows, size: int, rhs: _Rows, at: np.ndarray,
-                    n: int) -> float:
-    """max |[X_i, X_j] - R_ij| over the pairs of _defect_norms."""
-    return float(_element_norms(_defect_norms(gens, size, rhs, at, n)).max(
-        initial=0.0))
-
-
 def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
     """Max curvature norm over W x W basis pairs (optionally all generators)."""
-    n, m, t = rho.n, len(rho.images), rho.cw_table
+    n, params = rho.n, rho.params
     if not extended:
-        return _bracket_defect(t.images, n + 2, t.rhs, t.at, n)
-    rotations = np.array(rho.params.b_map.sob_basis(),
+        return float(_element_norms(params.ww_norms).max(initial=0.0))
+    t = params.cw_table
+    rotations = np.array(params.b_map.sob_basis(),
                          dtype=float).reshape(-1, n, n)
     chains, commutators = _rotation_constants(n, rotations)
     # the sweep's own rotations span so_B(V) for eigenvalues clustered to
     # CLUSTER_TOL, so they can miss h_image's check of a caller's rotation
     images = _rows_cat(t.images, _rotation_rows(
         np.concatenate((rotations, commutators)), n))
-    # the pairs with a rotation; the table holds the others
+    # the pairs with a rotation, written into a copy of the table's pairs
     rhs, pi, pj = _chain_sums(images, chains, n)
-    size = m + len(rotations)
-    return _bracket_defect(images, size, _rows_cat(t.rhs, rhs), _pair_table(
-        size, np.concatenate((t.pi, pi)), np.concatenate((t.pj, pj))), n)
+    at = np.pad(t.at, (0, len(rotations)), constant_values=-1)
+    at[pi, pj] = len(t.rhs.top) // 4 + np.arange(len(pi))
+    return float(_element_norms(_defect_norms(
+        images, len(at), _rows_cat(t.rhs, rhs), at, n)).max(initial=0.0))
 
 
 def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
@@ -582,10 +583,8 @@ def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
     validate_simple_map: the (V*, V) blocks are -sqrt2 sum_l B_lk times
     the row-24 terms, which a singular B does not give back.
     """
-    rho = CliffordMap(params)
-    n, t = rho.n, rho.cw_table
-    p, q, r, s = _defect_norms(t.images, n + 2, t.rhs, t.at, n).T
-    i, j = np.triu_indices(n + 2, 1)
+    p, q, r, s = params.ww_norms.T
+    i, j = np.triu_indices(params.n + 2, 1)
     ps = np.maximum(p, s)
     vv, ev = i >= 2, (i == 0) & (j >= 2)     # (e_mu, e_nu), (e-, e_mu)
     val = validate_simple_map(params)
@@ -683,9 +682,9 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     if proj.dim != rho.n:
         raise DimensionMismatch("projector and map differ in dimension")
     cut = threshold(tol, rho.params.norm())
-    n, m, t = rho.n, len(rho.images), rho.cw_table
+    n, m, t = rho.n, 2 * rho.n + 2, rho.params.cw_table
     table = _rows_cat(_element_rows([proj]), t.images, t.rhs)  # P, X_k, R_t
-    inner = np.arange(1, m + len(t.pi) + 1)
+    inner = np.arange(1, m + len(t.rhs.top) // 4 + 1)
     once = np.zeros(len(inner), np.intp)
     # P X_k, P R_t, X_k P and P P, then P X_k P and P R_t P
     first = _block_mul(table, np.concatenate((once, inner[:m], [0])), table,
@@ -698,8 +697,8 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     second = _block_mul(first, inner - 1, table, once, n)
     inv_res = float(_element_norms(_rows_norm(_rows_sum(
         first, rows + 4 * len(inner), second, rows, -1.0, True, n))).max())
-    rep_res = _bracket_defect(second, m, second,
-                              np.where(t.at < 0, -1, t.at + m), n)
+    rep_res = float(_element_norms(_defect_norms(second, m, second, np.where(
+        t.at < 0, -1, t.at + m), n)).max(initial=0.0))
     return {"invariant": inv_res <= cut,
             "representation": rep_res <= cut,
             "invariance_residual": inv_res,

@@ -358,7 +358,7 @@ def test_flatness_report_reads_the_sweep(monkeypatch):
     params = rand_params(np.random.default_rng(17), 4)
     calls = []
     monkeypatch.setattr(cw, "gp", lambda a, b: calls.append(1) or gp(a, b))
-    CliffordMap(params)
+    dataclasses.replace(params).images
     validate_simple_map(params)
     own = len(calls)
     flatness_report(params)
@@ -553,7 +553,7 @@ def _maps(n, rng):
 
 def _check_against_reference(rho):
     n = rho.n
-    for x, img in zip(generators(n), rho.images, strict=True):
+    for x, img in zip(generators(n), rho.params.images, strict=True):
         assert (img - rho(x)).is_zero()
     assert curvature_sweep(rho) == reference_sweep(rho)
     assert curvature_sweep(rho, extended=True) == \
@@ -665,8 +665,8 @@ def test_bracket_images_match_rho_of_cw_bracket(n):
             n, np.array(rotations).reshape(-1, n, n))
         chains = (np.concatenate(x) for x in zip(
             _structure_constants(n, b.entries), rotation_chains))
-        images = [*rho.images, *(rho.h_image(h)
-                                 for h in rotations + list(commutators))]
+        images = [*rho.params.images, *(
+            rho.h_image(h) for h in rotations + list(commutators))]
         table = {}
         for i, j, k, f in zip(*chains):
             table.setdefault((int(i), int(j)), []).append((f, images[k]))
@@ -762,36 +762,73 @@ def test_one_table_serves_every_call_in_any_order(n, monkeypatch):
             m.setattr(cw, "skew_to_bivector", refuse)
             m.setattr(CWElement, "diagonal", refuse)
             out = check_restriction(rho, proj)
-            table = rho.cw_table
+            table = rho.params.cw_table
             assert (curvature_sweep(rho, extended=True),
                     curvature_sweep(rho)) == sweeps
             again = check_restriction(rho, proj)
         for x in (out, again):
             assert (x["invariance_residual"],
                     x["representation_residual"]) == want
-        assert rho.cw_table is table
-        assert sum(xs is rho.images for xs in built) == 1
+        assert rho.params.cw_table is table
+        assert sum(xs is rho.params.images for xs in built) == 1
 
 
 def test_the_table_is_read_only():
-    rho = CliffordMap(rand_params(np.random.default_rng(14), 3))
-    table = rho.cw_table
-    arrays = (*table.images, *table.rhs, table.pi, table.pj, table.at)
-    assert len(arrays) == 13
-    for x in arrays:
+    params = rand_params(np.random.default_rng(14), 3)
+    table = params.cw_table
+    arrays = (*table.images, *table.rhs, table.at)
+    assert len(arrays) == 11
+    for x in (*arrays, params.ww_norms):
         with pytest.raises(ValueError, match="read-only"):
             x[...] = 0
 
 
 def test_the_map_is_immutable():
-    """A map's table is built from it once, so neither its images nor its
-    parameters can change afterwards."""
-    rho = CliffordMap(rand_params(np.random.default_rng(16), 3))
+    """The frozen params own the images and table, built from them once; a
+    map holds nothing derived, so rebinding its params rebinds all."""
+    rng = np.random.default_rng(16)
+    rho = CliffordMap(rand_params(rng, 3))
     curvature_sweep(rho)
     with pytest.raises(TypeError):
-        rho.images[0] = rho.images[0] * 2.0
+        rho.params.images[0] = rho.params.images[0] * 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         rho.params.a = rho.params.b
+    for name in ("images", "cw_table"):
+        assert not hasattr(rho, name)
+        with pytest.raises(AttributeError):
+            setattr(rho, name, getattr(rho.params, name))
+    other = CliffordMap(rand_params(rng, 4))
+    rho.params = other.params
+    for extended in (False, True):
+        assert curvature_sweep(rho, extended) == \
+            curvature_sweep(CliffordMap(other.params), extended) == \
+            reference_sweep(other, extended)
+
+
+def test_params_refuse_an_element_of_another_dimension():
+    params = rand_params(np.random.default_rng(18), 3)
+    for name in ("a", "b", "c", "d", "e"):
+        with pytest.raises(DimensionMismatch, match=f"parameter {name} "):
+            dataclasses.replace(params, **{name: Multivector.unit(4)})
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_report_and_plain_sweep_share_one_w_pass(n, monkeypatch):
+    """The report on rho.params, then the plain sweep, as the CLI and the
+    benchmark call them: one table and one W x W defect pass per map."""
+    calls = []
+    for name in ("_defect_norms", "_element_rows", "_structure_constants"):
+        def counted(*args, name=name, f=getattr(cw, name)):
+            calls.append(name)
+            return f(*args)
+        monkeypatch.setattr(cw, name, counted)
+    rho = CliffordMap(rand_params(np.random.default_rng(19 + n), n))
+    report = flatness_report(rho.params)
+    sweep = curvature_sweep(rho)
+    assert sorted(calls) == ["_defect_norms", "_element_rows",
+                             "_structure_constants"]
+    assert report == assert_report_matches_reference(rho.params)
+    assert sweep == reference_sweep(rho)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -802,7 +839,7 @@ def test_the_extended_sweep_forms_only_rotation_chains(n, monkeypatch):
         raise AssertionError("the W and V* chains formed again")
     for rho in _maps(n, np.random.default_rng(70 + n)):
         want = reference_sweep(rho, extended=True)
-        rho.cw_table
+        rho.params.cw_table
         with monkeypatch.context() as m:
             m.setattr(cw, "_structure_constants", refuse)
             assert curvature_sweep(rho, extended=True) == want
