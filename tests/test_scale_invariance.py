@@ -3,19 +3,29 @@
 The relation q_{c,d}|_V = B is homogeneous: (lam c, lam d) realizes
 lam^2 B.  Every check compares its residual with core.threshold(factor,
 norm), the norm being homogeneous in the data, and coefficients are pruned
-relative to their operands, so statuses, memberships and search families
-are the same for every lam in [1e-8, 1e8] (drawn log-uniform).
+relative to their operands, so statuses, memberships, search families and
+the plain cw-flat verdict are the same for every lam in [1e-8, 1e8] (drawn
+log-uniform); a Clifford map scales as a..e -> lam a..lam e, B -> lam^2 B.
 """
+
+import contextlib
+import io
+import json
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cwclifford import cli
 from cwclifford.core import Multivector
 from cwclifford.omega import omega_in_soB
 from cwclifford.qpair import (SymmetricMap, extract_B, make_generalized,
                               make_linear, make_monomial, make_pseudo_monomial)
 from cwclifford.search import search_pairs_for_B
+from cwclifford.textio import load_params_file, multivector_to_text
 
 LAMBDAS = st.floats(-8.0, 8.0).map(lambda x: 10.0 ** x)
 
@@ -127,3 +137,61 @@ def test_small_pair_keeps_its_small_map():
     assert pair.verified
     assert np.allclose(pair.B.entries, np.diag([0.0, -4e-16, -4e-16]),
                        rtol=1e-12, atol=0.0)
+
+
+def _row24_map():
+    """c = d = A, the linear pair of diag(1, 1, 4, 4), on B = diag(-1, -1,
+    -4, -4) with a = 1e-3 and b = e = 0: the sweep and every report row
+    read 0 but rows 24 and 24a, which read 1e-3, of degree one."""
+    z, lin = Multivector.zero(4), make_linear(
+        SymmetricMap.from_diagonal([1.0, 1.0, 4.0, 4.0])).c
+    return 4, np.diag([-1.0, -1.0, -4.0, -4.0]), {
+        "a": Multivector.scalar(4, 1e-3), "b": z, "c": lin, "d": lin, "e": z}
+
+
+CW_MAPS = [load_params_file(str(path)) for path in sorted(
+    (Path(__file__).parent / "golden" / "inputs").glob("*params*.json"))] + [
+    _row24_map()]
+
+
+def cw_flat(k, lam):
+    """The stdout of plain cw-flat on CW_MAPS[k] scaled by lam."""
+    dim, b, fields = CW_MAPS[k]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.json"
+        path.write_text(json.dumps({
+            "dim": dim, "B": (lam ** 2 * b).ravel().tolist(),
+            **{name: multivector_to_text(lam * x)
+               for name, x in fields.items()}}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["cw-flat", "--params", str(path)]) == 0
+    return json.loads(out.getvalue())
+
+
+unscaled = lru_cache(cw_flat)
+
+
+def test_cw_maps_take_both_verdicts():
+    assert len(CW_MAPS) == 6
+    assert sorted(unscaled(k, 1.0)["flat"] for k in range(6)) == \
+        [False, False, True, True, True, True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(CW_MAPS))), LAMBDAS)
+def test_plain_cw_flat_verdict_does_not_depend_on_scale(k, lam):
+    assert cw_flat(k, lam)["flat"] == unscaled(k, 1.0)["flat"]
+
+
+@pytest.mark.parametrize("exponent", range(-8, 9))
+def test_row_24_defect_is_not_flat_at_every_scale(exponent):
+    """Rows 24/24a are compared with threshold_24 = tol sqrt(norm), of
+    degree one as they are; against the degree-two threshold this map read
+    flat from lam = 1e6."""
+    lam = 10.0 ** exponent
+    out = cw_flat(len(CW_MAPS) - 1, lam)
+    assert out["curvature_max"] == 0.0 and not out["flat"]
+    assert out["report"]["24"] == pytest.approx(1e-3 * lam, rel=1e-12)
+    assert out["threshold_24"] ** 2 == pytest.approx(1e-9 * out["threshold"],
+                                                     rel=1e-12)
