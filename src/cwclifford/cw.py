@@ -550,7 +550,7 @@ def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
     # CLUSTER_TOL, so they can miss h_image's check of a caller's rotation
     images = _rows_cat(t.images, _rotation_rows(
         np.concatenate((rotations, commutators)), n))
-    # the pairs with a rotation, written into a copy of the table's pairs
+    # the pairs with a rotation; the table holds the others
     rhs, pi, pj = _chain_sums(images, chains, n)
     at = np.pad(t.at, (0, len(rotations)), constant_values=-1)
     at[pi, pj] = len(t.rhs.top) // 4 + np.arange(len(pi))
