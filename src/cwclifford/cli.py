@@ -12,15 +12,13 @@ import sys
 
 import numpy as np
 
-from . import cw, omega, search, textio
-from .core import (CHECK_TOL, ORACLE_TOL, gp, random_multivector,
-                   threshold)
+from . import textio
+from .core import CHECK_TOL, ORACLE_TOL, threshold
 from .errors import InputError, InternalToleranceError, NotSoBInvariant
-from .gammarep import build_rep, represent
-from .qpair import SymmetricMap, classify_family, extract_B
 
 
 def _cmd_verify(args) -> dict:
+    from .qpair import classify_family, extract_B
     dim, c, d = textio.load_pair_file(args.pair)
     pair = extract_B(c, d, tol_factor=args.tol)
     out = {
@@ -40,6 +38,8 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_search(args) -> dict:
+    from . import search
+    from .qpair import SymmetricMap
     dim, entries = textio.load_b_file(args.b)
     b = SymmetricMap.from_matrix(entries)
     hits = search.search_pairs_for_B(b, args.ansatz)
@@ -56,14 +56,16 @@ def _cmd_search(args) -> dict:
     }
 
 
-def _load_params(path: str) -> cw.CliffordMapParams:
+def _load_params(path: str):
+    from .cw import CliffordMapParams
+    from .qpair import SymmetricMap
     dim, bmat, fields = textio.load_params_file(path)
-    return cw.CliffordMapParams(SymmetricMap.from_matrix(bmat), fields["a"],
-                                fields["b"], fields["c"], fields["d"],
-                                fields["e"])
+    return CliffordMapParams(SymmetricMap.from_matrix(bmat), fields["a"],
+                             fields["b"], fields["c"], fields["d"], fields["e"])
 
 
 def _cmd_cw_flat(args) -> dict:
+    from . import cw
     params = _load_params(args.params)
     rho = cw.CliffordMap(params)
     report = cw.flatness_report(params)
@@ -83,6 +85,7 @@ def _cmd_cw_flat(args) -> dict:
 
 
 def _cmd_cw_restrict(args) -> dict:
+    from . import cw
     params = _load_params(args.params)
     rho = cw.CliffordMap(params)
     proj = cw.catalog_projector(args.projector, params.n)
@@ -93,6 +96,8 @@ def _cmd_cw_restrict(args) -> dict:
 
 
 def _cmd_omega(args) -> dict:
+    from . import omega
+    from .qpair import SymmetricMap
     dim, c, d = textio.load_pair_file(args.pair)
     bdim, entries = textio.load_b_file(args.b)
     if bdim != dim:
@@ -120,6 +125,8 @@ def _cmd_omega(args) -> dict:
 
 
 def _cmd_rep_check(args) -> dict:
+    from .core import gp, random_multivector
+    from .gammarep import build_rep, represent
     rep = build_rep(args.dim, "faithful")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -140,6 +147,7 @@ def _cmd_rep_check(args) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
+    from . import search
     cases = search.enumerate_two_monomial_cases(args.dim)
     return {
         "dim": args.dim,
@@ -159,14 +167,17 @@ def _cmd_enumerate(args) -> dict:
     }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {text}")
+        return value
+    return parse
 
 
 def _positive_finite(text: str) -> float:
@@ -198,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search pairs realizing a target map")
     p.add_argument("--b", required=True, help="b.json input file")
-    p.add_argument("--ansatz", default="all", choices=search.ANSAETZE)
+    p.add_argument("--ansatz", default="all",
+                   help="monomial, pseudo-monomial, linear, generalized, all")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("cw-flat", help="flatness report and curvature sweep")
@@ -223,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rep-check", help="matrix-representation oracle")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     add_tol(p, default=ORACLE_TOL)
     p.set_defaults(func=_cmd_rep_check)
 

@@ -258,6 +258,25 @@ def test_rep_check_rejects_trials_below_one(capsys, trials):
     assert "--trials" in out.err
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_rep_check_rejects_a_negative_seed(capsys, seed):
+    # numpy's generator refuses a negative seed with a ValueError
+    with pytest.raises(SystemExit) as exc:
+        main(["rep-check", "--dim", "4", "--seed", seed])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "--seed: must be at least 0" in out.err
+
+
+def test_unknown_ansatz_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(B_OK))
+    code, out, err = run(capsys, "search", "--b", str(path), "--ansatz", "bogus")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "'bogus'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--pair", "pair.json", "--tol", "abc"],
     ["rep-check", "--dim", "3", "--trials", "x"],
