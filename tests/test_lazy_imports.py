@@ -77,7 +77,7 @@ def test_import_loads_no_submodule_and_no_numpy():
      {"qpair", "cw", "search", "omega"}),
     (["cw-flat", "--params", "readme_params.json"],
      {"search", "omega", "gammarep"}),
-], ids=lambda v: v[0] if isinstance(v, list) else None)
+], ids=["verify", "rep-check", "cw-flat"])
 def test_subcommand_imports_only_its_modules(argv, absent):
     loaded = loaded_after(argv)
     assert "numpy" in loaded and not absent & loaded
