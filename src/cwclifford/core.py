@@ -334,8 +334,7 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
 # order and cuts, and raise OverflowError where those do.  Row -1 of every
 # table is an empty row.
 
-# term products formed at once by _rows_gp, a bound on its memory; a single
-# row of more products is formed whole
+# term products formed at once by _rows_gp, a bound on its memory
 _GP_BLOCK = 1 << 14
 
 
@@ -455,32 +454,57 @@ def _sign_tables(n: int):
     return w, flip
 
 
+def _products(a: _Rows, i: np.ndarray, b: _Rows, j: np.ndarray, dim: int):
+    """Blades, real and imaginary parts of the term products a[i] b[j], each
+    as gp forms it: sign times x times y in real arithmetic."""
+    w, flip = _sign_tables(dim)
+    s = flip[b.blade[j] & w[a.blade[i]]]
+    xr, xi = s * a.re[i], s * a.im[i]
+    yr, yi = b.re[j], b.im[j]
+    return a.blade[i] ^ b.blade[j], xr * yr - xi * yi, xr * yi + xi * yr
+
+
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
 def _rows_gp(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
              dim: int) -> _Rows:
     """Row k is gp(a[ia[k]], b[ib[k]]), bit for bit: the term pairs in gp's
-    loop order, each product as real arithmetic, sign times x times y.  Rows
-    of more than _GP_BLOCK term products go in blocks of rows."""
+    loop order.  Rows go in blocks of about _GP_BLOCK term products, a row
+    of more in blocks of its left terms, cut once at the end."""
     na, nb = _counts(a, ia), _counts(b, ib)
     count = na * nb
-    if len(ia) > 1 and count.sum() > _GP_BLOCK:
-        at = np.flatnonzero(np.diff(count.cumsum() // _GP_BLOCK)) + 1
+    cut = PRUNE_EPS * a.top[ia] * b.top[ib]
+    if count.sum() > _GP_BLOCK:
+        # a new block where the running count passes a multiple of
+        # _GP_BLOCK, and after each row of more
+        at = np.flatnonzero(np.diff(count.cumsum() // _GP_BLOCK)
+                            | (count[:-1] > _GP_BLOCK)) + 1
         if len(at):
             return _rows_cat(*(_rows_gp(a, x, b, y, dim) for x, y in
                                zip(np.split(ia, at), np.split(ib, at))))
-    w, flip = _sign_tables(dim)
+        if len(ia) == 1:
+            # the sums so far, uncut in first-appearance order as gp's dict
+            # holds them, go before each block's products
+            total, step = count[0], max(1, _GP_BLOCK // nb[0]) * nb[0]
+            sums = a.blade[:0], a.re[:0], a.im[:0]
+            for start in range(0, total, step):
+                i, j = np.divmod(np.arange(start, min(start + step, total)),
+                                 nb[0])
+                i += a.ptr[ia[0]]
+                j += b.ptr[ib[0]]
+                parts = _products(a, i, b, j, dim)
+                blade, re, im = (np.concatenate(x) for x in zip(sums, parts))
+                out = _collect(np.array([len(blade)]), 0 * blade, blade, re,
+                               im, cut if start + step >= total else -inf,
+                               dim, False)
+                sums = out[1:4]
+            return out
     row = np.arange(len(ia)).repeat(count)
     i, j = np.divmod(_spread(np.zeros_like(count), count), nb[row])
-    i += a.ptr[ia][row]
+    i += a.ptr[ia][row]               # in place: a fresh array costs more
     j += b.ptr[ib][row]
-    s = flip[b.blade[j] & w[a.blade[i]]]
-    xr, xi = s * a.re[i], s * a.im[i]
-    yr, yi = b.re[j], b.im[j]
-    blade = a.blade[i] ^ b.blade[j]
-    re, im = xr * yr - xi * yi, xr * yi + xi * yr
-    del i, j, s, xr, xi, yr, yi       # before the grouping pass
-    return _collect(count, row, blade, re, im,
-                    PRUNE_EPS * a.top[ia] * b.top[ib], dim,
+    blade, re, im = _products(a, i, b, j, dim)
+    del i, j                          # before the grouping pass
+    return _collect(count, row, blade, re, im, cut, dim,
                     not ((na > 1) & (nb > 1)).any())
 
 
@@ -535,92 +559,6 @@ def _rows_norm(a: _Rows) -> np.ndarray:
     return np.float_power(np.bincount(
         np.arange(n_rows).repeat(a.ptr[1:] - a.ptr[:-1]), sq,
         minlength=n_rows), 0.5)
-
-
-def q_basis_images(a: Multivector, b: Multivector):
-    """q(e_mu) = a^2 e_mu + e_mu b^2 - 2 a e_mu b for every mu at once.
-
-    Returns float64 arrays (re, im) of shape (n, 2^n); row mu - 1 holds the
-    blade coefficients of q(e_mu), bit for bit those of the gp loop
-    gp(gp(a, a), e_mu) + gp(e_mu, gp(b, b)) - 2 gp(a, gp(e_mu, b)): its
-    products in two row-kernel calls, then its scaling and sums.
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    n = a.dim
-    mu = np.arange(n)
-    at_a, at_b, at_e = 0 * mu, 0 * mu + 1, mu + 2
-    # rows a, b, e_1 .. e_n
-    pool = _rows_of([a, b] + [Multivector.basis_vector(n, k)
-                              for k in range(1, n + 1)])
-    # rows a^2, b^2, e_mu b, then the pool
-    first = _rows_cat(_rows_gp(pool, np.r_[0, 1, at_e], pool,
-                               np.r_[0, 1, at_b], n), pool)
-    # rows a^2 e_mu, e_mu b^2, a (e_mu b); a^2, b^2 and e_mu b are rows 0,
-    # 1 and mu + 2 of first
-    at_a, at_e = at_a + n + 2, at_e + n + 2
-    prods = _rows_gp(first, np.r_[0 * mu, at_e, at_a], first,
-                     np.r_[at_e, 0 * mu + 1, mu + 2], n)
-    twice = _rows_scaled(prods, 2 * n + mu, np.full(n, 2.0))
-    q = _rows_sum(_rows_sum(prods, mu, prods, n + mu, 1.0, True, n), mu,
-                  twice, mu, -1.0, True, n)
-    re, im = np.zeros((2, n, 1 << n))
-    row = mu.repeat(q.ptr[1:] - q.ptr[:-1])
-    # "0.0 +" turns a row kernel's negative zero into gp's positive one
-    re[row, q.blade] = 0.0 + q.re
-    im[row, q.blade] = 0.0 + q.im
-    return re, im
-
-
-def closing_residuals(c: Multivector, d: Multivector, b: np.ndarray):
-    """Entry norms of the two closing identities of (c, d) on the triangle.
-
-    With s_{a,b}(x) = a x - x b and Omega_{mu nu} = s_{d,c}(e_nu) e_mu
-    + e_mu s_{c,d}(e_nu), returns two float64 arrays: the norms of the
-    anticommutator residual (s_{d,c}(e_nu) s_{c,d}(e_mu)
-    + s_{d,c}(e_mu) s_{c,d}(e_nu)) / 2 - b[mu - 1, nu - 1] over mu <= nu and
-    of the four-term residual d Omega_{mu nu} - Omega_{mu nu} d over mu < nu,
-    each in the order of np.triu_indices.  Each step is one row-kernel call
-    over all entries, bit for bit the gp loop of `omega.closing_identities`.
-    """
-    if c.dim != d.dim:
-        raise DimensionMismatch(f"dimensions differ: {c.dim} vs {d.dim}")
-    n, m = c.dim, c.dim ** 2
-    mu = np.arange(n)
-    at_c, at_d, at_e = 0 * mu, 0 * mu + 1, mu + 2
-    # rows c, d, e_1 .. e_n
-    pool = _rows_of([c, d] + [Multivector.basis_vector(n, k)
-                              for k in range(1, n + 1)])
-    # rows d e_nu, c e_nu, e_nu c, e_nu d
-    ends = _rows_gp(pool, np.r_[at_d, at_c, at_e, at_e], pool,
-                    np.r_[at_e, at_e, at_c, at_d], n)
-    # rows s_{d,c}(e_nu), s_{c,d}(e_nu), then the pool
-    both = np.arange(2 * n)
-    s = _rows_cat(_rows_sum(ends, both, ends, 2 * n + both, -1.0, True, n),
-                  pool)
-    lo, hi = np.triu_indices(n)               # mu <= nu
-    mu, nu = lo[lo < hi], hi[lo < hi]         # mu < nu
-    t, a = len(mu), len(lo)
-    # row x n + y: s_{d,c}(e_x) s_{c,d}(e_y); then s_{d,c}(e_nu) e_mu and
-    # e_mu s_{c,d}(e_nu)
-    x, y = np.divmod(np.arange(m), n)
-    at_e = 2 * n + 2 + mu
-    prods = _rows_gp(s, np.r_[x, nu, at_e], s, np.r_[n + y, at_e, n + nu], n)
-    # rows Omega_{mu nu}, twice the anticommutator, then the pool
-    sums = _rows_cat(_rows_sum(prods, np.r_[m:m + t, hi * n + lo], prods,
-                               np.r_[m + t:m + 2 * t, lo * n + hi], 1.0, True,
-                               n), pool)
-    at_d = np.full(t, t + a + 1)
-    # rows d Omega, Omega d, the anticommutator, b[mu, nu]
-    table = _rows_cat(
-        _rows_gp(sums, np.r_[at_d, :t], sums, np.r_[:t, at_d], n),
-        _rows_scaled(sums, np.r_[t:t + a], np.full(a, 0.5)),
-        _rows_of([Multivector.scalar(n, v) for v in b[lo, hi]]))
-    # rows [d, Omega], then the anticommutator residuals
-    res = _rows_sum(table, np.r_[:t, 2 * t:2 * t + a], table,
-                    np.r_[t:2 * t, 2 * t + a:2 * t + 2 * a], -1.0, True, n)
-    norms = _rows_norm(res)
-    return norms[t:], norms[:t]
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:

@@ -22,8 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .core import (CHECK_TOL, Multivector, closing_residuals, gp, grade,
-                   threshold, volume_element)
+import numpy as np
+
+from .core import (CHECK_TOL, Multivector, _rows_cat, _rows_gp, _rows_norm,
+                   _rows_of, _rows_scaled, _rows_sum, gp, grade, threshold,
+                   volume_element)
 from .errors import DimensionMismatch, NotSoBInvariant
 from .qpair import SymmetricMap, _dense_pair, s_map
 
@@ -164,19 +167,68 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
             "coefficients": fitted}
 
 
+def _closing_rows(c: Multivector, d: Multivector, b: np.ndarray):
+    """Entry norms of the two closing identities of (c, d) on the triangle.
+
+    With s_{a,b}(x) = a x - x b and Omega_{mu nu} = s_{d,c}(e_nu) e_mu
+    + e_mu s_{c,d}(e_nu), returns two float64 arrays: the norms of the
+    anticommutator residual (s_{d,c}(e_nu) s_{c,d}(e_mu)
+    + s_{d,c}(e_mu) s_{c,d}(e_nu)) / 2 - b[mu - 1, nu - 1] over mu <= nu and
+    of the four-term residual d Omega_{mu nu} - Omega_{mu nu} d over mu < nu,
+    each in the order of np.triu_indices.  Each step is one row-kernel call
+    over all entries, bit for bit the gp loop of `closing_identities`.
+    """
+    n, m = c.dim, c.dim ** 2
+    mu = np.arange(n)
+    at_c, at_d, at_e = 0 * mu, 0 * mu + 1, mu + 2
+    # rows c, d, e_1 .. e_n
+    pool = _rows_of([c, d] + [Multivector.basis_vector(n, k)
+                              for k in range(1, n + 1)])
+    # rows d e_nu, c e_nu, e_nu c, e_nu d
+    ends = _rows_gp(pool, np.r_[at_d, at_c, at_e, at_e], pool,
+                    np.r_[at_e, at_e, at_c, at_d], n)
+    # rows s_{d,c}(e_nu), s_{c,d}(e_nu), then the pool
+    both = np.arange(2 * n)
+    s = _rows_cat(_rows_sum(ends, both, ends, 2 * n + both, -1.0, True, n),
+                  pool)
+    lo, hi = np.triu_indices(n)               # mu <= nu
+    mu, nu = lo[lo < hi], hi[lo < hi]         # mu < nu
+    t, a = len(mu), len(lo)
+    # row x n + y: s_{d,c}(e_x) s_{c,d}(e_y); then s_{d,c}(e_nu) e_mu and
+    # e_mu s_{c,d}(e_nu)
+    x, y = np.divmod(np.arange(m), n)
+    at_e = 2 * n + 2 + mu
+    prods = _rows_gp(s, np.r_[x, nu, at_e], s, np.r_[n + y, at_e, n + nu], n)
+    # rows Omega_{mu nu}, twice the anticommutator, then the pool
+    sums = _rows_cat(_rows_sum(prods, np.r_[m:m + t, hi * n + lo], prods,
+                               np.r_[m + t:m + 2 * t, lo * n + hi], 1.0, True,
+                               n), pool)
+    at_d = np.full(t, t + a + 1)
+    # rows d Omega, Omega d, the anticommutator, b[mu, nu]
+    table = _rows_cat(
+        _rows_gp(sums, np.r_[at_d, :t], sums, np.r_[:t, at_d], n),
+        _rows_scaled(sums, np.r_[t:t + a], np.full(a, 0.5)),
+        _rows_of([Multivector.scalar(n, v) for v in b[lo, hi]]))
+    # rows [d, Omega], then the anticommutator residuals
+    res = _rows_sum(table, np.r_[:t, 2 * t:2 * t + a], table,
+                    np.r_[t:2 * t, 2 * t + a:2 * t + 2 * a], -1.0, True, n)
+    norms = _rows_norm(res)
+    return norms[t:], norms[:t]
+
+
 def closing_identities(c: Multivector, d: Multivector,
                        b: SymmetricMap) -> Dict[str, float]:
     """Max residuals of the two closing identities: |d Omega_{mu nu}
     - Omega_{mu nu} d| over mu < nu (Omega is antisymmetric, zero on the
     diagonal) and the anticommutator residual, symmetric, over mu <= nu,
     normalized with the factor 1/2 fixed by direct evaluation on monomial
-    pairs.  Dense pairs (`qpair._dense_pair`) take the row kernels of
-    `core.closing_residuals`, the others the gp loop below, bit for bit.
+    pairs.  Dense pairs (`qpair._dense_pair`) take the row form
+    `_closing_rows` above, the others the gp loop below, bit for bit.
     """
     if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
     if _dense_pair(c, d):
-        anti, four = closing_residuals(c, d, b.entries)
+        anti, four = _closing_rows(c, d, b.entries)
         return {"four-term": float(four.max(initial=0.0)),
                 "anticommutator": float(anti.max())}
     n = c.dim

@@ -18,8 +18,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (CHECK_TOL, CLUSTER_TOL, ORTHOGONALITY_TOL, PRUNE_EPS,
-                   Multivector, _check_dim, blade_square_sign, gp, grade,
-                   q_basis_images, threshold, volume_element)
+                   Multivector, _check_dim, _rows_cat, _rows_gp, _rows_of,
+                   _rows_scaled, _rows_sum, blade_square_sign, gp, grade,
+                   threshold, volume_element)
 from .errors import (AnticommutationViolated, CoefficientConstraintViolated,
                      DimensionMismatch, IllegalParityPattern, InputError,
                      OddDimension, OddMultiplicity, ParityMismatch,
@@ -167,8 +168,8 @@ class QuadraticPair:
 
 
 def _dense_pair(c: Multivector, d: Multivector) -> bool:
-    """Whether per-pair work on (c, d) goes through the row kernels of
-    `core` (`q_basis_images`, `closing_residuals`) or the gp loop.
+    """Whether per-pair work on (c, d) goes through the row forms
+    (`_q_rows` here, `omega._closing_rows`) or the gp loops beside them.
 
     The rule, |c| |d| > max(64, 2^n) in term counts, serves the q-restriction
     and the closing identities.  It sits at the q-restriction's measured
@@ -180,26 +181,48 @@ def _dense_pair(c: Multivector, d: Multivector) -> bool:
     return len(c._terms) * len(d._terms) > max(64, 1 << c.dim)
 
 
-def _dense_q_restriction(c: Multivector, d: Multivector):
-    """q_restriction_matrix from core.q_basis_images, every mu at once."""
-    re, im = q_basis_images(c, d)
-    gens = 1 << np.arange(c.dim)
-    m = np.zeros((c.dim, c.dim), dtype=complex)
-    m.real = re[:, gens].T
-    m.imag = im[:, gens].T
-    re[:, gens] = 0.0
-    im[:, gens] = 0.0
-    return m, float(np.hypot(re, im).max())
+def _q_rows(c: Multivector, d: Multivector):
+    """The row table of q(e_mu) = c^2 e_mu + e_mu d^2 - 2 c e_mu d, row
+    mu - 1 for mu = 1..n, with the blades, values (a zero's sign aside) and
+    dict order of `q_map`: its products in two row-kernel calls, then its
+    scaling and sums."""
+    n = c.dim
+    mu = np.arange(n)
+    at_c, at_d, at_e = 0 * mu, 0 * mu + 1, mu + 2
+    # rows c, d, e_1 .. e_n
+    pool = _rows_of([c, d] + [Multivector.basis_vector(n, k)
+                              for k in range(1, n + 1)])
+    # rows c^2, d^2, e_mu d, then the pool
+    first = _rows_cat(_rows_gp(pool, np.r_[0, 1, at_e], pool,
+                               np.r_[0, 1, at_d], n), pool)
+    # rows c^2 e_mu, e_mu d^2, c (e_mu d); c^2, d^2 and e_mu d are rows 0,
+    # 1 and mu + 2 of first
+    at_c, at_e = at_c + n + 2, at_e + n + 2
+    prods = _rows_gp(first, np.r_[0 * mu, at_e, at_c], first,
+                     np.r_[at_e, 0 * mu + 1, mu + 2], n)
+    twice = _rows_scaled(prods, 2 * n + mu, np.full(n, 2.0))
+    return _rows_sum(_rows_sum(prods, mu, prods, n + mu, 1.0, True, n), mu,
+                     twice, mu, -1.0, True, n)
 
 
 def q_restriction_matrix(c: Multivector, d: Multivector):
-    """Matrix of q on V (column mu holds q(e_mu)) plus the off-grade residual."""
+    """Matrix of q on V (column mu holds q(e_mu)) plus the off-grade residual.
+
+    A dense pair (`_dense_pair`) takes q(e_mu) from the rows of `_q_rows`,
+    the others from the gp loop below; both give the same bits."""
     if c.dim != d.dim:
         raise DimensionMismatch("pair elements live in different dimensions")
     n = c.dim
-    if _dense_pair(c, d):   # both paths give the same bits
-        return _dense_q_restriction(c, d)
     m = np.zeros((n, n), dtype=complex)
+    if _dense_pair(c, d):
+        q = _q_rows(c, d)
+        mu = np.arange(n).repeat(q.ptr[1:] - q.ptr[:-1])
+        on = (q.blade > 0) & ((q.blade & (q.blade - 1)) == 0)   # grade 1
+        at = np.frexp(q.blade[on])[1] - 1, mu[on]
+        # "0.0 +" turns a row kernel's negative zero into gp's positive one
+        m.real[at] = 0.0 + q.re[on]
+        m.imag[at] = 0.0 + q.im[on]
+        return m, float(np.hypot(q.re[~on], q.im[~on]).max(initial=0.0))
     offgrade = 0.0
     for mu in range(n):
         qv = q_map(c, d, Multivector.basis_vector(n, mu + 1))

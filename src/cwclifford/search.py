@@ -14,16 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (CHECK_TOL, Multivector, _check_dim, blade_square_sign,
                    gp, grade, threshold)
 from .errors import InputError
-from .qpair import (QuadraticPair, SymmetricMap, extract_B, make_generalized,
-                    make_linear, make_monomial, make_pseudo_monomial,
-                    rotate_multivector)
+
+if TYPE_CHECKING:   # search_pairs_for_B imports qpair when it runs
+    from .qpair import QuadraticPair, SymmetricMap
 
 ANSAETZE = ("monomial", "pseudo-monomial", "linear", "generalized", "all")
 
@@ -299,6 +299,9 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
     answer: it means no family of the requested ansatz fits the eigenvalue
     structure.
     """
+    from .qpair import (extract_B, make_generalized, make_linear,
+                        make_monomial, make_pseudo_monomial,
+                        rotate_multivector)
     if ansatz not in ANSAETZE:
         raise InputError(f"unknown ansatz {ansatz!r}; pick one of {ANSAETZE}")
     n = b.n

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwclifford.core import (DIM_LIMITS, Multivector, _rows_gp,
+from cwclifford.core import (_GP_BLOCK, DIM_LIMITS, Multivector, _rows_gp,
                              _rows_norm, _rows_of, _rows_scaled,
                              _rows_sum, blade_from_indices, blade_indices, blade_mul,
                              blade_square_sign, gp, grade, grade_involution,
@@ -285,6 +285,30 @@ def test_row_kernels_match_the_multivector_arithmetic():
         whole = len(prods) // 4 * 4
         assert _element_norms(_rows_norm(many)[:whole]).tolist() == [
             CWElement(*prods[k:k + 4]).norm() for k in range(0, whole, 4)]
+
+
+def test_rows_gp_sums_a_row_above_the_block_in_blocks_of_left_terms():
+    """A row of more than _GP_BLOCK term products goes in blocks of its left
+    terms, each block's sums carried uncut into the next; it still gives
+    gp's values (a zero's sign aside), dict order and cut.  The rows: full
+    and near-full elements at n = 8-10, a 4096-term element at n = 12 on
+    either side (4 left terms per block, or 5), a real full element at
+    n = 8 times its reversal, whose terms of grade 2, 3, 6 and 7 cancel
+    across blocks to rounding and are cut, and rows of at most a block
+    between them."""
+    rng = np.random.default_rng(17)
+    for n, ka, kb in ((8, 256, 256), (10, 300, 60), (12, 4096, 5)):
+        a, b = random_multivector(rng, n, ka), random_multivector(rng, n, kb)
+        real = Multivector(n, {m: z.real for m, z in b.terms()})
+        xs = [a, b, real, e(n, 1), reversal(real)]
+        table = _rows_of(xs)
+        ia, ib = np.array([0, 3, 1, 2, 3]), np.array([1, 0, 0, 4, 1])
+        assert ka * kb > _GP_BLOCK
+        out = _rows_gp(table, ia, table, ib, n)
+        for k in range(len(ia)):
+            assert row_terms(out, k) == dict_terms(gp(xs[ia[k]], xs[ib[k]]))
+        if n == 8:
+            assert len(gp(real, reversal(real))._terms) == 256 - 120
 
 
 def test_norm_sums_the_squares_in_order():

@@ -77,7 +77,17 @@ def test_import_loads_no_submodule_and_no_numpy():
      {"qpair", "cw", "search", "omega"}),
     (["cw-flat", "--params", "readme_params.json"],
      {"search", "omega", "gammarep"}),
-], ids=["verify", "rep-check", "cw-flat"])
+    (["enumerate-cases", "--dim", "4"],
+     {"qpair", "cw", "omega", "gammarep"}),
+    (["search", "--b", "readme_b.json"],
+     {"cw", "omega", "gammarep"}),
+    (["omega", "--pair", "readme_mono.json", "--b", "readme_b.json"],
+     {"cw", "search", "gammarep"}),
+    (["cw-restrict", "--params", "readme_params.json", "--projector",
+      "sigma+"],
+     {"search", "omega", "gammarep"}),
+], ids=["verify", "rep-check", "cw-flat", "enumerate-cases", "search",
+        "omega", "cw-restrict"])
 def test_subcommand_imports_only_its_modules(argv, absent):
     loaded = loaded_after(argv)
     assert "numpy" in loaded and not absent & loaded

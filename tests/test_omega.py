@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from cwclifford import omega
-from cwclifford.core import (CHECK_TOL, Multivector, closing_residuals, gp,
-                             grade, random_multivector, threshold,
-                             volume_element)
+from cwclifford.core import (CHECK_TOL, Multivector, gp, grade,
+                             random_multivector, threshold, volume_element)
 from cwclifford.errors import InputError, NotSoBInvariant
-from cwclifford.omega import (classify_distinguished, closing_identities,
-                              is_sob_invariant_structural, omega_in_soB,
-                              omega_tensor)
+from cwclifford.omega import (_closing_rows, classify_distinguished,
+                              closing_identities, is_sob_invariant_structural,
+                              omega_in_soB, omega_tensor)
 from cwclifford.qpair import (SymmetricMap, extract_B, make_generalized,
                               make_linear, make_monomial,
                               make_pseudo_monomial, rotate_multivector,
@@ -292,7 +291,7 @@ def reference_closing_identities(c, d, b):
 
 
 def dense_closing_identities(c, d, b):
-    anti, four = closing_residuals(c, d, b.entries)
+    anti, four = _closing_rows(c, d, b.entries)
     return {"four-term": float(four.max(initial=0.0)),
             "anticommutator": float(anti.max())}
 
@@ -316,8 +315,8 @@ def assert_rows_are_the_gp_loop(c, d, b, monkeypatch):
 
 def _count_dense(monkeypatch):
     calls = []
-    monkeypatch.setattr(omega, "closing_residuals",
-                        lambda c, d, b, f=closing_residuals:
+    monkeypatch.setattr(omega, "_closing_rows",
+                        lambda c, d, b, f=_closing_rows:
                         calls.append(c.dim) or f(c, d, b))
     return calls
 

@@ -1,12 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cwclifford.core import (Multivector, blade_square_sign, gp, grade,
-                             q_basis_images, random_multivector,
-                             volume_element)
+                             random_multivector, volume_element)
 from cwclifford import qpair
 from cwclifford.errors import (AnticommutationViolated,
                                CoefficientConstraintViolated,
@@ -625,19 +625,22 @@ def test_eigenbasis_memo_rotates_each_pair_once(monkeypatch):
     assert diag.adapt_to_eigenbasis(c, d) == (c, d) and len(rotated) == 8
 
 
-# -- the dense q-restriction against the per-mu q_map loop --------------------
+# -- both q-restriction paths against the per-mu q_map loop -------------------
 
 def reference_q_restriction(c, d):
-    """q restricted to V by six gp products per mu, the loop the dense path
-    replaces, kept as the reference it must match bit for bit; also the
-    images q(e_mu) as (real, imaginary) arrays over all blades."""
+    """q restricted to V by q_map, six gp products per mu, the public
+    definition both paths of q_restriction_matrix must match bit for bit;
+    also the images q(e_mu) as lists of terms (blade, real and imaginary
+    part in hex) in dict order, and their largest coefficient sizes."""
     n = c.dim
     m = np.zeros((n, n), dtype=complex)
     offgrade = 0.0
-    images = np.zeros((2, n, 1 << n))
+    images = []
     for mu in range(n):
-        for mask, coeff in q_map(c, d, e(n, mu + 1)).terms():
-            images[:, mu, mask] = coeff.real, coeff.imag
+        qv = q_map(c, d, e(n, mu + 1))
+        images.append(([(mask, z.real.hex(), z.imag.hex())
+                        for mask, z in qv.terms()], qv._top))
+        for mask, coeff in qv.terms():
             if grade(mask) == 1:
                 m[mask.bit_length() - 1, mu] = coeff
             else:
@@ -645,11 +648,29 @@ def reference_q_restriction(c, d):
     return m, offgrade, images
 
 
+def q_row_images(c, d):
+    """The rows of qpair._q_rows as reference_q_restriction lists images;
+    "0.0 +" turns a row kernel's negative zero into gp's positive one, the
+    one difference the row kernels allow."""
+    q = qpair._q_rows(c, d)
+    return [([(int(m), (0.0 + r).hex(), (0.0 + i).hex()) for m, r, i in zip(
+        q.blade[lo:hi], q.re[lo:hi], q.im[lo:hi])], float(top))
+        for lo, hi, top in zip(q.ptr[:-1], q.ptr[1:], q.top)]
+
+
+def q_restriction_on(c, d, dense):
+    """q_restriction_matrix with the row form (dense) or the gp loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qpair, "_dense_pair", lambda c, d: dense)
+        return qpair.q_restriction_matrix(c, d)
+
+
 def assert_dense_matches_reference(c, d):
     want_m, want_off, want_images = reference_q_restriction(c, d)
+    assert q_row_images(c, d) == want_images
     # signed zeros included
-    assert np.array(q_basis_images(c, d)).tobytes() == want_images.tobytes()
-    for got_m, got_off in (qpair._dense_q_restriction(c, d),
+    for got_m, got_off in (q_restriction_on(c, d, True),
+                           q_restriction_on(c, d, False),
                            qpair.q_restriction_matrix(c, d)):
         assert got_m.tobytes() == want_m.tobytes()
         assert repr(got_off) == repr(want_off)
@@ -670,8 +691,8 @@ def _reordered(a):
 def test_dense_q_restriction_matches_reference_on_random_pairs(
         n, monkeypatch):
     dense = []
-    monkeypatch.setattr(qpair, "_dense_q_restriction",
-                        lambda c, d, f=qpair._dense_q_restriction:
+    monkeypatch.setattr(qpair, "_q_rows",
+                        lambda c, d, f=qpair._q_rows:
                         dense.append(n) or f(c, d))
     rng = np.random.default_rng(100 + n)
     # below and above the dispatch rule |c| |d| > max(64, 2^n)
@@ -679,9 +700,10 @@ def test_dense_q_restriction_matches_reference_on_random_pairs(
     for kc, kd in ((1, 1), (2, 3), (above - 1, above + 1)):
         assert_dense_matches_reference(random_multivector(rng, n, kc),
                                        random_multivector(rng, n, kd))
-    # three direct calls, and the public function's for the last pair, which
-    # lies above the rule from n = 4 on (at n <= 3, |c| |d| <= 64)
-    assert len(dense) == 3 + (n > 3)
+    # two direct calls per pair (its rows, the forced row form), and the
+    # public function's for the last pair, which lies above the rule from
+    # n = 4 on (at n <= 3, |c| |d| <= 64)
+    assert len(dense) == 2 * 3 + (n > 3)
     if n > 10:
         return          # the reference loop takes seconds at n = 11-12
     c = random_multivector(rng, n, above)
@@ -699,18 +721,42 @@ def test_dense_q_restriction_matches_reference_on_random_pairs(
         assert_dense_matches_reference(*pair)
 
 
-@pytest.mark.parametrize("n", range(4, 11))
-def test_dense_q_restriction_matches_reference_on_rotated_search_hits(n):
+def rotated_hits(n):
+    """The search hits of diag(-1 x n // 2, -4 x the rest) rotated by a
+    random orthogonal matrix (seed n)."""
     from cwclifford.search import search_pairs_for_B
     q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
     half = n // 2
     b = q @ np.diag([-1.0] * half + [-4.0] * (n - half)) @ q.T
-    hits = search_pairs_for_B(SymmetricMap.from_matrix(0.5 * (b + b.T)))
+    return search_pairs_for_B(SymmetricMap.from_matrix(0.5 * (b + b.T)))
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_dense_q_restriction_matches_reference_on_rotated_search_hits(n):
+    hits = rotated_hits(n)
     assert hits
     # the reference loop takes about a second per hit at n = 9-10
     for hit in hits[:1] if n >= 9 else hits:
         want_m = assert_dense_matches_reference(hit.pair.c, hit.pair.d)
         assert hit.pair.q_matrix.tobytes() == want_m.tobytes()
+
+
+def test_dense_q_restriction_of_252_term_elements_is_memory_bounded():
+    """The first rotated hit at n = 10 carries 252 terms on each side, so
+    c^2 and every c (e_mu d) are rows of 63,504 term products.  Formed
+    whole, one such row peaks at 6.3 MB traced; in blocks of left terms of
+    at most _GP_BLOCK = 16,384 products the dense path peaks at about
+    2.5 MB.  The bound is 4 MB."""
+    pair = rotated_hits(10)[0].pair
+    assert len(pair.c._terms) == len(pair.d._terms) == 252
+    assert qpair._dense_pair(pair.c, pair.d)
+    tracemalloc.start()
+    try:
+        qpair.q_restriction_matrix(pair.c, pair.d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_dense_q_restriction_raises_where_the_reference_overflows():
@@ -720,8 +766,9 @@ def test_dense_q_restriction_raises_where_the_reference_overflows():
     for pair in ((c, d), (1e154 * dense, 1e154 * dense)):
         with pytest.raises(OverflowError):
             reference_q_restriction(*pair)
-        with pytest.raises(OverflowError):
-            qpair._dense_q_restriction(*pair)
+        for dense in (True, False):
+            with pytest.raises(OverflowError):
+                q_restriction_on(*pair, dense)
         with pytest.raises(OverflowError):
             extract_B(*pair)
 
