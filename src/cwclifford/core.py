@@ -369,7 +369,8 @@ def _rows_cat(*tables: _Rows) -> _Rows:
 
 def _counts(a: _Rows, ia: np.ndarray) -> np.ndarray:
     """The number of terms of the rows ia, 0 for row -1."""
-    return np.append(a.ptr[1:] - a.ptr[:-1], 0)[ia]
+    count = a.ptr[ia + 1] - a.ptr[ia]       # row -1 reads 0 - ptr[-1]
+    return np.maximum(count, 0, out=count)
 
 
 def _spread(start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -382,8 +383,8 @@ def _spread(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 def _row_max(ptr: np.ndarray, size: np.ndarray) -> np.ndarray:
     """The largest size of each row, 0.0 for an empty one."""
     out = np.zeros(len(ptr) - 1)
-    full = ptr[1:] > ptr[:-1]
-    if full.any():
+    if len(size):
+        full = ptr[1:] > ptr[:-1]
         out[full] = np.maximum.reduceat(size, ptr[:-1][full])
     return out
 
@@ -391,18 +392,22 @@ def _row_max(ptr: np.ndarray, size: np.ndarray) -> np.ndarray:
 def _cut_rows(ptr, row, blade, re, im, cut, own: bool = False) -> _Rows:
     """The row table of entries grouped by row without the coefficients of
     size at most cut[row] and, with own, at most PRUNE_EPS times their row's
-    largest one (the raw-terms cut)."""
+    largest one (the raw-terms cut).  Where nothing is cut the table
+    shares the arrays given, which no kernel writes into."""
     size = np.hypot(re, im)           # abs(complex) is hypot
-    if not (size < inf).all() or not np.all(cut < inf):
+    # a NaN anywhere makes the largest NaN, which fails the test too
+    if not (size.max(initial=0.0) < inf and np.max(cut, initial=0.0) < inf):
         raise OverflowError("a coefficient is not finite")
     if own:
         cut = np.maximum(cut, PRUNE_EPS * _row_max(ptr, size))
     keep = size > (cut[row] if np.ndim(cut) else cut)
+    if keep.all():
+        return _Rows(ptr, blade, re, im, _row_max(ptr, size))
     kept = np.zeros(len(keep) + 1, np.intp)
     keep.cumsum(out=kept[1:])
     ptr = kept[ptr]
-    size = size[keep]
-    return _Rows(ptr, blade[keep], re[keep], im[keep], _row_max(ptr, size))
+    return _Rows(ptr, blade[keep], re[keep], im[keep],
+                 _row_max(ptr, size[keep]))
 
 
 def _collect(count, row, blade, re, im, cut, dim: int,
@@ -509,28 +514,39 @@ def _rows_gp(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
+def _rows_fold(t: _Rows, sign: float, summed, dim: int) -> _Rows:
+    """Row k is t[2k] + sign t[2k + 1] as Multivector's + or - builds it
+    where summed[k]; elsewhere the two rows' terms uncut, which is the
+    nonempty one of them.  The terms of row k are those of rows 2k and
+    2k + 1, in place and in order."""
+    each = t.ptr[1:] - t.ptr[:-1]
+    na, nb = each[::2], each[1::2]
+    count = na + nb
+    cut = np.where(summed, PRUNE_EPS * np.maximum(t.top[::2], t.top[1::2]),
+                   0.0)
+    re, im = t.re, t.im
+    if sign != 1.0:
+        factor = np.where(np.arange(len(each)) & 1, sign, 1.0).repeat(each)
+        re, im = re * factor, im * factor
+    return _collect(count, np.arange(len(count)).repeat(count), t.blade, re,
+                    im, cut, dim, not ((na > 0) & (nb > 0)).any())
+
+
 def _rows_sum(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
               sign: float, summed, dim: int) -> _Rows:
-    """Row k is a[ia[k]] + sign b[ib[k]] as Multivector's + or - builds it
-    where summed[k]; elsewhere the two rows' terms uncut, which is the
-    nonempty one of them."""
-    na, nb = _counts(a, ia), _counts(b, ib)
-    count = na + nb
-    cut = np.where(summed, PRUNE_EPS * np.maximum(
-        np.append(a.top, 0.0)[ia], np.append(b.top, 0.0)[ib]), 0.0)
-    pool = a if b is a else _rows_cat(a, b)
-    # each row's terms of a, then its terms of b
-    row = np.arange(len(ia)).repeat(count)
-    at = _spread(np.zeros_like(count), count)
-    in_b = at >= na[row]
-    at += np.where(in_b, (pool.ptr[ib + (0 if b is a else len(a.top))]
-                          - na)[row], a.ptr[ia][row])
-    re, im = pool.re[at], pool.im[at]
-    if sign != 1.0:
-        re[in_b] *= sign
-        im[in_b] *= sign
-    return _collect(count, row, pool.blade[at], re, im, cut, dim,
-                    not ((na > 0) & (nb > 0)).any())
+    """Row k is a[ia[k]] + sign b[ib[k]], the _rows_fold of the two rows
+    gathered side by side."""
+    if b is not a:
+        a, ib = _rows_cat(a, b), np.where(ib < 0, -1, ib + len(a.top))
+    rows = np.empty(2 * len(ia), np.intp)
+    rows[::2], rows[1::2] = ia, ib
+    count = _counts(a, rows)
+    ptr = np.zeros(len(rows) + 1, np.intp)
+    count.cumsum(out=ptr[1:])
+    at = _spread(a.ptr[rows], count)
+    top = np.concatenate((a.top, [0.0]))[rows]      # row -1 is empty
+    return _rows_fold(_Rows(ptr, a.blade[at], a.re[at], a.im[at], top), sign,
+                      summed, dim)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it

@@ -30,9 +30,9 @@ from typing import Dict, List, NamedTuple, Sequence
 import numpy as np
 
 from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _cut_rows, _Rows,
-                   _rows_cat, _rows_gp, _rows_norm, _rows_of, _rows_scaled,
-                   _rows_sum, blade_from_indices, gp, grade_involution,
-                   threshold, volume_element)
+                   _rows_cat, _rows_fold, _rows_gp, _rows_norm, _rows_of,
+                   _rows_scaled, _rows_sum, blade_from_indices, gp,
+                   grade_involution, threshold, volume_element)
 from .errors import (ConstraintViolated, DimensionMismatch, InputError,
                      NotAProjector, NotInSoB, OddDimension,
                      PairNotAssociatedToMinusB)
@@ -289,7 +289,8 @@ class CliffordMapParams:
     def ww_norms(self) -> np.ndarray:
         """The _defect_norms of the W x W pairs, read-only."""
         t = self.cw_table
-        norms = _defect_norms(t.images, self.n + 2, t.rhs, t.at, self.n)
+        norms = _defect_norms(t.images, np.triu_indices(self.n + 2, 1),
+                              t.rhs, t.at, self.n)
         norms.setflags(write=False)
         return norms
 
@@ -389,7 +390,7 @@ def _rotation_rows(h: np.ndarray, n: int) -> _Rows:
     count = np.tile([len(mu), 0, 0, len(mu)], len(h))
     row = np.arange(len(count)).repeat(count)
     re = (-0.5 * h[:, mu, nu]).repeat(2, axis=0).ravel()
-    return _cut_rows(np.append(0, count.cumsum()), row, np.tile(
+    return _cut_rows(np.concatenate(([0], count.cumsum())), row, np.tile(
         (1 << mu) | (1 << nu), 2 * len(h)), re, np.zeros_like(re), 0.0,
         own=True)
 
@@ -401,15 +402,17 @@ def _blocks(k: np.ndarray) -> np.ndarray:
 
 def _block_mul(x: _Rows, ix: np.ndarray, y: _Rows, iy: np.ndarray,
                n: int) -> _Rows:
-    """Element k is x[ix[k]] * y[iy[k]], as CWElement.__mul__ forms it."""
-    left = (4 * ix[:, None] + _LEFT).ravel()
-    right = (4 * iy[:, None] + _RIGHT).ravel()
+    """Element k is x[ix[k]] * y[iy[k]], as CWElement.__mul__ forms it;
+    for ix and iy of shape (k, s), row (k, block, s) is that block of
+    x[ix[k, s]] * y[iy[k, s]].  Every block is the fold of its two gp rows,
+    formed empty or not, summed where both products' factors have terms,
+    as _block sums them."""
+    shape = (len(ix), 1, -1, 1)         # (k, block, s, half)
+    left = (4 * ix.reshape(shape) + _LEFT.reshape(4, 1, 2)).ravel()
+    right = (4 * iy.reshape(shape) + _RIGHT.reshape(4, 1, 2)).ravel()
     full = (x.ptr[left + 1] > x.ptr[left]) & (y.ptr[right + 1] > y.ptr[right])
-    # gp only where both factors have terms, as _block calls it
-    at = np.where(full, full.cumsum() - 1, -1)
-    prods = _rows_gp(x, left[full], y, right[full], n)
-    return _rows_sum(prods, at[::2], prods, at[1::2], 1.0,
-                     full[::2] & full[1::2], n)
+    return _rows_fold(_rows_gp(x, left, y, right, n), 1.0,
+                      full[::2] & full[1::2], n)
 
 
 @np.errstate(over="ignore")     # an infinite norm is a result, as in norm()
@@ -506,29 +509,30 @@ class _CWTable(NamedTuple):
     at: np.ndarray
 
 
-def _defect_norms(gens: _Rows, size: int, rhs: _Rows, at: np.ndarray,
+def _defect_norms(gens: _Rows, pairs, rhs: _Rows, at: np.ndarray,
                   n: int) -> np.ndarray:
     """The norms of the blocks p, q, r, s of [X_i, X_j] - R_ij, one row
-    for each pair i < j < size in np.triu_indices order, X_i element i of
-    gens and R_ij element at[i, j] of rhs, zero where at[i, j] < 0.
+    for each pair (i, j) of pairs, X_i element i of gens and R_ij element
+    at[i, j] of rhs, zero where at[i, j] < 0.
 
-    Every pair is one array pass, a block of pairs at a time: the products
-    X_i X_j and X_j X_i, their difference, then R_ij and the block norms,
-    each bit for bit as the CWElement arithmetic forms it.
+    Every pair is one array pass, a block of pairs at a time: the 16
+    products of X_i X_j and X_j X_i as rows (pair, block, side, half),
+    folded into the blocks of each side and then into their difference,
+    then R_ij and the block norms, each bit for bit as the CWElement
+    arithmetic forms it.
     """
-    i, j = np.triu_indices(size, 1)
+    i, j = pairs
     count = (gens.ptr[1:] - gens.ptr[:-1]).reshape(-1, 4)
-    # a pair's share: its term products and its 16 products' rows
+    # a pair's share: its term products and its 16 product rows, every
+    # one formed, empty or not
     cost = count[:, _LEFT] @ count[:, _RIGHT].T + 8
     blocks = (cost[i, j] + cost[j, i]).cumsum() // _DEFECT_BLOCK
     norms = []
     for part in np.split(np.arange(len(i)), np.diff(blocks).nonzero()[0] + 1):
         x, y = i[part], j[part]
-        prods = _block_mul(gens, np.concatenate((x, y)), gens,
-                           np.concatenate((y, x)), n)
+        defect = _rows_fold(_block_mul(gens, np.stack((x, y), 1), gens,
+                                       np.stack((y, x), 1), n), -1.0, True, n)
         rows = np.arange(4 * len(part))
-        defect = _rows_sum(prods, rows, prods, rows + len(rows), -1.0, True,
-                           n)
         image = at[x, y]
         if (image >= 0).any():
             defect = _rows_sum(defect, rows, rhs, _blocks(image), -1.0, True,
@@ -554,8 +558,12 @@ def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
     rhs, pi, pj = _chain_sums(images, chains, n)
     at = np.pad(t.at, (0, len(rotations)), constant_values=-1)
     at[pi, pj] = len(t.rhs.top) // 4 + np.arange(len(pi))
-    return float(_element_norms(_defect_norms(
-        images, len(at), _rows_cat(t.rhs, rhs), at, n)).max(initial=0.0))
+    i, j = np.triu_indices(len(at), 1)
+    new = j >= n + 2            # ww_norms holds the W x W pairs
+    norms = _defect_norms(images, (i[new], j[new]), _rows_cat(t.rhs, rhs),
+                          at, n)
+    return max(float(_element_norms(norms).max(initial=0.0)),
+               curvature_sweep(rho))
 
 
 def flatness_report(params: CliffordMapParams) -> Dict[str, float]:
@@ -697,8 +705,9 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     second = _block_mul(first, inner - 1, table, once, n)
     inv_res = float(_element_norms(_rows_norm(_rows_sum(
         first, rows + 4 * len(inner), second, rows, -1.0, True, n))).max())
-    rep_res = float(_element_norms(_defect_norms(second, m, second, np.where(
-        t.at < 0, -1, t.at + m), n)).max(initial=0.0))
+    rep_res = float(_element_norms(_defect_norms(
+        second, np.triu_indices(m, 1), second,
+        np.where(t.at < 0, -1, t.at + m), n)).max(initial=0.0))
     return {"invariant": inv_res <= cut,
             "representation": rep_res <= cut,
             "invariance_residual": inv_res,

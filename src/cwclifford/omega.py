@@ -185,8 +185,8 @@ def _closing_rows(c: Multivector, d: Multivector, b: np.ndarray):
     pool = _rows_of([c, d] + [Multivector.basis_vector(n, k)
                               for k in range(1, n + 1)])
     # rows d e_nu, c e_nu, e_nu c, e_nu d
-    ends = _rows_gp(pool, np.r_[at_d, at_c, at_e, at_e], pool,
-                    np.r_[at_e, at_e, at_c, at_d], n)
+    ends = _rows_gp(pool, np.concatenate((at_d, at_c, at_e, at_e)), pool,
+                    np.concatenate((at_e, at_e, at_c, at_d)), n)
     # rows s_{d,c}(e_nu), s_{c,d}(e_nu), then the pool
     both = np.arange(2 * n)
     s = _rows_cat(_rows_sum(ends, both, ends, 2 * n + both, -1.0, True, n),
@@ -198,20 +198,24 @@ def _closing_rows(c: Multivector, d: Multivector, b: np.ndarray):
     # e_mu s_{c,d}(e_nu)
     x, y = np.divmod(np.arange(m), n)
     at_e = 2 * n + 2 + mu
-    prods = _rows_gp(s, np.r_[x, nu, at_e], s, np.r_[n + y, at_e, n + nu], n)
+    prods = _rows_gp(s, np.concatenate((x, nu, at_e)), s,
+                     np.concatenate((n + y, at_e, n + nu)), n)
     # rows Omega_{mu nu}, twice the anticommutator, then the pool
-    sums = _rows_cat(_rows_sum(prods, np.r_[m:m + t, hi * n + lo], prods,
-                               np.r_[m + t:m + 2 * t, lo * n + hi], 1.0, True,
-                               n), pool)
+    tri = np.arange(t)
+    sums = _rows_cat(_rows_sum(
+        prods, np.concatenate((m + tri, hi * n + lo)), prods,
+        np.concatenate((m + t + tri, lo * n + hi)), 1.0, True, n), pool)
     at_d = np.full(t, t + a + 1)
     # rows d Omega, Omega d, the anticommutator, b[mu, nu]
     table = _rows_cat(
-        _rows_gp(sums, np.r_[at_d, :t], sums, np.r_[:t, at_d], n),
-        _rows_scaled(sums, np.r_[t:t + a], np.full(a, 0.5)),
+        _rows_gp(sums, np.concatenate((at_d, tri)), sums,
+                 np.concatenate((tri, at_d)), n),
+        _rows_scaled(sums, t + np.arange(a), np.full(a, 0.5)),
         _rows_of([Multivector.scalar(n, v) for v in b[lo, hi]]))
     # rows [d, Omega], then the anticommutator residuals
-    res = _rows_sum(table, np.r_[:t, 2 * t:2 * t + a], table,
-                    np.r_[t:2 * t, 2 * t + a:2 * t + 2 * a], -1.0, True, n)
+    res = _rows_sum(table, np.concatenate((tri, 2 * t + np.arange(a))), table,
+                    np.concatenate((t + tri, 2 * t + a + np.arange(a))), -1.0,
+                    True, n)
     norms = _rows_norm(res)
     return norms[t:], norms[:t]
 

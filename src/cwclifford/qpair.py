@@ -193,13 +193,13 @@ def _q_rows(c: Multivector, d: Multivector):
     pool = _rows_of([c, d] + [Multivector.basis_vector(n, k)
                               for k in range(1, n + 1)])
     # rows c^2, d^2, e_mu d, then the pool
-    first = _rows_cat(_rows_gp(pool, np.r_[0, 1, at_e], pool,
-                               np.r_[0, 1, at_d], n), pool)
+    first = _rows_cat(_rows_gp(pool, np.concatenate(([0, 1], at_e)), pool,
+                               np.concatenate(([0, 1], at_d)), n), pool)
     # rows c^2 e_mu, e_mu d^2, c (e_mu d); c^2, d^2 and e_mu d are rows 0,
     # 1 and mu + 2 of first
     at_c, at_e = at_c + n + 2, at_e + n + 2
-    prods = _rows_gp(first, np.r_[0 * mu, at_e, at_c], first,
-                     np.r_[at_e, 0 * mu + 1, mu + 2], n)
+    prods = _rows_gp(first, np.concatenate((0 * mu, at_e, at_c)), first,
+                     np.concatenate((at_e, 0 * mu + 1, mu + 2)), n)
     twice = _rows_scaled(prods, 2 * n + mu, np.full(n, 2.0))
     return _rows_sum(_rows_sum(prods, mu, prods, n + mu, 1.0, True, n), mu,
                      twice, mu, -1.0, True, n)

@@ -1,5 +1,6 @@
 import ast
 import math
+import operator
 import pickle
 import re
 from pathlib import Path
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwclifford.core import (_GP_BLOCK, DIM_LIMITS, Multivector, _rows_gp,
-                             _rows_norm, _rows_of, _rows_scaled,
+from cwclifford.core import (_GP_BLOCK, DIM_LIMITS, Multivector, _rows_fold,
+                             _rows_gp, _rows_norm, _rows_of, _rows_scaled,
                              _rows_sum, blade_from_indices, blade_indices, blade_mul,
                              blade_square_sign, gp, grade, grade_involution,
                              grade_project, involute, left_contract,
@@ -254,12 +255,19 @@ def dict_terms(a):
     return list(a.terms()), a._top
 
 
+def unsummed(a, sign, b):
+    """The terms of a, then of sign b, uncut, and their largest size."""
+    return (list(a.terms()) + [(m, sign * z) for m, z in b.terms()],
+            max(a._top, b._top))
+
+
 def test_row_kernels_match_the_multivector_arithmetic():
     """gp, sums, scalar multiples and norms of many elements at once give
     the values (a zero's sign aside), dict order and cuts of Multivector.
     The last two tables lie on either side of the fill rule of _collect: a
     few full rows at n = 8 group by scatter, many one- and two-term rows by
-    sort."""
+    sort.  A fold of adjacent rows is their sum or difference where summed,
+    elsewhere (one row empty) the two rows' terms uncut."""
     rng = np.random.default_rng(11)
     for n, size, low, high in ((2, 24, 0, 16), (4, 24, 0, 16), (7, 24, 0, 16),
                                (8, 3, 256, 257), (8, 48, 1, 3)):
@@ -278,6 +286,20 @@ def test_row_kernels_match_the_multivector_arithmetic():
             for k in range(len(ia)):
                 assert row_terms(out, k) == dict_terms(
                     build(xs[ia[k]], xs[ib[k]], f[k])), (n, k)
+        side_by_side = _rows_of([xs[k] for k in np.stack((ia, ib), 1).flat])
+        empty = np.array([not x._terms for x in xs])
+        summed = (rng.random(len(ia)) < 0.5) | ~(empty[ia] | empty[ib])
+        for sign, op in ((1.0, operator.add), (-1.0, operator.sub)):
+            out = _rows_fold(side_by_side, sign, summed, n)
+            for k, (a, b) in enumerate(zip(ia, ib)):
+                a, b = xs[a], xs[b]
+                assert row_terms(out, k) == (dict_terms(op(a, b)) if summed[k]
+                                             else unsummed(a, sign, b)), (n, k)
+        # a table of no rows stands for the empty row -1
+        out = _rows_sum(table, ia, _rows_of([]), np.full(len(ia), -1), -1.0,
+                        True, n)
+        for k in range(len(ia)):
+            assert row_terms(out, k) == dict_terms(xs[ia[k]] - Multivector(n))
         many = _rows_gp(table, ia, table, ib, n)
         prods = [gp(xs[i], xs[j]) for i, j in zip(ia, ib)]
         assert _rows_norm(many).tolist() == [x.norm() for x in prods]
@@ -285,6 +307,28 @@ def test_row_kernels_match_the_multivector_arithmetic():
         whole = len(prods) // 4 * 4
         assert _element_norms(_rows_norm(many)[:whole]).tolist() == [
             CWElement(*prods[k:k + 4]).norm() for k in range(0, whole, 4)]
+    # gp(a, b) leaves 1.5e-14 e_1 - 1.5e-14 e_2 beside 2 e_{1,2}, above gp's
+    # cut and below a sum's: a fold keeps them unsummed and cuts them summed
+    a = Multivector(4, {0b00: 1.0, 0b11: 1.0, 0b01: 1.5e-14})
+    b = Multivector(4, {0b00: 1.0, 0b11: 1.0})
+    ab, zero = gp(a, b), Multivector.zero(4)
+    assert len((ab + zero)._terms) == len(ab._terms) - 2 == 1
+    table = _rows_of([ab, zero, zero, ab])
+    for sign, op in ((1.0, operator.add), (-1.0, operator.sub)):
+        kept = _rows_fold(table, sign, np.array([False, False]), 4)
+        cut = _rows_fold(table, sign, np.array([True, True]), 4)
+        assert row_terms(kept, 0) == unsummed(ab, sign, zero)
+        assert row_terms(kept, 1) == unsummed(zero, sign, ab)
+        assert row_terms(cut, 0) == dict_terms(op(ab, zero))
+        assert row_terms(cut, 1) == dict_terms(op(zero, ab))
+        # a table of no rows, and one of empty rows
+        none = _rows_fold(_rows_of([]), sign, np.zeros(0, bool), 4)
+        assert none.ptr.tolist() == [0] and len(none.top) == 0
+        for summed in (False, True):
+            empty = _rows_fold(_rows_of([zero] * 4), sign,
+                               np.full(2, summed), 4)
+            assert empty.ptr.tolist() == [0, 0, 0]
+            assert empty.top.tolist() == [0.0, 0.0]
 
 
 def test_rows_gp_sums_a_row_above_the_block_in_blocks_of_left_terms():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -829,6 +830,48 @@ def test_report_and_plain_sweep_share_one_w_pass(n, monkeypatch):
                              "_structure_constants"]
     assert report == assert_report_matches_reference(rho.params)
     assert sweep == reference_sweep(rho)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_sweeps_pass_each_pair_once_in_three_kernel_calls(n, monkeypatch):
+    """Report, plain and extended sweep on one map make one W x W defect
+    pass; the extended pass takes only the C(len(at), 2) - C(n + 2, 2)
+    pairs past it.  Each block of pairs makes one _rows_gp, two _rows_fold
+    calls (the blocks of both products, then their difference) and at most
+    one _rows_sum (- R_ij) before its norms."""
+    monkeypatch.setattr(cw, "_DEFECT_BLOCK", 64)   # several blocks a pass
+    passes, active = [], []
+
+    def defect_norms(gens, pairs, rhs, at, n, f=cw._defect_norms):
+        active.append([])
+        out = f(gens, pairs, rhs, at, n)
+        passes.append((pairs, len(at), active.pop()))
+        return out
+    monkeypatch.setattr(cw, "_defect_norms", defect_norms)
+    for name in ("_rows_gp", "_rows_fold", "_rows_sum", "_rows_norm"):
+        def counted(*args, name=name, f=getattr(cw, name)):
+            if active:
+                active[-1].append(name)
+            return f(*args)
+        monkeypatch.setattr(cw, name, counted)
+    block = ["_rows_gp", "_rows_fold", "_rows_fold"]
+    for rho in _maps(n, np.random.default_rng(80 + n)):
+        passes.clear()
+        flatness_report(rho.params)
+        assert curvature_sweep(rho) == reference_sweep(rho)
+        assert curvature_sweep(rho, extended=True) == \
+            reference_sweep(rho, extended=True)
+        (ww, w_size, _), (past, size, _) = passes
+        assert w_size == 2 * n + 2
+        assert np.array_equal(ww, np.triu_indices(n + 2, 1))
+        assert len(past[0]) == math.comb(size, 2) - math.comb(n + 2, 2)
+        assert (past[0] < past[1]).all() and (past[1] >= n + 2).all()
+        assert len(set(zip(*past))) == len(past[0])
+        for _, _, calls in passes:
+            ends = [k for k, name in enumerate(calls) if name == "_rows_norm"]
+            assert len(ends) > 1 and ends[-1] == len(calls) - 1
+            for start, end in zip([0] + [k + 1 for k in ends], ends):
+                assert calls[start:end] in (block, block + ["_rows_sum"])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
