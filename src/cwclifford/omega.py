@@ -49,23 +49,30 @@ class OmegaTensor:
         return max((e.norm() for e in self.entries.values()), default=0.0)
 
 
-def _omega_parts(c: Multivector, d: Multivector):
-    """The s-images s_{d,c}(e_nu) and s_{c,d}(e_nu), nu = 1..n, and the
-    entries Omega_{mu nu} = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu), mu < nu,
-    keyed by 1-based (mu, nu)."""
-    n = c.dim
-    gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
-    sdc = [s_map(d, c, g) for g in gens]
-    scd = [s_map(c, d, g) for g in gens]
-    entries = {(mu + 1, nu + 1): gp(sdc[nu], gens[mu]) + gp(gens[mu], scd[nu])
-               for mu in range(n) for nu in range(mu + 1, n)}
+def _omega_parts(c: Multivector, d: Multivector, pairs):
+    """The entries Omega_{mu nu} = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu) on
+    the given 1-based (mu, nu), keyed and ordered as given, and the s-images
+    s_{d,c}(e_nu) and s_{c,d}(e_nu) for only the nu those pairs use, keyed
+    by nu."""
+    gens = {mu: Multivector.basis_vector(c.dim, mu) for pair in pairs
+            for mu in pair}
+    used = dict.fromkeys(nu for _, nu in pairs)
+    sdc = {nu: s_map(d, c, gens[nu]) for nu in used}
+    scd = {nu: s_map(c, d, gens[nu]) for nu in used}
+    entries = {(mu, nu): gp(sdc[nu], gens[mu]) + gp(gens[mu], scd[nu])
+               for mu, nu in pairs}
     return sdc, scd, entries
+
+
+def _triangle(n: int):
+    """The 1-based (mu, nu), mu < nu, in lexicographic order."""
+    return [(mu, nu) for mu in range(1, n + 1) for nu in range(mu + 1, n + 1)]
 
 
 def omega_tensor(c: Multivector, d: Multivector) -> OmegaTensor:
     if c.dim != d.dim:
         raise DimensionMismatch("pair elements live in different dimensions")
-    return OmegaTensor(c.dim, _omega_parts(c, d)[2])
+    return OmegaTensor(c.dim, _omega_parts(c, d, _triangle(c.dim))[2])
 
 
 def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
@@ -74,22 +81,23 @@ def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
 
     Rotates into the eigenbasis of B first, then requires every
     eigenspace-crossing entry to vanish to threshold(tol, |c| + |d|), Omega
-    being linear in the pair.
+    being linear in the pair.  Only those entries are formed, in (mu, nu)
+    order, with the s-images they use; none for a B with one eigenvalue.
     """
     cut = threshold(tol, c.norm() + d.norm())
-    if c.dim != b.n:
+    if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
+    owner = {p: k for k, space in enumerate(b.eigenspaces)
+             for p in space.positions}
+    crossing = [(mu, nu) for mu, nu in _triangle(b.n)
+                if owner[mu - 1] != owner[nu - 1]]
     c2, d2 = b.adapt_to_eigenbasis(c, d)
-    omega = omega_tensor(c2, d2)
     worst = 0.0
     worst_at = None
-    for (mu, nu), entry in omega.entries.items():
-        both = (1 << (mu - 1)) | (1 << (nu - 1))
-        if any(both & space.mask == both for space in b.eigenspaces):
-            continue
+    for at, entry in _omega_parts(c2, d2, crossing)[2].items():
         norm = entry.norm()
         if norm > worst:
-            worst, worst_at = norm, (mu, nu)
+            worst, worst_at = norm, at
     return {"holds": worst <= cut, "worst_norm": worst, "threshold": cut,
             "worst_entry": worst_at}
 
@@ -128,7 +136,7 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
     copy of the pair is accepted too.  Coefficients count as zero to
     threshold(tol, |c| + |d|).
     """
-    if c.dim != b.n:
+    if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
     c2, d2 = b.adapt_to_eigenbasis(c, d)
     allowed = _allowed_masks(b)
@@ -236,8 +244,12 @@ def closing_identities(c: Multivector, d: Multivector,
         return {"four-term": float(four.max(initial=0.0)),
                 "anticommutator": float(anti.max())}
     n = c.dim
-    sdc, scd, omega = _omega_parts(c, d)
-    prods = [[gp(x, y) for y in scd] for x in sdc]
+    sdc, scd, omega = _omega_parts(c, d, _triangle(n))
+    # the n^2 products need the s-images at nu = 1 too, which no mu < nu uses
+    e1 = Multivector.basis_vector(n, 1)
+    sdc[1], scd[1] = s_map(d, c, e1), s_map(c, d, e1)
+    at = range(1, n + 1)
+    prods = [[gp(sdc[x], scd[y]) for y in at] for x in at]
     r_four = max(((gp(d, x) - gp(x, d)).norm() for x in omega.values()),
                  default=0.0)
     r_anti = max((0.5 * (prods[nu][mu] + prods[mu][nu])

@@ -1,12 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cwclifford import omega
+from cwclifford import omega, qpair
 from cwclifford.core import (CHECK_TOL, Multivector, gp, grade,
                              random_multivector, threshold, volume_element)
-from cwclifford.errors import InputError, NotSoBInvariant
+from cwclifford.errors import DimensionMismatch, InputError, NotSoBInvariant
 from cwclifford.omega import (_closing_rows, classify_distinguished,
                               closing_identities, is_sob_invariant_structural,
                               omega_in_soB, omega_tensor)
@@ -391,3 +392,153 @@ def test_membership_refuses_a_bad_tolerance_factor(factor):
     assert not omega_in_soB(c, d, b)["holds"]
     with pytest.raises(InputError, match="tolerance factor"):
         omega_in_soB(c, d, b, tol=factor)
+
+
+# -- membership on the crossing entries against the full tensor --------------
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def reference_omega_in_soB(c, d, b, tol=CHECK_TOL):
+    """Membership by the full tensor in the eigenbasis, skipping the entries
+    inside one eigenspace: the loop `omega_in_soB` replaces, kept as the
+    reference it must match bit for bit."""
+    cut = threshold(tol, c.norm() + d.norm())
+    c2, d2 = b.adapt_to_eigenbasis(c, d)
+    worst, worst_at = 0.0, None
+    for (mu, nu), entry in omega_tensor(c2, d2).entries.items():
+        both = (1 << (mu - 1)) | (1 << (nu - 1))
+        if any(both & space.mask == both for space in b.eigenspaces):
+            continue
+        norm = entry.norm()
+        if norm > worst:
+            worst, worst_at = norm, (mu, nu)
+    return {"holds": worst <= cut, "worst_norm": worst, "threshold": cut,
+            "worst_entry": worst_at}
+
+
+def clustered_b(rng, sizes, rotated):
+    """B with one eigenvalue per cluster size, ascending, so that the first
+    size is the first block of the eigenbasis; rotated by a random Q."""
+    values = np.repeat(-4.0 * np.arange(len(sizes), 0, -1) - 1.0, sizes)
+    m = np.diag(values)
+    if rotated:
+        q, _ = np.linalg.qr(rng.standard_normal((len(values),) * 2))
+        m = q @ m @ q.T
+        m = 0.5 * (m + m.T)
+    b = SymmetricMap.from_matrix(m)
+    assert [s.multiplicity for s in b.eigenspaces] == list(sizes)
+    return b
+
+
+def cluster_sizes(n, r):
+    """A split of n into r nonempty clusters, the larger ones first."""
+    return [n // r + (i < n % r) for i in range(r)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_membership_matches_the_full_tensor_on_random_pairs(n):
+    rng = np.random.default_rng(900 + n)
+    pairs = [(random_multivector(rng, n, kc), random_multivector(rng, n, kd))
+             for kc in range(1, 7) for kd in (kc, 7 - kc)]
+    # a pair on which every entry has one norm, so that ties decide
+    # worst_entry
+    pairs.append((Multivector.scalar(n, 1.5), Multivector.scalar(n, -0.5)))
+    for r in range(1, min(n, 3) + 1):
+        for rotated in (False, True):
+            b = clustered_b(rng, cluster_sizes(n, r), rotated)
+            for c, d in pairs:
+                want = reference_omega_in_soB(c, d, b)
+                assert omega_in_soB(c, d, b) == want, (r, rotated)
+                assert want["holds"] == (r == 1 or want["worst_norm"] == 0)
+
+
+def test_membership_matches_the_full_tensor_on_structured_pairs():
+    rng = np.random.default_rng(11)
+    pairs = [make_monomial(4, 0b0011, 1.3, -0.4),
+             make_pseudo_monomial(4, 0b0011, "even", 1.1, 0.7),
+             make_generalized(5, [0b00011, 0b01100, 0b10000],
+                              [1.0, 2.0, 3.0])]
+    for pair in pairs:
+        n = pair.B.n
+        for b in [pair.B] + [clustered_b(rng, cluster_sizes(n, r), rot)
+                             for r in (2, 3) for rot in (False, True)]:
+            want = reference_omega_in_soB(pair.c, pair.d, b)
+            assert omega_in_soB(pair.c, pair.d, b) == want
+    # the crossing monomials tie on two entries; the first in (mu, nu)
+    # order is reported, as before
+    b = SymmetricMap.from_diagonal([1.0, 2.0, 2.0])
+    want = reference_omega_in_soB(e(3, 1), e(3, 2), b)
+    assert omega_in_soB(e(3, 1), e(3, 2), b) == want
+    assert want["worst_entry"] == (1, 3)
+
+
+@pytest.mark.parametrize("pair_file, b_file", [
+    ("readme_mono", "readme_b"), ("pair_not_invariant3", "readme_b"),
+    ("pair_rot4", "b_rot4_22"), ("pair_gen4", "b_rot4_22"),
+    ("pair_gen5", "b_diag5_122"), ("pair_rot8_mono", "b_rot8_44")])
+def test_membership_matches_the_full_tensor_on_golden_inputs(pair_file,
+                                                             b_file):
+    from cwclifford.textio import load_b_file, load_pair_file
+    _, c, d = load_pair_file(str(GOLDEN_INPUTS / f"{pair_file}.json"))
+    _, entries = load_b_file(str(GOLDEN_INPUTS / f"{b_file}.json"))
+    for tol in (CHECK_TOL, 1e-300, 1.0):
+        want = reference_omega_in_soB(c, d, SymmetricMap.from_matrix(entries),
+                                      tol)
+        got = omega_in_soB(c, d, SymmetricMap.from_matrix(entries), tol)
+        assert got == want
+
+
+def _count_products(monkeypatch):
+    """Count the `gp` calls of the omega and qpair layers (s_map is in
+    qpair)."""
+    calls = []
+
+    def counted(a, b, f=gp):
+        calls.append(a.dim)
+        return f(a, b)
+
+    monkeypatch.setattr(omega, "gp", counted)
+    monkeypatch.setattr(qpair, "gp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_membership_forms_only_the_crossing_products(n, monkeypatch):
+    rng = np.random.default_rng(1000 + n)
+    c, d = random_multivector(rng, n, 4), random_multivector(rng, n, 4)
+    calls = _count_products(monkeypatch)
+    # one eigenvalue, in the standard and in a rotated eigenbasis
+    for rotated in (False, True):
+        out = omega_in_soB(c, d, clustered_b(rng, [n], rotated))
+        assert out["holds"] and out["worst_entry"] is None
+    assert calls == []
+    # clusters (k, n - k): 2 products per crossing entry, and 4 per s-image
+    # index nu of the second block
+    for k in range(1, n):
+        b = clustered_b(rng, [k, n - k], False)
+        assert b.eigenbasis_is_identity
+        del calls[:]
+        got = omega_in_soB(c, d, b)
+        assert len(calls) == 2 * k * (n - k) + 4 * (n - k)
+        assert got == reference_omega_in_soB(c, d, b)
+    # three clusters: every nu past the first block is used
+    if n >= 3:
+        sizes = cluster_sizes(n, 3)
+        del calls[:]
+        omega_in_soB(c, d, clustered_b(rng, sizes, False))
+        crossing = sum(sizes[i] * sizes[j]
+                       for i in range(3) for j in range(i + 1, 3))
+        assert len(calls) == 2 * crossing + 4 * (n - sizes[0])
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_a_pair_of_mixed_dimension_is_a_dimension_mismatch(rotated):
+    b = clustered_b(np.random.default_rng(12), [1, 2], rotated)
+    c3 = Multivector.scalar(3, 1.0) + e(3, 1)
+    d4 = Multivector.scalar(4, 1.0)
+    c4 = Multivector.scalar(4, 2.0)
+    for c, d in ((c3, d4), (d4, c3), (c4, d4)):
+        for check in (omega_in_soB, classify_distinguished):
+            with pytest.raises(DimensionMismatch):
+                check(c, d, b)
