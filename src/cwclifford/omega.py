@@ -55,7 +55,7 @@ def _omega_parts(c: Multivector, d: Multivector, pairs):
     s_{d,c}(e_nu) and s_{c,d}(e_nu) for only the nu those pairs use, keyed
     by nu."""
     gens = {mu: Multivector.basis_vector(c.dim, mu)
-            for mu in {mu for pair in pairs for mu in pair}}
+            for mu in {i for pair in pairs for i in pair}}
     used = dict.fromkeys(nu for _, nu in pairs)
     sdc = {nu: s_map(d, c, gens[nu]) for nu in used}
     scd = {nu: s_map(c, d, gens[nu]) for nu in used}
