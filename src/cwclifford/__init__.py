@@ -8,7 +8,7 @@ from importlib import import_module
 _EXPORTS = {name: home for home, names in (
     ("core", "Multivector blade_from_indices blade_indices blade_mul "
              "blade_square_sign gp grade grade_involution grade_project "
-             "involute left_contract random_multivector reversal "
+             "left_contract random_multivector reversal "
              "trace_pairing volume_element"),
     ("gammarep", "GammaRep build_rep extract_component represent"),
     ("qpair", "QuadraticPair SymmetricMap classify_family extract_B "

@@ -99,9 +99,7 @@ def _cmd_omega(args) -> dict:
     from . import omega
     from .qpair import SymmetricMap
     dim, c, d = textio.load_pair_file(args.pair)
-    bdim, entries = textio.load_b_file(args.b)
-    if bdim != dim:
-        raise InputError("pair and symmetric-map dimensions differ")
+    _, entries = textio.load_b_file(args.b)
     b = SymmetricMap.from_matrix(entries)
     membership = omega.omega_in_soB(c, d, b, tol=args.tol)
     out = {

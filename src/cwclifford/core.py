@@ -398,16 +398,17 @@ def _cut_rows(ptr, row, blade, re, im, cut, own: bool = False) -> _Rows:
     # a NaN anywhere makes the largest NaN, which fails the test too
     if not (size.max(initial=0.0) < inf and np.max(cut, initial=0.0) < inf):
         raise OverflowError("a coefficient is not finite")
+    top = _row_max(ptr, size)
     if own:
-        cut = np.maximum(cut, PRUNE_EPS * _row_max(ptr, size))
+        cut = np.maximum(cut, PRUNE_EPS * top)
     keep = size > (cut[row] if np.ndim(cut) else cut)
     if keep.all():
-        return _Rows(ptr, blade, re, im, _row_max(ptr, size))
+        return _Rows(ptr, blade, re, im, top)
+    # a row keeps its largest size unless the cut empties it
+    top[top <= cut] = 0.0
     kept = np.zeros(len(keep) + 1, np.intp)
     keep.cumsum(out=kept[1:])
-    ptr = kept[ptr]
-    return _Rows(ptr, blade[keep], re[keep], im[keep],
-                 _row_max(ptr, size[keep]))
+    return _Rows(kept[ptr], blade[keep], re[keep], im[keep], top)
 
 
 def _collect(count, row, blade, re, im, cut, dim: int,
@@ -583,31 +584,17 @@ def grade_project(a: Multivector, k: int) -> Multivector:
                        {m: c for m, c in a._terms.items() if grade(m) == k})
 
 
-def involute(a: Multivector, kind: str) -> Multivector:
-    """The two standard involutions.
-
-    kind="grade": the automorphism extending v -> -v (grade-k terms pick up
-    (-1)^k); kind="reverse": the antiautomorphism fixing V (factor
-    (-1)^(k(k-1)/2)).
-    """
-    if kind == "grade":
-        return Multivector(a.dim, {m: c if grade(m) % 2 == 0 else -c
-                                   for m, c in a._terms.items()})
-    if kind == "reverse":
-        out = {}
-        for m, c in a._terms.items():
-            k = grade(m)
-            out[m] = -c if (k * (k - 1) // 2) % 2 else c
-        return Multivector(a.dim, out)
-    raise ValueError(f"unknown involution kind {kind!r}")
-
-
 def grade_involution(a: Multivector) -> Multivector:
-    return involute(a, "grade")
+    """The automorphism extending v -> -v: grade-k terms pick up (-1)^k."""
+    return Multivector(a.dim, {m: -c if grade(m) % 2 else c
+                               for m, c in a._terms.items()})
 
 
 def reversal(a: Multivector) -> Multivector:
-    return involute(a, "reverse")
+    """The antiautomorphism fixing V: grade-k terms pick up
+    (-1)^(k(k-1)/2), which is -1 for k = 2, 3 mod 4."""
+    return Multivector(a.dim, {m: -c if grade(m) % 4 >= 2 else c
+                               for m, c in a._terms.items()})
 
 
 def volume_element(n: int) -> Multivector:

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CHECK_TOL, Multivector, _check_dim, blade_square_sign,
-                   gp, grade, threshold)
+from .core import (CHECK_TOL, Multivector, _check_dim, blade_indices,
+                   blade_square_sign, gp, grade, threshold)
 from .errors import InputError
 
 if TYPE_CHECKING:   # search_pairs_for_B imports qpair when it runs
@@ -286,10 +286,6 @@ def _z2_canonical(alpha: complex, beta: complex) -> Tuple[complex, complex]:
     return alpha, beta
 
 
-def _mask_indices(mask: int, n: int) -> List[int]:
-    return [idx for idx in range(1, n + 1) if (mask >> (idx - 1)) & 1]
-
-
 def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
     """Pairs realizing B, one canonical representative per family found.
 
@@ -342,7 +338,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
                 full = (1 << n) - 1
                 af = complex(np.sqrt(lam / blade_square_sign(full) + 0j))
                 emit("monomial", lambda a=af: make_monomial(n, full, a, 0.0),
-                     {"blade": _mask_indices(full, n), "alpha": str(af),
+                     {"blade": list(blade_indices(full)), "alpha": str(af),
                       "beta": "0"})
         elif r == 2:
             if n % 2 == 0:
@@ -358,7 +354,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
                 alpha, beta = _z2_canonical(0.5 * (u + v), eps * 0.5 * (u - v))
                 emit("monomial",
                      lambda m=mask, a=alpha, bb=beta: make_monomial(n, m, a, bb),
-                     {"blade": _mask_indices(mask, n), "alpha": str(alpha),
+                     {"blade": list(blade_indices(mask)), "alpha": str(alpha),
                       "beta": str(beta)})
     if ansatz in ("pseudo-monomial", "all") and n % 2 == 0 and r == 2:
         for which in (0, 1):
@@ -371,7 +367,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
                 emit("pseudo-monomial-even",
                      lambda m=mask, a=alpha, bb=beta:
                      make_pseudo_monomial(n, m, "even", a, bb, sign=1),
-                     {"blade": _mask_indices(mask, n), "alpha": str(alpha),
+                     {"blade": list(blade_indices(mask)), "alpha": str(alpha),
                       "beta": str(beta), "family_parameter": "sign in {+1,-1}"})
             else:
                 phi = np.pi / 6.0
@@ -382,7 +378,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
                 emit("pseudo-monomial-odd",
                      lambda m=mask, a=alpha, bb=beta, p=phi:
                      make_pseudo_monomial(n, m, "odd", a, bb, phi=p),
-                     {"blade": _mask_indices(mask, n), "alpha": str(alpha),
+                     {"blade": list(blade_indices(mask)), "alpha": str(alpha),
                       "beta": str(beta), "phi": phi, "psi": 0.0,
                       "family_parameter": "circle in phi"})
     if ansatz in ("linear", "all"):
@@ -410,7 +406,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
         emit("generalized-monomial",
              lambda ms=tuple(masks), cs=tuple(coeffs), hs=tuple(hats):
              make_generalized(n, list(ms), list(cs), list(hs)),
-             {"partition": [_mask_indices(m, n) for m in masks],
+             {"partition": [list(blade_indices(m)) for m in masks],
               "coefficients": [str(x) for x in coeffs],
               "hat_coefficients": [str(x) for x in hats]})
     return hits

@@ -154,6 +154,12 @@ def test_omega_cli(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["holds"] is True
     assert doc["template"] == "gl2" and doc["template_match"] is True
+    # a B of another dimension is bad input, refused by omega_in_soB
+    write_b(b_file, 4, np.eye(4))
+    code, out, err = run(capsys, "omega", "--pair", str(pair_file),
+                         "--b", str(b_file))
+    assert code == 2 and out == ""
+    assert err == "error: pair and symmetric map dimensions differ\n"
 
 
 def test_rep_check_cli(capsys):

@@ -1,11 +1,15 @@
-"""Fuzzing the `omega` subcommand from the golden inputs.
+"""Fuzzing the `omega`, `cw-flat` and `cw-restrict` subcommands from the
+golden inputs.
 
-Each example takes a golden pair file and a symmetric-map file, changes one
-thing (a coefficient, a B entry, or an overall scale of the pair or of B),
-may set `--tol` to a hostile or extreme value, and drives `cli.main`.  The
-exit-code contract must hold: 0 (computed), 2 (bad input) or 3 (tolerance
-breach); on 0 stdout is JSON with only finite numbers; and the same input
-gives the same stdout.
+Each example takes a golden input (a pair file and a symmetric-map file, or
+a Clifford-map params file), changes one thing (a coefficient, a B entry,
+or an overall scale of the pair, of a..e or of B), may set `--tol` to a
+hostile or extreme value, and drives `cli.main`; a params file goes to
+`cw-flat`, with or without `--extended`, or to `cw-restrict` with a catalog
+projector or an X-projector spec whose index sets may overlap, be empty or
+leave 1..n.  The exit-code contract must hold: 0 (computed), 2 (bad input)
+or 3 (tolerance breach); on 0 stdout is JSON with only finite numbers; and
+the same input gives the same stdout.
 """
 
 import contextlib
@@ -28,6 +32,10 @@ PARTNER = {"pair_gen4": "b_rot4_22", "pair_rot4": "b_rot4_22",
            "pair_rot8_mono": "b_rot8_44", "pair_gen5": "b_diag5_122",
            "pair_not_invariant3": "readme_b"}
 B_FILES = sorted(set(PARTNER.values()))
+PARAMS = sorted(p.stem for p in INPUTS.glob("params_*.json")) + [
+    "readme_params"]
+CATALOG = ["sigma-", "sigma+", "sv+s-", "sv+s+", "s-w", "s+w", "sigma-pi+",
+           "sigma-pi-", "sigma+pi+", "sigma+pi-"]
 TOLS = ["0", "-1", "nan", "inf", "1e-300"]
 SCALES = [0.0, -1.0, 1e-300, 1e-160, 1e-8, 1e8, 1e160, 1e300, math.pi]
 
@@ -62,6 +70,24 @@ def scaled(text, factor):
     return " + ".join(terms)
 
 
+def new_coefficient(draw, text):
+    """The term list with one coefficient replaced by any literal."""
+    terms = text.split(" + ")
+    at = draw(st.integers(0, len(terms) - 1))
+    blade = terms[at].rsplit(" e_", 1)[1]
+    terms[at] = f"{draw(coefficients())} e_{blade}"
+    return " + ".join(terms)
+
+
+def new_entry(draw, entries, n):
+    """One entry of the n x n matrix, mirrored or not, set to any value."""
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    value = draw(values())
+    entries[i * n + j] = value
+    if draw(st.booleans()):
+        entries[j * n + i] = value
+
+
 @st.composite
 def omega_inputs(draw):
     name = draw(st.sampled_from(sorted(PARTNER)))
@@ -71,18 +97,9 @@ def omega_inputs(draw):
     kind = draw(st.sampled_from(["coeff", "entry", "scale-pair", "scale-b"]))
     if kind == "coeff":
         side = draw(st.sampled_from(["c", "d"]))
-        terms = pair[side].split(" + ")
-        at = draw(st.integers(0, len(terms) - 1))
-        blade = terms[at].rsplit(" e_", 1)[1]
-        terms[at] = f"{draw(coefficients())} e_{blade}"
-        pair[side] = " + ".join(terms)
+        pair[side] = new_coefficient(draw, pair[side])
     elif kind == "entry":
-        n = b["dim"]
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        value = draw(values())
-        b["entries"][i * n + j] = value
-        if draw(st.booleans()):
-            b["entries"][j * n + i] = value
+        new_entry(draw, b["entries"], b["dim"])
     elif kind == "scale-pair":
         factor = draw(values())
         pair["c"], pair["d"] = scaled(pair["c"], factor), \
@@ -91,6 +108,38 @@ def omega_inputs(draw):
         factor = draw(values())
         b["entries"] = [factor * x for x in b["entries"]]
     return pair, b, draw(st.one_of(st.none(), st.sampled_from(TOLS)))
+
+
+@st.composite
+def x_specs(draw):
+    """X-projector specs x+:I;J and x-:I;J; the index sets may overlap, be
+    empty or hold indices outside 1..n."""
+    sets = st.lists(st.integers(-1, 9), max_size=4).map(
+        lambda s: ",".join(map(str, s)))
+    return f"x{draw(st.sampled_from('+-'))}:{draw(sets)};{draw(sets)}"
+
+
+@st.composite
+def params_inputs(draw):
+    doc = load(draw(st.sampled_from(PARAMS)))
+    kind = draw(st.sampled_from(["coeff", "entry", "scale-map", "scale-b"]))
+    if kind == "coeff":
+        field = draw(st.sampled_from("abcde"))
+        doc[field] = new_coefficient(draw, doc[field])
+    elif kind == "entry":
+        new_entry(draw, doc["B"], doc["dim"])
+    elif kind == "scale-map":
+        factor = draw(values())
+        for field in "abcde":
+            doc[field] = scaled(doc[field], factor)
+    else:
+        factor = draw(values())
+        doc["B"] = [factor * x for x in doc["B"]]
+    command = draw(st.one_of(
+        st.just(["cw-flat"]), st.just(["cw-flat", "--extended"]),
+        st.tuples(st.just("cw-restrict"), st.just("--projector"),
+                  st.one_of(st.sampled_from(CATALOG), x_specs())).map(list)))
+    return doc, command, draw(st.one_of(st.none(), st.sampled_from(TOLS)))
 
 
 def run(argv):
@@ -115,6 +164,19 @@ def refuse_constant(name):
     raise ValueError(f"non-finite literal {name} in the report")
 
 
+def assert_contract(argv, tol):
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    code, out = run(argv)
+    event(f"exit {code}")  # the shares: --hypothesis-show-statistics
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert finite_numbers(json.loads(out, parse_constant=refuse_constant))
+    else:
+        assert out == ""
+    assert run(argv) == (code, out)
+
+
 @settings(max_examples=150, deadline=None)
 @given(omega_inputs())
 def test_omega_keeps_the_exit_code_contract(case):
@@ -123,15 +185,16 @@ def test_omega_keeps_the_exit_code_contract(case):
         pair_path, b_path = Path(tmp) / "pair.json", Path(tmp) / "b.json"
         pair_path.write_text(json.dumps(pair))
         b_path.write_text(json.dumps(b))
-        argv = ["omega", "--pair", str(pair_path), "--b", str(b_path)]
-        if tol is not None:
-            argv.append(f"--tol={tol}")
-        code, out = run(argv)
-        event(f"exit {code}")  # the shares: --hypothesis-show-statistics
-        assert code in (0, 2, 3)
-        if code == 0:
-            assert finite_numbers(json.loads(out,
-                                             parse_constant=refuse_constant))
-        else:
-            assert out == ""
-        assert run(argv) == (code, out)
+        assert_contract(["omega", "--pair", str(pair_path), "--b",
+                         str(b_path)], tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params_inputs())
+def test_cw_commands_keep_the_exit_code_contract(case):
+    doc, command, tol = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.json"
+        path.write_text(json.dumps(doc))
+        assert_contract([command[0], "--params", str(path), *command[1:]],
+                        tol)

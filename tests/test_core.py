@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwclifford.core import (_GP_BLOCK, DIM_LIMITS, Multivector, _rows_fold,
-                             _rows_gp, _rows_norm, _rows_of, _rows_scaled,
-                             _rows_sum, blade_from_indices, blade_indices, blade_mul,
+from cwclifford.core import (_GP_BLOCK, DIM_LIMITS, PRUNE_EPS, Multivector,
+                             _cut_rows, _element, _rows_fold, _rows_gp,
+                             _rows_norm, _rows_of, _rows_scaled, _rows_sum,
+                             blade_from_indices, blade_indices, blade_mul,
                              blade_square_sign, gp, grade, grade_involution,
-                             grade_project, involute, left_contract,
+                             grade_project, left_contract,
                              random_multivector, reversal, threshold,
                              trace_pairing, volume_element)
 from cwclifford.cw import CWElement, _element_norms
@@ -103,12 +104,10 @@ def test_grade_projections_sum_to_identity():
 
 def test_involutions_examples():
     n = 2
-    assert involute(e(n, 1), "grade") == -e(n, 1)
+    assert grade_involution(e(n, 1)) == -e(n, 1)
     g12 = Multivector.blade(n, 0b11)
-    assert involute(g12, "grade") == g12
-    assert involute(g12, "reverse") == -g12
-    with pytest.raises(ValueError):
-        involute(g12, "conjugate")
+    assert grade_involution(g12) == g12
+    assert reversal(g12) == -g12
 
 
 def test_involution_properties_random():
@@ -329,6 +328,48 @@ def test_row_kernels_match_the_multivector_arithmetic():
                                np.full(2, summed), 4)
             assert empty.ptr.tolist() == [0, 0, 0]
             assert empty.top.tolist() == [0.0, 0.0]
+
+
+def test_cut_rows_takes_each_rows_top_before_the_cut():
+    """A row that keeps its largest size reads it bit for bit; a row whose
+    largest size sits exactly at its cut comes back empty with top 0.0.
+    Each row is compared with the element the same cut builds (_element;
+    with own, the cut raised to PRUNE_EPS times the row's largest size, as
+    the raw-terms constructor raises it), under a scalar, a per-row and an
+    own cut."""
+    rng = np.random.default_rng(29)
+    n = 4
+    count = rng.integers(0, 7, 40)
+    count[:3] = [1, 4, 0]
+    ptr = np.concatenate(([0], count.cumsum()))
+    row = np.arange(len(count)).repeat(count)
+    blade = np.concatenate([rng.permutation(1 << n)[:k] for k in count])
+    z = (rng.standard_normal(ptr[-1]) + 1j * rng.standard_normal(ptr[-1])) \
+        * 10.0 ** rng.integers(-18, 3, ptr[-1])
+    size = abs(z)
+    top = np.array([size[a:b].max(initial=0.0)
+                    for a, b in zip(ptr[:-1], ptr[1:])])
+    # per row: no cut, its largest size exactly, its smallest size, 1e-9
+    pick = rng.integers(0, 4, len(count))
+    pick[:3] = [1, 1, 2]
+    low = np.array([size[a:b].min(initial=0.0)
+                    for a, b in zip(ptr[:-1], ptr[1:])])
+    per_row = np.choose(pick, [np.zeros(len(count)), top, low,
+                               np.full(len(count), 1e-9)])
+    emptied = 0
+    for cut, own in ((top[1], False), (0.0, False), (per_row, False),
+                     (0.0, True), (per_row, True)):
+        out = _cut_rows(ptr, row, blade, z.real.copy(), z.imag.copy(), cut,
+                        own)
+        for k in range(len(count)):
+            c = cut[k] if np.ndim(cut) else cut
+            if own:
+                c = max(c, PRUNE_EPS * top[k])
+            want = _element(n, dict(zip(blade[ptr[k]:ptr[k + 1]].tolist(),
+                                        z[ptr[k]:ptr[k + 1]])), c)
+            assert row_terms(out, k) == dict_terms(want), (cut, own, k)
+            emptied += top[k] > 0.0 and top[k] == c
+    assert emptied >= 5   # each cut empties a row at its largest size
 
 
 def test_rows_gp_sums_a_row_above_the_block_in_blocks_of_left_terms():

@@ -213,7 +213,8 @@ def test_validate_simple_map():
     good = CliffordMapParams(b, Multivector.scalar(n, alpha),
                              Multivector.scalar(n, -alpha), zero, zero, zero)
     out = validate_simple_map(good)
-    assert out["passes"] and out["24"] < 1e-14
+    assert out.keys() == {"24", "24a"}
+    assert out["24"] < 1e-14 and out["24a"] < 1e-14
     n = 4
     zero4 = Multivector.zero(4)
     b4 = SymmetricMap.from_diagonal([1.0] * 4)
@@ -222,11 +223,12 @@ def test_validate_simple_map():
     avec = -1 * (Multivector.scalar(4, 0.5) - beta * volume_element(4))
     good4 = CliffordMapParams(b4, avec, grade_involution(bbar),
                               zero4, zero4, zero4)
-    assert validate_simple_map(good4)["passes"]
+    out = validate_simple_map(good4)
+    assert out["24"] < 1e-14 and out["24a"] < 1e-14
     bad = CliffordMapParams(b4, zero4, Multivector.basis_vector(4, 1),
                             zero4, zero4, zero4)
-    assert not validate_simple_map(bad)["passes"]
-    assert validate_simple_map(bad)["24"] > 0.1
+    out = validate_simple_map(bad)
+    assert out["24"] > 0.1 and out["24a"] > 0.1
 
 
 def test_curvature_spin_only_map():
@@ -576,7 +578,7 @@ def test_bracket_defect_loop_matches_reference(n):
 def test_bracket_defect_pass_is_blocked_without_changing_a_bit(block,
                                                                monkeypatch):
     """One pair at a time, and every pair at once."""
-    monkeypatch.setattr(cw, "_DEFECT_BLOCK", block)
+    monkeypatch.setattr(cw, "_GP_BLOCK", block)
     for n in (3, 4):
         for rho in _maps(n, np.random.default_rng(30 + n)):
             _check_against_reference(rho)
@@ -720,6 +722,26 @@ def _rotation_stacks(n, rng):
                     np.concatenate((rotations, commutators)))
 
 
+def test_commutator_of_a_stack_is_a_loop_of_single_commutators():
+    """Each k of a stack is cut with its own max |k|: stacks of 0, 1 and
+    several rotations of scales 1e-12 to 1e12, among them 0.1 h, whose
+    commutator with h is rounding only and is cut to zero."""
+    rng = np.random.default_rng(61)
+    n = 4
+    a = rng.standard_normal((n, n))
+    h = a - a.T
+    assert (h @ (0.1 * h) - (0.1 * h) @ h).any()
+    ks = [0.1 * h] + [(x - x.T) * 10.0 ** e for x, e in zip(
+        rng.standard_normal((5, n, n)), (-12, -3, 0, 3, 12))]
+    for stack in (np.zeros((0, n, n)), np.array(ks[:1]), np.array(ks)):
+        got = cw._commutator(h, stack)
+        want = np.array([cw._commutator(h, k) for k in stack]).reshape(
+            stack.shape)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not cw._commutator(h, ks[0]).any()
+    assert all(cw._commutator(h, k).any() for k in ks[1:])
+
+
 def assert_same_rows(got, want):
     for x, y in zip(got, want, strict=True):
         assert x.dtype == y.dtype and x.shape == y.shape
@@ -839,7 +861,7 @@ def test_the_sweeps_pass_each_pair_once_in_three_kernel_calls(n, monkeypatch):
     pairs past it.  Each block of pairs makes one _rows_gp, two _rows_fold
     calls (the blocks of both products, then their difference) and at most
     one _rows_sum (- R_ij) before its norms."""
-    monkeypatch.setattr(cw, "_DEFECT_BLOCK", 64)   # several blocks a pass
+    monkeypatch.setattr(cw, "_GP_BLOCK", 64)   # several blocks a pass
     passes, active = [], []
 
     def defect_norms(gens, pairs, rhs, at, n, f=cw._defect_norms):
