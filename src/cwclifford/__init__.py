@@ -7,14 +7,12 @@ from importlib import import_module
 # exported name -> home module
 _EXPORTS = {name: home for home, names in (
     ("core", "Multivector blade_from_indices blade_indices blade_mul "
-             "blade_square_sign gp grade grade_involution grade_project "
-             "left_contract random_multivector reversal "
-             "trace_pairing volume_element"),
+             "blade_square_sign gp grade grade_involution "
+             "random_multivector volume_element"),
     ("gammarep", "GammaRep build_rep extract_component represent"),
     ("qpair", "QuadraticPair SymmetricMap classify_family extract_B "
               "linear_pair_from_parts make_generalized make_linear "
-              "make_monomial make_pseudo_monomial q_map s_map "
-              "transpose_relation_check"),
+              "make_monomial make_pseudo_monomial q_map s_map"),
     ("cw", "CliffordMap CliffordMapParams CWAlgebraElement CWElement "
            "build_flat_rep_alphanotzero build_flat_rep_alphazero "
            "catalog_projector check_restriction curvature curvature_sweep "

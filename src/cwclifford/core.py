@@ -27,15 +27,13 @@ from typing import Dict, Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DimensionTooLarge, InputError,
-                     NotGradeOne)
+from .errors import DimensionMismatch, DimensionTooLarge, InputError
 
 # The dimension limits on n = dim V, stated once; error messages quote them.
 DIM_LIMITS = {
     "algebra": (1, 12),               # Multivector, gammarep.build_rep
     "search": (1, 10),                # search.search_pairs_for_B
     "case sweep": (2, 6),             # search.enumerate_two_monomial_cases
-    "transpose sweep": (1, 6),        # qpair.transpose_relation_check
 }
 MIN_DIM, MAX_DIM = DIM_LIMITS["algebra"]
 
@@ -578,22 +576,9 @@ def _rows_norm(a: _Rows) -> np.ndarray:
         minlength=n_rows), 0.5)
 
 
-def grade_project(a: Multivector, k: int) -> Multivector:
-    """Keep exactly the blades of grade k."""
-    return Multivector(a.dim,
-                       {m: c for m, c in a._terms.items() if grade(m) == k})
-
-
 def grade_involution(a: Multivector) -> Multivector:
     """The automorphism extending v -> -v: grade-k terms pick up (-1)^k."""
     return Multivector(a.dim, {m: -c if grade(m) % 2 else c
-                               for m, c in a._terms.items()})
-
-
-def reversal(a: Multivector) -> Multivector:
-    """The antiautomorphism fixing V: grade-k terms pick up
-    (-1)^(k(k-1)/2), which is -1 for k = 2, 3 mod 4."""
-    return Multivector(a.dim, {m: -c if grade(m) % 4 >= 2 else c
                                for m, c in a._terms.items()})
 
 
@@ -602,41 +587,6 @@ def volume_element(n: int) -> Multivector:
     if n < 1:
         raise DimensionMismatch("volume element needs n >= 1")
     return Multivector.blade(n, (1 << n) - 1, 1j ** ((n + 1) // 2))
-
-
-def left_contract(v: Multivector, a: Multivector) -> Multivector:
-    """Interior product v | a for a grade-1 element v."""
-    if v.dim != a.dim:
-        raise DimensionMismatch(f"dimensions differ: {v.dim} vs {a.dim}")
-    out: Dict[int, complex] = {}
-    for gmask, gcoeff in v.terms():
-        if grade(gmask) != 1:
-            raise NotGradeOne("left_contract needs a pure grade-1 argument")
-        for mask, c in a.terms():
-            if mask & gmask:
-                below = (mask & (gmask - 1)).bit_count()
-                s = -1 if below % 2 else 1
-                key = mask ^ gmask
-                out[key] = out.get(key, 0j) + s * gcoeff * c
-    return Multivector(a.dim, out)
-
-
-def trace_pairing(a: Multivector, b: Multivector) -> complex:
-    """Normalized trace form <a, b>: the scalar part of a * reversal(b).
-
-    Distinct blades pair to zero; <Gamma_I, Gamma_I> = (-1)^grade(I), so the
-    pairing has unit magnitude on the blade basis.
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    out = 0j
-    for m, x in a.terms():
-        y = b.coefficient(m)
-        if y:
-            k = grade(m)
-            rev = -1 if (k * (k - 1) // 2) % 2 else 1
-            out += x * (rev * y) * blade_square_sign(m)
-    return out
 
 
 def random_multivector(rng, dim: int, n_terms: int = 8,

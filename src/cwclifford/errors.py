@@ -17,10 +17,6 @@ class DimensionTooLarge(InputError):
     pass
 
 
-class NotGradeOne(InputError):
-    pass
-
-
 class AmbiguousOddIrreducible(InputError):
     pass
 

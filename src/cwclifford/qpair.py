@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (CHECK_TOL, CLUSTER_TOL, ORTHOGONALITY_TOL, PRUNE_EPS,
-                   Multivector, _check_dim, _rows_cat, _rows_gp, _rows_of,
+                   Multivector, _rows_cat, _rows_gp, _rows_of,
                    _rows_scaled, _rows_sum, blade_square_sign, gp, grade,
                    threshold, volume_element)
 from .errors import (AnticommutationViolated, CoefficientConstraintViolated,
@@ -613,30 +613,7 @@ def classify_family(pair: QuadraticPair) -> List[str]:
     return tags
 
 
-# -- identities --------------------------------------------------------------
-
-def transpose_relation_check(c: Multivector, d: Multivector) -> float:
-    """Max residual of the component symmetry between q_{c,d} and q_{d,c}.
-
-    With true blade coefficients the relation carries the sign
-    (-1)^(k(k+1)/2 + l(l+1)/2) for grades k, l (an extra (-1)^(k+l)
-    relative to the unsigned-orthogonality derivation).
-    """
-    n = c.dim
-    _check_dim("transpose sweep", n)
-    size = 1 << n
-    q_cd = [q_map(c, d, Multivector.blade(n, i)) for i in range(size)]
-    q_dc = [q_map(d, c, Multivector.blade(n, j)) for j in range(size)]
-    worst = 0.0
-    for i in range(size):
-        ki = grade(i)
-        for j in range(size):
-            kj = grade(j)
-            sign = -1 if ((ki * (ki + 1) // 2) + (kj * (kj + 1) // 2)) % 2 else 1
-            worst = max(worst, abs(q_cd[i].coefficient(j) -
-                                   sign * q_dc[j].coefficient(i)))
-    return worst
-
+# -- change of basis ---------------------------------------------------------
 
 def rotate_multivector(a: Multivector, r: np.ndarray) -> Multivector:
     """Algebra map induced by an orthogonal change of basis e_mu -> r[:, mu].

@@ -18,7 +18,7 @@ from cwclifford.qpair import (SymmetricMap, _generalized_elements,
                               linear_pair_from_parts, make_generalized,
                               make_linear, make_monomial, make_pseudo_monomial,
                               q_map, rotate_multivector, s_map,
-                              skew_to_bivector, transpose_relation_check)
+                              skew_to_bivector)
 
 
 def e(n, mu):
@@ -435,6 +435,29 @@ def test_classify_pseudo_types():
 
 
 # -- identities ---------------------------------------------------------------
+
+def transpose_relation_check(c, d):
+    """Max residual of the component symmetry between q_{c,d} and q_{d,c}
+    over the full blade basis.
+
+    With true blade coefficients the relation carries the sign
+    (-1)^(k(k+1)/2 + l(l+1)/2) for grades k, l (an extra (-1)^(k+l)
+    relative to the unsigned-orthogonality derivation).
+    """
+    n = c.dim
+    size = 1 << n
+    q_cd = [q_map(c, d, Multivector.blade(n, i)) for i in range(size)]
+    q_dc = [q_map(d, c, Multivector.blade(n, j)) for j in range(size)]
+    worst = 0.0
+    for i in range(size):
+        ki = grade(i)
+        for j in range(size):
+            kj = grade(j)
+            sign = -1 if ((ki * (ki + 1) // 2) + (kj * (kj + 1) // 2)) % 2 else 1
+            worst = max(worst, abs(q_cd[i].coefficient(j) -
+                                   sign * q_dc[j].coefficient(i)))
+    return worst
+
 
 def test_transpose_relation():
     rng = np.random.default_rng(8)
