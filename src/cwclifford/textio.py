@@ -20,10 +20,15 @@ import numpy as np
 from .core import Multivector, blade_from_indices, blade_indices, grade
 from .errors import InputError
 
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_BLADE_RE = re.compile(r"e_\{(?P<idx>[\d,\s]*)\}")
-_COMPLEX_RE = re.compile(
-    rf"^\(\s*(?P<re>[+-]?{_NUM})\s*(?P<sign>[+-])\s*(?P<im>{_NUM})?\s*i\s*\)$")
+# One number pattern for every coefficient shape: ASCII digits only, no
+# underscores, no inf or nan.
+_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_BLADE_RE = re.compile(r"e_\{(?P<idx>[\d,\s]*)\}", re.ASCII)
+_COEFF_RE = re.compile(
+    rf"(?P<re>{_NUM})"                                    # a
+    rf"|(?P<im>{_NUM}|[+-]?)\s*i"                          # bi
+    rf"|\(\s*(?P<pre>{_NUM})\s*(?P<sign>[+-])\s*(?![+-])"  # (a+bi)
+    rf"(?P<pim>{_NUM})?\s*i\s*\)", re.ASCII)
 
 
 def _format_float(x: float) -> str:
@@ -44,27 +49,16 @@ def _parse_coeff(text: str) -> complex:
     text = text.strip()
     if not text:
         raise InputError("empty coefficient in multivector term")
-    m = _COMPLEX_RE.match(text)
-    if m:
-        re_ = float(m.group("re"))
-        im = float(m.group("im")) if m.group("im") else 1.0
-        if m.group("sign") == "-":
-            im = -im
-        return complex(re_, im)
-    if text.endswith("i"):
-        body = text[:-1].strip()
-        if body in ("", "+"):
-            return 1j
-        if body == "-":
-            return -1j
-        try:
-            return complex(0.0, float(body))
-        except ValueError as exc:
-            raise InputError(f"bad imaginary literal {text!r}") from exc
-    try:
-        return complex(float(text), 0.0)
-    except ValueError as exc:
-        raise InputError(f"bad coefficient literal {text!r}") from exc
+    m = _COEFF_RE.fullmatch(text)
+    if m is None:
+        raise InputError(f"bad coefficient literal {text!r}")
+    if m["re"] is not None:
+        return complex(float(m["re"]), 0.0)
+    if m["pre"] is None:
+        im = m["im"]
+        return complex(0.0, float(im + "1" if im in ("", "+", "-") else im))
+    im = float(m["pim"] or 1.0)
+    return complex(float(m["pre"]), -im if m["sign"] == "-" else im)
 
 
 def multivector_to_text(a: Multivector) -> str:
@@ -93,18 +87,21 @@ def multivector_from_text(text: str, dim: int) -> Multivector:
                 raise InputError(f"missing '+' between terms near {seg!r}")
             seg = seg[1:]
         coeff = _parse_coeff(seg)
-        if not cmath.isfinite(coeff * coeff):
-            raise InputError(
-                f"coefficient {seg.strip()!r} is not finite or its square overflows")
-        idx_text = m.group("idx").strip()
-        indices = [int(t) for t in idx_text.split(",") if t.strip()] if idx_text else []
+        slots = m["idx"].split(",") if m["idx"].strip() else []
+        if not all(t.strip().isdigit() for t in slots):
+            raise InputError(f"empty or malformed index slot in {m[0]!r}")
+        indices = [int(t) for t in slots]
         if any(i > dim for i in indices):
             raise InputError(f"index out of range in {text[pos:m.end()]!r} for dim {dim}")
         try:
             mask = blade_from_indices(indices)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        terms[mask] = terms.get(mask, 0j) + coeff
+        total = terms[mask] = terms.get(mask, 0j) + coeff
+        if not (cmath.isfinite(coeff * coeff) and cmath.isfinite(total * total)):
+            raise InputError(f"coefficient {seg.strip()!r}, or the sum of its "
+                             "blade's terms, is not finite or its square "
+                             "overflows")
         pos = m.end()
         first = False
         matched = True

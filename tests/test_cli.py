@@ -217,13 +217,20 @@ PARAMS_N3 = {**PARAMS_OK, "dim": 3,
     ("search", "--b", {"dim": 2, "entries": [1e308, 0, 0, -1e308]}),
     ("cw-restrict --projector x+:1,1;3", "--params", PARAMS_N3),
     ("cw-restrict --projector x+:1;2;3", "--params", PARAMS_N3),
+    ("verify", "--pair", {**PAIR_OK, "c": "1e154 e_{1} + 1e154 e_{1}"}),
+    ("verify", "--pair", {**PAIR_OK, "c": "1_0 e_{1}"}),
+    ("verify", "--pair", {**PAIR_OK, "c": "\u0661 e_{1}"}),
+    ("verify", "--pair", {**PAIR_OK, "c": "1 e_{1,,2}"}),
+    ("verify", "--pair", {**PAIR_OK, "c": "1 e_{1 2}"}),
 ], ids=["pair-dim-true", "b-dim-true", "params-dim-true", "entries-string",
         "entries-nested", "entries-bool", "B-string", "B-nested",
         "entries-nan", "entries-infinity", "entries-huge-int", "B-nan",
         "B-infinity", "coeff-inf", "coeff-nan", "coeff-1e400",
         "coeff-imaginary-1e400", "params-coeff-nan", "coeff-not-a-string",
         "coeff-square-overflows", "entries-square-overflows",
-        "x-projector-repeated-index", "x-projector-three-lists"])
+        "x-projector-repeated-index", "x-projector-three-lists",
+        "repeated-blade-sum-square-overflows", "coeff-underscore",
+        "coeff-arabic-indic-digit", "empty-index-slot", "index-slot-two-numbers"])
 def test_hostile_input_is_exit_2(tmp_path, capsys, command, flag, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

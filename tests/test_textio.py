@@ -34,6 +34,13 @@ def test_grammar_forms():
     assert multivector_from_text("(1.5-2i) e_{}", n) == \
         Multivector.scalar(n, complex(1.5, -2))
     assert multivector_from_text("0 e_{}", n) == Multivector.zero(n)
+    assert multivector_from_text("i e_{} + -i e_{2} + +i e_{1}", n) == \
+        Multivector(n, {0: 1j, 0b10: -1j, 0b01: 1j})
+    # the terms of a repeated blade are summed
+    assert multivector_from_text("1 e_{1} + 2i e_{1} + (0.5-1i) e_{1}", n) == \
+        Multivector.blade(n, 0b01, complex(1.5, 1))
+    assert multivector_from_text("1e150 e_{1} + -1e150 e_{1}", n) == \
+        Multivector.zero(n)
 
 
 def test_scientific_notation_round_trip():
@@ -53,6 +60,16 @@ def test_parse_errors():
         multivector_from_text("1 e_{} 2 e_{1}", 2)
     with pytest.raises(InputError):
         multivector_from_text("1 e_{1,1}", 2)
+    for text in [
+            "1e154 e_{1} + 1e154 e_{1}",   # each square is finite, the sum's not
+            "1e154i e_{1} + 1e154i e_{1}",
+            "1e200 e_{1} + -1e200 e_{1}", "inf e_{1}", "nan e_{1}",
+            "1_0 e_{1}", "1_0i e_{1}", "(1_0+2i) e_{1}", "(1+-2i) e_{1}",
+            "\u0661 e_{1}", "\u0661i e_{1}", "(\u0661+2i) e_{1}",
+            "1 e_{\u0661}", "1 e_{1,,2}", "1 e_{,1}", "1 e_{1,}", "1 e_{,}",
+            "1 e_{1 2}"]:
+        with pytest.raises(InputError):
+            multivector_from_text(text, 2)
 
 
 def test_random_round_trip_bit_exact():
