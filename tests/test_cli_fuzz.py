@@ -1,10 +1,12 @@
-"""Fuzzing the `omega`, `cw-flat` and `cw-restrict` subcommands from the
-golden inputs.
+"""Fuzzing the `verify`, `search`, `omega`, `cw-flat` and `cw-restrict`
+subcommands from the golden inputs.
 
-Each example takes a golden input (a pair file and a symmetric-map file, or
-a Clifford-map params file), changes one thing (a coefficient, a B entry,
-or an overall scale of the pair, of a..e or of B), may set `--tol` to a
-hostile or extreme value, and drives `cli.main`; a params file goes to
+Each example takes a golden input (a pair file, a symmetric-map file of
+n <= 6 or both, or a Clifford-map params file), changes one thing (a
+coefficient, a B entry, a duplicated term of the pair, or an overall scale
+of the pair, of a..e or of B), may set `--tol` to a hostile or extreme
+value, and drives `cli.main`; `search` takes any of its ansatz names, and
+a params file goes to
 `cw-flat`, with or without `--extended`, or to `cw-restrict` with a catalog
 projector or an X-projector spec whose index sets may overlap, be empty or
 leave 1..n.  The exit-code contract must hold: 0 (computed), 2 (bad input)
@@ -32,6 +34,10 @@ PARTNER = {"pair_gen4": "b_rot4_22", "pair_rot4": "b_rot4_22",
            "pair_rot8_mono": "b_rot8_44", "pair_gen5": "b_diag5_122",
            "pair_not_invariant3": "readme_b"}
 B_FILES = sorted(set(PARTNER.values()))
+PAIRS = sorted(p.stem for p in INPUTS.glob("pair_*.json")) + ["readme_mono"]
+SEARCH_B = ["b_diag5_113", "b_diag5_122", "b_diag6_15", "b_rot4_22",
+            "readme_b"]
+ANSATZE = ["monomial", "pseudo-monomial", "linear", "generalized", "all"]
 PARAMS = sorted(p.stem for p in INPUTS.glob("params_*.json")) + [
     "readme_params"]
 CATALOG = ["sigma-", "sigma+", "sv+s-", "sv+s+", "s-w", "s+w", "sigma-pi+",
@@ -79,6 +85,15 @@ def new_coefficient(draw, text):
     return " + ".join(terms)
 
 
+def duplicated_term(draw, text):
+    """The term list with one of its blades again, under its own or any
+    coefficient literal."""
+    terms = text.split(" + ")
+    coeff, blade = draw(st.sampled_from(terms)).rsplit(" e_", 1)
+    coeff = draw(st.one_of(st.just(coeff), coefficients()))
+    return f"{text} + {coeff} e_{blade}"
+
+
 def new_entry(draw, entries, n):
     """One entry of the n x n matrix, mirrored or not, set to any value."""
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -108,6 +123,33 @@ def omega_inputs(draw):
         factor = draw(values())
         b["entries"] = [factor * x for x in b["entries"]]
     return pair, b, draw(st.one_of(st.none(), st.sampled_from(TOLS)))
+
+
+@st.composite
+def verify_inputs(draw):
+    pair = load(draw(st.sampled_from(PAIRS)))
+    kind = draw(st.sampled_from(["coeff", "duplicate", "scale"]))
+    side = draw(st.sampled_from(["c", "d"]))
+    if kind == "coeff":
+        pair[side] = new_coefficient(draw, pair[side])
+    elif kind == "duplicate":
+        pair[side] = duplicated_term(draw, pair[side])
+    else:
+        factor = draw(values())
+        pair["c"], pair["d"] = scaled(pair["c"], factor), \
+            scaled(pair["d"], factor)
+    return pair, draw(st.one_of(st.none(), st.sampled_from(TOLS)))
+
+
+@st.composite
+def search_inputs(draw):
+    b = load(draw(st.sampled_from(SEARCH_B)))
+    if draw(st.booleans()):
+        new_entry(draw, b["entries"], b["dim"])
+    else:
+        factor = draw(values())
+        b["entries"] = [factor * x for x in b["entries"]]
+    return b, draw(st.sampled_from(ANSATZE))
 
 
 @st.composite
@@ -198,3 +240,23 @@ def test_cw_commands_keep_the_exit_code_contract(case):
         path.write_text(json.dumps(doc))
         assert_contract([command[0], "--params", str(path), *command[1:]],
                         tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(verify_inputs())
+def test_verify_keeps_the_exit_code_contract(case):
+    pair, tol = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.json"
+        path.write_text(json.dumps(pair))
+        assert_contract(["verify", "--pair", str(path)], tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_inputs())
+def test_search_keeps_the_exit_code_contract(case):
+    b, ansatz = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "b.json"
+        path.write_text(json.dumps(b))
+        assert_contract(["search", "--b", str(path), "--ansatz", ansatz], None)
