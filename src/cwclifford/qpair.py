@@ -349,9 +349,13 @@ def skew_to_bivector(s: np.ndarray, dim: int) -> Multivector:
 def make_linear(b: SymmetricMap) -> QuadraticPair:
     """Linear pair (A, A) realizing B; every nonzero eigenvalue must have
     even multiplicity.  Negative eigenvalues become real rotation blocks of
-    the square root, positive ones imaginary blocks."""
+    the square root, positive ones imaginary blocks.  The pair realizes B's
+    clustered spectrum, each eigenspace at its mean value and those zero to
+    CLUSTER_TOL at 0, so its map may differ from B by about CLUSTER_TOL
+    max |B|; search_pairs_for_B drops such a pair as no hit."""
     n = b.n
     delta = np.zeros((n, n), dtype=complex)
+    spectrum = np.zeros(n)
     for space in b.nonzero_eigenspaces():
         if space.multiplicity % 2:
             raise OddMultiplicity(
@@ -359,6 +363,7 @@ def make_linear(b: SymmetricMap) -> QuadraticPair:
         lam = np.sqrt(abs(space.value))
         unit = lam if space.value < 0 else 1j * lam
         pos = space.positions
+        spectrum[list(pos)] = space.value
         for j in range(0, len(pos), 2):
             p, q = pos[j], pos[j + 1]
             delta[p, q] = unit
@@ -367,9 +372,10 @@ def make_linear(b: SymmetricMap) -> QuadraticPair:
     a_skew = v @ delta @ v.T
     a_mv = skew_to_bivector(a_skew, n)
     pair = extract_B(a_mv, a_mv)
-    if not pair.verified or np.max(np.abs(pair.B.entries - b.entries)) > \
+    predicted = (v * spectrum) @ v.T
+    if not pair.verified or np.max(np.abs(pair.B.entries - predicted)) > \
             threshold(CHECK_TOL, np.max(np.abs(b.entries))):
-        raise PredictionMismatch("linear pair does not reproduce the target map")
+        raise PredictionMismatch("linear pair does not reproduce its spectrum")
     return _tagged(pair, "linear")
 
 

@@ -199,6 +199,20 @@ def test_generalized_guard_odd_multiplicities():
     assert search_pairs_for_B(b, "generalized") == []
 
 
+def test_linear_search_drops_what_clustering_alone_makes_even():
+    """An eigenvalue zero to CLUSTER_TOL but not to CHECK_TOL, or a cluster
+    spread that wide, gets a linear pair for the clustered spectrum; the
+    search drops it as no hit, as for every other family, and keeps the hit
+    where the spread is within CHECK_TOL."""
+    for values in ([1e-8, -9.0, -9.0], [-4.0, -4.0 - 5e-8, -9.0, -9.0]):
+        assert search_pairs_for_B(SymmetricMap.from_diagonal(values),
+                                  "linear") == []
+    hits = search_pairs_for_B(SymmetricMap.from_diagonal([1e-10, -9.0, -9.0]),
+                              "linear")
+    assert [h.family for h in hits] == ["linear"]
+    assert hits[0].b_residual <= 1e-10
+
+
 def test_dim3_linear_pairs_boundary():
     # in dimension 3 linear pairs only realize multiples of the identity or
     # degenerate maps with one multiplicity-two nonzero eigenvalue
