@@ -140,10 +140,9 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
         raise DimensionMismatch("pair and symmetric map dimensions differ")
     c2, d2 = b.adapt_to_eigenbasis(c, d)
     allowed = _allowed_masks(b)
-    for x in (c2, d2):
-        if not is_sob_invariant_structural(x, b):
-            raise NotSoBInvariant(
-                "pair is not invariant under the rotations preserving B")
+    if any(mask not in allowed for x in (c2, d2) for mask, _ in x.terms()):
+        raise NotSoBInvariant(
+            "pair is not invariant under the rotations preserving B")
     r = len(b.eigenspaces)
     template = "kl2" if r == 1 else ("gl2" if r == 2 else "gr2")
 

@@ -257,19 +257,6 @@ def extract_B(c: Multivector, d: Multivector,
                          offgrade_residual=offgrade, threshold=tol)
 
 
-def _check_prediction(pair: QuadraticPair, predicted: np.ndarray,
-                      what: str) -> None:
-    """Constructors promise a diagonal q|_V; enforce it on the raw matrix,
-    to the threshold the pair was verified against."""
-    m = pair.q_matrix
-    off = m - np.diag(np.diag(m))
-    err = max(np.max(np.abs(np.diag(m) - predicted)), np.max(np.abs(off)),
-              pair.offgrade_residual)
-    if err > pair.threshold:
-        raise PredictionMismatch(f"{what}: predicted spectrum off by {err:.3e}")
-    pair.predicted_diagonal = predicted
-
-
 # -- constructors ------------------------------------------------------------
 
 def _tagged(pair: QuadraticPair, family: str) -> QuadraticPair:
@@ -280,6 +267,26 @@ def _tagged(pair: QuadraticPair, family: str) -> QuadraticPair:
     return pair
 
 
+def _constructed(c: Multivector, d: Multivector, family: str,
+                 spectrum) -> QuadraticPair:
+    """The verified, tagged pair of a constructor that promises a diagonal
+    q|_V: spectrum lists (blade mask, value) parts, the value sitting at
+    every generator of the mask.  The promise is enforced on the raw
+    matrix, to the threshold the pair was verified against."""
+    pair = extract_B(c, d)
+    predicted = np.zeros(c.dim, dtype=complex)
+    for mask, value in spectrum:
+        predicted[(mask >> np.arange(c.dim)) & 1 == 1] = value
+    m = pair.q_matrix
+    off = m - np.diag(np.diag(m))
+    err = max(np.max(np.abs(np.diag(m) - predicted)), np.max(np.abs(off)),
+              pair.offgrade_residual)
+    if err > pair.threshold:
+        raise PredictionMismatch(f"{family}: predicted spectrum off by {err:.3e}")
+    pair.predicted_diagonal = predicted
+    return _tagged(pair, family)
+
+
 def make_monomial(dim: int, mask: int, alpha: complex,
                   beta: complex) -> QuadraticPair:
     """Pair (alpha Gamma_I, beta Gamma_I) with its closed-form spectrum."""
@@ -287,13 +294,10 @@ def make_monomial(dim: int, mask: int, alpha: complex,
     d = Multivector.blade(dim, mask, beta)
     sig = blade_square_sign(mask)
     eps = (-1) ** grade(mask)
-    on_val = sig * (alpha + eps * beta) ** 2
-    off_val = sig * (alpha - eps * beta) ** 2
-    predicted = np.array([on_val if (mask >> mu) & 1 else off_val
-                          for mu in range(dim)], dtype=complex)
-    pair = extract_B(c, d)
-    _check_prediction(pair, predicted, "monomial")
-    return _tagged(pair, "monomial")
+    full = (1 << dim) - 1
+    return _constructed(c, d, "monomial",
+                        [(mask, sig * (alpha + eps * beta) ** 2),
+                         (full ^ mask, sig * (alpha - eps * beta) ** 2)])
 
 
 def make_pseudo_monomial(dim: int, mask: int, kind: str, alpha: complex,
@@ -333,11 +337,8 @@ def make_pseudo_monomial(dim: int, mask: int, kind: str, alpha: complex,
         off_val = sig * (alpha + beta) ** 2 * factor
     else:
         raise InputError(f"unknown pseudo-monomial kind {kind!r}")
-    predicted = np.array([on_val if (mask >> mu) & 1 else off_val
-                          for mu in range(dim)], dtype=complex)
-    pair = extract_B(c, d)
-    _check_prediction(pair, predicted, f"pseudo-monomial-{kind}")
-    return _tagged(pair, f"pseudo-monomial-{kind}")
+    return _constructed(c, d, f"pseudo-monomial-{kind}",
+                        [(mask, on_val), (((1 << dim) - 1) ^ mask, off_val)])
 
 
 def skew_to_bivector(s: np.ndarray, dim: int) -> Multivector:
@@ -483,17 +484,10 @@ def make_generalized(dim: int, partition: Sequence[int],
         raise err
 
     c, d = _generalized_elements(dim, partition, coeffs, hat_coeffs)
-    predicted = np.zeros(dim, dtype=complex)
-    for mask, ca, ha in zip(partition, coeffs, hat_coeffs):
-        sig = blade_square_sign(mask)
-        val = 4 * sig * (ca * ca - ha * ha) if grade(mask) % 2 else \
-            4 * sig * (ca * ca + ha * ha)
-        for mu in range(dim):
-            if (mask >> mu) & 1:
-                predicted[mu] = val
-    pair = extract_B(c, d)
-    _check_prediction(pair, predicted, "generalized-monomial")
-    return _tagged(pair, "generalized-monomial")
+    return _constructed(c, d, "generalized-monomial", [
+        (mask, 4 * blade_square_sign(mask)
+         * (ca * ca - ha * ha if grade(mask) % 2 else ca * ca + ha * ha))
+        for mask, ca, ha in zip(partition, coeffs, hat_coeffs)])
 
 
 # -- classification ----------------------------------------------------------
@@ -504,12 +498,13 @@ def _gauge_strip(c: Multivector, d: Multivector):
     return c - shift, d - shift
 
 
-def _is_monomial(c: Multivector, d: Multivector, tol: float) -> bool:
+def _is_monomial(c: Multivector, d: Multivector, support,
+                 tol: float) -> bool:
     """(c - s, d - s) = (alpha Gamma_M, beta Gamma_M) over the scalar gauge:
     one non-scalar blade at most, and equal scalars when there is one."""
-    support = ({m for m, _ in c.terms()} | {m for m, _ in d.terms()}) - {0}
-    return not support or (len(support) == 1
-                           and abs(c.scalar_part - d.scalar_part) <= tol)
+    blades = support - {0}
+    return not blades or (len(blades) == 1
+                          and abs(c.scalar_part - d.scalar_part) <= tol)
 
 
 def _is_linear(c: Multivector, d: Multivector, tol: float) -> bool:
@@ -530,11 +525,10 @@ def _volume_transfer(dim: int, mask: int) -> complex:
     return prod.coefficient(full ^ mask)
 
 
-def _pseudo_form(c: Multivector, d: Multivector, tol: float):
+def _pseudo_form(c: Multivector, d: Multivector, support, tol: float):
     n = c.dim
     if n % 2:
         return None
-    support = {m for m, _ in c.terms()} | {m for m, _ in d.terms()}
     if not support or 0 in support:
         return None
     full = (1 << n) - 1
@@ -557,7 +551,8 @@ def _pseudo_form(c: Multivector, d: Multivector, tol: float):
     return None
 
 
-def _generalized_form(c: Multivector, d: Multivector, tol: float):
+def _generalized_form(c: Multivector, d: Multivector, support,
+                      tol: float):
     """Fit the generalized-monomial template; returns the partition or None.
 
     Each support blade m is a part itself or the volume twist of the part
@@ -569,7 +564,6 @@ def _generalized_form(c: Multivector, d: Multivector, tol: float):
     """
     n = c.dim
     full = (1 << n) - 1
-    support = {m for m, _ in c.terms()} | {m for m, _ in d.terms()}
     # Legal patterns have at most n // 2 + 1 parts (even parts have grade >= 2),
     # one blade each plus a hat blade on at most two odd parts: n // 2 + 3.
     if not support or 0 in support or full in support or len(support) > n // 2 + 3:
@@ -601,15 +595,17 @@ def classify_family(pair: QuadraticPair) -> List[str]:
     # the templates compare coefficients, of degree one in the pair
     tol = threshold(CHECK_TOL, pair.c.norm() + pair.d.norm())
     c, d = _gauge_strip(pair.c, pair.d)
+    # the blades of the stripped pair, which the templates fit
+    support = {m for m, _ in c.terms()} | {m for m, _ in d.terms()}
     tags = []
-    if _is_monomial(c, d, tol):
+    if _is_monomial(c, d, support, tol):
         tags.append("monomial")
-    pseudo = _pseudo_form(c, d, tol)
+    pseudo = _pseudo_form(c, d, support, tol)
     if pseudo is not None:
         tags.append(pseudo)
     if _is_linear(c, d, tol):
         tags.append("linear")
-    if _generalized_form(c, d, tol) is not None:
+    if _generalized_form(c, d, support, tol) is not None:
         tags.append("generalized-monomial")
     if not tags:
         tags = ["other"]

@@ -64,30 +64,16 @@ def _nullspace(rows: Sequence[Sequence[int]]) -> List[Tuple[Fraction, ...]]:
     return basis
 
 
-def _contains(space: Sequence[Sequence[Fraction]],
-              vectors: Sequence[Sequence[Fraction]]) -> bool:
-    if not vectors:
-        return True
-    if not space:
-        return all(all(x == 0 for x in v) for v in vectors)
-    return len(_rref(list(space) + list(vectors))[1]) == len(_rref(space)[1])
-
-
-def _same_space(a, b) -> bool:
-    return _contains(a, b) and _contains(b, a)
-
-
-def _fvec(*ints) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in ints)
-
-
-_E1 = _fvec(1, 0, 0, 0)
-_E2 = _fvec(0, 1, 0, 0)
-_ALPHA_EQUAL = (_fvec(1, 0, 0, 1), _fvec(0, 1, 1, 0))
-_BETA_FLIP = (_fvec(1, 0, -1, 0), _fvec(0, 1, 0, -1))
-_BETA_EQUAL = (_fvec(1, 0, 1, 0), _fvec(0, 1, 0, 1))
-_CIRCLE = (_E1, _E2, _fvec(0, 0, 1, -1))
-_VOLUME_FOLD = (_fvec(1, -1, 0, 0), _fvec(0, 0, 1, -1))
+# the coefficient-product templates, (ab, a'b', ab', a'b) each
+_TEMPLATES = {
+    "alpha-equal": ((1, 0, 0, 1), (0, 1, 1, 0)),
+    "beta-flip": ((1, 0, -1, 0), (0, 1, 0, -1)),
+    "beta-equal": ((1, 0, 1, 0), (0, 1, 0, 1)),
+    "circle": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, -1)),
+    "volume-fold": ((1, -1, 0, 0), (0, 0, 1, -1)),
+}
+# templates named only when they span the whole kernel
+_SPANNING = ("circle", "volume-fold")
 
 
 # -- the sign systems ---------------------------------------------------------
@@ -150,29 +136,28 @@ def _line_names(lam: int, mu: int, i: int, j: int, k: int) -> List[str]:
     return names
 
 
-def _classify_kernel(kernel, i, j, k):
-    if _contains((_E1, _E2), kernel):
+def _classify_kernel(rows, kernel, i, j, k):
+    """The verdict, the lines and the template names of a shape.  kernel is
+    the null space of the integer sign rows, so vectors lie in it when every
+    row annihilates them, and independent ones span it when there are
+    len(kernel) of them."""
+    def inside(*vectors) -> bool:
+        return all(sum(r * v for r, v in zip(row, vec)) == 0
+                   for row in rows for vec in vectors)
+
+    if all(vec[2] == vec[3] == 0 for vec in kernel):
         return "monomial-only", [], []
     lines: List[Tuple[int, int]] = []
     names: List[str] = []
     for lam in (1, -1):
         for mu in (1, -1):
-            vec = _fvec(1, lam * mu, mu, lam)
-            if _contains(kernel, [vec]):
+            if inside((1, lam * mu, mu, lam)):
                 lines.append((lam, mu))
-                for name in _line_names(lam, mu, i, j, k):
-                    if name not in names:
-                        names.append(name)
-    if _contains(kernel, _ALPHA_EQUAL):
-        names.append("alpha-equal")
-    if _contains(kernel, _BETA_FLIP):
-        names.append("beta-flip")
-    if _contains(kernel, _BETA_EQUAL):
-        names.append("beta-equal")
-    if _same_space(kernel, _CIRCLE):
-        names.append("circle")
-    if _same_space(kernel, _VOLUME_FOLD):
-        names.append("volume-fold")
+                names += [name for name in _line_names(lam, mu, i, j, k)
+                          if name not in names]
+    names += [name for name, vectors in _TEMPLATES.items()
+              if inside(*vectors)
+              and (name not in _SPANNING or len(vectors) == len(kernel))]
     return "non-monomial", lines, names
 
 
@@ -217,7 +202,8 @@ def enumerate_two_monomial_cases(n: int) -> List[ShapeCase]:
                     continue
                 rows = sign_system(i, j, k, comp)
                 kernel = _nullspace(rows)
-                verdict, lines, templates = _classify_kernel(kernel, i, j, k)
+                verdict, lines, templates = _classify_kernel(rows, kernel,
+                                                              i, j, k)
                 fold = None
                 if verdict == "non-monomial" and comp == 0 and n % 2 == 1:
                     fold = _FOLD_TARGET[_case_label(i, j, k, comp)]
