@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -240,9 +241,15 @@ def extract_B(c: Multivector, d: Multivector,
 
     The residuals meet threshold(tol_factor, (|c| + |d|)^2), q being
     quadratic in the pair.  Raises InputError on a factor that is not
-    finite and positive, OverflowError when q overflows on the pair.
+    finite and positive and on a nonzero pair whose threshold falls below
+    the smallest normal double, where the norms and q underflow;
+    OverflowError when q overflows on the pair.
     """
     tol = threshold(tol_factor, (c.norm() + d.norm()) ** 2)
+    if tol < sys.float_info.min and not (c.is_zero() and d.is_zero()):
+        raise InputError(f"the threshold {tol:.3e} of a nonzero pair is "
+                         "below the smallest normal double: the pair or the "
+                         "tolerance factor is too small")
     m, offgrade = q_restriction_matrix(c, d)
     if not (np.isfinite(m).all() and math.isfinite(offgrade)):
         raise OverflowError("q is not finite on this pair")

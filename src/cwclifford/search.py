@@ -12,6 +12,7 @@ case taxonomy of the non-monomial families.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -279,7 +280,8 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
     the eigenvalue multiplicities) and rotates the results back, so every
     returned pair verifies against B itself.  Empty output is a valid
     answer: it means no family of the requested ansatz fits the eigenvalue
-    structure.
+    structure.  Raises InputError on a nonzero B whose hit threshold,
+    CHECK_TOL max |B|, falls below the smallest normal double.
     """
     from .qpair import (extract_B, make_generalized, make_linear,
                         make_monomial, make_pseudo_monomial,
@@ -293,6 +295,10 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
     masks = [space.mask for space in b.eigenspaces]
     values = [space.value for space in b.eigenspaces]
     cut = threshold(CHECK_TOL, np.max(np.abs(b.entries)))
+    if cut < sys.float_info.min and b.entries.any():
+        # the pairs realizing B would meet thresholds that underflow too
+        raise InputError(f"the hit threshold {cut:.3e} of a nonzero map is "
+                         "below the smallest normal double: B is too small")
     r = len(b.eigenspaces)
 
     def emit(family: str, builder, parameters: Dict[str, object],

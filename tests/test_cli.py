@@ -222,6 +222,11 @@ PARAMS_N3 = {**PARAMS_OK, "dim": 3,
     ("verify", "--pair", {**PAIR_OK, "c": "\u0661 e_{1}"}),
     ("verify", "--pair", {**PAIR_OK, "c": "1 e_{1,,2}"}),
     ("verify", "--pair", {**PAIR_OK, "c": "1 e_{1 2}"}),
+    # q and the threshold underflow to 0: this read as a verified pair,
+    # where at scale 1 it is not closed in V
+    ("verify", "--pair", {"dim": 3, "c": "1e-170 e_{1} + 1e-170 e_{1,2}",
+                          "d": "1e-170 e_{2,3}"}),
+    ("search", "--b", {**B_OK, "entries": [-1e-300, 0.0, 0.0, -4e-300]}),
 ], ids=["pair-dim-true", "b-dim-true", "params-dim-true", "entries-string",
         "entries-nested", "entries-bool", "B-string", "B-nested",
         "entries-nan", "entries-infinity", "entries-huge-int", "B-nan",
@@ -230,12 +235,14 @@ PARAMS_N3 = {**PARAMS_OK, "dim": 3,
         "coeff-square-overflows", "entries-square-overflows",
         "x-projector-repeated-index", "x-projector-three-lists",
         "repeated-blade-sum-square-overflows", "coeff-underscore",
-        "coeff-arabic-indic-digit", "empty-index-slot", "index-slot-two-numbers"])
+        "coeff-arabic-indic-digit", "empty-index-slot", "index-slot-two-numbers",
+        "pair-threshold-underflows", "b-hit-threshold-underflows"])
 def test_hostile_input_is_exit_2(tmp_path, capsys, command, flag, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, *command.split(), flag, str(path))
     assert code == 2 and out == "" and err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command, flag, doc", [

@@ -6,21 +6,26 @@ norm), the norm being homogeneous in the data, and coefficients are pruned
 relative to their operands, so statuses, memberships, search families and
 the plain cw-flat verdict are the same for every lam in [1e-8, 1e8] (drawn
 log-uniform); a Clifford map scales as a..e -> lam a..lam e, B -> lam^2 B.
+extract_B and search are driven down to lam = 1e-170, where a threshold
+falls below the smallest normal double: there they keep the verdict or
+refuse the input, and only such an input.
 """
 
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cwclifford import cli
-from cwclifford.core import Multivector
+from cwclifford.core import CHECK_TOL, Multivector
+from cwclifford.errors import InputError
 from cwclifford.omega import omega_in_soB
 from cwclifford.qpair import (SymmetricMap, extract_B, make_generalized,
                               make_linear, make_monomial, make_pseudo_monomial)
@@ -28,6 +33,9 @@ from cwclifford.search import search_pairs_for_B
 from cwclifford.textio import load_params_file, multivector_to_text
 
 LAMBDAS = st.floats(-8.0, 8.0).map(lambda x: 10.0 ** x)
+# below about 1e-162 lam^2 B underflows to the zero map, another input
+TINY_LAMBDAS = {"extract_B": st.floats(-170.0, 8.0).map(lambda x: 10.0 ** x),
+                "search": st.floats(-160.0, 8.0).map(lambda x: 10.0 ** x)}
 
 
 def _rotated(n, values):
@@ -68,9 +76,30 @@ def sparse_pairs(draw):
     return element(), element()
 
 
+def underflows(size):
+    """Whether a threshold CHECK_TOL size^2, size being the largest input
+    number, falls below the smallest normal double."""
+    return CHECK_TOL * size ** 2 < sys.float_info.min
+
+
+def extracted(c, d):
+    """extract_B's pair, or None where it refuses a nonzero pair whose
+    threshold underflows; an accepted nonzero pair has a normal one."""
+    try:
+        pair = extract_B(c, d)
+    except InputError:
+        assert underflows(max(abs(z) for x in (c, d) for _, z in x.terms()))
+        return None
+    assert pair.threshold >= sys.float_info.min or c.is_zero() and d.is_zero()
+    return pair
+
+
 def assert_scales(c, d, lam):
-    """extract_B keeps the status and B(lam c, lam d) = lam^2 B(c, d)."""
-    pair, scaled = extract_B(c, d), extract_B(lam * c, lam * d)
+    """extract_B keeps the status and B(lam c, lam d) = lam^2 B(c, d), or
+    refuses the pair, at either scale, for an underflowing threshold."""
+    pair, scaled = extracted(c, d), extracted(lam * c, lam * d)
+    if pair is None or scaled is None:
+        return
     assert scaled.status == pair.status
     if pair.verified:
         err = np.max(np.abs(scaled.B.entries - lam ** 2 * pair.B.entries))
@@ -83,15 +112,31 @@ def test_family_pairs_cover_the_dense_path():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(FAMILY), LAMBDAS)
+@given(st.sampled_from(FAMILY), TINY_LAMBDAS["extract_B"])
 def test_extract_b_scales_on_family_pairs(pair, lam):
     assert_scales(pair.c, pair.d, lam)
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_pairs(), LAMBDAS)
+@given(sparse_pairs(), TINY_LAMBDAS["extract_B"])
+@example((Multivector.zero(2), Multivector(2, {0: 7.335802597946378e-162})),
+         10.0)
 def test_extract_b_scales_on_random_sparse_pairs(pair, lam):
+    """The example's threshold underflowed to 0 at both scales, and the
+    pair passed as verified with B = diag(q), off by 5.4e-323 after
+    scaling."""
     assert_scales(*pair, lam)
+
+
+def test_pair_with_an_underflowing_threshold_is_refused():
+    """At scale 1 this pair is not closed in V; at 1e-170 q and the
+    threshold underflowed to 0, and it read as verified."""
+    c = Multivector(3, {0b001: 1.0, 0b011: 1.0})
+    d = Multivector(3, {0b110: 1.0})
+    assert extract_B(c, d).status == "not-closed-in-V"
+    with pytest.raises(InputError, match="smallest normal double"):
+        extract_B(1e-170 * c, 1e-170 * d)
+    assert extract_B(0 * c, 0 * d).verified
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,13 +152,27 @@ def test_omega_membership_does_not_depend_on_scale(family, sparse, lam):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(TARGETS), LAMBDAS)
+@given(st.sampled_from(TARGETS), TINY_LAMBDAS["search"])
 def test_search_finds_the_same_families_at_every_scale(b, lam):
     def families(entries):
-        return [hit.family for hit in
-                search_pairs_for_B(SymmetricMap.from_matrix(entries))]
+        try:
+            hits = search_pairs_for_B(SymmetricMap.from_matrix(entries))
+        except InputError:
+            assert underflows(np.max(np.abs(entries)) ** 0.5)
+            return None
+        return [hit.family for hit in hits]
 
-    assert families(lam ** 2 * b) == families(b)
+    got = families(lam ** 2 * b)
+    assert got is None or got == families(b)
+
+
+def test_search_refuses_a_map_whose_hit_threshold_underflows():
+    """Its constructors refuse every pair realizing 1e-300 B; the search
+    refuses B rather than find no hit."""
+    b = SymmetricMap.from_matrix(1e-300 * TARGETS[0])
+    with pytest.raises(InputError, match="smallest normal double"):
+        search_pairs_for_B(b)
+    assert search_pairs_for_B(SymmetricMap.from_matrix(0 * TARGETS[0]))
 
 
 @pytest.mark.parametrize("exponent", range(-8, 9))
