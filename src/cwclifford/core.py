@@ -209,11 +209,17 @@ class Multivector:
 
     def norm(self) -> float:
         # in order: sum() compensates from Python 3.12 on, the row kernels
-        # do not
+        # do not; squares past the double range are summed scaled instead
         total = 0.0
-        for c in self._terms.values():
-            total += abs(c) ** 2
-        return total ** 0.5
+        try:
+            for c in self._terms.values():
+                total += abs(c) ** 2
+        except OverflowError:
+            total = inf
+        if total < inf:
+            return total ** 0.5
+        top = max(map(abs, self._terms.values()))
+        return top * sum((abs(c) / top) ** 2 for c in self._terms.values()) ** 0.5
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol == 0.0:
@@ -566,7 +572,7 @@ def _rows_norm(a: _Rows) -> np.ndarray:
     """x.norm() for every row x, bit for bit: norm sums in order, as
     np.bincount does, and ** calls libm pow, as np.float_power does;
     np.power and x * x may round differently.  Raises OverflowError where
-    ** does, on the square of a finite number."""
+    ** does, on the square of a finite number, where norm() sums scaled."""
     sq = np.float_power(np.hypot(a.re, a.im), 2)
     if not (sq < inf).all():
         raise OverflowError("a squared coefficient size is not finite")

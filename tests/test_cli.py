@@ -162,6 +162,23 @@ def test_omega_cli(tmp_path, capsys):
     assert err == "error: pair and symmetric map dimensions differ\n"
 
 
+def test_omega_cli_on_squares_past_the_double_range(tmp_path, capsys):
+    """Each coefficient squares to a finite double, the norms' sums of
+    squares do not: omega computes, where its norms overflowed (exit 3)."""
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps({
+        "dim": 4, "c": "1.3e154 e_{1} + 1.3e154 e_{2} + 1e154 e_{3,4}",
+        "d": "1.3e154 e_{1,2} + 1e154 e_{3}"}))
+    b_file = tmp_path / "b.json"
+    write_b(b_file, 4, np.diag([-1.0, -1.0, -4.0, -4.0]))
+    code, out, _ = run(capsys, "omega", "--pair", str(pair_file),
+                       "--b", str(b_file))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["holds"] is False and doc["sob_invariant"] is False
+    assert 1e154 < doc["worst_norm"] < 1e155
+
+
 def test_rep_check_cli(capsys):
     code, out, _ = run(capsys, "rep-check", "--dim", "5", "--trials", "20")
     assert code == 0

@@ -11,20 +11,25 @@ a params file goes to
 projector or an X-projector spec whose index sets may overlap, be empty or
 leave 1..n.  The exit-code contract must hold: 0 (computed), 2 (bad input)
 or 3 (tolerance breach); on 0 stdout is JSON with only finite numbers; and
-the same input gives the same stdout.
+the same input gives the same stdout.  Exit 3 is an overflow of a check of
+degree k in the input numbers, so it is allowed only where some input
+number reaches `overflow_bound`, and never for `omega` or `search`.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
 from hypothesis import event, given, settings, strategies as st
 
 from cwclifford.cli import main
-from cwclifford.textio import _format_coeff, _parse_coeff
+from cwclifford.errors import InputError
+from cwclifford.textio import (_format_coeff, _parse_coeff,
+                               multivector_from_text)
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 # each pair file with a B file of its dimension, so that every pair can
@@ -43,6 +48,9 @@ PARAMS = sorted(p.stem for p in INPUTS.glob("params_*.json")) + [
 CATALOG = ["sigma-", "sigma+", "sv+s-", "sv+s+", "s-w", "s+w", "sigma-pi+",
            "sigma-pi-", "sigma+pi+", "sigma+pi-"]
 TOLS = ["0", "-1", "nan", "inf", "1e-300"]
+# the degree of each command's checks in the input numbers; omega and
+# search have none that may overflow
+DEGREE = {"verify": 2, "cw-flat": 4, "cw-restrict": 4}
 SCALES = [0.0, -1.0, 1e-300, 1e-160, 1e-8, 1e8, 1e160, 1e300, math.pi]
 
 
@@ -206,12 +214,40 @@ def refuse_constant(name):
     raise ValueError(f"non-finite literal {name} in the report")
 
 
-def assert_contract(argv, tol):
+def largest(doc):
+    """The largest magnitude among an input document's matrix entries and
+    element coefficients (a repeated blade's terms summed); an element the
+    parser refuses counts 0, its input exits 2."""
+    sizes = [0.0]
+    for value in doc.values():
+        if isinstance(value, str):
+            try:
+                terms = multivector_from_text(value, doc["dim"]).terms()
+            except InputError:
+                continue
+            sizes += [abs(z) for _, z in terms]
+        elif isinstance(value, list):
+            sizes += [abs(x) for x in value]
+    return max(sizes)
+
+
+def overflow_bound(degree, dim):
+    """A residual of degree k in the input numbers sums at most (2^n)^k
+    products of k of them, so it is finite while they stay below
+    DBL_MAX^(1/k) / 2^n."""
+    return sys.float_info.max ** (1 / degree) / 2 ** dim
+
+
+def assert_contract(argv, tol, *docs):
     if tol is not None:
         argv.append(f"--tol={tol}")
     code, out = run(argv)
     event(f"exit {code}")  # the shares: --hypothesis-show-statistics
     assert code in (0, 2, 3)
+    if code == 3:
+        assert argv[0] in DEGREE, argv
+        assert any(largest(doc) >= overflow_bound(DEGREE[argv[0]], doc["dim"])
+                   for doc in docs), argv
     if code == 0:
         assert finite_numbers(json.loads(out, parse_constant=refuse_constant))
     else:
@@ -228,7 +264,7 @@ def test_omega_keeps_the_exit_code_contract(case):
         pair_path.write_text(json.dumps(pair))
         b_path.write_text(json.dumps(b))
         assert_contract(["omega", "--pair", str(pair_path), "--b",
-                         str(b_path)], tol)
+                         str(b_path)], tol, pair, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,7 +275,7 @@ def test_cw_commands_keep_the_exit_code_contract(case):
         path = Path(tmp) / "params.json"
         path.write_text(json.dumps(doc))
         assert_contract([command[0], "--params", str(path), *command[1:]],
-                        tol)
+                        tol, doc)
 
 
 @settings(max_examples=150, deadline=None)
@@ -249,7 +285,7 @@ def test_verify_keeps_the_exit_code_contract(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pair.json"
         path.write_text(json.dumps(pair))
-        assert_contract(["verify", "--pair", str(path)], tol)
+        assert_contract(["verify", "--pair", str(path)], tol, pair)
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,4 +295,5 @@ def test_search_keeps_the_exit_code_contract(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "b.json"
         path.write_text(json.dumps(b))
-        assert_contract(["search", "--b", str(path), "--ansatz", ansatz], None)
+        assert_contract(["search", "--b", str(path), "--ansatz", ansatz], None,
+                        b)

@@ -448,6 +448,17 @@ def test_norm_sums_the_squares_in_order():
         CWElement(a, z, z, a).norm()]
 
 
+def test_norm_scales_squares_past_the_double_range():
+    """A square of 1e200, or a sum of squares of 1e154, overflows; norm()
+    sums those scaled by the largest size, as the row form does not."""
+    assert Multivector(2, {1: 1e200, 2: -1e200j}).norm() == \
+        pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    a = Multivector(2, {0: 1e154, 3: 1e154})
+    assert a.norm() == pytest.approx(math.sqrt(2) * 1e154, rel=1e-15)
+    with pytest.raises(OverflowError):
+        _rows_norm(_rows_of([Multivector(2, {1: 1e200})]))
+
+
 def test_element_norms_overflow_where_the_square_does():
     """A finite block norm whose square overflows raises, as ** does; an
     infinite block norm gives an infinite element norm, as norm() does."""
