@@ -33,9 +33,11 @@ from cwclifford.search import search_pairs_for_B
 from cwclifford.textio import load_params_file, multivector_to_text
 
 LAMBDAS = st.floats(-8.0, 8.0).map(lambda x: 10.0 ** x)
-# below about 1e-162 lam^2 B underflows to the zero map, another input
-TINY_LAMBDAS = {"extract_B": st.floats(-170.0, 8.0).map(lambda x: 10.0 ** x),
-                "search": st.floats(-160.0, 8.0).map(lambda x: 10.0 ** x)}
+
+
+def down_to(exponent):
+    """lam in [10^exponent, 1e8], drawn log-uniform."""
+    return st.floats(exponent, 8.0).map(lambda x: 10.0 ** x)
 
 
 def _rotated(n, values):
@@ -112,13 +114,13 @@ def test_family_pairs_cover_the_dense_path():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(FAMILY), TINY_LAMBDAS["extract_B"])
+@given(st.sampled_from(FAMILY), down_to(-170.0))
 def test_extract_b_scales_on_family_pairs(pair, lam):
     assert_scales(pair.c, pair.d, lam)
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_pairs(), TINY_LAMBDAS["extract_B"])
+@given(sparse_pairs(), down_to(-170.0))
 @example((Multivector.zero(2), Multivector(2, {0: 7.335802597946378e-162})),
          10.0)
 def test_extract_b_scales_on_random_sparse_pairs(pair, lam):
@@ -151,8 +153,9 @@ def test_omega_membership_does_not_depend_on_scale(family, sparse, lam):
         assert got["threshold"] == pytest.approx(lam * want["threshold"])
 
 
+# below about 1e-162, lam^2 B underflows to the zero map, another input
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(TARGETS), TINY_LAMBDAS["search"])
+@given(st.sampled_from(TARGETS), down_to(-160.0))
 def test_search_finds_the_same_families_at_every_scale(b, lam):
     def families(entries):
         try:
