@@ -20,6 +20,7 @@ i XOR the parity of the bits of i above mu.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import inf
 from itertools import chain
@@ -44,6 +45,8 @@ ORTHOGONALITY_TOL = 1e-12   # exact identities: rotations, skew parts, patterns
 ORACLE_TOL = 1e-10          # the default --tol of rep-check
 CHECK_TOL = 1e-9            # the default --tol of every other verdict
 CLUSTER_TOL = 1e-8          # eigenvalue clusters and zero eigenvalues
+
+_DBL_MIN = sys.float_info.min   # the smallest normal double
 
 
 def threshold(factor: float, norm: float) -> float:
@@ -181,10 +184,12 @@ class Multivector:
 
     @staticmethod
     def basis_vector(dim: int, mu: int) -> "Multivector":
-        """e_mu, 1-based."""
+        """e_mu, 1-based, one shared instance per (dim, mu)."""
         if not (1 <= mu <= dim):
             raise DimensionMismatch(f"e_{mu} does not exist in dimension {dim}")
-        return Multivector(dim, {1 << (mu - 1): 1.0})
+        if dim > MAX_DIM:
+            _check_dim("algebra", dim)
+        return _BASIS[dim][mu - 1]
 
     @staticmethod
     def blade(dim: int, mask: int, coeff: complex = 1.0) -> "Multivector":
@@ -209,17 +214,22 @@ class Multivector:
 
     def norm(self) -> float:
         # in order: sum() compensates from Python 3.12 on, the row kernels
-        # do not; squares past the double range are summed scaled instead
+        # do not; squares whose sum leaves the normal double range (past
+        # the overflow, or below the smallest normal double) are summed
+        # scaled by the largest size instead
         total = 0.0
         try:
             for c in self._terms.values():
                 total += abs(c) ** 2
         except OverflowError:
             total = inf
-        if total < inf:
+        if _DBL_MIN <= total < inf or not self._terms:
             return total ** 0.5
-        top = max(map(abs, self._terms.values()))
-        return top * sum((abs(c) / top) ** 2 for c in self._terms.values()) ** 0.5
+        top = self._top
+        total = 0.0
+        for c in self._terms.values():
+            total += (abs(c) / top) ** 2
+        return top * total ** 0.5
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol == 0.0:
@@ -310,22 +320,27 @@ def _element(dim: int, terms: Dict[int, complex], cut: float) -> Multivector:
 
 
 # Multivector values are immutable (only construction assigns _terms), so one
-# zero per dimension can be shared
+# zero and one e_mu per dimension can be shared
 _ZEROS = {n: Multivector(n) for n in range(MIN_DIM, MAX_DIM + 1)}
+_BASIS = {n: tuple(Multivector(n, {1 << k: 1.0}) for k in range(n))
+          for n in range(MIN_DIM, MAX_DIM + 1)}
 
 
 def gp(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric (Clifford) product, the bilinear extension of blade_mul."""
+    """Geometric (Clifford) product, the bilinear extension of blade_mul.
+
+    Each term product is one complex multiply, (-x or x) * y by the sign of
+    blade_mul; it differs from sign * x * y only in the sign of a zero part,
+    which the sums from 0j erase, so no coefficient holds a negative zero."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     out: Dict[int, complex] = {}
     get, terms = out.get, b._terms.items()
     for i, x in a._terms.items():
-        w = _sign_mask(i)
+        w, minus = _sign_mask(i), -x
         for j, y in terms:
             k = i ^ j
-            s = -1 if (j & w).bit_count() & 1 else 1
-            out[k] = get(k, 0j) + s * x * y
+            out[k] = get(k, 0j) + (minus if (j & w).bit_count() & 1 else x) * y
     return _element(a.dim, out, PRUNE_EPS * a._top * b._top)
 
 
@@ -466,7 +481,7 @@ def _sign_tables(n: int):
 
 def _products(a: _Rows, i: np.ndarray, b: _Rows, j: np.ndarray, dim: int):
     """Blades, real and imaginary parts of the term products a[i] b[j], each
-    as gp forms it: sign times x times y in real arithmetic."""
+    as gp forms it: one complex multiply (-x or x) * y in real arithmetic."""
     w, flip = _sign_tables(dim)
     s = flip[b.blade[j] & w[a.blade[i]]]
     xr, xi = s * a.re[i], s * a.im[i]
@@ -540,18 +555,21 @@ def _rows_fold(t: _Rows, sign: float, summed, dim: int) -> _Rows:
 def _rows_sum(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
               sign: float, summed, dim: int) -> _Rows:
     """Row k is a[ia[k]] + sign b[ib[k]], the _rows_fold of the two rows
-    gathered side by side."""
-    if b is not a:
-        a, ib = _rows_cat(a, b), np.where(ib < 0, -1, ib + len(a.top))
-    rows = np.empty(2 * len(ia), np.intp)
-    rows[::2], rows[1::2] = ia, ib
-    count = _counts(a, rows)
-    ptr = np.zeros(len(rows) + 1, np.intp)
+    gathered side by side, each from the table it lies in."""
+    count = np.empty(2 * len(ia), np.intp)
+    count[::2], count[1::2] = _counts(a, ia), _counts(b, ib)
+    ptr = np.zeros(len(count) + 1, np.intp)
     count.cumsum(out=ptr[1:])
-    at = _spread(a.ptr[rows], count)
-    top = np.concatenate((a.top, [0.0]))[rows]      # row -1 is empty
-    return _rows_fold(_Rows(ptr, a.blade[at], a.re[at], a.im[at], top), sign,
-                      summed, dim)
+    top = np.empty(len(count))
+    blade = np.empty(ptr[-1], np.intp)
+    re, im = np.empty(ptr[-1]), np.empty(ptr[-1])
+    for side, t, rows in ((0, a, ia), (1, b, ib)):
+        n = count[side::2]
+        at = _spread(t.ptr[rows], n)
+        to = at + (ptr[side:-1:2] - t.ptr[rows]).repeat(n)
+        blade[to], re[to], im[to] = t.blade[at], t.re[at], t.im[at]
+        top[side::2] = np.append(t.top, 0.0)[rows]      # row -1 is empty
+    return _rows_fold(_Rows(ptr, blade, re, im, top), sign, summed, dim)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
@@ -571,15 +589,28 @@ def _rows_scaled(a: _Rows, ia: np.ndarray, factor: np.ndarray) -> _Rows:
 def _rows_norm(a: _Rows) -> np.ndarray:
     """x.norm() for every row x, bit for bit: norm sums in order, as
     np.bincount does, and ** calls libm pow, as np.float_power does;
-    np.power and x * x may round differently.  Raises OverflowError where
-    ** does, on the square of a finite number, where norm() sums scaled."""
-    sq = np.float_power(np.hypot(a.re, a.im), 2)
+    np.power and x * x may round differently.  A nonempty row whose sum is
+    below the smallest normal double is summed scaled by its largest size,
+    as norm() sums it.  Raises OverflowError where ** does, on the square of
+    a finite number, where norm() sums scaled."""
+    size = np.hypot(a.re, a.im)
+    sq = np.float_power(size, 2)
     if not (sq < inf).all():
         raise OverflowError("a squared coefficient size is not finite")
     n_rows = len(a.top)
-    return np.float_power(np.bincount(
-        np.arange(n_rows).repeat(a.ptr[1:] - a.ptr[:-1]), sq,
-        minlength=n_rows), 0.5)
+    count = a.ptr[1:] - a.ptr[:-1]
+    row = np.arange(n_rows).repeat(count)
+    total = np.bincount(row, sq, minlength=n_rows)
+    # a row sums below the normal range only if each of its squares does
+    if sq.min(initial=inf) >= _DBL_MIN:
+        return np.float_power(total, 0.5)
+    low = (total < _DBL_MIN) & (count > 0)
+    top = _row_max(a.ptr, size)
+    total[low] = np.bincount(row, np.float_power(size / top[row], 2),
+                             minlength=n_rows)[low]
+    out = np.float_power(total, 0.5)
+    out[low] *= top[low]
+    return out
 
 
 def grade_involution(a: Multivector) -> Multivector:

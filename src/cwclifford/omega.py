@@ -28,7 +28,7 @@ from .core import (CHECK_TOL, Multivector, _rows_cat, _rows_gp, _rows_norm,
                    _rows_of, _rows_scaled, _rows_sum, gp, grade, threshold,
                    volume_element)
 from .errors import DimensionMismatch, NotSoBInvariant
-from .qpair import SymmetricMap, _dense_pair, s_map
+from .qpair import SymmetricMap, _dense_pair, _pair_threshold, s_map
 
 
 @dataclass
@@ -83,10 +83,11 @@ def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
     eigenspace-crossing entry to vanish to threshold(tol, |c| + |d|), Omega
     being linear in the pair.  Only those entries are formed, in (mu, nu)
     order, with the s-images they use; none for a B with one eigenvalue.
+    Raises InputError on a nonzero pair whose threshold underflows.
     """
-    cut = threshold(tol, c.norm() + d.norm())
     if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
+    cut = _pair_threshold(tol, c, d, 1)
     owner = {p: k for k, space in enumerate(b.eigenspaces)
              for p in space.positions}
     crossing = [(mu, nu) for mu, nu in _triangle(b.n)
@@ -134,10 +135,12 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
     volume sectors free), two (the middle sectors free as well), more than
     two (everything constrained).  For odd dimensions the volume-twisted
     copy of the pair is accepted too.  Coefficients count as zero to
-    threshold(tol, |c| + |d|).
+    threshold(tol, |c| + |d|); raises InputError on a nonzero pair whose
+    threshold underflows.
     """
     if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
+    _pair_threshold(tol, c, d, 1)
     c2, d2 = b.adapt_to_eigenbasis(c, d)
     allowed = _allowed_masks(b)
     if any(mask not in allowed for x in (c2, d2) for mask, _ in x.terms()):

@@ -58,13 +58,15 @@ class Eigenspace:
 
 @dataclass
 class SymmetricMap:
-    """Real symmetric matrix with a clustered eigenspace decomposition."""
+    """Real symmetric matrix with a clustered eigenspace decomposition.
+
+    from_matrix validates and symmetrizes the entries up front; the spectrum
+    (eigenvalues, eigenvectors, eigenspaces) comes from one eigh and one
+    clustering pass on first use, so a map whose spectrum no caller reads,
+    such as the B of most verified pairs, costs only its validation."""
 
     n: int
     entries: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    eigenspaces: List[Eigenspace]
     # the last pair adapt_to_eigenbasis rotated, and its rotation
     _rotated: Optional[tuple] = field(default=None, init=False, repr=False,
                                       compare=False)
@@ -77,25 +79,41 @@ class SymmetricMap:
                              "square matrix")
         if not np.isfinite(m).all():
             raise InputError("symmetric map entries must be finite")
-        n = m.shape[0]
         if np.max(np.abs(m - m.T)) > threshold(CHECK_TOL, np.max(np.abs(m))):
             raise InputError("matrix is not symmetric")
-        m = 0.5 * (m + m.T)
-        vals, vecs = np.linalg.eigh(m)
+        return SymmetricMap(m.shape[0], 0.5 * (m + m.T))
+
+    @cached_property
+    def _spectrum(self) -> Tuple[np.ndarray, np.ndarray, List[Eigenspace]]:
+        """eigh of the entries, eigenvalues within CLUSTER_TOL max |lambda|
+        of their neighbour clustered into eigenspaces."""
+        n = self.n
+        vals, vecs = np.linalg.eigh(self.entries)
         tol = threshold(CLUSTER_TOL, np.max(np.abs(vals)))
         spaces: List[Eigenspace] = []
         start = 0
         for i in range(1, n + 1):
             if i == n or vals[i] - vals[i - 1] > tol:
-                block = vecs[:, start:i]
                 spaces.append(Eigenspace(
                     value=float(np.mean(vals[start:i])),
                     multiplicity=i - start,
-                    basis=block,
+                    basis=vecs[:, start:i],
                     positions=tuple(range(start, i)),
                     mask=(1 << i) - (1 << start)))
                 start = i
-        return SymmetricMap(n, m, vals, vecs, spaces)
+        return vals, vecs, spaces
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._spectrum[1]
+
+    @property
+    def eigenspaces(self) -> List[Eigenspace]:
+        return self._spectrum[2]
 
     @staticmethod
     def from_diagonal(values) -> "SymmetricMap":
@@ -235,6 +253,20 @@ def q_restriction_matrix(c: Multivector, d: Multivector):
     return m, offgrade
 
 
+def _pair_threshold(tol_factor: float, c: Multivector, d: Multivector,
+                    degree: int) -> float:
+    """threshold(tol_factor, (|c| + |d|)^degree) for a check of that degree
+    in the pair.  Raises InputError on a nonzero pair whose threshold falls
+    below the smallest normal double, where its norms and products
+    underflow and the check would compare zeros."""
+    tol = threshold(tol_factor, (c.norm() + d.norm()) ** degree)
+    if tol < sys.float_info.min and not (c.is_zero() and d.is_zero()):
+        raise InputError(f"the threshold {tol:.3e} of a nonzero pair is "
+                         "below the smallest normal double: the pair or the "
+                         "tolerance factor is too small")
+    return tol
+
+
 def extract_B(c: Multivector, d: Multivector,
               tol_factor: float = CHECK_TOL) -> QuadraticPair:
     """Verify the pair and extract its symmetric map, status-encoded.
@@ -245,11 +277,7 @@ def extract_B(c: Multivector, d: Multivector,
     the smallest normal double, where the norms and q underflow;
     OverflowError when q overflows on the pair.
     """
-    tol = threshold(tol_factor, (c.norm() + d.norm()) ** 2)
-    if tol < sys.float_info.min and not (c.is_zero() and d.is_zero()):
-        raise InputError(f"the threshold {tol:.3e} of a nonzero pair is "
-                         "below the smallest normal double: the pair or the "
-                         "tolerance factor is too small")
+    tol = _pair_threshold(tol_factor, c, d, 2)
     m, offgrade = q_restriction_matrix(c, d)
     if not (np.isfinite(m).all() and math.isfinite(offgrade)):
         raise OverflowError("q is not finite on this pair")

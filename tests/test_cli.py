@@ -244,6 +244,12 @@ PARAMS_N3 = {**PARAMS_OK, "dim": 3,
     ("verify", "--pair", {"dim": 3, "c": "1e-170 e_{1} + 1e-170 e_{1,2}",
                           "d": "1e-170 e_{2,3}"}),
     ("search", "--b", {**B_OK, "entries": [-1e-300, 0.0, 0.0, -4e-300]}),
+    # every norm underflowed to 0: this read "holds": true with threshold 0
+    # at scale 1e-200, where at scale 1 it is false; 1e-200 now computes
+    # false, and at 1e-300 the degree-one threshold underflows
+    ("omega --b {b}", "--pair", {"dim": 3,
+                                 "c": "1e-300 e_{1} + 5e-301 e_{2,3}",
+                                 "d": "1e-300 e_{2}"}),
 ], ids=["pair-dim-true", "b-dim-true", "params-dim-true", "entries-string",
         "entries-nested", "entries-bool", "B-string", "B-nested",
         "entries-nan", "entries-infinity", "entries-huge-int", "B-nan",
@@ -253,11 +259,15 @@ PARAMS_N3 = {**PARAMS_OK, "dim": 3,
         "x-projector-repeated-index", "x-projector-three-lists",
         "repeated-blade-sum-square-overflows", "coeff-underscore",
         "coeff-arabic-indic-digit", "empty-index-slot", "index-slot-two-numbers",
-        "pair-threshold-underflows", "b-hit-threshold-underflows"])
+        "pair-threshold-underflows", "b-hit-threshold-underflows",
+        "omega-threshold-underflows"])
 def test_hostile_input_is_exit_2(tmp_path, capsys, command, flag, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, *command.split(), flag, str(path))
+    b = tmp_path / "b.json"       # the {b} of a command, a valid map
+    b.write_text(json.dumps({"dim": 3, "entries": [-1, 0, 0, 0, -9, 0, 0, 0,
+                                                   -9]}))
+    code, out, err = run(capsys, *command.format(b=b).split(), flag, str(path))
     assert code == 2 and out == "" and err.startswith("error:")
     assert len(err.splitlines()) == 1
 

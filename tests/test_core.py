@@ -264,6 +264,22 @@ def test_gp_matches_reference_product_bit_for_bit():
             assert bits(gp(a, b)) == bits(reference_gp(a, b)), n
 
 
+def test_gp_leaves_no_negative_zero():
+    """One multiply per term product, (-x or x) * y, may give a zero part a
+    negative sign where sign * x * y does not; the sums from 0j erase it."""
+    rng = np.random.default_rng(9)
+    parts = [0.0, -0.0, 1.5, -2.0, 0.25]
+    for n in (1, 3, 6):
+        for _ in range(40):
+            a, b = (Multivector(n, {
+                int(m): complex(*rng.choice(parts, 2)) or 1.0
+                for m in rng.integers(0, 1 << n, 5)}) for _ in range(2))
+            assert bits(gp(a, b)) == bits(reference_gp(a, b))
+            for _, z in gp(a, b).terms():
+                assert math.copysign(1.0, z.real) == 1.0 or z.real != 0.0
+                assert math.copysign(1.0, z.imag) == 1.0 or z.imag != 0.0
+
+
 def test_subtraction_is_adding_the_negation_bit_for_bit():
     rng = np.random.default_rng(6)
     zeros = [complex(0.0, -0.0), complex(-0.0, 1.5), complex(2.5, -0.0)]
@@ -459,6 +475,29 @@ def test_norm_scales_squares_past_the_double_range():
         _rows_norm(_rows_of([Multivector(2, {1: 1e200})]))
 
 
+def test_norm_scales_squares_below_the_normal_range():
+    """Squares of 1e-200 underflow to 0, so the norm of a nonzero element
+    read 0; norm() and the row form sum such rows scaled by the largest
+    size, bit for bit alike, and keep the plain sum's bits elsewhere."""
+    tiny = [Multivector(2, {1: 1e-200, 2: -1e-200j}),
+            Multivector(3, {0: 3e-170, 5: 4e-170}),
+            Multivector(3, {1: 1e-160, 6: 1e-300}),
+            Multivector(1, {0: 5e-324})]
+    assert tiny[0].norm() == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+    assert tiny[1].norm() == pytest.approx(5e-170, rel=1e-15)
+    assert tiny[3].norm() == 5e-324
+    rng = np.random.default_rng(13)
+    plain = [random_multivector(rng, 4, 6) * float(10.0 ** k)
+             for k in (-150, -8, 0, 8, 150)]
+    for a in plain:
+        total = 0.0
+        for _, z in a.terms():
+            total += abs(z) ** 2
+        assert a.norm() == total ** 0.5
+    rows = tiny + [Multivector.zero(3)] + plain
+    assert _rows_norm(_rows_of(rows)).tolist() == [x.norm() for x in rows]
+
+
 def test_element_norms_overflow_where_the_square_does():
     """A finite block norm whose square overflows raises, as ** does; an
     infinite block norm gives an infinite element norm, as norm() does."""
@@ -495,6 +534,18 @@ def test_zero_is_one_instance_per_dimension():
     assert Multivector.zero(3).is_zero()
     with pytest.raises(DimensionTooLarge):
         Multivector.zero(13)
+
+
+def test_basis_vectors_are_one_instance_per_dimension_and_index():
+    assert e(3, 2) is e(3, 2) and e(3, 2) is not e(4, 2)
+    assert e(3, 2) == Multivector(3, {0b010: 1.0})
+    assert [e(12, mu)._terms for mu in range(1, 13)] == [
+        {1 << k: 1 + 0j} for k in range(12)]
+    for dim, mu in ((3, 0), (3, 4), (0, 1), (-1, 1)):
+        with pytest.raises(DimensionMismatch):
+            Multivector.basis_vector(dim, mu)
+    with pytest.raises(DimensionTooLarge):
+        Multivector.basis_vector(13, 1)
 
 
 @st.composite

@@ -11,6 +11,7 @@ from cwclifford.errors import DimensionMismatch, InputError, NotSoBInvariant
 from cwclifford.omega import (_closing_rows, classify_distinguished,
                               closing_identities, is_sob_invariant_structural,
                               omega_in_soB, omega_tensor)
+from cwclifford.search import search_pairs_for_B
 from cwclifford.qpair import (SymmetricMap, extract_B, make_generalized,
                               make_linear, make_monomial,
                               make_pseudo_monomial, rotate_multivector,
@@ -542,3 +543,60 @@ def test_a_pair_of_mixed_dimension_is_a_dimension_mismatch(rotated):
         for check in (omega_in_soB, classify_distinguished):
             with pytest.raises(DimensionMismatch):
                 check(c, d, b)
+
+
+def test_a_pair_whose_threshold_underflows_is_refused():
+    """c = lam (e_1 + 0.5 e_{2,3}), d = lam e_2 is not in so_B at scale 1.
+    At lam = 1e-200 every norm read 0, and the pair passed with threshold
+    0; now it fails as at scale 1.  At 1e-300 the degree-one threshold is
+    below the smallest normal double, and both checks refuse the pair."""
+    b = SymmetricMap.from_diagonal([-1.0, -9.0, -9.0])
+    c = Multivector(3, {0b001: 1.0, 0b110: 0.5})
+    d = e(3, 2)
+    one = omega_in_soB(c, d, b)
+    for lam in (1e-200, 1e-290):
+        got = omega_in_soB(lam * c, lam * d, b)
+        assert not got["holds"] and got["worst_entry"] == one["worst_entry"]
+        assert got["worst_norm"] == pytest.approx(lam * one["worst_norm"])
+        assert got["threshold"] == pytest.approx(lam * one["threshold"])
+    for check in (omega_in_soB, classify_distinguished):
+        with pytest.raises(InputError, match="smallest normal double"):
+            check(1e-300 * c, 1e-300 * d, b)
+    zero = Multivector.zero(3)
+    assert omega_in_soB(zero, zero, b)["holds"]
+    assert classify_distinguished(zero, zero, b)["match"]
+
+
+def test_the_shared_basis_vectors_stay_unchanged():
+    """The pair layer takes every e_mu from Multivector.basis_vector, one
+    shared instance per (n, mu); a search, verify, omega and closing pass
+    over dense and sparse pairs leaves each of them as built."""
+    def basis():
+        return {(n, mu): (Multivector.basis_vector(n, mu), [
+            (m, z.real.hex(), z.imag.hex()) for m, z in
+            Multivector.basis_vector(n, mu).terms()])
+            for n in range(1, 13) for mu in range(1, n + 1)}
+
+    before = basis()
+    assert all(terms == [(1 << mu - 1, "0x1.0000000000000p+0", "0x0.0p+0")]
+               for (_, mu), (_, terms) in before.items())
+    targets = [clustered_b(np.random.default_rng(4), [3, 3], True),
+               SymmetricMap.from_diagonal([-1.0, -1.0, -4.0, -4.0, -9.0]),
+               SymmetricMap.from_diagonal([-2.0] * 6)]
+    dense = False
+    for b in targets:
+        for hit in search_pairs_for_B(b):
+            c, d = hit.pair.c, hit.pair.d
+            dense |= qpair._dense_pair(c, d)
+            pair = extract_B(c, d)
+            qpair.classify_family(pair)
+            omega_in_soB(c, d, b)
+            try:
+                classify_distinguished(c, d, b)
+            except NotSoBInvariant:
+                pass
+            closing_identities(c, d, b)
+    assert dense
+    after = basis()
+    assert all(after[k][0] is x and after[k][1] == terms
+               for k, (x, terms) in before.items())

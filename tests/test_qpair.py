@@ -1,12 +1,14 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cwclifford.core import (Multivector, blade_square_sign, gp, grade,
-                             random_multivector, volume_element)
+from cwclifford.cli import main
+from cwclifford.core import (CLUSTER_TOL, Multivector, blade_square_sign, gp,
+                             grade, random_multivector, volume_element)
 from cwclifford import qpair
 from cwclifford.errors import (AnticommutationViolated,
                                CoefficientConstraintViolated,
@@ -19,6 +21,7 @@ from cwclifford.qpair import (SymmetricMap, _generalized_elements,
                               make_linear, make_monomial, make_pseudo_monomial,
                               q_map, rotate_multivector, s_map,
                               skew_to_bivector)
+from cwclifford.textio import load_b_file, load_params_file
 
 
 def e(n, mu):
@@ -590,6 +593,109 @@ def test_symmetric_map_rejects_non_finite_entries():
 def test_symmetric_map_rejects_an_empty_map(build):
     with pytest.raises(InputError, match="nonempty"):
         build()
+
+
+GOLDEN = Path(__file__).parent / "golden" / "inputs"
+
+
+def eager_spectrum(entries):
+    """The spectrum as from_matrix once built it up front: eigh of the
+    symmetrized entries, then runs of eigenvalues within CLUSTER_TOL
+    max |lambda| of their neighbour, each an eigenspace at its mean."""
+    m = np.array(entries, dtype=float)
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    tol = CLUSTER_TOL * np.max(np.abs(vals))
+    spaces, start = [], 0
+    for i in range(1, len(m) + 1):
+        if i == len(m) or vals[i] - vals[i - 1] > tol:
+            spaces.append((float(np.mean(vals[start:i])), i - start,
+                           vecs[:, start:i].tobytes(),
+                           tuple(range(start, i)), (1 << i) - (1 << start)))
+            start = i
+    return vals.tobytes(), vecs.tobytes(), spaces
+
+
+def golden_maps():
+    """Every B of the golden inputs: the b files and the params files."""
+    return [load_b_file(str(path))[1] for path in [
+        *sorted(GOLDEN.glob("b_*.json")), GOLDEN / "readme_b.json"]] + [
+        load_params_file(str(path))[1]
+        for path in sorted(GOLDEN.glob("*params*.json"))]
+
+
+def clustered_maps():
+    """Random B = Q diag Q^T at n = 1..12, Q orthogonal, with eigenvalues
+    in clusters whose members lie within 1e-12 relative of each other."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 13):
+        for _ in range(3):
+            values = np.repeat(rng.uniform(-9.0, 9.0, n), rng.integers(1, 4, n))
+            values = values[:n] * (1.0 + 1e-12 * rng.standard_normal(n))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            yield q @ np.diag(values) @ q.T
+
+
+def test_the_spectrum_built_on_first_use_is_the_eager_one_bit_for_bit():
+    maps = golden_maps() + list(clustered_maps())
+    assert len(maps) == 7 + 5 + 36
+    assert any(len(eager_spectrum(m)[2]) < len(m) for m in maps)
+    for m in maps:
+        b = SymmetricMap.from_matrix(m)
+        vals, vecs, spaces = eager_spectrum(m)
+        assert b.eigenvalues.tobytes() == vals
+        assert b.eigenvectors.tobytes() == vecs
+        assert [(s.value, s.multiplicity, s.basis.tobytes(), s.positions,
+                 s.mask) for s in b.eigenspaces] == spaces
+        assert b.eigenvalues is b.eigenvalues
+
+
+def count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: calls.append(m) or eigh(m))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["readme_mono", "pair_gen4", "pair_gen5",
+                                  "pair_rot8_mono"])
+def test_verify_reads_no_spectrum(monkeypatch, capsys, name):
+    calls = count_eigh(monkeypatch)
+    assert main(["verify", "--pair", str(GOLDEN / f"{name}.json")]) == 0
+    assert '"status": "verified"' in capsys.readouterr().out
+    assert calls == []
+
+
+def test_extract_b_on_family_pairs_reads_no_spectrum(monkeypatch):
+    target = SymmetricMap.from_diagonal([-1.0, -1.0, -4.0, -4.0])
+    target.eigenspaces
+    calls = count_eigh(monkeypatch)
+    pairs = [make_monomial(3, 0b011, 1.3, -0.4),
+             make_pseudo_monomial(4, 0b0011, "even", 1.1, 0.7),
+             make_pseudo_monomial(4, 0b0111, "odd", 0.9, 0.4, phi=0.3),
+             make_linear(target),
+             make_generalized(5, [0b00011, 0b01100, 0b10000], [1.0, 2.0, 3.0])]
+    pairs += [extract_B(pair.c, pair.d) for pair in pairs]
+    assert all(pair.verified for pair in pairs)
+    assert calls == []
+    pairs[0].B.eigenspaces
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entries, why", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "square"),
+    ([1.0, 2.0], "square"),
+    ([[1.0, 0.0], [0.0, np.nan]], "finite"),
+    ([[1.0, 1e308], [1e308, np.inf]], "finite"),
+    ([[1.0, 2.0], [2.0 + 1e-6, 1.0]], "not symmetric"),
+])
+def test_from_matrix_refuses_bad_entries_at_once(monkeypatch, entries, why):
+    calls = count_eigh(monkeypatch)
+    with pytest.raises(InputError, match=why):
+        SymmetricMap.from_matrix(entries)
+    # a valid map validates without eigh, and is symmetrized at once
+    b = SymmetricMap.from_matrix([[1.0, 2.0], [2.0 + 1e-12, 1.0]])
+    assert b.entries[0, 1] == b.entries[1, 0] and calls == []
 
 
 def test_extract_b_raises_when_q_overflows():
