@@ -257,8 +257,8 @@ def _pair_threshold(tol_factor: float, c: Multivector, d: Multivector,
                     degree: int) -> float:
     """threshold(tol_factor, (|c| + |d|)^degree) for a check of that degree
     in the pair.  Raises InputError on a nonzero pair whose threshold falls
-    below the smallest normal double, where its norms and products
-    underflow and the check would compare zeros."""
+    below the smallest normal double, where the products of the check
+    underflow and it would compare zeros."""
     tol = threshold(tol_factor, (c.norm() + d.norm()) ** degree)
     if tol < sys.float_info.min and not (c.is_zero() and d.is_zero()):
         raise InputError(f"the threshold {tol:.3e} of a nonzero pair is "
@@ -274,7 +274,7 @@ def extract_B(c: Multivector, d: Multivector,
     The residuals meet threshold(tol_factor, (|c| + |d|)^2), q being
     quadratic in the pair.  Raises InputError on a factor that is not
     finite and positive and on a nonzero pair whose threshold falls below
-    the smallest normal double, where the norms and q underflow;
+    the smallest normal double, where q underflows;
     OverflowError when q overflows on the pair.
     """
     tol = _pair_threshold(tol_factor, c, d, 2)
