@@ -45,25 +45,40 @@ def _pair_generators(m: int):
 
 @dataclass
 class GammaRep:
-    """A concrete matrix representation of the Clifford algebra."""
+    """A concrete matrix representation of the Clifford algebra.  Every
+    blade matrix is monomial, one phase of {+-1, +-i} per row; the cache
+    keeps the flat (row-major) indices and phases of those entries, built
+    as the lowest generator times the rest, with no negative zero part."""
 
     dim_v: int
     kind: str  # "irreducible" or "faithful"
     matrices: Tuple[np.ndarray, ...]
     rep_dim: int
-    _blade_cache: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _blade_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False)
+
+    def _monomial(self, mask: int) -> Tuple[np.ndarray, np.ndarray]:
+        out = self._blade_cache.get(mask)
+        if out is None:
+            size, low = self.rep_dim, mask & -mask
+            starts = np.arange(0, size * size, size)      # of the rows
+            if mask == 0:
+                out = starts + np.arange(size), np.ones(size, complex)
+            else:
+                g = self.matrices[low.bit_length() - 1].ravel()
+                at = np.flatnonzero(g)
+                col = at - starts
+                rest, phase = self._monomial(mask ^ low)
+                out = starts + rest[col] % size, 0j + g[at] * phase[col]
+            self._blade_cache[mask] = out
+        return out
 
     def blade_matrix(self, mask: int) -> np.ndarray:
-        cached = self._blade_cache.get(mask)
-        if cached is not None:
-            return cached
-        if mask == 0:
-            mat = np.eye(self.rep_dim, dtype=complex)
-        else:
-            low = mask & -mask
-            mat = self.matrices[low.bit_length() - 1] @ self.blade_matrix(mask ^ low)
-        self._blade_cache[mask] = mat
-        return mat
+        """The dense matrix of Gamma_mask, formed on each call."""
+        at, phase = self._monomial(mask)
+        out = np.zeros(self.rep_dim ** 2, dtype=complex)
+        out[at] = phase
+        return out.reshape(self.rep_dim, self.rep_dim)
 
 
 def build_rep(n: int, kind: str = "faithful") -> GammaRep:
@@ -93,14 +108,16 @@ def build_rep(n: int, kind: str = "faithful") -> GammaRep:
 
 
 def represent(a: Multivector, rep: GammaRep) -> np.ndarray:
-    """Algebra homomorphism into rep_dim x rep_dim complex matrices."""
+    """Algebra homomorphism into rep_dim x rep_dim complex matrices: each
+    blade adds coefficient times phase at its entries, in term order."""
     if a.dim != rep.dim_v:
         raise DimensionMismatch(
             f"multivector dim {a.dim} does not match representation dim {rep.dim_v}")
-    out = np.zeros((rep.rep_dim, rep.rep_dim), dtype=complex)
+    out = np.zeros(rep.rep_dim ** 2, dtype=complex)
     for mask, coeff in a.terms():
-        out += coeff * rep.blade_matrix(mask)
-    return out
+        at, phase = rep._monomial(mask)
+        out[at] += coeff * phase
+    return out.reshape(rep.rep_dim, rep.rep_dim)
 
 
 def extract_component(m: np.ndarray, mask: int, rep: GammaRep) -> complex:

@@ -1,34 +1,32 @@
 """The rotation-valued obstruction tensor attached to a pair (c, d).
 
-On an orthonormal basis the tensor is
+On an orthonormal basis, antisymmetric in (mu, nu),
 
     Omega_{mu nu} = Gamma_mu c Gamma_nu - Gamma_nu c Gamma_mu
-                    - (Gamma_{mu nu} d + d Gamma_{mu nu}),
+                    - (Gamma_{mu nu} d + d Gamma_{mu nu}).
 
-antisymmetric in (mu, nu).  As Gamma_nu Gamma_mu = -Gamma_mu Gamma_nu for
-mu != nu, it equals, with s_{a,b}(x) = a x - x b,
+By the bitmap sign rule of `core`, e_mu Gamma_J = sigma_mu(J) Gamma_J e_mu
+with sigma_mu(J) = (-1)^|J - {mu}|: in each sandwich a blade J meeting
+{mu, nu} an odd number of times cancels and any other doubles, so
 
-    Omega_{mu nu} = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu),
+    Omega_{mu nu} = sum_J 2 (sigma_mu(J) c_J - d_J) Gamma_J Gamma_{mu nu},
 
-the one form evaluated here, for the tensor and both closing identities.
-It lies in so_B(V) tensor the algebra exactly when every entry crossing two
-different eigenspaces of B vanishes; for pairs invariant under so_B(V) this
-singles out three coefficient templates depending on how many distinct
-eigenvalues B has.
+a relabel with no product.  It lies in so_B(V) tensor the algebra exactly
+when every entry crossing two eigenspaces of B vanishes; for pairs
+invariant under so_B(V) this singles out three coefficient templates
+depending on how many distinct eigenvalues B has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Tuple
 
-import numpy as np
-
-from .core import (CHECK_TOL, Multivector, _rows_cat, _rows_gp, _rows_norm,
-                   _rows_of, _rows_scaled, _rows_sum, gp, grade, threshold,
-                   volume_element)
+from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _element, _sign_mask,
+                   gp, grade, threshold, volume_element)
 from .errors import DimensionMismatch, NotSoBInvariant
-from .qpair import SymmetricMap, _dense_pair, _pair_threshold, s_map
+from .qpair import SymmetricMap, _pair_threshold
 
 
 @dataclass
@@ -49,30 +47,47 @@ class OmegaTensor:
         return max((e.norm() for e in self.entries.values()), default=0.0)
 
 
-def _omega_parts(c: Multivector, d: Multivector, pairs):
-    """The entries Omega_{mu nu} = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu) on
-    the given 1-based (mu, nu), keyed and ordered as given, and the s-images
-    s_{d,c}(e_nu) and s_{c,d}(e_nu) for only the nu those pairs use, keyed
-    by nu."""
-    gens = {mu: Multivector.basis_vector(c.dim, mu)
-            for mu in {i for pair in pairs for i in pair}}
-    used = dict.fromkeys(nu for _, nu in pairs)
-    sdc = {nu: s_map(d, c, gens[nu]) for nu in used}
-    scd = {nu: s_map(c, d, gens[nu]) for nu in used}
-    entries = {(mu, nu): gp(sdc[nu], gens[mu]) + gp(gens[mu], scd[nu])
-               for mu, nu in pairs}
-    return sdc, scd, entries
+def _pair_terms(c: Multivector, d: Multivector):
+    """(J, w(J), |J| mod 2, c_J, d_J) for the blades of d, then those of c
+    that d lacks; a coefficient at most PRUNE_EPS times its element's
+    largest reads 0, as gp with a generator drops it."""
+    cs, ds = ({j: z for j, z in x._terms.items()
+               if abs(z) > PRUNE_EPS * x._top} for x in (c, d))
+    return [(j, _sign_mask(j), j.bit_count() & 1, cs.pop(j, 0j), z)
+            for j, z in ds.items()] + [
+        (j, _sign_mask(j), j.bit_count() & 1, z, 0j) for j, z in cs.items()]
 
 
-def _triangle(n: int):
-    """The 1-based (mu, nu), mu < nu, in lexicographic order."""
-    return [(mu, nu) for mu in range(1, n + 1) for nu in range(mu + 1, n + 1)]
+def _omega_terms(terms, m: int, low: int, cut: float) -> Dict[int, complex]:
+    """The terms of Omega_{mu nu}, m the mask of {mu, nu} and low that of
+    mu, a J with |sigma_mu(J) c_J - d_J| at most cut left out; summed from
+    0j, as gp sums, so that no coefficient holds a negative zero."""
+    out = {}
+    for j, w, odd, zc, zd in terms:
+        if (j & m).bit_count() & 1:
+            continue
+        flip = odd ^ (j & low != 0)           # sigma_mu(J) = -1
+        z = zc + zd if flip else zc - zd
+        if abs(z) > cut:
+            neg = flip ^ (m & w).bit_count() & 1
+            out[j ^ m] = 0j + (-2.0 if neg else 2.0) * z
+    return out
+
+
+def _omega_entries(c: Multivector, d: Multivector, pairs):
+    """Omega_{mu nu} on the given 1-based (mu, nu), in their order, with the
+    bits of s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu), s_{a,b}(x) = a x - x b."""
+    terms, cut = _pair_terms(c, d), PRUNE_EPS * max(c._top, d._top)
+    return {(mu, nu): _element(c.dim, _omega_terms(
+        terms, (1 << mu - 1) | (1 << nu - 1), 1 << mu - 1, cut), 0.0)
+        for mu, nu in pairs}
 
 
 def omega_tensor(c: Multivector, d: Multivector) -> OmegaTensor:
     if c.dim != d.dim:
         raise DimensionMismatch("pair elements live in different dimensions")
-    return OmegaTensor(c.dim, _omega_parts(c, d, _triangle(c.dim))[2])
+    return OmegaTensor(c.dim, _omega_entries(
+        c, d, combinations(range(1, c.dim + 1), 2)))
 
 
 def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
@@ -82,7 +97,7 @@ def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
     Rotates into the eigenbasis of B first, then requires every
     eigenspace-crossing entry to vanish to threshold(tol, |c| + |d|), Omega
     being linear in the pair.  Only those entries are formed, in (mu, nu)
-    order, with the s-images they use; none for a B with one eigenvalue.
+    order; none for a B with one eigenvalue.
     Raises InputError on a nonzero pair whose threshold underflows.
     """
     if not c.dim == d.dim == b.n:
@@ -90,12 +105,12 @@ def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
     cut = _pair_threshold(tol, c, d, 1)
     owner = {p: k for k, space in enumerate(b.eigenspaces)
              for p in space.positions}
-    crossing = [(mu, nu) for mu, nu in _triangle(b.n)
+    crossing = [(mu, nu) for mu, nu in combinations(range(1, b.n + 1), 2)
                 if owner[mu - 1] != owner[nu - 1]]
     c2, d2 = b.adapt_to_eigenbasis(c, d)
     worst = 0.0
     worst_at = None
-    for at, entry in _omega_parts(c2, d2, crossing)[2].items():
+    for at, entry in _omega_entries(c2, d2, crossing).items():
         norm = entry.norm()
         if norm > worst:
             worst, worst_at = norm, at
@@ -177,84 +192,73 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
             "coefficients": fitted}
 
 
-def _closing_rows(c: Multivector, d: Multivector, b: np.ndarray):
-    """Entry norms of the two closing identities of (c, d) on the triangle.
+def _signed(x: Multivector):
+    """(J, w(J), |J| mod 2, x_J) for the terms of x, in order."""
+    return [(j, _sign_mask(j), j.bit_count() & 1, z)
+            for j, z in x._terms.items()]
 
-    With s_{a,b}(x) = a x - x b and Omega_{mu nu} = s_{d,c}(e_nu) e_mu
-    + e_mu s_{c,d}(e_nu), returns two float64 arrays: the norms of the
-    anticommutator residual (s_{d,c}(e_nu) s_{c,d}(e_mu)
-    + s_{d,c}(e_mu) s_{c,d}(e_nu)) / 2 - b[mu - 1, nu - 1] over mu <= nu and
-    of the four-term residual d Omega_{mu nu} - Omega_{mu nu} d over mu < nu,
-    each in the order of np.triu_indices.  Each step is one row-kernel call
-    over all entries, bit for bit the gp loop of `closing_identities`.
-    """
-    n, m = c.dim, c.dim ** 2
-    mu = np.arange(n)
-    at_c, at_d, at_e = 0 * mu, 0 * mu + 1, mu + 2
-    # rows c, d, e_1 .. e_n
-    pool = _rows_of([c, d] + [Multivector.basis_vector(n, k)
-                              for k in range(1, n + 1)])
-    # rows d e_nu, c e_nu, e_nu c, e_nu d
-    ends = _rows_gp(pool, np.concatenate((at_d, at_c, at_e, at_e)), pool,
-                    np.concatenate((at_e, at_e, at_c, at_d)), n)
-    # rows s_{d,c}(e_nu), s_{c,d}(e_nu), then the pool
-    both = np.arange(2 * n)
-    s = _rows_cat(_rows_sum(ends, both, ends, 2 * n + both, -1.0, True, n),
-                  pool)
-    lo, hi = np.triu_indices(n)               # mu <= nu
-    mu, nu = lo[lo < hi], hi[lo < hi]         # mu < nu
-    t, a = len(mu), len(lo)
-    # row x n + y: s_{d,c}(e_x) s_{c,d}(e_y); then s_{d,c}(e_nu) e_mu and
-    # e_mu s_{c,d}(e_nu)
-    x, y = np.divmod(np.arange(m), n)
-    at_e = 2 * n + 2 + mu
-    prods = _rows_gp(s, np.concatenate((x, nu, at_e)), s,
-                     np.concatenate((n + y, at_e, n + nu)), n)
-    # rows Omega_{mu nu}, twice the anticommutator, then the pool
-    tri = np.arange(t)
-    sums = _rows_cat(_rows_sum(
-        prods, np.concatenate((m + tri, hi * n + lo)), prods,
-        np.concatenate((m + t + tri, lo * n + hi)), 1.0, True, n), pool)
-    at_d = np.full(t, t + a + 1)
-    # rows d Omega, Omega d, the anticommutator, b[mu, nu]
-    table = _rows_cat(
-        _rows_gp(sums, np.concatenate((at_d, tri)), sums,
-                 np.concatenate((tri, at_d)), n),
-        _rows_scaled(sums, t + np.arange(a), np.full(a, 0.5)),
-        _rows_of([Multivector.scalar(n, v) for v in b[lo, hi]]))
-    # rows [d, Omega], then the anticommutator residuals
-    res = _rows_sum(table, np.concatenate((tri, 2 * t + np.arange(a))), table,
-                    np.concatenate((t + tri, 2 * t + a + np.arange(a))), -1.0,
-                    True, n)
-    norms = _rows_norm(res)
-    return norms[t:], norms[:t]
+
+def _sandwich(terms, low: int, m: int, scale: float, out: dict) -> dict:
+    """Adds scale sigma_x(J) X_J Gamma_J Gamma_m to out for the _signed
+    terms of X whose blade meets m, the mask of {x, y}, once, or for all
+    of them when m = 0 (x = y); low is the mask of e_x.  So scale 2 (x < y)
+    or -2 (x = y) gives e_x X e_y + e_y X e_x."""
+    get = out.get
+    for j, w, odd, z in terms:
+        if m and not (j & m).bit_count() & 1:
+            continue
+        neg = odd ^ (j & low != 0) ^ (m & w).bit_count() & 1
+        out[j ^ m] = get(j ^ m, 0j) + (-scale if neg else scale) * z
+    return out
+
+
+def _pairs(dl, terms: dict, anticommute: int, out: dict) -> dict:
+    """Adds d_A X_B Gamma_A Gamma_B to out over the blades A of d (its
+    _signed terms dl) and B of X (terms) that commute (anticommute = 0) or
+    anticommute (1), by the parity of |A| |B| + |A & B|."""
+    get = out.get
+    items = [(k, k.bit_count() & 1, z) for k, z in terms.items()]
+    for a, w, ga, za in dl:
+        for k, gk, z in items:
+            if ((ga & gk) ^ (a & k).bit_count()) & 1 == anticommute:
+                p = -za * z if (k & w).bit_count() & 1 else za * z
+                out[a ^ k] = get(a ^ k, 0j) + p
+    return out
 
 
 def closing_identities(c: Multivector, d: Multivector,
                        b: SymmetricMap) -> Dict[str, float]:
-    """Max residuals of the two closing identities: |d Omega_{mu nu}
-    - Omega_{mu nu} d| over mu < nu (Omega is antisymmetric, zero on the
-    diagonal) and the anticommutator residual, symmetric, over mu <= nu,
-    normalized with the factor 1/2 fixed by direct evaluation on monomial
-    pairs.  Dense pairs (`qpair._dense_pair`) take the row form
-    `_closing_rows` above, the others the gp loop below, bit for bit.
+    """Max residuals of the two closing identities, |d Omega_{xy}
+    - Omega_{xy} d| over x < y and, over x <= y, with T_x = d e_x - e_x c
+    and S_y = c e_y - e_y d,
+
+        (T_x S_y + T_y S_x) / 2 - b_xy = (d K + K d - L) / 2
+                                         + delta_xy d^2 - b_xy,
+
+    K = e_x c e_y + e_y c e_x and L the same of c^2, relabels by the parity
+    rule (`_sandwich`).  d K + K d keeps the blade pairs of d and K that
+    commute, at twice their product, d Omega - Omega d those that
+    anticommute; only c^2 and d^2 take a gp.  Coefficients at most
+    PRUNE_EPS max |c_J, d_J|^2 are cut.
     """
     if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
-    if _dense_pair(c, d):
-        anti, four = _closing_rows(c, d, b.entries)
-        return {"four-term": float(four.max(initial=0.0)),
-                "anticommutator": float(anti.max())}
-    n = c.dim
-    sdc, scd, omega = _omega_parts(c, d, _triangle(n))
-    # the n^2 products need the s-images at nu = 1 too, which no mu < nu uses
-    e1 = Multivector.basis_vector(n, 1)
-    sdc[1], scd[1] = s_map(d, c, e1), s_map(c, d, e1)
-    at = range(1, n + 1)
-    prods = [[gp(sdc[x], scd[y]) for y in at] for x in at]
-    r_four = max(((gp(d, x) - gp(x, d)).norm() for x in omega.values()),
-                 default=0.0)
-    r_anti = max((0.5 * (prods[nu][mu] + prods[mu][nu])
-                  - Multivector.scalar(n, complex(b.entries[mu, nu]))).norm()
-                 for mu in range(n) for nu in range(mu, n))
-    return {"four-term": r_four, "anticommutator": r_anti}
+    n, top = c.dim, max(c._top, d._top)
+    cut = PRUNE_EPS * top * top
+    d2, cl, sq, dl = gp(d, d), _signed(c), _signed(gp(c, c)), _signed(d)
+    terms, entries = _pair_terms(c, d), b.entries.tolist()
+    anti = four = 0.0
+    for x in range(n):
+        low = 1 << x
+        for y in range(x, n):
+            m = low | 1 << y if y > x else 0
+            out = _sandwich(sq, low, m, -1.0 if m else 1.0,
+                            {} if m else dict(d2._terms))
+            _pairs(dl, _sandwich(cl, low, m, 2.0 if m else -2.0, {}), 0, out)
+            out[0] = out.get(0, 0j) - entries[x][y]
+            anti = max(anti, _element(n, out, cut).norm())
+            if m:
+                omega = _omega_terms(terms, m, low, PRUNE_EPS * top)
+                half = _element(n, _pairs(dl, omega, 1, {}), 0.5 * cut)
+                four = max(four, 2.0 * half.norm())
+    return {"four-term": four, "anticommutator": anti}

@@ -187,16 +187,9 @@ class QuadraticPair:
 
 
 def _dense_pair(c: Multivector, d: Multivector) -> bool:
-    """Whether per-pair work on (c, d) goes through the row forms
-    (`_q_rows` here, `omega._closing_rows`) or the gp loops beside them.
-
-    The rule, |c| |d| > max(64, 2^n) in term counts, serves the q-restriction
-    and the closing identities.  It sits at the q-restriction's measured
-    crossover: the row kernels carry a fixed numpy cost per call, and the gp
-    loop beats them on pairs of at most 64 term products.  The closing
-    identities cross over lower, but are called less often.  The crossover
-    table is in the CHANGES.md entry of the batched product kernel.
-    """
+    """Whether q_restriction_matrix reads q(e_mu) off the row form `_q_rows`,
+    not `q_map`: |c| |d| > max(64, 2^n) in term counts, where the row
+    kernels' fixed cost per call was measured to pay (CHANGES.md)."""
     return len(c._terms) * len(d._terms) > max(64, 1 << c.dim)
 
 
@@ -543,12 +536,15 @@ def _is_monomial(c: Multivector, d: Multivector, support,
 
 
 def _is_linear(c: Multivector, d: Multivector, tol: float) -> bool:
-    """Definition of linearity: s_{c,d} maps V into V."""
-    n = c.dim
-    for mu in range(1, n + 1):
-        img = s_map(c, d, Multivector.basis_vector(n, mu))
-        for mask, coeff in img.terms():
-            if grade(mask) != 1 and abs(coeff) > tol:
+    """Definition of linearity: s_{c,d} maps V into V, with no product, as
+    s(e_mu) = sum_J (c_J - sigma_mu(J) d_J) Gamma_J e_mu (`omega`)."""
+    cs, ds = c._terms, d._terms
+    for j in cs.keys() | ds.keys():
+        zc, zd, odd = cs.get(j, 0j), ds.get(j, 0j), j.bit_count() & 1
+        for mu in range(c.dim):
+            k = j ^ 1 << mu
+            if (k & (k - 1) or not k) and abs(
+                    zc + zd if odd ^ (j >> mu & 1) else zc - zd) > tol:
                 return False
     return True
 

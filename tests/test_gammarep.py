@@ -110,3 +110,51 @@ def test_odd_irreducible_extraction_refused():
     rep = build_rep(3, "irreducible")
     with pytest.raises(AmbiguousOddIrreducible):
         extract_component(np.eye(2, dtype=complex), 0b1, rep)
+
+
+def dense_blade(rep, mask):
+    """Gamma_mask as the product of its generator matrices, lowest first."""
+    out = np.eye(rep.rep_dim, dtype=complex)
+    for mu in reversed(range(rep.dim_v)):
+        if (mask >> mu) & 1:
+            out = rep.matrices[mu] @ out
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("kind", ["irreducible", "faithful"])
+def test_blades_are_monomial_and_kept_as_flat_index_and_phase(n, kind):
+    """Every blade matrix has one nonzero per row, drawn from {+-1, +-i}
+    with no negative zero part, equal to the product of its generators;
+    the cache holds the flat indices and phases, not the dense matrix."""
+    rep = build_rep(n, kind)
+    rng = np.random.default_rng(n)
+    masks = range(1 << n) if n <= 6 else rng.integers(0, 1 << n, 24).tolist()
+    units = {complex(1), complex(-1), 1j, -1j}
+    for mask in masks:
+        mat = rep.blade_matrix(mask)
+        assert (mat == dense_blade(rep, mask)).all()
+        rows, cols = np.nonzero(mat)
+        assert (rows == np.arange(rep.rep_dim)).all()
+        assert set(mat[rows, cols].tolist()) <= units
+        assert not np.signbit(mat.view(float)[mat.view(float) == 0]).any()
+        at, phase = rep._blade_cache[mask]
+        assert (at == rows * rep.rep_dim + cols).all()
+        assert (phase == mat[rows, cols]).all()
+    sizes = {a.nbytes + b.nbytes for a, b in rep._blade_cache.values()}
+    assert sizes == {rep.rep_dim * (8 + 16)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 11, 12])
+def test_represent_is_the_sum_of_dense_blades_bit_for_bit(n):
+    """represent gives the bits of sum_terms coeff * blade matrix, added in
+    term order from zero, for raw, product and negated elements."""
+    rng = np.random.default_rng(40 + n)
+    rep = build_rep(n, "faithful")
+    a = random_multivector(rng, n, 8)
+    for x in (a, gp(a, a), -a, Multivector.zero(n),
+              Multivector(n, {0: complex(1.0, -0.0), 1: -1e-300j})):
+        want = np.zeros((rep.rep_dim, rep.rep_dim), dtype=complex)
+        for mask, coeff in x.terms():
+            want += coeff * dense_blade(rep, mask)
+        assert represent(x, rep).tobytes() == want.tobytes()

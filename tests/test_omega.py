@@ -8,9 +8,9 @@ from cwclifford import omega, qpair
 from cwclifford.core import (CHECK_TOL, Multivector, gp, grade,
                              random_multivector, threshold, volume_element)
 from cwclifford.errors import DimensionMismatch, InputError, NotSoBInvariant
-from cwclifford.omega import (_closing_rows, classify_distinguished,
-                              closing_identities, is_sob_invariant_structural,
-                              omega_in_soB, omega_tensor)
+from cwclifford.omega import (classify_distinguished, closing_identities,
+                              is_sob_invariant_structural, omega_in_soB,
+                              omega_tensor)
 from cwclifford.search import search_pairs_for_B
 from cwclifford.qpair import (SymmetricMap, extract_B, make_generalized,
                               make_linear, make_monomial,
@@ -269,11 +269,11 @@ def test_closing_identities():
     assert set(out) == {"four-term", "anticommutator"}
 
 
-# -- the dense closing identities against the gp loop ---------------------------
+# -- the closing identities against the gp loop -------------------------------
 
 def reference_closing_identities(c, d, b):
-    """The two closing residuals by the gp loop over (mu, nu), the loop the
-    row kernels replace, kept as the reference they must match."""
+    """The two closing residuals by the gp loop over (mu, nu), kept as the
+    reference the parity loops of `closing_identities` must match."""
     n = c.dim
     gens = [e(n, mu) for mu in range(1, n + 1)]
     sdc = [s_map(d, c, g) for g in gens]
@@ -292,64 +292,37 @@ def reference_closing_identities(c, d, b):
     return {"four-term": r_four, "anticommutator": r_anti}
 
 
-def dense_closing_identities(c, d, b):
-    anti, four = _closing_rows(c, d, b.entries)
-    return {"four-term": float(four.max(initial=0.0)),
-            "anticommutator": float(anti.max())}
-
-
 def assert_closing_matches_reference(c, d, b):
     want = reference_closing_identities(c, d, b)
     bound = 1e-12 * (1 + c.norm() ** 2 + d.norm() ** 2) ** 2
-    for got in (dense_closing_identities(c, d, b), closing_identities(c, d, b)):
-        assert set(got) == set(want)
-        for key in want:
-            assert abs(got[key] - want[key]) <= bound, (key, got, want)
+    got = closing_identities(c, d, b)
+    assert set(got) == set(want)
+    for key in want:
+        assert abs(got[key] - want[key]) <= bound, (key, got, want)
     return want
 
 
-def assert_rows_are_the_gp_loop(c, d, b, monkeypatch):
-    """The row path and the gp loop of closing_identities give equal bits."""
-    with monkeypatch.context() as patch:
-        patch.setattr(omega, "_dense_pair", lambda c, d: False)
-        assert closing_identities(c, d, b) == dense_closing_identities(c, d, b)
-
-
-def _count_dense(monkeypatch):
-    calls = []
-    monkeypatch.setattr(omega, "_closing_rows",
-                        lambda c, d, b, f=_closing_rows:
-                        calls.append(c.dim) or f(c, d, b))
-    return calls
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_dense_closing_identities_match_reference_on_random_pairs(
-        n, monkeypatch):
-    calls = _count_dense(monkeypatch)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closing_identities_match_reference_on_random_pairs(n):
     rng = np.random.default_rng(200 + n)
     b = SymmetricMap.from_matrix(np.diag(rng.uniform(-2.0, 2.0, n)))
-    # below and above the dispatch rule |c| |d| > max(64, 2^n)
+    # sparse pairs at every n; up to n = 8 also pairs of more than
+    # max(64, 2^n) term products, the dense pairs of the q-restriction
     above = min(1 << n, math.isqrt(max(64, 1 << n)) + 1)
-    sizes = ((1, 1), (2, 3), (above - 1, above + 1))
+    sizes = ((1, 1), (2, 3), (4, 2)) + (((above - 1, above + 1),)
+                                        if n <= 8 else ())
     worst = 0.0
     for kc, kd in sizes:
         c = random_multivector(rng, n, kc)
         d = random_multivector(rng, n, kd)
         want = assert_closing_matches_reference(c, d, b)
         worst = max(worst, *want.values())
-        # on both sides of the rule
-        assert_rows_are_the_gp_loop(c, d, b, monkeypatch)
-    # the public function went dense only for the last pair, which lies
-    # above the rule from n = 4 on (at n <= 3, |c| |d| <= 64)
-    assert len(calls) == (n > 3)
     # random pairs are far from closing: the residuals are of order one
     assert worst > 0.1
 
 
 @pytest.mark.parametrize("n", range(4, 9))
-def test_dense_closing_identities_match_reference_on_rotated_search_hits(
-        n, monkeypatch):
+def test_closing_identities_match_reference_on_rotated_search_hits(n):
     from cwclifford.search import search_pairs_for_B
     q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
     half = n // 2
@@ -357,31 +330,38 @@ def test_dense_closing_identities_match_reference_on_rotated_search_hits(
     b = SymmetricMap.from_matrix(0.5 * (m + m.T))
     hits = search_pairs_for_B(b)
     assert hits
-    calls = _count_dense(monkeypatch)
     # the reference loop takes about 0.4 s per hit at n = 8
     chosen = hits[:1] if n >= 7 else hits
     for hit in chosen:
         want = assert_closing_matches_reference(hit.pair.c, hit.pair.d, b)
         assert want["four-term"] < 1e-9
-        assert_rows_are_the_gp_loop(hit.pair.c, hit.pair.d, b, monkeypatch)
-    # the public function went dense for every hit from n = 5 on; at n = 4
-    # the hits carry 6 terms (7 perturbed), below the rule |c| |d| > 64
-    dense = n > 4
-    assert len(calls) == dense * len(chosen)
-    # a perturbed hit is far from closing; the dense path still agrees
+    # a perturbed hit is far from closing; the parity loops still agree
     c, d = chosen[0].pair.c, chosen[0].pair.d
     bad = d + Multivector.blade(n, 0b11, 0.5)
     assert max(assert_closing_matches_reference(c, bad, b).values()) > 0.1
-    assert len(calls) == dense * (len(chosen) + 1)
 
 
-def test_dense_closing_identities_raise_where_the_reference_overflows():
+@pytest.mark.parametrize("n", [9, 10])
+def test_closing_identities_match_reference_on_sparse_family_pairs(n):
+    """Family pairs of a few terms at the sizes past the rotated hits: a
+    closing pair, and the same pair with one blade of d moved."""
+    parts = [0b11 << 2 * k for k in range(n // 2)] + [1 << n - 1] * (n % 2)
+    pair = make_generalized(n, parts,
+                            [1.0 + 0.5 * k for k in range(len(parts))])
+    assert pair.verified
+    want = assert_closing_matches_reference(pair.c, pair.d, pair.B)
+    assert max(want.values()) < 1e-9
+    bad = pair.d + Multivector.blade(n, 0b101, 0.5)
+    assert max(assert_closing_matches_reference(pair.c, bad, pair.B)
+               .values()) > 0.1
+
+
+def test_closing_identities_raise_where_the_reference_overflows():
     rng = np.random.default_rng(3)
     c = 1e160 * random_multivector(rng, 3, 6)
     d = 1e160 * random_multivector(rng, 3, 6)
     b = SymmetricMap.from_diagonal([1.0, 1.0, 1.0])
-    for closing in (reference_closing_identities, dense_closing_identities,
-                    closing_identities):
+    for closing in (reference_closing_identities, closing_identities):
         with pytest.raises(OverflowError):
             closing(c, d, b)
 
@@ -400,14 +380,46 @@ def test_membership_refuses_a_bad_tolerance_factor(factor):
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
+def reference_omega_entries(c, d, pairs):
+    """The entries Omega_{mu nu} = s_{d,c}(e_nu) e_mu + e_mu s_{c,d}(e_nu)
+    on the given 1-based (mu, nu), by gp products of the s-images (the
+    basis formula by the Clifford relation), in the order given: the
+    reference the parity relabel of `omega` must match bit for bit."""
+    n = c.dim
+    sdc = {nu: s_map(d, c, e(n, nu)) for _, nu in pairs}
+    scd = {nu: s_map(c, d, e(n, nu)) for _, nu in pairs}
+    return {(mu, nu): gp(sdc[nu], e(n, mu)) + gp(e(n, mu), scd[nu])
+            for mu, nu in pairs}
+
+
+def bits(x):
+    """The terms of x in order, each coefficient's parts as .hex()."""
+    return [(m, z.real.hex(), z.imag.hex()) for m, z in x.terms()]
+
+
+def assert_entries_are_the_reference(got, want):
+    """Equal keys, term order, coefficient bits and norm bits; no
+    coefficient holds a negative zero, as none of gp's does."""
+    assert list(got) == list(want)
+    for at, entry in want.items():
+        assert bits(got[at]) == bits(entry), at
+        assert got[at].norm().hex() == entry.norm().hex()
+        assert got[at]._top == entry._top
+        assert not any(part.startswith("-0x0.0") for _, re, im in
+                       bits(got[at]) for part in (re, im))
+
+
 def reference_omega_in_soB(c, d, b, tol=CHECK_TOL):
     """Membership by the full tensor in the eigenbasis, skipping the entries
-    inside one eigenspace: the loop `omega_in_soB` replaces, kept as the
-    reference it must match bit for bit."""
+    inside one eigenspace, with the entries of `reference_omega_entries`:
+    the loop `omega_in_soB` replaces, kept as the reference it must match
+    bit for bit."""
     cut = threshold(tol, c.norm() + d.norm())
     c2, d2 = b.adapt_to_eigenbasis(c, d)
+    triangle = [(mu, nu) for mu in range(1, b.n + 1)
+                for nu in range(mu + 1, b.n + 1)]
     worst, worst_at = 0.0, None
-    for (mu, nu), entry in omega_tensor(c2, d2).entries.items():
+    for (mu, nu), entry in reference_omega_entries(c2, d2, triangle).items():
         both = (1 << (mu - 1)) | (1 << (nu - 1))
         if any(both & space.mask == both for space in b.eigenspaces):
             continue
@@ -416,6 +428,14 @@ def reference_omega_in_soB(c, d, b, tol=CHECK_TOL):
             worst, worst_at = norm, (mu, nu)
     return {"holds": worst <= cut, "worst_norm": worst, "threshold": cut,
             "worst_entry": worst_at}
+
+
+def assert_tensor_is_the_reference(c, d):
+    n = c.dim
+    triangle = [(mu, nu) for mu in range(1, n + 1)
+                for nu in range(mu + 1, n + 1)]
+    assert_entries_are_the_reference(omega_tensor(c, d).entries,
+                                     reference_omega_entries(c, d, triangle))
 
 
 def clustered_b(rng, sizes, rotated):
@@ -488,6 +508,32 @@ def test_membership_matches_the_full_tensor_on_golden_inputs(pair_file,
                                       tol)
         got = omega_in_soB(c, d, SymmetricMap.from_matrix(entries), tol)
         assert got == want
+    b = SymmetricMap.from_matrix(entries)
+    assert_tensor_is_the_reference(c, d)
+    assert_tensor_is_the_reference(*b.adapt_to_eigenbasis(c, d))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_tensor_is_the_product_form_bit_for_bit(n):
+    """omega_tensor's relabel gives the entries of the s-image products:
+    on random pairs, on pairs whose coefficients nearly cancel in
+    sigma c_J - d_J, on negated pairs (negative zero parts), and on sums
+    that keep a coefficient below PRUNE_EPS times their largest, which a
+    product with a generator drops."""
+    rng = np.random.default_rng(1100 + n)
+    for kc, kd in ((1, 1), (3, 2), (6, 6), (0, 4)):
+        c = random_multivector(rng, n, kc) if kc else Multivector.zero(n)
+        d = random_multivector(rng, n, kd)
+        near = Multivector(n, {m: z * (1 + 1e-15) for m, z in c.terms()})
+        for cc, dd in ((c, d), (c, near), (c, -near), (-c, -d), (d, c)):
+            assert_tensor_is_the_reference(cc, dd)
+    x = Multivector(n, {0: 1.0, 1: complex(1.0, -0.0)})
+    y = Multivector(n, {0: -1.0, 1: complex(-1.0, 0.0)})
+    # the sum's cut is relative to its operands, 1 each, its largest is 2
+    small = Multivector.unit(n) + Multivector(n, {0: 1.0, 1: 1.5e-14})
+    assert min(abs(z) for _, z in small.terms()) <= 1e-14 * small._top
+    for cc, dd in ((x, y), (-x, y), (small, x), (x, small), (small, -small)):
+        assert_tensor_is_the_reference(cc, dd)
 
 
 def _count_products(monkeypatch):
@@ -514,23 +560,16 @@ def test_membership_forms_only_the_crossing_products(n, monkeypatch):
         out = omega_in_soB(c, d, clustered_b(rng, [n], rotated))
         assert out["holds"] and out["worst_entry"] is None
     assert calls == []
-    # clusters (k, n - k): 2 products per crossing entry, and 4 per s-image
-    # index nu of the second block
-    for k in range(1, n):
-        b = clustered_b(rng, [k, n - k], False)
+    # clusters (k, n - k) and three clusters: Omega is a relabel of the
+    # pair's terms, with no product
+    for sizes in [[k, n - k] for k in range(1, n)] + [cluster_sizes(n, 3)] * (
+            n >= 3):
+        b = clustered_b(rng, sizes, False)
         assert b.eigenbasis_is_identity
-        del calls[:]
         got = omega_in_soB(c, d, b)
-        assert len(calls) == 2 * k * (n - k) + 4 * (n - k)
+        assert calls == []
         assert got == reference_omega_in_soB(c, d, b)
-    # three clusters: every nu past the first block is used
-    if n >= 3:
-        sizes = cluster_sizes(n, 3)
         del calls[:]
-        omega_in_soB(c, d, clustered_b(rng, sizes, False))
-        crossing = sum(sizes[i] * sizes[j]
-                       for i in range(3) for j in range(i + 1, 3))
-        assert len(calls) == 2 * crossing + 4 * (n - sizes[0])
 
 
 @pytest.mark.parametrize("rotated", [False, True])

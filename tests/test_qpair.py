@@ -437,6 +437,39 @@ def test_classify_pseudo_types():
     assert classify_family(odd) == ["pseudo-monomial-odd", "generalized-monomial"]
 
 
+def s_map_is_linear(c, d, tol):
+    """Linearity by its definition, s_{c,d}(e_mu) = c e_mu - e_mu d in V
+    for every mu, from gp products: the reference for qpair._is_linear."""
+    n = c.dim
+    return all(grade(mask) == 1 or abs(z) <= tol
+               for mu in range(1, n + 1)
+               for mask, z in s_map(c, d, e(n, mu)).terms())
+
+
+def test_linearity_by_parity_is_the_s_map_definition():
+    """_is_linear reads s(e_mu)'s off-grade coefficients off the pair; on
+    linear, nearly linear and random pairs of n = 1-10 it gives the
+    verdict of the gp products, at a tolerance on either side of a
+    residual as well."""
+    rng = np.random.default_rng(31)
+    for n in range(1, 11):
+        vectors = random_multivector(rng, n, 3, grades=[1])
+        bivectors = random_multivector(rng, n, 4, grades=[2])
+        pairs = [(bivectors, bivectors), (vectors, -vectors),
+                 (bivectors + 1e-6 * vectors, bivectors),
+                 (Multivector.scalar(n, 2.0), Multivector.scalar(n, 2.0))]
+        pairs += [(random_multivector(rng, n, k), random_multivector(rng, n, k))
+                  for k in (1, 3, 6)]
+        for c, d in pairs:
+            for tol in (1e-9, 1e-7, 1e-5, 10.0):
+                assert qpair._is_linear(c, d, tol) == s_map_is_linear(c, d,
+                                                                     tol)
+        # the nearly linear pair changes verdict between the tolerances
+        c, d = pairs[2]
+        assert not qpair._is_linear(c, d, 1e-7) and qpair._is_linear(c, d,
+                                                                     1e-5)
+
+
 # -- identities ---------------------------------------------------------------
 
 def transpose_relation_check(c, d):
