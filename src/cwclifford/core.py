@@ -123,6 +123,27 @@ def blade_square_sign(mask: int) -> int:
     return sign
 
 
+def _signed(x: Multivector):
+    """(J, w(J), |J| mod 2, x_J) for the terms of x, in order."""
+    return [(j, _sign_mask(j), j.bit_count() & 1, z)
+            for j, z in x._terms.items()]
+
+
+def _sandwich(terms, low: int, m: int, scale: float, out: dict) -> dict:
+    """Adds scale sigma_x(J) X_J Gamma_J Gamma_m to out for the _signed
+    terms of X whose blade meets m, the mask of {x, y}, once, or for all
+    of them when m = 0 (x = y); low is the mask of e_x.  So scale 2 (x < y)
+    or -2 (x = y) gives e_x X e_y + e_y X e_x, by the parity rule
+    e_x Gamma_J = sigma_x(J) Gamma_J e_x, sigma_x(J) = (-1)^|J - {x}|."""
+    get = out.get
+    for j, w, odd, z in terms:
+        if m and not (j & m).bit_count() & 1:
+            continue
+        neg = odd ^ (j & low != 0) ^ (m & w).bit_count() & 1
+        out[j ^ m] = get(j ^ m, 0j) + (-scale if neg else scale) * z
+    return out
+
+
 class Multivector:
     """Element of the complex Clifford algebra, stored as mask -> coefficient.
 
@@ -553,7 +574,7 @@ def _rows_fold(t: _Rows, sign: float, summed, dim: int) -> _Rows:
 
 
 def _rows_sum(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
-              sign: float, summed, dim: int) -> _Rows:
+              sign: float, dim: int) -> _Rows:
     """Row k is a[ia[k]] + sign b[ib[k]], the _rows_fold of the two rows
     gathered side by side, each from the table it lies in."""
     count = np.empty(2 * len(ia), np.intp)
@@ -569,7 +590,7 @@ def _rows_sum(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
         to = at + (ptr[side:-1:2] - t.ptr[rows]).repeat(n)
         blade[to], re[to], im[to] = t.blade[at], t.re[at], t.im[at]
         top[side::2] = np.append(t.top, 0.0)[rows]      # row -1 is empty
-    return _rows_fold(_Rows(ptr, blade, re, im, top), sign, summed, dim)
+    return _rows_fold(_Rows(ptr, blade, re, im, top), sign, True, dim)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
@@ -624,6 +645,15 @@ def volume_element(n: int) -> Multivector:
     if n < 1:
         raise DimensionMismatch("volume element needs n >= 1")
     return Multivector.blade(n, (1 << n) - 1, 1j ** ((n + 1) // 2))
+
+
+def _volume_twist(x: Multivector) -> Multivector:
+    """gp(volume_element(n), x) bit for bit as a relabel, vol Gamma_J =
+    zeta_J Gamma_(J^c): one complex multiply per term, as gp forms it."""
+    n, full = x.dim, (1 << x.dim) - 1
+    v, w = complex(1j ** ((n + 1) // 2)), _sign_mask(full)
+    return _element(n, {full ^ j: 0j + (-v if (j & w).bit_count() & 1 else v)
+                        * z for j, z in x._terms.items()}, PRUNE_EPS * x._top)
 
 
 def random_multivector(rng, dim: int, n_terms: int = 8,

@@ -31,8 +31,9 @@ import numpy as np
 
 from .core import (_GP_BLOCK, CHECK_TOL, PRUNE_EPS, Multivector, _cut_rows,
                    _Rows, _rows_cat, _rows_fold, _rows_gp, _rows_norm,
-                   _rows_of, _rows_scaled, _rows_sum, blade_from_indices, gp,
-                   grade_involution, threshold, volume_element)
+                   _rows_of, _rows_scaled, _rows_sum, _sandwich, _signed,
+                   blade_from_indices, gp, grade_involution, threshold,
+                   volume_element)
 from .errors import (ConstraintViolated, DimensionMismatch, InputError,
                      NotAProjector, NotInSoB, OddDimension,
                      PairNotAssociatedToMinusB)
@@ -336,26 +337,23 @@ def validate_simple_map(params: CliffordMapParams) -> Dict[str, float]:
     them with its own threshold.
 
     The symmetrized sandwich of bar(b) between two generators must be
-    g_{mu nu} a; tracing gives a = (1/n) sum Gamma^mu bar(b) Gamma_mu.
-    Both vanish exactly when bar(b) is a scalar (odd n) or scalar plus
-    volume element (even n) with the matching a.
+    g_{mu nu} a, a relabel by the parity rule (`_sandwich`); tracing gives
+    a = (1/n) sum_mu e_mu bar(b) e_mu, with e_mu Gamma_J e_mu = -(-1)^|J|
+    (n - 2|J|) Gamma_J summed.  Both vanish exactly when bar(b) is a scalar
+    (odd n) or scalar plus volume element (even n) with the matching a.
     """
-    n = params.n
-    a, bbar = params.a, grade_involution(params.b)
-    gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
-    bg = [gp(bbar, g) for g in gens]      # bar(b) e_mu, once per index
-    res24 = 0.0
-    for mu in range(n):
-        for nu in range(mu, n):
-            sym = 0.5 * (gp(gens[mu], bg[nu]) + gp(gens[nu], bg[mu]))
-            if mu == nu:
-                sym = sym - a
-            res24 = max(res24, sym.norm())
-    acc = Multivector.zero(n)
-    for mu in range(n):
-        acc = acc + gp(gens[mu], bg[mu])
-    res24a = (a - (1.0 / n) * acc).norm()
-    return {"24": res24, "24a": res24a}
+    n, a = params.n, params.a
+    terms, res24 = _signed(grade_involution(params.b)), 0.0
+    for x in range(n):
+        for y in range(x, n):
+            # (e_x bbar e_y + e_y bbar e_x) / 2, less a where x = y
+            m = 1 << x | 1 << y if y > x else 0
+            sym = Multivector(n, _sandwich(terms, 1 << x, m,
+                                           1.0 if m else -1.0, {}))
+            res24 = max(res24, (sym if m else sym - a).norm())
+    trace = Multivector(n, {j: ((1 - 2 * odd) * (2 * j.bit_count() - n) / n)
+                            * z for j, _, odd, z in terms})
+    return {"24": res24, "24a": (a - trace).norm()}
 
 
 def curvature(rho: CliffordMap, x: CWAlgebraElement,
@@ -492,8 +490,7 @@ def _chain_sums(sources: _Rows, chains, n: int):
         term = np.full(len(start), -1)
         term[pair[at]] = np.arange(at.sum())
         out = _rows_sum(out, rows, _rows_scaled(
-            sources, _blocks(k[at]), f[at].repeat(4)), _blocks(term), 1.0,
-            True, n)
+            sources, _blocks(k[at]), f[at].repeat(4)), _blocks(term), 1.0, n)
     return out, i[start], j[start]
 
 
@@ -533,8 +530,7 @@ def _defect_norms(gens: _Rows, pairs, rhs: _Rows, at: np.ndarray,
         rows = np.arange(4 * len(part))
         image = at[x, y]
         if (image >= 0).any():
-            defect = _rows_sum(defect, rows, rhs, _blocks(image), -1.0, True,
-                               n)
+            defect = _rows_sum(defect, rows, rhs, _blocks(image), -1.0, n)
         norms.append(_rows_norm(defect).reshape(-1, 4))
     return np.concatenate(norms)
 
@@ -697,12 +693,12 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
                        np.concatenate((inner, once[:m], [0])), n)
     rows = np.arange(4 * m)
     idem = _rows_sum(first, 4 * (len(inner) + m) + rows[:4], table, rows[:4],
-                     -1.0, True, n)                    # P P - P
+                     -1.0, n)                          # P P - P
     if _element_norms(_rows_norm(idem))[0] > threshold(tol, proj.norm() ** 2):
         raise NotAProjector("the supplied block matrix is not idempotent")
     second = _block_mul(first, inner - 1, table, once, n)
     inv_res = float(_element_norms(_rows_norm(_rows_sum(
-        first, rows + 4 * len(inner), second, rows, -1.0, True, n))).max())
+        first, rows + 4 * len(inner), second, rows, -1.0, n))).max())
     rep_res = float(_element_norms(_defect_norms(
         second, np.triu_indices(m, 1), second,
         np.where(t.at < 0, -1, t.at + m), n)).max(initial=0.0))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Tuple
 
-from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _element, _sign_mask,
-                   gp, grade, threshold, volume_element)
+from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _element, _sandwich,
+                   _sign_mask, _signed, _volume_twist, gp, grade, threshold)
 from .errors import DimensionMismatch, NotSoBInvariant
 from .qpair import SymmetricMap, _pair_threshold
 
@@ -183,33 +183,12 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
     fitted = fit(c2, d2)
     twisted = False
     if fitted is None and b.n % 2 == 1:
-        vol = volume_element(b.n)
-        fitted = fit(gp(vol, c2), gp(vol, d2))
+        fitted = fit(_volume_twist(c2), _volume_twist(d2))
         twisted = fitted is not None
     if fitted is None:
         return {"template": None, "match": False}
     return {"template": template, "match": True, "twisted": twisted,
             "coefficients": fitted}
-
-
-def _signed(x: Multivector):
-    """(J, w(J), |J| mod 2, x_J) for the terms of x, in order."""
-    return [(j, _sign_mask(j), j.bit_count() & 1, z)
-            for j, z in x._terms.items()]
-
-
-def _sandwich(terms, low: int, m: int, scale: float, out: dict) -> dict:
-    """Adds scale sigma_x(J) X_J Gamma_J Gamma_m to out for the _signed
-    terms of X whose blade meets m, the mask of {x, y}, once, or for all
-    of them when m = 0 (x = y); low is the mask of e_x.  So scale 2 (x < y)
-    or -2 (x = y) gives e_x X e_y + e_y X e_x."""
-    get = out.get
-    for j, w, odd, z in terms:
-        if m and not (j & m).bit_count() & 1:
-            continue
-        neg = odd ^ (j & low != 0) ^ (m & w).bit_count() & 1
-        out[j ^ m] = get(j ^ m, 0j) + (-scale if neg else scale) * z
-    return out
 
 
 def _pairs(dl, terms: dict, anticommute: int, out: dict) -> dict:

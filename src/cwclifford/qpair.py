@@ -19,9 +19,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (CHECK_TOL, CLUSTER_TOL, ORTHOGONALITY_TOL, PRUNE_EPS,
-                   Multivector, _rows_cat, _rows_gp, _rows_of,
-                   _rows_scaled, _rows_sum, blade_square_sign, gp, grade,
-                   threshold, volume_element)
+                   Multivector, _element, _rows_cat, _rows_gp, _rows_of,
+                   _rows_scaled, _rows_sum, _volume_twist, blade_square_sign,
+                   gp, grade, threshold)
 from .errors import (AnticommutationViolated, CoefficientConstraintViolated,
                      DimensionMismatch, IllegalParityPattern, InputError,
                      OddDimension, OddMultiplicity, ParityMismatch,
@@ -213,8 +213,8 @@ def _q_rows(c: Multivector, d: Multivector):
     prods = _rows_gp(first, np.concatenate((0 * mu, at_e, at_c)), first,
                      np.concatenate((at_e, 0 * mu + 1, mu + 2)), n)
     twice = _rows_scaled(prods, 2 * n + mu, np.full(n, 2.0))
-    return _rows_sum(_rows_sum(prods, mu, prods, n + mu, 1.0, True, n), mu,
-                     twice, mu, -1.0, True, n)
+    return _rows_sum(_rows_sum(prods, mu, prods, n + mu, 1.0, n), mu,
+                     twice, mu, -1.0, n)
 
 
 def q_restriction_matrix(c: Multivector, d: Multivector):
@@ -341,15 +341,15 @@ def make_pseudo_monomial(dim: int, mask: int, kind: str, alpha: complex,
     if dim % 2:
         raise OddDimension("pseudo-monomial pairs need an even dimension")
     k = grade(mask)
-    vol = volume_element(dim)
     gi = Multivector.blade(dim, mask)
+    vg = _volume_twist(gi)
     sig = blade_square_sign(mask)
     if kind == "even":
         if k % 2:
             raise ParityMismatch("even type needs a blade of even grade")
         if sign not in (1, -1):
             raise InputError("sign must be +1 or -1")
-        c = alpha * gi + beta * gp(vol, gi)
+        c = alpha * gi + beta * vg
         d = sign * c
         on_val = 4 * sig * (alpha ** 2 if sign == 1 else beta ** 2)
         off_val = 4 * sig * (beta ** 2 if sign == 1 else alpha ** 2)
@@ -358,8 +358,8 @@ def make_pseudo_monomial(dim: int, mask: int, kind: str, alpha: complex,
             raise ParityMismatch("odd type needs a blade of odd grade")
         ph = complex(np.cos(phi) * np.exp(1j * psi))
         sh = complex(np.sin(phi))
-        c = alpha * (ph * gi + sh * gp(vol, gi))
-        d = beta * (ph * gi - sh * gp(vol, gi))
+        c = alpha * (ph * gi + sh * vg)
+        d = beta * (ph * gi - sh * vg)
         factor = ph * ph - sh * sh       # cos(2 phi) when psi = 0
         on_val = sig * (alpha - beta) ** 2 * factor
         off_val = sig * (alpha + beta) ** 2 * factor
@@ -427,15 +427,21 @@ def linear_pair_from_parts(a0: np.ndarray, a1: np.ndarray) -> QuadraticPair:
 def _generalized_elements(dim: int, partition: Sequence[int],
                           coeffs: Sequence[complex],
                           hat_coeffs: Sequence[complex]):
-    vol = volume_element(dim)
-    c = Multivector.zero(dim)
-    d = Multivector.zero(dim)
+    """c = sum_P c_P Gamma_P + hat_c_P vol Gamma_P and d = sum_P eps_P (c_P
+    Gamma_P - hat_c_P vol Gamma_P), eps_P = (-1)^grade(P), in one pass with
+    no product (vol Gamma_P by `_volume_twist`); a term at most PRUNE_EPS
+    times the largest coefficient is cut."""
+    c, d, top = {}, {}, 0.0
     for mask, ca, ha in zip(partition, coeffs, hat_coeffs):
-        gi = Multivector.blade(dim, mask)
+        (twin, zeta), = _volume_twist(Multivector.blade(dim, mask)).terms()
         eps = (-1) ** grade(mask)
-        c = c + ca * gi + ha * gp(vol, gi)
-        d = d + (eps * ca) * gi - (eps * ha) * gp(vol, gi)
-    return c, d
+        top = max(top, abs(ca), abs(ha))
+        for k, zc, zd in ((mask, ca, eps * ca),
+                          (twin, zeta * ha, -zeta * (eps * ha))):
+            if zc:
+                c[k], d[k] = c.get(k, 0j) + zc, d.get(k, 0j) + zd
+    cut = PRUNE_EPS * top
+    return _element(dim, c, cut), _element(dim, d, cut)
 
 
 def generalized_pattern_error(dim: int, parts: Sequence[int],
@@ -521,8 +527,7 @@ def make_generalized(dim: int, partition: Sequence[int],
 # -- classification ----------------------------------------------------------
 
 def _gauge_strip(c: Multivector, d: Multivector):
-    s = d.scalar_part
-    shift = Multivector.scalar(c.dim, s)
+    shift = Multivector.scalar(c.dim, d.scalar_part)
     return c - shift, d - shift
 
 
@@ -537,7 +542,7 @@ def _is_monomial(c: Multivector, d: Multivector, support,
 
 def _is_linear(c: Multivector, d: Multivector, tol: float) -> bool:
     """Definition of linearity: s_{c,d} maps V into V, with no product, as
-    s(e_mu) = sum_J (c_J - sigma_mu(J) d_J) Gamma_J e_mu (`omega`)."""
+    s(e_mu) = sum_J (c_J - sigma_mu(J) d_J) Gamma_J e_mu (`_sandwich`)."""
     cs, ds = c._terms, d._terms
     for j in cs.keys() | ds.keys():
         zc, zd, odd = cs.get(j, 0j), ds.get(j, 0j), j.bit_count() & 1
@@ -549,21 +554,9 @@ def _is_linear(c: Multivector, d: Multivector, tol: float) -> bool:
     return True
 
 
-def _volume_transfer(dim: int, mask: int) -> complex:
-    """zeta with vol * Gamma_mask = zeta * Gamma_complement."""
-    full = (1 << dim) - 1
-    prod = gp(volume_element(dim), Multivector.blade(dim, mask))
-    return prod.coefficient(full ^ mask)
-
-
 def _pseudo_form(c: Multivector, d: Multivector, support, tol: float):
-    n = c.dim
-    if n % 2:
-        return None
-    if not support or 0 in support:
-        return None
-    full = (1 << n) - 1
-    if full in support:
+    full = (1 << c.dim) - 1
+    if c.dim % 2 or not support or 0 in support or full in support:
         return None
     masks = sorted(support, key=lambda m: (grade(m), m))
     base = masks[0]
@@ -587,11 +580,11 @@ def _generalized_form(c: Multivector, d: Multivector, support,
     """Fit the generalized-monomial template; returns the partition or None.
 
     Each support blade m is a part itself or the volume twist of the part
-    full ^ m; the generators left over form one more part.  With
-    vol Gamma_P = zeta_P Gamma_{P^c} and eps_P = (-1)^grade(P), every part
-    has the closed-form coefficients c_P = (c[P] + eps_P d[P]) / 2 and
-    hat_c_P = (c[P^c] - eps_P d[P^c]) / (2 zeta_P), 0 in odd dimension.  A
-    fit counts when it is a legal pattern and rebuilds (c, d).
+    full ^ m; the generators left over form one more part.  With eps_P =
+    (-1)^grade(P), every part has the closed-form coefficients c_P = (c[P]
+    + eps_P d[P]) / 2 and hat_c_P = ((vol c)[P] - eps_P (vol d)[P]) / 2, 0
+    in odd dimension (`_volume_twist`; vol^2 = 1).  A fit counts when it is
+    a legal pattern and rebuilds (c, d); neither forms a product.
     """
     n = c.dim
     full = (1 << n) - 1
@@ -599,6 +592,7 @@ def _generalized_form(c: Multivector, d: Multivector, support,
     # one blade each plus a hat blade on at most two odd parts: n // 2 + 3.
     if not support or 0 in support or full in support or len(support) > n // 2 + 3:
         return None
+    tc, td = _volume_twist(c), _volume_twist(d)
     choices = {frozenset()}
     for m in support:
         choices = {parts | {p} for parts in choices for p in (m, full ^ m)
@@ -610,8 +604,8 @@ def _generalized_form(c: Multivector, d: Multivector, support,
         coeffs = [(c.coefficient(p) + e * d.coefficient(p)) / 2
                   for p, e in zip(parts, eps)]
         hats = [0j] * len(parts) if n % 2 else [
-            (c.coefficient(full ^ p) - e * d.coefficient(full ^ p))
-            / (2 * _volume_transfer(n, p)) for p, e in zip(parts, eps)]
+            (tc.coefficient(p) - e * td.coefficient(p)) / 2
+            for p, e in zip(parts, eps)]
         if generalized_pattern_error(n, parts, coeffs, hats, tol) is None:
             ct, dt = _generalized_elements(n, parts, coeffs, hats)
             if (c - ct).is_zero(tol) and (d - dt).is_zero(tol):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cwclifford.errors import (ConstraintViolated, DimensionMismatch,
 from cwclifford.gammarep import build_rep
 from cwclifford.qpair import (SymmetricMap, make_generalized,
                               make_monomial, q_map, s_map, skew_to_bivector)
+from cwclifford.textio import load_params_file
 
 
 def rand_params(rng, n, b=None):
@@ -205,6 +207,80 @@ def test_vstar_equivariance_structure():
             assert r.norm() < 1e-12
 
 
+def reference_simple_map(params):
+    """Rows 24/24a as gp loops: the symmetrized sandwiches of bar(b)
+    between two generators, and a minus their trace over n."""
+    n = params.n
+    a, bbar = params.a, grade_involution(params.b)
+    gens = [Multivector.basis_vector(n, mu) for mu in range(1, n + 1)]
+    bg = [gp(bbar, g) for g in gens]      # bar(b) e_mu, once per index
+    res24 = 0.0
+    for mu in range(n):
+        for nu in range(mu, n):
+            sym = 0.5 * (gp(gens[mu], bg[nu]) + gp(gens[nu], bg[mu]))
+            if mu == nu:
+                sym = sym - a
+            res24 = max(res24, sym.norm())
+    acc = Multivector.zero(n)
+    for mu in range(n):
+        acc = acc + gp(gens[mu], bg[mu])
+    res24a = (a - (1.0 / n) * acc).norm()
+    return {"24": res24, "24a": res24a}
+
+
+GOLDEN_PARAMS = sorted((Path(__file__).parent / "golden" / "inputs").glob(
+    "*params*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_PARAMS, ids=lambda p: p.stem)
+def test_simple_map_rows_are_the_reference_on_golden_params(path):
+    dim, b, f = load_params_file(str(path))
+    params = CliffordMapParams(SymmetricMap.from_matrix(b), f["a"], f["b"],
+                               f["c"], f["d"], f["e"])
+    got, want = validate_simple_map(params), reference_simple_map(params)
+    assert {k: v.hex() for k, v in got.items()} == \
+        {k: v.hex() for k, v in want.items()}
+
+
+def test_simple_map_rows_match_the_reference_on_random_params(gp_calls):
+    """Row 24 keeps the reference's bits; row 24a, the closed-form trace,
+    sums each coefficient once where the reference adds n sandwiches, and
+    agrees to 1e-15 max(1, |ref|).  No gp call."""
+    rng = np.random.default_rng(24)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        params = CliffordMapParams(
+            SymmetricMap.from_diagonal(rng.standard_normal(n)),
+            *(random_multivector(rng, n, int(rng.integers(0, 12)))
+              * float(10.0 ** rng.integers(-3, 4)) for _ in range(5)))
+        start = len(gp_calls)
+        got = validate_simple_map(params)
+        assert len(gp_calls) == start
+        want = reference_simple_map(params)
+        assert got["24"].hex() == want["24"].hex()
+        assert abs(got["24a"] - want["24a"]) <= 1e-15 * max(1.0, want["24a"])
+
+
+def test_simple_map_rows_vanish_exactly_on_the_compatible_maps():
+    """bar(b) = beta, with a = -beta, for odd n, and bar(b) = beta + gamma
+    vol, with a = -beta + gamma vol, for even n give rows of exactly 0."""
+    rng = np.random.default_rng(241)
+    for n in range(1, 9):
+        for _ in range(20):
+            beta, gamma = rng.standard_normal(2) @ [[1, 1j], [1, -1j]] \
+                * 10.0 ** rng.integers(-8, 9, 2)
+            bbar = Multivector.scalar(n, beta)
+            a = Multivector.scalar(n, -beta)
+            if n % 2 == 0:
+                bbar = bbar + gamma * volume_element(n)
+                a = a + gamma * volume_element(n)
+            z = Multivector.zero(n)
+            params = CliffordMapParams(
+                SymmetricMap.from_diagonal(rng.standard_normal(n)), a,
+                grade_involution(bbar), z, z, z)
+            assert validate_simple_map(params) == {"24": 0.0, "24a": 0.0}
+
+
 def test_validate_simple_map():
     n = 3
     zero = Multivector.zero(n)
@@ -276,7 +352,7 @@ def reference_flatness_report(params):
     rows = {}
     rows["23-1"] = (gp(cbar, a) - gp(a, d)).norm()
     rows["23-2"] = max(gp(a, bbar).norm(), gp(bbar, a).norm())
-    val = validate_simple_map(params)
+    val = reference_simple_map(params)
     rows["24"] = float(val["24"])
     rows["24a"] = float(val["24a"])
     bg = [gp(bbar, g) for g in gens]
@@ -357,7 +433,8 @@ def test_flatness_report_matches_curvature():
 
 def test_flatness_report_reads_the_sweep(monkeypatch):
     """The report forms no product of its own: every gp call is one of its
-    map's images or of validate_simple_map."""
+    map's images.  validate_simple_map, which reads rows 24/24a by parity,
+    makes none, so the report makes as many calls as the images alone."""
     params = rand_params(np.random.default_rng(17), 4)
     calls = []
     monkeypatch.setattr(cw, "gp", lambda a, b: calls.append(1) or gp(a, b))

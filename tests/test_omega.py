@@ -198,6 +198,28 @@ def test_classify_distinguished_templates():
     assert not omega_in_soB(pair.c, bad_d, pair.B)["holds"]
 
 
+def test_classify_distinguished_forms_no_product(gp_calls, monkeypatch):
+    """The templates compare coefficients, and the odd-n refit takes the
+    volume twist as a relabel: no gp call, the twist run on a failed fit."""
+    twists = []
+    monkeypatch.setattr(omega, "_volume_twist",
+                        lambda x, f=omega._volume_twist: twists.append(x)
+                        or f(x))
+    vol = volume_element(4)
+    lone = SymmetricMap.from_diagonal([3.0] * 4)
+    pair = make_generalized(5, [0b00011, 0b01100, 0b10000], [1.0, 2.0, 3.0])
+    del gp_calls[:]                   # extract_B's
+    for c, d, b in ((Multivector.scalar(4, 1.2) + 0.4 * vol,
+                     Multivector.scalar(4, -0.3) + 2.2 * vol, lone),
+                    (pair.c, pair.d, pair.B)):
+        assert classify_distinguished(c, d, b)["match"]
+    assert twists == []
+    b3 = SymmetricMap.from_diagonal([1.0, 2.0, 3.0])
+    out = classify_distinguished(e(3, 1), e(3, 1), b3)
+    assert out == {"template": None, "match": False}
+    assert len(twists) == 2 and gp_calls == []
+
+
 def test_classify_distinguished_requires_invariance():
     b = SymmetricMap.from_diagonal([1.0, 1.0, 4.0])
     with pytest.raises(NotSoBInvariant):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from cwclifford.cli import main
-from cwclifford.core import (CLUSTER_TOL, Multivector, blade_square_sign, gp,
-                             grade, random_multivector, volume_element)
+from cwclifford.core import (CLUSTER_TOL, PRUNE_EPS, Multivector,
+                             blade_square_sign, gp, grade, random_multivector,
+                             volume_element)
 from cwclifford import qpair
 from cwclifford.errors import (AnticommutationViolated,
                                CoefficientConstraintViolated,
@@ -387,6 +388,94 @@ def test_classify_generalized_support_bound_n12():
     support = {m for m, _ in pair.c.terms()} | {m for m, _ in pair.d.terms()}
     assert len(support) == n // 2 + 3
     assert "generalized-monomial" in classify_family(pair)
+
+
+def summed_generalized_elements(dim, partition, coeffs, hat_coeffs):
+    """The reference generalized pair: part by part, Multivector sums of
+    the plain blades and their gp products with the volume element."""
+    vol = volume_element(dim)
+    c = d = Multivector.zero(dim)
+    for mask, ca, ha in zip(partition, coeffs, hat_coeffs):
+        gi = Multivector.blade(dim, mask)
+        eps = (-1) ** grade(mask)
+        c = c + ca * gi + ha * gp(vol, gi)
+        d = d + (eps * ca) * gi - (eps * ha) * gp(vol, gi)
+    return c, d
+
+
+def test_one_pass_generalized_elements_match_the_part_sums():
+    """Bits and dict order of the reference on 2000 random partitions at
+    n = 2..10, coefficients zero, real, imaginary or complex.  Where some
+    coefficient is at most PRUNE_EPS times another, the reference cuts it
+    before the parts sum and the one pass after: the pairs then agree to
+    2 PRUNE_EPS times the largest coefficient."""
+    def terms(x):
+        return [(m, z.real.hex(), z.imag.hex()) for m, z in x.terms()]
+
+    rng = np.random.default_rng(2410)
+    for trial in range(2000):
+        n = int(rng.integers(2, 11))
+        cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(1, n)),
+                                  replace=False))
+        parts = [sum(1 << int(i) for i in part)
+                 for part in np.split(rng.permutation(n), cuts)]
+        z = rng.standard_normal((2, len(parts), 2)) @ [1, 1j]
+        kind = rng.integers(0, 4, z.shape)
+        z = np.where(kind == 0, 0, np.where(kind == 1, z.real, np.where(
+            kind == 2, 1j * z.imag, z)))
+        tiny = trial % 4 == 0
+        if tiny:
+            z *= 10.0 ** rng.integers(-18, 1, z.shape)
+        coeffs, hats = z.tolist()
+        got = _generalized_elements(n, parts, coeffs, hats)
+        want = summed_generalized_elements(n, parts, coeffs, hats)
+        for x, y in zip(got, want):
+            if tiny:
+                top = max(map(abs, coeffs + hats))
+                assert (x - y).is_zero(2 * PRUNE_EPS * top), (n, parts)
+            else:
+                assert terms(x) == terms(y) and x._top == y._top, (n, parts)
+
+
+def test_constructors_form_no_product_outside_extract_b(gp_calls,
+                                                        monkeypatch):
+    """The pseudo-monomial and generalized constructors twist by the
+    volume element with no gp; their only products are extract_B's."""
+    def extract(c, d, *args, f=qpair.extract_B):
+        start = len(gp_calls)
+        pair = f(c, d, *args)
+        del gp_calls[start:]
+        return pair
+
+    monkeypatch.setattr(qpair, "extract_B", extract)
+    for n in (2, 4, 6, 12):
+        make_pseudo_monomial(n, 0b11, "even", 0.7, 1.2, sign=-1)
+        make_pseudo_monomial(n, 0b1, "odd", 0.7, 1.2, phi=0.4, psi=0.3)
+    make_generalized(4, [0b0001, 0b1110], [1, 2], [2, 1])
+    make_generalized(6, [0b11, 0b1100, 0b110000], [1, 0, 2], [0, 1.5, 0])
+    make_generalized(5, [0b00011, 0b01100, 0b10000], [1.0, 2.0, 3.0])
+    assert gp_calls == []
+
+
+def test_classification_forms_no_product(gp_calls):
+    """classify_family reads every template off the pair's coefficients:
+    the generalized fit twists by relabels and rebuilds with none."""
+    vol = volume_element(4)
+    pairs = [make_monomial(3, 0b001, 2.0, 1.0),
+             make_pseudo_monomial(4, 0b0011, "even", 0.7, 1.2),
+             make_pseudo_monomial(6, 0b000111, "odd", 0.7, 1.2, phi=0.4),
+             make_generalized(4, [0b0001, 0b1110], [1, 2], [2, 1]),
+             make_generalized(5, [0b00011, 0b01100, 0b10000], [1.0, 2, 3]),
+             extract_B(Multivector.blade(4, 0b0011, 1.1) + 0.4 * vol,
+                       Multivector.blade(4, 0b0011, 0.7) - 0.4 * vol)]
+    del gp_calls[:]
+    tags = [classify_family(pair) for pair in pairs]
+    assert gp_calls == []
+    assert tags == [["monomial"],
+                    ["pseudo-monomial-even", "linear", "generalized-monomial"],
+                    ["pseudo-monomial-odd", "generalized-monomial"],
+                    ["pseudo-monomial-odd", "generalized-monomial"],
+                    ["generalized-monomial"], ["other"]]
 
 
 # -- classification -----------------------------------------------------------
