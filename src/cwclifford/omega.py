@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Dict, Tuple
 
 from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _element, _sandwich,
-                   _sign_mask, _signed, _volume_twist, gp, grade, threshold)
+                   _sign_mask, _signed, gp)
 from .errors import DimensionMismatch, NotSoBInvariant
 from .qpair import SymmetricMap, _pair_threshold
 
@@ -119,76 +119,38 @@ def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
 
 
 def is_sob_invariant_structural(x: Multivector, b: SymmetricMap) -> bool:
-    """Support test: only products of eigenspace volume blades allowed."""
-    allowed = _allowed_masks(b)
-    return all(mask in allowed for mask, _ in x.terms())
-
-
-def _allowed_masks(b: SymmetricMap) -> Dict[int, Tuple[int, ...]]:
-    """All unions of eigenspace blocks, mapped to the cluster subsets."""
-    out: Dict[int, Tuple[int, ...]] = {}
-    for subset in range(1 << len(b.eigenspaces)):
-        mask = 0
-        members = []
-        for idx, space in enumerate(b.eigenspaces):
-            if (subset >> idx) & 1:
-                mask |= space.mask
-                members.append(idx)
-        out[mask] = tuple(members)
-    return out
+    """Support test in the eigenbasis of B: every blade meets each
+    eigenspace in none or all of it, a product of eigenspace volumes."""
+    masks = [space.mask for space in b.eigenspaces]
+    return all(j & m in (0, m) for j, _ in x.terms() for m in masks)
 
 
 def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
                            tol: float = CHECK_TOL) -> Dict[str, object]:
-    """Template matching for so_B-invariant pairs.
+    """Template matching for so_B-invariant pairs: the match is membership
+    of Omega in so_B(V) tensor the algebra, the template named by the
+    eigenvalue count of B: one (kl2), two (gl2), more (gr2).
 
-    The per-sector constraints are read off the homogeneous entry formula:
-    a sector touching t of the r eigenspaces must satisfy
-    d_M = -(-1)^grade c_M when two eigenspaces sit inside it (t >= 2) and
-    d_M = +(-1)^grade c_M when two sit outside (t <= r - 2); both force the
-    sector to vanish.  Templates by eigenvalue count: one (scalar and
-    volume sectors free), two (the middle sectors free as well), more than
-    two (everything constrained).  For odd dimensions the volume-twisted
-    copy of the pair is accepted too.  Coefficients count as zero to
-    threshold(tol, |c| + |d|); raises InputError on a nonzero pair whose
+    Every blade of an invariant pair is a union of eigenspace blocks, so
+    the index pairs crossing the same two eigenspaces give entries with one
+    list of coefficient sizes; the first position of each eigenspace stands
+    for it, and the verdict is `omega_in_soB`'s bit for bit.  Raises
+    NotSoBInvariant off that support and InputError on a nonzero pair whose
     threshold underflows.
     """
     if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
-    _pair_threshold(tol, c, d, 1)
+    cut = _pair_threshold(tol, c, d, 1)
     c2, d2 = b.adapt_to_eigenbasis(c, d)
-    allowed = _allowed_masks(b)
-    if any(mask not in allowed for x in (c2, d2) for mask, _ in x.terms()):
+    if not all(is_sob_invariant_structural(x, b) for x in (c2, d2)):
         raise NotSoBInvariant(
             "pair is not invariant under the rotations preserving B")
-    r = len(b.eigenspaces)
+    firsts = [space.positions[0] + 1 for space in b.eigenspaces]
+    match = all(entry.norm() <= cut for entry in _omega_entries(
+        c2, d2, combinations(firsts, 2)).values())
+    r = len(firsts)
     template = "kl2" if r == 1 else ("gl2" if r == 2 else "gr2")
-
-    def fit(cc: Multivector, dd: Multivector):
-        cut = threshold(tol, cc.norm() + dd.norm())
-        coeffs = {}
-        for mask, members in allowed.items():
-            t = len(members)
-            cm = cc.coefficient(mask)
-            dm = dd.coefficient(mask)
-            sign = (-1) ** grade(mask)
-            if t >= 2 and abs(dm + sign * cm) > cut:
-                return None
-            if r - t >= 2 and abs(dm - sign * cm) > cut:
-                return None
-            if abs(cm) > cut or abs(dm) > cut:
-                coeffs[mask] = (cm, dm)
-        return coeffs
-
-    fitted = fit(c2, d2)
-    twisted = False
-    if fitted is None and b.n % 2 == 1:
-        fitted = fit(_volume_twist(c2), _volume_twist(d2))
-        twisted = fitted is not None
-    if fitted is None:
-        return {"template": None, "match": False}
-    return {"template": template, "match": True, "twisted": twisted,
-            "coefficients": fitted}
+    return {"template": template if match else None, "match": match}
 
 
 def _pairs(dl, terms: dict, anticommute: int, out: dict) -> dict:

@@ -11,9 +11,12 @@ a params file goes to
 projector or an X-projector spec whose index sets may overlap, be empty or
 leave 1..n.  The exit-code contract must hold: 0 (computed), 2 (bad input)
 or 3 (tolerance breach); on 0 stdout is JSON with only finite numbers; and
-the same input gives the same stdout.  Exit 3 is an overflow of a check of
-degree k in the input numbers, so it is allowed only where some input
-number reaches `overflow_bound`, and never for `omega` or `search`.
+the same input gives the same stdout.  On 0 `omega`'s verdicts follow
+from what it prints: `holds` is `worst_norm <= threshold`, `template_match`
+is `sob_invariant` and `holds`, and `template` is null without a match.
+Exit 3 is an overflow of a check of degree k in the input numbers, so it
+is allowed only where some input number reaches `overflow_bound`, and
+never for `omega` or `search`.
 """
 
 import contextlib
@@ -253,6 +256,7 @@ def assert_contract(argv, tol, *docs):
     else:
         assert out == ""
     assert run(argv) == (code, out)
+    return code, out
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,8 +267,13 @@ def test_omega_keeps_the_exit_code_contract(case):
         pair_path, b_path = Path(tmp) / "pair.json", Path(tmp) / "b.json"
         pair_path.write_text(json.dumps(pair))
         b_path.write_text(json.dumps(b))
-        assert_contract(["omega", "--pair", str(pair_path), "--b",
-                         str(b_path)], tol, pair, b)
+        code, out = assert_contract(["omega", "--pair", str(pair_path),
+                                     "--b", str(b_path)], tol, pair, b)
+    if code == 0:  # printed floats round-trip, so the comparisons are exact
+        doc = json.loads(out)
+        assert doc["holds"] == (doc["worst_norm"] <= doc["threshold"])
+        assert doc["template_match"] == (doc["sob_invariant"] and doc["holds"])
+        assert (doc["template"] is None) == (not doc["template_match"])
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -198,13 +199,8 @@ def test_classify_distinguished_templates():
     assert not omega_in_soB(pair.c, bad_d, pair.B)["holds"]
 
 
-def test_classify_distinguished_forms_no_product(gp_calls, monkeypatch):
-    """The templates compare coefficients, and the odd-n refit takes the
-    volume twist as a relabel: no gp call, the twist run on a failed fit."""
-    twists = []
-    monkeypatch.setattr(omega, "_volume_twist",
-                        lambda x, f=omega._volume_twist: twists.append(x)
-                        or f(x))
+def test_classify_distinguished_forms_no_product(gp_calls):
+    """The match reads entries of Omega, a relabel: no gp call."""
     vol = volume_element(4)
     lone = SymmetricMap.from_diagonal([3.0] * 4)
     pair = make_generalized(5, [0b00011, 0b01100, 0b10000], [1.0, 2.0, 3.0])
@@ -213,11 +209,10 @@ def test_classify_distinguished_forms_no_product(gp_calls, monkeypatch):
                      Multivector.scalar(4, -0.3) + 2.2 * vol, lone),
                     (pair.c, pair.d, pair.B)):
         assert classify_distinguished(c, d, b)["match"]
-    assert twists == []
     b3 = SymmetricMap.from_diagonal([1.0, 2.0, 3.0])
     out = classify_distinguished(e(3, 1), e(3, 1), b3)
     assert out == {"template": None, "match": False}
-    assert len(twists) == 2 and gp_calls == []
+    assert gp_calls == []
 
 
 def test_classify_distinguished_requires_invariance():
@@ -592,6 +587,61 @@ def test_membership_forms_only_the_crossing_products(n, monkeypatch):
         assert calls == []
         assert got == reference_omega_in_soB(c, d, b)
         del calls[:]
+
+
+def template_pair(rng, masks, fitted):
+    """A random pair on the unions of the eigenspace masks, the scalar
+    always among them, in the eigenbasis.  Fitted, every sector meets the
+    template read off Omega: inside two eigenspaces d_M = -(-1)^|M| c_M,
+    outside two d_M = (-1)^|M| c_M, so that no entry crosses two."""
+    r, c, d = len(masks), {}, {}
+    for subset in range(1 << r):
+        if subset and rng.random() < 0.3:
+            continue
+        inside = subset.bit_count()
+        mask = sum(m for i, m in enumerate(masks) if subset >> i & 1)
+        sign = (-1.0) ** grade(mask)
+        c[mask], d[mask] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        if fitted and inside >= 2 and r - inside >= 2:
+            del c[mask], d[mask]
+        elif fitted and inside >= 2:
+            d[mask] = -sign * c[mask]
+        elif fitted and r - inside >= 2:
+            d[mask] = sign * c[mask]
+    n = masks[-1].bit_length()
+    return Multivector(n, c), Multivector(n, d)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_template_match_is_omega_membership(n):
+    """classify_distinguished's match is omega_in_soB's verdict bit for bit
+    on so_B-invariant pairs, for 1 to n eigenspaces, in the identity and a
+    rotated eigenbasis: random pairs, pairs meeting the templates (residual
+    0 in the identity basis) and those pairs with d's scalar moved so that
+    every crossing entry of Omega is 0.5, 1 and 2 times the threshold."""
+    rng = np.random.default_rng(950 + n)
+    for r, rotated in itertools.product(range(1, n + 1), (False, True)):
+        b = clustered_b(rng, cluster_sizes(n, r), rotated)
+        masks = [space.mask for space in b.eigenspaces]
+        template = ("kl2", "gl2", "gr2")[min(r, 3) - 1]
+        for fitted, k in ((False, 0.0), (True, 0.0), (True, 0.5),
+                          (True, 1.0), (True, 2.0)):
+            c, d = template_pair(rng, masks, fitted)
+            # each crossing entry holds 2 delta Gamma_{mu nu}
+            delta = 0.5 * k * threshold(CHECK_TOL, c.norm() + d.norm())
+            d = d + Multivector.scalar(n, delta)
+            if rotated:
+                c, d = (rotate_multivector(x, b.eigenvectors) for x in (c, d))
+            membership = omega_in_soB(c, d, b)
+            out = classify_distinguished(c, d, b)
+            assert out["match"] is membership["holds"]
+            assert out["template"] == (template if out["match"] else None)
+            if fitted and k == 0.0 and not rotated:
+                assert membership["worst_norm"] == 0.0
+            if fitted and (k <= 0.5 or r == 1):
+                assert out["match"]
+            if k == 2.0 and r > 1:
+                assert not out["match"]
 
 
 @pytest.mark.parametrize("rotated", [False, True])

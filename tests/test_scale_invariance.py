@@ -7,7 +7,7 @@ relative to their operands, so statuses, memberships, search families and
 the plain cw-flat verdict are the same for every lam in [1e-8, 1e8] (drawn
 log-uniform); a Clifford map scales as a..e -> lam a..lam e, B -> lam^2 B.
 extract_B and search are driven down to lam = 1e-170, and omega membership
-down to 1e-300, where a threshold falls below the smallest normal double:
+and the template match down to 1e-300, where a threshold falls below the smallest normal double:
 there they keep the verdict or refuse the input, and only such an input.
 """
 
@@ -26,7 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 from cwclifford import cli
 from cwclifford.core import CHECK_TOL, Multivector
 from cwclifford.errors import InputError
-from cwclifford.omega import omega_in_soB
+from cwclifford.omega import classify_distinguished, omega_in_soB
 from cwclifford.qpair import (SymmetricMap, extract_B, make_generalized,
                               make_linear, make_monomial, make_pseudo_monomial)
 from cwclifford.search import search_pairs_for_B
@@ -78,10 +78,15 @@ def sparse_pairs(draw):
     return element(), element()
 
 
-def underflows(size):
-    """Whether a threshold CHECK_TOL size^2, size being the largest input
-    number, falls below the smallest normal double."""
-    return CHECK_TOL * size ** 2 < sys.float_info.min
+def underflows(size, degree=2):
+    """Whether a threshold CHECK_TOL size^degree, size being the largest
+    input number, falls below the smallest normal double."""
+    return CHECK_TOL * size ** degree < sys.float_info.min
+
+
+def largest(c, d):
+    """The largest coefficient size of the pair."""
+    return max(abs(z) for x in (c, d) for _, z in x.terms())
 
 
 def extracted(c, d):
@@ -90,7 +95,7 @@ def extracted(c, d):
     try:
         pair = extract_B(c, d)
     except InputError:
-        assert underflows(max(abs(z) for x in (c, d) for _, z in x.terms()))
+        assert underflows(largest(c, d))
         return None
     assert pair.threshold >= sys.float_info.min or c.is_zero() and d.is_zero()
     return pair
@@ -141,24 +146,40 @@ def test_pair_with_an_underflowing_threshold_is_refused():
     assert extract_B(0 * c, 0 * d).verified
 
 
+def test_family_pairs_are_sob_invariant():
+    """classify_distinguished takes every FAMILY pair: each is a sum of
+    products of eigenspace volumes in the eigenbasis of its B."""
+    assert all(classify_distinguished(p.c, p.d, p.B)["match"] for p in FAMILY)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(FAMILY), sparse_pairs(), down_to(-300.0))
+@example(FAMILY[0], (Multivector.zero(2),
+                     Multivector(2, {0: 1.1125369292536007e-308})), 1.0)
 def test_omega_membership_does_not_depend_on_scale(family, sparse, lam):
     """B scales to lam^2 B down to where that underflows (lam about 1e-150)
-    and stays B below: membership reads only its eigenspaces, the same for
-    every positive multiple.  A refusal is accepted only where the degree-one
-    threshold falls below the smallest normal double."""
+    and stays B below: membership and the template match read only its
+    eigenspaces, the same for every positive multiple.  A refusal is
+    accepted only where the degree-one threshold falls below the smallest
+    normal double; the example's sparse pair is refused at scale 1."""
     for c, d, b in ((family.c, family.d, family.B.entries),
                     (*sparse, np.diag(np.arange(sparse[0].dim) // 2 - 3.0))):
-        want = omega_in_soB(c, d, SymmetricMap.from_matrix(b))
+        checks = [omega_in_soB] + [classify_distinguished] * (c is family.c)
         try:
-            got = omega_in_soB(lam * c, lam * d, SymmetricMap.from_matrix(
-                lam ** 2 * b if lam > 1e-150 else b))
+            want = [check(c, d, SymmetricMap.from_matrix(b))
+                    for check in checks]
         except InputError:
-            assert lam * want["threshold"] < 1.01 * sys.float_info.min
+            assert underflows(largest(c, d), 1)
             continue
-        assert got["holds"] == want["holds"]
-        assert got["threshold"] == pytest.approx(lam * want["threshold"])
+        try:
+            got = [check(lam * c, lam * d, SymmetricMap.from_matrix(
+                lam ** 2 * b if lam > 1e-150 else b)) for check in checks]
+        except InputError:
+            assert lam * want[0]["threshold"] < 1.01 * sys.float_info.min
+            continue
+        assert got[0]["holds"] == want[0]["holds"]
+        assert got[0]["threshold"] == pytest.approx(lam * want[0]["threshold"])
+        assert got[1:] == want[1:]
 
 
 # below about 1e-162, lam^2 B underflows to the zero map, another input
