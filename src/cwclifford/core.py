@@ -60,6 +60,19 @@ def threshold(factor: float, norm: float) -> float:
     return factor * norm
 
 
+def verdict_threshold(factor: float, size: float, degree: float = 1) -> float:
+    """threshold(factor, size ** degree) for a verdict of that degree in data
+    of the size size.  Raises InputError where a positive size gives a
+    threshold below the smallest normal double, where the residual's
+    products underflow too and the verdict would compare zeros."""
+    cut = threshold(factor, size ** degree)
+    if size > 0 and cut < _DBL_MIN:
+        raise InputError(f"the threshold {cut:.3e} of nonzero data is below "
+                         "the smallest normal double: the data or the "
+                         "tolerance factor is too small")
+    return cut
+
+
 def _check_dim(limit: str, n: int) -> None:
     """Raise DimensionTooLarge unless n lies inside DIM_LIMITS[limit]."""
     low, high = DIM_LIMITS[limit]

@@ -33,7 +33,7 @@ from .core import (_GP_BLOCK, CHECK_TOL, PRUNE_EPS, Multivector, _cut_rows,
                    _Rows, _rows_cat, _rows_fold, _rows_gp, _rows_norm,
                    _rows_of, _rows_scaled, _rows_sum, _sandwich, _signed,
                    blade_from_indices, gp, grade_involution, threshold,
-                   volume_element)
+                   verdict_threshold, volume_element)
 from .errors import (ConstraintViolated, DimensionMismatch, InputError,
                      NotAProjector, NotInSoB, OddDimension,
                      PairNotAssociatedToMinusB)
@@ -680,10 +680,11 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     representation of the Lie algebra on the range, i.e.
     [P rho(x) P, P rho(y) P] = P rho([x, y]) P for all generator pairs.
     Both residuals meet threshold(tol, the norm of the map's data).
+    Raises InputError on a nonzero map whose threshold underflows.
     """
     if proj.dim != rho.n:
         raise DimensionMismatch("projector and map differ in dimension")
-    cut = threshold(tol, rho.params.norm())
+    cut = verdict_threshold(tol, rho.params.norm())
     n, m, t = rho.n, 2 * rho.n + 2, rho.params.cw_table
     table = _rows_cat(_element_rows([proj]), t.images, t.rhs)  # P, X_k, R_t
     inner = np.arange(1, m + len(t.rhs.top) // 4 + 1)

@@ -24,9 +24,9 @@ from itertools import combinations
 from typing import Dict, Tuple
 
 from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _element, _sandwich,
-                   _sign_mask, _signed, gp)
+                   _sign_mask, _signed, gp, verdict_threshold)
 from .errors import DimensionMismatch, NotSoBInvariant
-from .qpair import SymmetricMap, _pair_threshold
+from .qpair import SymmetricMap
 
 
 @dataclass
@@ -102,7 +102,7 @@ def omega_in_soB(c: Multivector, d: Multivector, b: SymmetricMap,
     """
     if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
-    cut = _pair_threshold(tol, c, d, 1)
+    cut = verdict_threshold(tol, c.norm() + d.norm())
     owner = {p: k for k, space in enumerate(b.eigenspaces)
              for p in space.positions}
     crossing = [(mu, nu) for mu, nu in combinations(range(1, b.n + 1), 2)
@@ -140,7 +140,7 @@ def classify_distinguished(c: Multivector, d: Multivector, b: SymmetricMap,
     """
     if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
-    cut = _pair_threshold(tol, c, d, 1)
+    cut = verdict_threshold(tol, c.norm() + d.norm())
     c2, d2 = b.adapt_to_eigenbasis(c, d)
     if not all(is_sob_invariant_structural(x, b) for x in (c2, d2)):
         raise NotSoBInvariant(

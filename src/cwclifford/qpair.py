@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -21,7 +20,7 @@ import numpy as np
 from .core import (CHECK_TOL, CLUSTER_TOL, ORTHOGONALITY_TOL, PRUNE_EPS,
                    Multivector, _element, _rows_cat, _rows_gp, _rows_of,
                    _rows_scaled, _rows_sum, _volume_twist, blade_square_sign,
-                   gp, grade, threshold)
+                   gp, grade, threshold, verdict_threshold)
 from .errors import (AnticommutationViolated, CoefficientConstraintViolated,
                      DimensionMismatch, IllegalParityPattern, InputError,
                      OddDimension, OddMultiplicity, ParityMismatch,
@@ -246,20 +245,6 @@ def q_restriction_matrix(c: Multivector, d: Multivector):
     return m, offgrade
 
 
-def _pair_threshold(tol_factor: float, c: Multivector, d: Multivector,
-                    degree: int) -> float:
-    """threshold(tol_factor, (|c| + |d|)^degree) for a check of that degree
-    in the pair.  Raises InputError on a nonzero pair whose threshold falls
-    below the smallest normal double, where the products of the check
-    underflow and it would compare zeros."""
-    tol = threshold(tol_factor, (c.norm() + d.norm()) ** degree)
-    if tol < sys.float_info.min and not (c.is_zero() and d.is_zero()):
-        raise InputError(f"the threshold {tol:.3e} of a nonzero pair is "
-                         "below the smallest normal double: the pair or the "
-                         "tolerance factor is too small")
-    return tol
-
-
 def extract_B(c: Multivector, d: Multivector,
               tol_factor: float = CHECK_TOL) -> QuadraticPair:
     """Verify the pair and extract its symmetric map, status-encoded.
@@ -270,7 +255,7 @@ def extract_B(c: Multivector, d: Multivector,
     the smallest normal double, where q underflows;
     OverflowError when q overflows on the pair.
     """
-    tol = _pair_threshold(tol_factor, c, d, 2)
+    tol = verdict_threshold(tol_factor, c.norm() + d.norm(), 2)
     m, offgrade = q_restriction_matrix(c, d)
     if not (np.isfinite(m).all() and math.isfinite(offgrade)):
         raise OverflowError("q is not finite on this pair")
@@ -618,7 +603,7 @@ def classify_family(pair: QuadraticPair) -> List[str]:
     if not pair.verified:
         raise InputError("classification needs a verified pair")
     # the templates compare coefficients, of degree one in the pair
-    tol = threshold(CHECK_TOL, pair.c.norm() + pair.d.norm())
+    tol = verdict_threshold(CHECK_TOL, pair.c.norm() + pair.d.norm())
     c, d = _gauge_strip(pair.c, pair.d)
     # the blades of the stripped pair, which the templates fit
     support = {m for m, _ in c.terms()} | {m for m, _ in d.terms()}

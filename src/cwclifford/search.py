@@ -12,7 +12,6 @@ case taxonomy of the non-monomial families.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -20,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (CHECK_TOL, Multivector, _check_dim, blade_indices,
-                   blade_square_sign, gp, grade, threshold)
+                   blade_square_sign, gp, grade, verdict_threshold)
 from .errors import InputError
 
 if TYPE_CHECKING:   # search_pairs_for_B imports qpair when it runs
@@ -294,11 +293,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
     rot = b.eigenvectors
     masks = [space.mask for space in b.eigenspaces]
     values = [space.value for space in b.eigenspaces]
-    cut = threshold(CHECK_TOL, np.max(np.abs(b.entries)))
-    if cut < sys.float_info.min and b.entries.any():
-        # the pairs realizing B would meet thresholds that underflow too
-        raise InputError(f"the hit threshold {cut:.3e} of a nonzero map is "
-                         "below the smallest normal double: B is too small")
+    cut = verdict_threshold(CHECK_TOL, np.max(np.abs(b.entries)))
     r = len(b.eigenspaces)
 
     def emit(family: str, builder, parameters: Dict[str, object],
