@@ -29,11 +29,12 @@ from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (_GP_BLOCK, CHECK_TOL, PRUNE_EPS, Multivector, _cut_rows,
-                   _Rows, _rows_cat, _rows_fold, _rows_gp, _rows_norm,
-                   _rows_of, _rows_scaled, _rows_sum, _sandwich, _signed,
-                   blade_from_indices, gp, grade_involution, threshold,
-                   verdict_threshold, volume_element)
+from .core import (_DBL_MIN, _GP_BLOCK, CHECK_TOL, PRUNE_EPS, Multivector,
+                   _cut_rows, _Rows, _rows_cat, _rows_fold, _rows_gp,
+                   _rows_norm, _rows_of, _rows_scaled, _rows_sum, _sandwich,
+                   _signed, blade_from_indices, blade_mul, blade_square_sign,
+                   gp, grade_involution, threshold, verdict_threshold,
+                   volume_element)
 from .errors import (ConstraintViolated, DimensionMismatch, InputError,
                      NotAProjector, NotInSoB, OddDimension,
                      PairNotAssociatedToMinusB)
@@ -196,8 +197,8 @@ class CWElement:
         return self * other - other * self
 
     def norm(self) -> float:
-        return float(np.sqrt(self.p.norm() ** 2 + self.q.norm() ** 2
-                             + self.r.norm() ** 2 + self.s.norm() ** 2))
+        return float(_element_norms(np.array(
+            [x.norm() for x in (self.p, self.q, self.r, self.s)]))[0])
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(x.is_zero(tol) for x in (self.p, self.q, self.r, self.s))
@@ -414,15 +415,25 @@ def _block_mul(x: _Rows, ix: np.ndarray, y: _Rows, iy: np.ndarray,
 
 @np.errstate(over="ignore")     # an infinite norm is a result, as in norm()
 def _element_norms(block_norms: np.ndarray) -> np.ndarray:
-    """CWElement.norm of every element from the norms of its blocks p, q,
-    r, s, four a row, bit for bit: the squares as ** forms them, summed in
-    order.  Raises OverflowError where ** does, on the square of a finite
-    norm."""
+    """The norm of every element from the norms of its blocks p, q, r, s,
+    four a row: the squares as ** forms them, summed in order.  A nonzero
+    row whose sum is below the smallest normal double is summed scaled by
+    its largest block norm, as Multivector.norm sums it.  Raises
+    OverflowError where ** does, on the square of a finite norm."""
     norms = block_norms.reshape(-1, 4)
     sq = np.float_power(norms, 2)
     if ((sq == inf) & (norms < inf)).any():
         raise OverflowError("a squared norm is not finite")
-    return np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
+    total = ((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3]
+    top = norms.max(axis=1)
+    low = (total < _DBL_MIN) & (top > 0)
+    if not low.any():
+        return np.sqrt(total)
+    sq = np.float_power(norms[low] / top[low, None], 2)
+    total[low] = ((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3]
+    out = np.sqrt(total)
+    out[low] *= top[low]
+    return out
 
 
 def _chains(parts):
@@ -714,9 +725,8 @@ def x_projector_element(n: int, mask_i: int, mask_j: int,
     """Projector (1 +- i_IJ Gamma_I Gamma_J)/2 on the Clifford module of V."""
     if mask_i & mask_j:
         raise InputError("the two index sets must be disjoint")
-    gij = gp(Multivector.blade(n, mask_i), Multivector.blade(n, mask_j))
-    sq = gp(gij, gij).scalar_part
-    unit_factor = 1.0 if sq.real > 0 else 1j
+    gij = Multivector.blade(n, *blade_mul(mask_i, mask_j))   # Gamma_I Gamma_J
+    unit_factor = 1.0 if blade_square_sign(mask_i ^ mask_j) > 0 else 1j
     return 0.5 * Multivector.unit(n) + (0.5 * sign * unit_factor) * gij
 
 

@@ -208,6 +208,8 @@ PARAMS_OK = {"dim": 2, "B": [1.0, 0.0, 0.0, 4.0], "a": "0 e_{}",
              "b": "0 e_{}", "c": "1.0 e_{1}", "d": "0.5 e_{1}", "e": "0 e_{}"}
 PARAMS_N3 = {**PARAMS_OK, "dim": 3,
              "B": [1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0]}
+PARAMS_TINY = {**PARAMS_OK, "B": [1e-300, 0.0, 0.0, 4e-300],
+               "c": "1e-150 e_{1}", "d": "5e-151 e_{1}"}
 
 
 @pytest.mark.parametrize("command, flag, doc", [
@@ -250,6 +252,11 @@ PARAMS_N3 = {**PARAMS_OK, "dim": 3,
     ("omega --b {b}", "--pair", {"dim": 3,
                                  "c": "1e-300 e_{1} + 5e-301 e_{2,3}",
                                  "d": "1e-300 e_{2}"}),
+    # the threshold 1e-9 (max |c|^2 + max |B|) is 5e-309, subnormal: the
+    # squares of the block norms read 0, and with them curvature_max and
+    # the representation residual, which read "representation": true
+    ("cw-flat", "--params", PARAMS_TINY),
+    ("cw-restrict --projector sigma+", "--params", PARAMS_TINY),
 ], ids=["pair-dim-true", "b-dim-true", "params-dim-true", "entries-string",
         "entries-nested", "entries-bool", "B-string", "B-nested",
         "entries-nan", "entries-infinity", "entries-huge-int", "B-nan",
@@ -260,7 +267,8 @@ PARAMS_N3 = {**PARAMS_OK, "dim": 3,
         "repeated-blade-sum-square-overflows", "coeff-underscore",
         "coeff-arabic-indic-digit", "empty-index-slot", "index-slot-two-numbers",
         "pair-threshold-underflows", "b-hit-threshold-underflows",
-        "omega-threshold-underflows"])
+        "omega-threshold-underflows", "cw-flat-threshold-underflows",
+        "cw-restrict-threshold-underflows"])
 def test_hostile_input_is_exit_2(tmp_path, capsys, command, flag, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

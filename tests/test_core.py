@@ -3,6 +3,7 @@ import math
 import operator
 import pickle
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ from cwclifford.core import (_GP_BLOCK, DIM_LIMITS, PRUNE_EPS, Multivector,
                              _volume_twist,
                              blade_from_indices, blade_indices, blade_mul,
                              blade_square_sign, gp, grade, grade_involution,
-                             random_multivector, threshold, volume_element)
+                             random_multivector, threshold, verdict_threshold,
+                             volume_element)
 from cwclifford.cw import CWElement, _element_norms
 from cwclifford.errors import DimensionMismatch, DimensionTooLarge, InputError
 
@@ -520,6 +522,19 @@ def test_norm_scales_squares_below_the_normal_range():
         assert a.norm() == total ** 0.5
     rows = tiny + [Multivector.zero(3)] + plain
     assert _rows_norm(_rows_of(rows)).tolist() == [x.norm() for x in rows]
+    # the element norms of CW block matrices: squares of block norms near
+    # 1e-200 read 0 too, and a row of them is summed scaled as well
+    z = Multivector.zero(2)
+    blocks = [(tiny[0], z, Multivector(2, {3: 2e-200}), z),
+              (z, z, z, Multivector(2, {0: 3e-201, 1: 4e-201})),
+              (tiny[0], Multivector(2, {0: 1.0}), z, tiny[0]),
+              (z, z, z, z)]
+    elements = [CWElement(*x) for x in blocks]
+    norms = _element_norms(np.array([[y.norm() for y in x] for x in blocks]))
+    assert norms.tolist() == [x.norm() for x in elements]
+    assert norms[0] == pytest.approx(math.sqrt(6) * 1e-200, rel=1e-15, abs=0)
+    assert norms[1] == pytest.approx(5e-201, rel=1e-15, abs=0)
+    assert norms[2] == 1.0 and norms[3] == 0.0
 
 
 def test_element_norms_overflow_where_the_square_does():
@@ -611,6 +626,26 @@ def test_threshold_refuses_a_factor_that_is_not_finite_and_positive(factor):
 def test_threshold_is_the_factor_times_the_norm_without_a_floor():
     assert threshold(1e-9, 4.0) == 4e-9
     assert threshold(1e-9, 0.0) == 0.0
+
+
+def test_verdict_threshold_is_the_threshold_unless_it_underflows():
+    """factor size^degree bit for bit; a positive size whose threshold is
+    subnormal, or whose size^degree underflows to 0, is refused, and size 0
+    is accepted."""
+    rng = np.random.default_rng(29)
+    for size in 10.0 ** rng.uniform(-140, 140, 40):
+        for degree in (0.5, 1, 2):
+            assert verdict_threshold(1e-9, size, degree) == \
+                threshold(1e-9, size ** degree) == 1e-9 * size ** degree
+    assert verdict_threshold(1.0, sys.float_info.min) == sys.float_info.min
+    for factor, size, degree in ((1e-9, 1e-300, 1), (1e-9, 1e-150, 2),
+                                 (1e-9, 1e-170, 2), (1e-300, 1e-10, 1)):
+        with pytest.raises(InputError, match="smallest normal double"):
+            verdict_threshold(factor, size, degree)
+    assert verdict_threshold(1e-9, 0.0) == verdict_threshold(
+        1e-9, 0.0, 2) == 0.0
+    with pytest.raises(InputError, match="tolerance factor"):
+        verdict_threshold(0.0, 1.0)
 
 
 def test_pruning_is_relative_to_the_operands():

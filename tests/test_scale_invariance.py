@@ -6,9 +6,11 @@ norm), the norm being homogeneous in the data, and coefficients are pruned
 relative to their operands, so statuses, memberships, search families and
 the plain cw-flat verdict are the same for every lam in [1e-8, 1e8] (drawn
 log-uniform); a Clifford map scales as a..e -> lam a..lam e, B -> lam^2 B.
-extract_B and search are driven down to lam = 1e-170, and omega membership
-and the template match down to 1e-300, where a threshold falls below the smallest normal double:
-there they keep the verdict or refuse the input, and only such an input.
+extract_B and search are driven down to lam = 1e-170, plain cw-flat and
+the cw-restrict verdicts down to 1e-160, and omega membership and the
+template match down to 1e-300, where a threshold falls below the smallest
+normal double: there they keep the verdict or refuse the input, and only
+such an input.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cwclifford import cli
 from cwclifford.core import CHECK_TOL, Multivector
+from cwclifford.cw import CliffordMapParams
 from cwclifford.errors import InputError
 from cwclifford.omega import classify_distinguished, omega_in_soB
 from cwclifford.qpair import (SymmetricMap, extract_B, make_generalized,
@@ -245,8 +248,9 @@ CW_MAPS = [load_params_file(str(path)) for path in sorted(
     _row24_map()]
 
 
-def cw_flat(k, lam):
-    """The stdout of plain cw-flat on CW_MAPS[k] scaled by lam."""
+def run_scaled(argv, k, lam):
+    """The stdout of the command argv on CW_MAPS[k] scaled by lam, or None
+    where it refuses the map (exit 2, one error line)."""
     dim, b, fields = CW_MAPS[k]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "params.json"
@@ -254,10 +258,31 @@ def cw_flat(k, lam):
             "dim": dim, "B": (lam ** 2 * b).ravel().tolist(),
             **{name: multivector_to_text(lam * x)
                for name, x in fields.items()}}))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(["cw-flat", "--params", str(path)]) == 0
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--params", str(path)])
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        assert len(err.getvalue().splitlines()) == 1
+        return None
+    assert code == 0
     return json.loads(out.getvalue())
+
+
+def refusable(k, lam):
+    """Whether the threshold CHECK_TOL params.norm() of CW_MAPS[k] scaled
+    by lam falls below the smallest normal double."""
+    _, b, fields = CW_MAPS[k]
+    params = CliffordMapParams(SymmetricMap.from_matrix(lam ** 2 * b), **{
+        name: lam * x for name, x in fields.items()})
+    return underflows(params.norm(), 1)
+
+
+def cw_flat(k, lam):
+    """The stdout of plain cw-flat on CW_MAPS[k] scaled by lam."""
+    out = run_scaled(["cw-flat"], k, lam)
+    assert out is not None
+    return out
 
 
 unscaled = lru_cache(cw_flat)
@@ -269,10 +294,61 @@ def test_cw_maps_take_both_verdicts():
         [False, False, True, True, True, True]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(range(len(CW_MAPS))), LAMBDAS)
+# below about 1e-162, lam^2 B underflows to the zero map, another input
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(CW_MAPS))), down_to(-160.0))
+@example(0, 1e-160)
+@example(1, 1e-160)
 def test_plain_cw_flat_verdict_does_not_depend_on_scale(k, lam):
-    assert cw_flat(k, lam)["flat"] == unscaled(k, 1.0)["flat"]
+    """In [1e-8, 1e8] the map is always taken; below, it is refused only
+    where its threshold underflows.  The squares of block norms below
+    about 2e-162 read 0, and the flat maps params_alphanz4.json and
+    params_flat6_rot33.json read not flat at 1e-160."""
+    out = run_scaled(["cw-flat"], k, lam)
+    if out is None:
+        assert lam < 1e-8 and refusable(k, lam)
+        return
+    assert out["flat"] == unscaled(k, 1.0)["flat"]
+
+
+GOLDEN_MAPS = range(len(CW_MAPS) - 1)
+PROJECTORS = ("sigma-", "sigma+", "x+:1;2,3", "x-:1,3;2", "sv+s-", "sv+s+",
+              "s-w", "s+w", "sigma-pi+", "sigma-pi-", "sigma+pi+",
+              "sigma+pi-")
+RESTRICTIONS = [(k, name) for k in GOLDEN_MAPS for name in PROJECTORS
+                if CW_MAPS[k][0] % 2 == 0 or name.startswith(("sigma", "x"))
+                and "pi" not in name]
+
+
+@lru_cache
+def restriction(k, name, lam):
+    """The (invariant, representation) verdicts of cw-restrict with the
+    projector name on CW_MAPS[k] scaled by lam, or None where it refuses."""
+    out = run_scaled(["cw-restrict", "--projector", name], k, lam)
+    return out and (out["invariant"], out["representation"])
+
+
+def test_restrictions_take_both_verdicts():
+    verdicts = [restriction(k, name, 1.0) for k, name in RESTRICTIONS]
+    assert len(verdicts) == 52
+    assert {v for pair in verdicts for v in pair} == {False, True}
+
+
+# below about 1e-162, lam^2 B underflows to the zero map, another input
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RESTRICTIONS),
+       st.floats(-160.0, 0.0).map(lambda x: 10.0 ** x))
+@example((3, "sigma+"), 1e-100)      # params_rot4_perturbed.json
+def test_restriction_verdicts_do_not_depend_on_scale(case, lam):
+    """The squares of block norms below about 2e-162 read 0, and both
+    residuals with them: params_rot4_perturbed.json with sigma+ read
+    "representation": true from lam = 1e-81 on, against a threshold of 0 at
+    1e-160.  A refusal is accepted only where the threshold underflows."""
+    got = restriction(*case, lam)
+    if got is None:
+        assert refusable(case[0], lam)
+        return
+    assert got == restriction(*case, 1.0)
 
 
 @pytest.mark.parametrize("exponent", range(-8, 9))
