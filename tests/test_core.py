@@ -509,8 +509,9 @@ def test_norm_scales_squares_below_the_normal_range():
             Multivector(3, {0: 3e-170, 5: 4e-170}),
             Multivector(3, {1: 1e-160, 6: 1e-300}),
             Multivector(1, {0: 5e-324})]
-    assert tiny[0].norm() == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
-    assert tiny[1].norm() == pytest.approx(5e-170, rel=1e-15)
+    assert tiny[0].norm() == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15,
+                                             abs=0)
+    assert tiny[1].norm() == pytest.approx(5e-170, rel=1e-15, abs=0)
     assert tiny[3].norm() == 5e-324
     rng = np.random.default_rng(13)
     plain = [random_multivector(rng, 4, 6) * float(10.0 ** k)

@@ -668,8 +668,10 @@ def test_a_pair_whose_threshold_underflows_is_refused():
     for lam in (1e-200, 1e-290):
         got = omega_in_soB(lam * c, lam * d, b)
         assert not got["holds"] and got["worst_entry"] == one["worst_entry"]
-        assert got["worst_norm"] == pytest.approx(lam * one["worst_norm"])
-        assert got["threshold"] == pytest.approx(lam * one["threshold"])
+        assert got["worst_norm"] == pytest.approx(lam * one["worst_norm"],
+                                                   rel=1e-12, abs=0)
+        assert got["threshold"] == pytest.approx(lam * one["threshold"],
+                                                  rel=1e-12, abs=0)
     for check in (omega_in_soB, classify_distinguished):
         with pytest.raises(InputError, match="smallest normal double"):
             check(1e-300 * c, 1e-300 * d, b)

@@ -181,7 +181,8 @@ def test_omega_membership_does_not_depend_on_scale(family, sparse, lam):
             assert lam * want[0]["threshold"] < 1.01 * sys.float_info.min
             continue
         assert got[0]["holds"] == want[0]["holds"]
-        assert got[0]["threshold"] == pytest.approx(lam * want[0]["threshold"])
+        assert got[0]["threshold"] == pytest.approx(
+            lam * want[0]["threshold"], rel=1e-12, abs=0)
         assert got[1:] == want[1:]
 
 
@@ -219,8 +220,10 @@ def test_unclosed_pair_is_unclosed_at_every_scale(exponent):
     c = Multivector(3, {0b001: lam, 0b110: 0.5 * lam})
     pair = extract_B(c, c)
     assert pair.status == "not-closed-in-V"
-    assert pair.offgrade_residual == pytest.approx(4 * lam ** 2, rel=1e-12)
-    assert pair.threshold == pytest.approx(5e-9 * lam ** 2, rel=1e-12)
+    assert pair.offgrade_residual == pytest.approx(4 * lam ** 2, rel=1e-12,
+                                                     abs=0)
+    assert pair.threshold == pytest.approx(5e-9 * lam ** 2, rel=1e-12,
+                                             abs=0)
 
 
 def test_small_pair_keeps_its_small_map():
@@ -312,12 +315,11 @@ def test_plain_cw_flat_verdict_does_not_depend_on_scale(k, lam):
 
 
 GOLDEN_MAPS = range(len(CW_MAPS) - 1)
-PROJECTORS = ("sigma-", "sigma+", "x+:1;2,3", "x-:1,3;2", "sv+s-", "sv+s+",
-              "s-w", "s+w", "sigma-pi+", "sigma-pi-", "sigma+pi+",
-              "sigma+pi-")
-RESTRICTIONS = [(k, name) for k in GOLDEN_MAPS for name in PROJECTORS
-                if CW_MAPS[k][0] % 2 == 0 or name.startswith(("sigma", "x"))
-                and "pi" not in name]
+ANY_N = ("sigma-", "sigma+", "x+:1;2,3", "x-:1,3;2")
+EVEN_N = ("sv+s-", "sv+s+", "s-w", "s+w", "sigma-pi+", "sigma-pi-",
+          "sigma+pi+", "sigma+pi-")
+RESTRICTIONS = [(k, name) for k in GOLDEN_MAPS
+                for name in ANY_N + EVEN_N * (CW_MAPS[k][0] % 2 == 0)]
 
 
 @lru_cache
@@ -359,6 +361,7 @@ def test_row_24_defect_is_not_flat_at_every_scale(exponent):
     lam = 10.0 ** exponent
     out = cw_flat(len(CW_MAPS) - 1, lam)
     assert out["curvature_max"] == 0.0 and not out["flat"]
-    assert out["report"]["24"] == pytest.approx(1e-3 * lam, rel=1e-12)
+    assert out["report"]["24"] == pytest.approx(1e-3 * lam, rel=1e-12,
+                                                     abs=0)
     assert out["threshold_24"] ** 2 == pytest.approx(1e-9 * out["threshold"],
                                                      rel=1e-12)
