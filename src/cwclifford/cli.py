@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import textio
-from .core import CHECK_TOL, ORACLE_TOL, verdict_threshold
+from .core import CHECK_TOL, ORACLE_TOL
 from .errors import InputError, InternalToleranceError, NotSoBInvariant
 
 
@@ -67,9 +67,9 @@ def _load_params(path: str):
 def _cmd_cw_flat(args) -> dict:
     from . import cw
     params = _load_params(args.params)
-    cut = verdict_threshold(args.tol, params.norm())
+    cut = params.threshold(args.tol)
     # rows 24/24a are of degree one in the map's data, the rest of degree two
-    cut24 = verdict_threshold(args.tol, params.norm(), 0.5)
+    cut24 = params.threshold(args.tol, 0.5)
     rho = cw.CliffordMap(params)
     report = cw.flatness_report(params)
     sweep = cw.curvature_sweep(rho, extended=args.extended)

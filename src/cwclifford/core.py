@@ -60,13 +60,16 @@ def threshold(factor: float, norm: float) -> float:
     return factor * norm
 
 
-def verdict_threshold(factor: float, size: float, degree: float = 1) -> float:
+def verdict_threshold(factor: float, size: float, degree: float = 1,
+                      nonzero: bool | None = None) -> float:
     """threshold(factor, size ** degree) for a verdict of that degree in data
-    of the size size.  Raises InputError where a positive size gives a
+    of the size size.  Raises InputError where nonzero data gives a
     threshold below the smallest normal double, where the residual's
-    products underflow too and the verdict would compare zeros."""
+    products underflow too and the verdict would compare zeros.  The data
+    is nonzero where size > 0 unless nonzero says otherwise, as it must
+    where a size formed of squares underflows to 0 on nonzero data."""
     cut = threshold(factor, size ** degree)
-    if size > 0 and cut < _DBL_MIN:
+    if (size > 0 if nonzero is None else nonzero) and cut < _DBL_MIN:
         raise InputError(f"the threshold {cut:.3e} of nonzero data is below "
                          "the smallest normal double: the data or the "
                          "tolerance factor is too small")
@@ -521,6 +524,55 @@ def _products(a: _Rows, i: np.ndarray, b: _Rows, j: np.ndarray, dim: int):
     xr, xi = s * a.re[i], s * a.im[i]
     yr, yi = b.re[j], b.im[j]
     return a.blade[i] ^ b.blade[j], xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _cross(a: _Rows, i: np.ndarray, b: _Rows, j: np.ndarray, dim: int):
+    """The cross table of the entries i of a by the entries j of b: the
+    blades, real and imaginary parts of their term products as _products
+    forms them, as (len(i), len(j)) arrays whose rows run in gp's loop
+    order."""
+    shape = len(i), len(j)
+    return [x.reshape(shape) for x in _products(
+        a, i.repeat(len(j)), b, np.tile(j, len(i)), dim)]
+
+
+@np.errstate(over="ignore", invalid="ignore")   # the caller's cut raises
+def _cross_sums(a: _Rows, i: np.ndarray, b: _Rows, j: np.ndarray,
+                sign_i: np.ndarray, sign_j: np.ndarray, dim: int):
+    """The real and imaginary parts, (2, rows, 2^dim), of the sums over the
+    cross table of a[i] by b[j] of sign_i[k, I] sign_j[k, J] a_I b_J,
+    row k of each at the blade I ^ J, for the rows k of the sign arrays.
+    Each blade sums from 0.0 in gp's loop order, so a row of ones gives
+    gp's sums before its cut.  The table goes in blocks of left terms and
+    the signed products in blocks of rows, of about _GP_BLOCK entries, a
+    blade's running sum carried in before its next products."""
+    rows, size = len(sign_i), 1 << dim
+    sums = np.zeros((2, rows * size))
+    if not len(i) * len(j):
+        return sums.reshape(2, rows, size)
+    step_i = min(len(i), max(1, _GP_BLOCK // len(j)))
+    step_k = max(1, min(rows, _GP_BLOCK // (step_i * len(j))))
+    for s in range(0, len(i), step_i):
+        blade, re, im = _cross(a, i[s:s + step_i], b, j, dim)
+        for k in range(0, rows, step_k):
+            sign = sign_i[k:k + step_k, s:s + step_i, None] * \
+                sign_j[k:k + step_k, None, :]
+            key = (np.arange(len(sign))[:, None, None] * size + blade).ravel()
+            out = sums[:, k * size:(k + len(sign)) * size]
+            if s:
+                key = np.concatenate((np.arange(out.shape[1]), key))
+            for part, x in zip(out, (re, im)):
+                x = (sign * x).ravel()
+                part[:] = np.bincount(key, np.concatenate((part, x)) if s
+                                      else x, part.size)
+    return sums.reshape(2, rows, size)
+
+
+def _gp_sums(a: _Rows, i: np.ndarray, b: _Rows, j: np.ndarray, dim: int):
+    """(2, 1, 2^dim): the sums gp forms of the entries i of a by the
+    entries j of b, before its cut (`_cross_sums` with rows of ones)."""
+    return _cross_sums(a, i, b, j, np.ones((1, len(i))), np.ones((1, len(j))),
+                       dim)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it

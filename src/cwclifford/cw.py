@@ -263,6 +263,13 @@ class CliffordMapParams:
         top = max(getattr(self, k).norm() for k in ("a", "b", "c", "d", "e"))
         return top ** 2 + float(np.max(np.abs(self.b_map.entries)))
 
+    def threshold(self, tol: float, degree: float = 1) -> float:
+        """verdict_threshold(tol, self.norm(), degree) for the map's
+        verdicts, nonzero data refused where the norm underflows to 0."""
+        return verdict_threshold(tol, self.norm(), degree, nonzero=any(
+            getattr(self, k)._terms for k in ("a", "b", "c", "d", "e"))
+            or bool(np.any(self.b_map.entries)))
+
     @cached_property
     def images(self) -> tuple:
         """images[i] is the image of generators(n)[i]."""
@@ -695,7 +702,7 @@ def check_restriction(rho: CliffordMap, proj: CWElement,
     """
     if proj.dim != rho.n:
         raise DimensionMismatch("projector and map differ in dimension")
-    cut = verdict_threshold(tol, rho.params.norm())
+    cut = rho.params.threshold(tol)
     n, m, t = rho.n, 2 * rho.n + 2, rho.params.cw_table
     table = _rows_cat(_element_rows([proj]), t.images, t.rhs)  # P, X_k, R_t
     inner = np.arange(1, m + len(t.rhs.top) // 4 + 1)

@@ -21,12 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 from typing import Dict, Tuple
 
-from .core import (CHECK_TOL, PRUNE_EPS, Multivector, _element, _sandwich,
-                   _sign_mask, _signed, gp, verdict_threshold)
+import numpy as np
+
+from .core import (_GP_BLOCK, CHECK_TOL, PRUNE_EPS, Multivector, _cross,
+                   _element, _gp_sums, _Rows, _rows_of, _sandwich,
+                   _sign_mask, _sign_tables, _signed, gp, verdict_threshold)
 from .errors import DimensionMismatch, NotSoBInvariant
-from .qpair import SymmetricMap
+from .qpair import SymmetricMap, _dense_pair
 
 
 @dataclass
@@ -180,12 +184,15 @@ def closing_identities(c: Multivector, d: Multivector,
     rule (`_sandwich`).  d K + K d keeps the blade pairs of d and K that
     commute, at twice their product, d Omega - Omega d those that
     anticommute; only c^2 and d^2 take a gp.  Coefficients at most
-    PRUNE_EPS max |c_J, d_J|^2 are cut.
+    PRUNE_EPS max |c_J, d_J|^2 are cut.  A dense pair (`_dense_pair`) sums
+    in arrays (`_closing_arrays`), the others in the dict loops below.
     """
     if not c.dim == d.dim == b.n:
         raise DimensionMismatch("pair and symmetric map dimensions differ")
     n, top = c.dim, max(c._top, d._top)
     cut = PRUNE_EPS * top * top
+    if _dense_pair(c, d):
+        return _closing_arrays(c, d, b, cut)
     d2, cl, sq, dl = gp(d, d), _signed(c), _signed(gp(c, c)), _signed(d)
     terms, entries = _pair_terms(c, d), b.entries.tolist()
     anti = four = 0.0
@@ -203,3 +210,78 @@ def closing_identities(c: Multivector, d: Multivector,
                 half = _element(n, _pairs(dl, omega, 1, {}), 0.5 * cut)
                 four = max(four, 2.0 * half.norm())
     return {"four-term": four, "anticommutator": anti}
+
+
+def _dense(x: Multivector) -> np.ndarray:
+    """The coefficients of x over all 2^n blades."""
+    out = np.zeros(1 << x.dim, complex)
+    out[list(x._terms)] = list(x._terms.values())
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")   # raises on it below
+def _closing_arrays(c: Multivector, d: Multivector, b: SymmetricMap,
+                    cut: float) -> Dict[str, float]:
+    """closing_identities for all x <= y at once, to rounding.
+
+    Row p of the (pairs, 2^n) arrays k and omega holds the coefficients of
+    K and Omega_{xy} (none for x = y) at the blades J ^ m, J the column and
+    m the mask of {x, y}: K on the J meeting m once, Omega on the others.
+    The cross table of d by their terms (`_cross`) gives each d_A X_B
+    Gamma_A Gamma_B; a commuting pair counts for the first identity where
+    X_B is a term of K, an anticommuting one for the second where it is a
+    term of Omega.  np.bincount sums them per (identity, pair, blade) after
+    L, delta_xy d^2 and -b_xy, in blocks of about _GP_BLOCK products;
+    then each identity's cut, norm and max."""
+    n, size = c.dim, 1 << c.dim
+    w, flip = _sign_tables(n)
+    x, y = np.triu_indices(n)
+    pairs, low = len(x), (1 << x)[:, None]
+    m = np.where(y > x, 1 << x | 1 << y, 0)[:, None]
+    blade = np.arange(size)
+    sign = flip[(blade & ~low) ^ (m & w)]        # of e_x Gamma_J e_y
+    once = (m == 0) | (flip[blade & m] < 0)      # J meets m once, or x = y
+    k = np.where(once, np.where(m, 2.0, -2.0) * sign, 0.0) * _dense(c)
+    # 2 rho (sigma_x(J) c_J - d_J), rho sigma_x(J) = sign, of the terms
+    # of c and d that _pair_terms keeps
+    zc, zd = (np.where(np.abs(v) > PRUNE_EPS * e._top, v, 0.0)
+              for e, v in ((c, _dense(c)), (d, _dense(d))))
+    z = flip[blade & ~low] * zc - zd
+    top = max(c._top, d._top)
+    omega = np.where(~once & (np.abs(z) > PRUNE_EPS * top),
+                     2.0 * flip[m & w] * z, 0.0)
+    p, j = np.nonzero(k + omega)
+    kind, z = ~once[p, j], (k + omega)[p, j]     # kind: a term of Omega
+    terms = _Rows(np.array([0, len(p)]), j ^ m[p, 0], z.real, z.imag,
+                  np.zeros(1))
+    # c^2 and d^2 before gp's cut, whose terms at most PRUNE_EPS |c|^2 or
+    # PRUNE_EPS |d|^2 move a residual by less than its rounding
+    pool = _rows_of([c, d])
+    c2, d2 = (re + 1j * im for re, im in (
+        _gp_sums(pool, at, pool, at, n)[:, 0] for at in (
+            np.arange(pool.ptr[1]), np.arange(pool.ptr[1], pool.ptr[2]))))
+    first = np.where(once, np.where(m, -1.0, 1.0) * sign, 0.0) * c2
+    first[m[:, 0] == 0] += d2
+    first[np.arange(pairs), m[:, 0]] -= b.entries[x, y]
+    out = np.zeros((2, 2 * pairs * size))
+    out[:, :pairs * size] = first.real.ravel(), first.imag.ravel()
+    at = np.arange(pool.ptr[1], pool.ptr[2])
+    a = pool.blade[at, None]
+    step = max(1, _GP_BLOCK // max(1, len(at)))
+    for s in range(0, len(p), step):
+        e = np.arange(s, min(s + step, len(p)))
+        product, re, im = _cross(pool, at, terms, e, n)
+        bb = terms.blade[e]
+        anti = flip[a & bb] * np.where((flip[a] < 0) & (flip[bb] < 0),
+                                       -1.0, 1.0) < 0
+        keep = anti == kind[e]
+        key = ((kind[e] * pairs + p[e]) * size + (product ^ m[p[e], 0]))
+        for part, v in zip(out, (re, im)):
+            part += np.bincount(key[keep], v[keep], part.size)
+    sizes = np.hypot(*out).reshape(2, pairs, size)
+    if not (sizes.max() < inf and cut < inf):
+        raise OverflowError("a coefficient is not finite")
+    anti, four = (float(np.hypot.reduce(np.where(v > f * cut, v, 0.0),
+                                        axis=1).max())
+                  for v, f in zip(sizes, (1.0, 0.5)))
+    return {"four-term": 2.0 * four, "anticommutator": anti}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from math import inf
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -18,9 +19,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (CHECK_TOL, CLUSTER_TOL, ORTHOGONALITY_TOL, PRUNE_EPS,
-                   Multivector, _element, _rows_cat, _rows_gp, _rows_of,
-                   _rows_scaled, _rows_sum, _volume_twist, blade_square_sign,
-                   gp, grade, threshold, verdict_threshold)
+                   Multivector, _cross_sums, _element, _gp_sums, _rows_of,
+                   _sign_tables, _volume_twist, blade_square_sign, gp, grade,
+                   threshold, verdict_threshold)
 from .errors import (AnticommutationViolated, CoefficientConstraintViolated,
                      DimensionMismatch, IllegalParityPattern, InputError,
                      OddDimension, OddMultiplicity, ParityMismatch,
@@ -186,54 +187,108 @@ class QuadraticPair:
 
 
 def _dense_pair(c: Multivector, d: Multivector) -> bool:
-    """Whether q_restriction_matrix reads q(e_mu) off the row form `_q_rows`,
-    not `q_map`: |c| |d| > max(64, 2^n) in term counts, where the row
-    kernels' fixed cost per call was measured to pay (CHANGES.md)."""
-    return len(c._terms) * len(d._terms) > max(64, 1 << c.dim)
+    """Whether q_restriction_matrix reads q(e_mu) off the parity form
+    `_q_parity`, not `q_map`, and closing_identities sums in arrays, not
+    dict loops: |c| |d| > max(64, 2^(n - 2)) in term counts.  The arrays
+    have a fixed cost of about n 2^n (q) and n^2 2^n (closing) entries per
+    call; measured per call on random pairs of k x k terms, dict form
+    against arrays, in microseconds (CHANGES.md): q 339 / 243 and closing
+    342 / 307 at n = 4, k = 8; q 1059 / 354 and closing 1507 / 1355 at
+    n = 8, k = 8; closing 4180 / 3966 at n = 9, k = 12 and 8003 / 8087 at
+    n = 10, k = 16; q 6613 / 7188 at n = 12, k = 12."""
+    return len(c._terms) * len(d._terms) > max(64, 1 << c.dim >> 2)
 
 
-def _q_rows(c: Multivector, d: Multivector):
-    """The row table of q(e_mu) = c^2 e_mu + e_mu d^2 - 2 c e_mu d, row
-    mu - 1 for mu = 1..n, with the blades, values (a zero's sign aside) and
-    dict order of `q_map`: its products in two row-kernel calls, then its
-    scaling and sums."""
+@lru_cache(maxsize=None)
+def _e_signs(n: int):
+    """Read-only (n, 2^n) sign tables of the blades x of dimension n:
+    Gamma_x e_mu = right[mu - 1, x] Gamma_(x ^ m_mu) and e_mu Gamma_x =
+    left[mu - 1, x] Gamma_(x ^ m_mu), m_mu the mask of e_mu, which are
+    blade_mul's signs flip[m_mu & w(x)] and flip[x & (2 m_mu - 1)]."""
+    w, flip = _sign_tables(n)
+    bit = 1 << np.arange(n)[:, None]
+    tables = flip[bit & w], flip[(2 * bit - 1) & np.arange(1 << n)]
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _kept(re: np.ndarray, im: np.ndarray, cut, own: bool = False):
+    """(re, im, top): the (rows, 2^n) parts without the entries of size at
+    most the cut of their row and, with own, at most PRUNE_EPS times the
+    row's largest size (the raw-terms cut), as _element and Multivector
+    cut, and each row's largest size kept; raises OverflowError where
+    those do."""
+    size = np.hypot(re, im)           # abs(complex) is hypot
+    top = size.max(1)
+    # a NaN anywhere makes the largest NaN, which fails the test too
+    if not (top.max(initial=0.0) < inf and np.max(cut) < inf):
+        raise OverflowError("a coefficient is not finite")
+    if own:
+        cut = np.maximum(cut, PRUNE_EPS * top)
+    keep = size > np.reshape(cut, (-1, 1))
+    return (np.where(keep, re, 0.0), np.where(keep, im, 0.0),
+            np.where(keep, size, 0.0).max(1))
+
+
+@np.errstate(over="ignore", invalid="ignore")   # _kept raises on it
+def _q_parity(c: Multivector, d: Multivector):
+    """(re, im, top): q(e_mu) = sum_K X[mu - 1, K] Gamma_(K ^ m_mu), m_mu
+    the mask of e_mu, X as (n, 2^n) real and imaginary parts, with the
+    values of `q_map`'s terms (a zero's sign aside) and 0.0 where it has
+    none, and each image's largest size; raises OverflowError where
+    `q_map` does.
+
+    By the parity rule, X_mu = c^2 + eps_mu(d^2) - 2 c eps_mu(d) with
+    eps_mu(x) = e_mu x e_mu^-1 a resigning of the terms of x: the products
+    of c^2 e_mu, e_mu d^2 and c (e_mu d) are those of c^2, d^2 and the
+    cross table c_I d_J, the same for every mu, signed by `_e_signs`.  The
+    cross table is formed once and summed for every mu in gp's loop order
+    (`_cross_sums`); each of q_map's cuts is made on these sums: e_mu d at
+    PRUNE_EPS |d|, c^2 e_mu at PRUNE_EPS |c^2|, e_mu d^2 at PRUNE_EPS
+    |d^2|, c (e_mu d) at PRUNE_EPS |c| |d|, 2 c (e_mu d) by the raw-terms
+    cut, the sum of the first two and then the difference at PRUNE_EPS
+    times their operands' largest size."""
     n = c.dim
-    mu = np.arange(n)
-    at_c, at_d, at_e = 0 * mu, 0 * mu + 1, mu + 2
-    # rows c, d, e_1 .. e_n
-    pool = _rows_of([c, d] + [Multivector.basis_vector(n, k)
-                              for k in range(1, n + 1)])
-    # rows c^2, d^2, e_mu d, then the pool
-    first = _rows_cat(_rows_gp(pool, np.concatenate(([0, 1], at_e)), pool,
-                               np.concatenate(([0, 1], at_d)), n), pool)
-    # rows c^2 e_mu, e_mu d^2, c (e_mu d); c^2, d^2 and e_mu d are rows 0,
-    # 1 and mu + 2 of first
-    at_c, at_e = at_c + n + 2, at_e + n + 2
-    prods = _rows_gp(first, np.concatenate((0 * mu, at_e, at_c)), first,
-                     np.concatenate((at_e, 0 * mu + 1, mu + 2)), n)
-    twice = _rows_scaled(prods, 2 * n + mu, np.full(n, 2.0))
-    return _rows_sum(_rows_sum(prods, mu, prods, n + mu, 1.0, n), mu,
-                     twice, mu, -1.0, n)
+    right, left = _e_signs(n)
+    pool = _rows_of([c, d])
+    ci, dj = np.arange(pool.ptr[1]), np.arange(pool.ptr[1], pool.ptr[2])
+    # c^2 and d^2 at gp's cut, then at those of c^2 e_mu and e_mu d^2
+    sq_re, sq_im, top = _kept(
+        *np.concatenate([_gp_sums(pool, at, pool, at, n) for at in (ci, dj)],
+                        1), [PRUNE_EPS * x._top * x._top for x in (c, d)],
+        own=True)
+    dj = dj[np.hypot(pool.re[dj], pool.im[dj]) > PRUNE_EPS * d._top]
+    cross = _kept(*_cross_sums(pool, ci, pool, dj, right[:, pool.blade[ci]],
+                               left[:, pool.blade[dj]], n),
+                  PRUNE_EPS * c._top * d._top)
+    twice = _kept(2.0 * cross[0], 2.0 * cross[1], 0.0, own=True)
+    s = _kept(right * sq_re[0] + left * sq_re[1],
+              right * sq_im[0] + left * sq_im[1], PRUNE_EPS * max(top))
+    return _kept(s[0] - twice[0], s[1] - twice[1],
+                 PRUNE_EPS * np.maximum(s[2], twice[2]))
 
 
 def q_restriction_matrix(c: Multivector, d: Multivector):
     """Matrix of q on V (column mu holds q(e_mu)) plus the off-grade residual.
 
-    A dense pair (`_dense_pair`) takes q(e_mu) from the rows of `_q_rows`,
-    the others from the gp loop below; both give the same bits."""
+    A dense pair (`_dense_pair`) takes q(e_mu) from `_q_parity`, the
+    others from the gp loop below; both give the same bits."""
     if c.dim != d.dim:
         raise DimensionMismatch("pair elements live in different dimensions")
     n = c.dim
     m = np.zeros((n, n), dtype=complex)
     if _dense_pair(c, d):
-        q = _q_rows(c, d)
-        mu = np.arange(n).repeat(q.ptr[1:] - q.ptr[:-1])
-        on = (q.blade > 0) & ((q.blade & (q.blade - 1)) == 0)   # grade 1
-        at = np.frexp(q.blade[on])[1] - 1, mu[on]
-        # "0.0 +" turns a row kernel's negative zero into gp's positive one
-        m.real[at] = 0.0 + q.re[on]
-        m.imag[at] = 0.0 + q.im[on]
-        return m, float(np.hypot(q.re[~on], q.im[~on]).max(initial=0.0))
+        re, im, _ = _q_parity(c, d)
+        # q(e_mu) has e_nu at K = m_mu | m_nu and e_mu at K = 0
+        mu = np.arange(n)
+        at = mu[:, None], (1 << mu)[:, None] | (1 << mu)
+        at[1][mu, mu] = 0
+        # "0.0 +" turns a negative zero into gp's positive one
+        m.real[:], m.imag[:] = 0.0 + re[at].T, 0.0 + im[at].T
+        size = np.hypot(re, im)
+        size[at] = 0.0
+        return m, float(size.max())
     offgrade = 0.0
     for mu in range(n):
         qv = q_map(c, d, Multivector.basis_vector(n, mu + 1))

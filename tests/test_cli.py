@@ -210,6 +210,11 @@ PARAMS_N3 = {**PARAMS_OK, "dim": 3,
              "B": [1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0]}
 PARAMS_TINY = {**PARAMS_OK, "B": [1e-300, 0.0, 0.0, 4e-300],
                "c": "1e-150 e_{1}", "d": "5e-151 e_{1}"}
+# max |c|^2 + max |B| underflows to 0 on a nonzero map, which at scale 1
+# (c = d = e_1, e = 0.5 e_{1,2}) reads not flat
+PARAMS_NORM_UNDERFLOWS = {**PARAMS_OK, "B": [0.0, 0.0, 0.0, 0.0],
+                          "c": "1e-170 e_{1}", "d": "1e-170 e_{1}",
+                          "e": "5e-171 e_{1,2}"}
 
 
 @pytest.mark.parametrize("command, flag, doc", [
@@ -257,6 +262,9 @@ PARAMS_TINY = {**PARAMS_OK, "B": [1e-300, 0.0, 0.0, 4e-300],
     # the representation residual, which read "representation": true
     ("cw-flat", "--params", PARAMS_TINY),
     ("cw-restrict --projector sigma+", "--params", PARAMS_TINY),
+    # the threshold was 0, and cw-flat read "flat": true
+    ("cw-flat", "--params", PARAMS_NORM_UNDERFLOWS),
+    ("cw-restrict --projector sigma+", "--params", PARAMS_NORM_UNDERFLOWS),
 ], ids=["pair-dim-true", "b-dim-true", "params-dim-true", "entries-string",
         "entries-nested", "entries-bool", "B-string", "B-nested",
         "entries-nan", "entries-infinity", "entries-huge-int", "B-nan",
@@ -268,7 +276,8 @@ PARAMS_TINY = {**PARAMS_OK, "B": [1e-300, 0.0, 0.0, 4e-300],
         "coeff-arabic-indic-digit", "empty-index-slot", "index-slot-two-numbers",
         "pair-threshold-underflows", "b-hit-threshold-underflows",
         "omega-threshold-underflows", "cw-flat-threshold-underflows",
-        "cw-restrict-threshold-underflows"])
+        "cw-restrict-threshold-underflows", "cw-flat-norm-underflows",
+        "cw-restrict-norm-underflows"])
 def test_hostile_input_is_exit_2(tmp_path, capsys, command, flag, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

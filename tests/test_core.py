@@ -632,7 +632,7 @@ def test_threshold_is_the_factor_times_the_norm_without_a_floor():
 def test_verdict_threshold_is_the_threshold_unless_it_underflows():
     """factor size^degree bit for bit; a positive size whose threshold is
     subnormal, or whose size^degree underflows to 0, is refused, and size 0
-    is accepted."""
+    is accepted unless the data is nonzero."""
     rng = np.random.default_rng(29)
     for size in 10.0 ** rng.uniform(-140, 140, 40):
         for degree in (0.5, 1, 2):
@@ -644,7 +644,11 @@ def test_verdict_threshold_is_the_threshold_unless_it_underflows():
         with pytest.raises(InputError, match="smallest normal double"):
             verdict_threshold(factor, size, degree)
     assert verdict_threshold(1e-9, 0.0) == verdict_threshold(
-        1e-9, 0.0, 2) == 0.0
+        1e-9, 0.0, 2) == verdict_threshold(1e-9, 0.0, nonzero=False) == 0.0
+    # a size of squares that underflows to 0 on nonzero data
+    with pytest.raises(InputError, match="smallest normal double"):
+        verdict_threshold(1e-9, 1e-170 ** 2, nonzero=True)
+    assert verdict_threshold(1e-9, 1.0, nonzero=True) == 1e-9
     with pytest.raises(InputError, match="tolerance factor"):
         verdict_threshold(0.0, 1.0)
 

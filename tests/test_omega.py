@@ -319,13 +319,23 @@ def assert_closing_matches_reference(c, d, b):
     return want
 
 
+@pytest.fixture
+def closing_arrays(monkeypatch):
+    """The pairs closing_identities sums in arrays, recorded."""
+    seen = []
+    monkeypatch.setattr(omega, "_closing_arrays", lambda c, d, *rest, f=omega
+                        ._closing_arrays: seen.append((c, d)) or f(c, d, *rest))
+    return seen
+
+
 @pytest.mark.parametrize("n", range(1, 11))
-def test_closing_identities_match_reference_on_random_pairs(n):
+def test_closing_identities_match_reference_on_random_pairs(
+        n, closing_arrays):
     rng = np.random.default_rng(200 + n)
     b = SymmetricMap.from_matrix(np.diag(rng.uniform(-2.0, 2.0, n)))
     # sparse pairs at every n; up to n = 8 also pairs of more than
-    # max(64, 2^n) term products, the dense pairs of the q-restriction
-    above = min(1 << n, math.isqrt(max(64, 1 << n)) + 1)
+    # max(64, 2^(n - 2)) term products, the dense pairs
+    above = min(1 << n, math.isqrt(max(64, 1 << n >> 2)) + 1)
     sizes = ((1, 1), (2, 3), (4, 2)) + (((above - 1, above + 1),)
                                         if n <= 8 else ())
     worst = 0.0
@@ -336,10 +346,13 @@ def test_closing_identities_match_reference_on_random_pairs(n):
         worst = max(worst, *want.values())
     # random pairs are far from closing: the residuals are of order one
     assert worst > 0.1
+    # the pair above the rule, from n = 4 on, takes the arrays
+    assert len(closing_arrays) == (3 < n <= 8)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
-def test_closing_identities_match_reference_on_rotated_search_hits(n):
+def test_closing_identities_match_reference_on_rotated_search_hits(
+        n, closing_arrays):
     from cwclifford.search import search_pairs_for_B
     q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
     half = n // 2
@@ -356,6 +369,9 @@ def test_closing_identities_match_reference_on_rotated_search_hits(n):
     c, d = chosen[0].pair.c, chosen[0].pair.d
     bad = d + Multivector.blade(n, 0b11, 0.5)
     assert max(assert_closing_matches_reference(c, bad, b).values()) > 0.1
+    # from n = 5 on every hit lies above the rule, and so does the
+    # perturbed one; at n = 4 the hits have 6 x 6 terms
+    assert len(closing_arrays) == (len(chosen) + 1) * (n > 4)
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -373,14 +389,20 @@ def test_closing_identities_match_reference_on_sparse_family_pairs(n):
                .values()) > 0.1
 
 
-def test_closing_identities_raise_where_the_reference_overflows():
+def test_closing_identities_raise_where_the_reference_overflows(
+        closing_arrays):
     rng = np.random.default_rng(3)
-    c = 1e160 * random_multivector(rng, 3, 6)
-    d = 1e160 * random_multivector(rng, 3, 6)
-    b = SymmetricMap.from_diagonal([1.0, 1.0, 1.0])
-    for closing in (reference_closing_identities, closing_identities):
-        with pytest.raises(OverflowError):
-            closing(c, d, b)
+    # 6 x 6 terms at n = 3 take the dict loops, 12 x 12 at n = 4 the
+    # arrays; at 1e154 the cut is finite and the products overflow, at
+    # 1e160 the cut overflows too
+    for n, terms, scale in ((3, 6, 1e160), (4, 12, 1e154), (4, 12, 1e160)):
+        c = scale * random_multivector(rng, n, terms)
+        d = scale * random_multivector(rng, n, terms)
+        b = SymmetricMap.from_diagonal([1.0] * n)
+        for closing in (reference_closing_identities, closing_identities):
+            with pytest.raises(OverflowError):
+                closing(c, d, b)
+    assert len(closing_arrays) == 2
 
 
 @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0])

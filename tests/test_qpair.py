@@ -899,17 +899,19 @@ def reference_q_restriction(c, d):
 
 
 def q_row_images(c, d):
-    """The rows of qpair._q_rows as reference_q_restriction lists images;
-    "0.0 +" turns a row kernel's negative zero into gp's positive one, the
-    one difference the row kernels allow."""
-    q = qpair._q_rows(c, d)
-    return [([(int(m), (0.0 + r).hex(), (0.0 + i).hex()) for m, r, i in zip(
-        q.blade[lo:hi], q.re[lo:hi], q.im[lo:hi])], float(top))
-        for lo, hi, top in zip(q.ptr[:-1], q.ptr[1:], q.top)]
+    """The images q(e_mu) of qpair._q_parity as reference_q_restriction
+    lists them, the terms in blade order: X[mu - 1, K] is the coefficient
+    of Gamma_(K ^ m_mu); "0.0 +" turns a negative zero into gp's positive
+    one, the one difference the kernel allows."""
+    re, im, top = qpair._q_parity(c, d)
+    return [(sorted((int(k) ^ 1 << mu, (0.0 + x[k]).hex(),
+                     (0.0 + y[k]).hex())
+                    for k in np.flatnonzero((x != 0.0) | (y != 0.0))),
+             float(t)) for mu, (x, y, t) in enumerate(zip(re, im, top))]
 
 
 def q_restriction_on(c, d, dense):
-    """q_restriction_matrix with the row form (dense) or the gp loop."""
+    """q_restriction_matrix with the parity form (dense) or the gp loop."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qpair, "_dense_pair", lambda c, d: dense)
         return qpair.q_restriction_matrix(c, d)
@@ -917,7 +919,8 @@ def q_restriction_on(c, d, dense):
 
 def assert_dense_matches_reference(c, d):
     want_m, want_off, want_images = reference_q_restriction(c, d)
-    assert q_row_images(c, d) == want_images
+    assert q_row_images(c, d) == [(sorted(terms), top)
+                                  for terms, top in want_images]
     # signed zeros included
     for got_m, got_off in (q_restriction_on(c, d, True),
                            q_restriction_on(c, d, False),
@@ -941,12 +944,12 @@ def _reordered(a):
 def test_dense_q_restriction_matches_reference_on_random_pairs(
         n, monkeypatch):
     dense = []
-    monkeypatch.setattr(qpair, "_q_rows",
-                        lambda c, d, f=qpair._q_rows:
+    monkeypatch.setattr(qpair, "_q_parity",
+                        lambda c, d, f=qpair._q_parity:
                         dense.append(n) or f(c, d))
     rng = np.random.default_rng(100 + n)
-    # below and above the dispatch rule |c| |d| > max(64, 2^n)
-    above = min(1 << n, math.isqrt(max(64, 1 << n)) + 1)
+    # below and above the dispatch rule |c| |d| > max(64, 2^(n - 2))
+    above = min(1 << n, math.isqrt(max(64, 1 << n >> 2)) + 1)
     for kc, kd in ((1, 1), (2, 3), (above - 1, above + 1)):
         assert_dense_matches_reference(random_multivector(rng, n, kc),
                                        random_multivector(rng, n, kd))

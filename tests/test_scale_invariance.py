@@ -246,9 +246,20 @@ def _row24_map():
         "a": Multivector.scalar(4, 1e-3), "b": z, "c": lin, "d": lin, "e": z}
 
 
+def _norm_underflow_map():
+    """B = 0, c = d = e_1 and e = 0.5 e_{1,2}: not flat (curvature_max
+    2.83), and max(|a|..|e|)^2 + max |B| underflows to 0 on it below about
+    lam = 1e-162, where cw-flat read "flat": true against a threshold of 0."""
+    z = Multivector.zero(2)
+    e1 = Multivector.basis_vector(2, 1)
+    return 2, np.zeros((2, 2)), {"a": z, "b": z, "c": e1, "d": e1,
+                                 "e": Multivector.blade(2, 0b11, 0.5)}
+
+
 CW_MAPS = [load_params_file(str(path)) for path in sorted(
     (Path(__file__).parent / "golden" / "inputs").glob("*params*.json"))] + [
-    _row24_map()]
+    _row24_map(), _norm_underflow_map()]
+ROW_24, NORM_UNDERFLOW = 5, 6
 
 
 def run_scaled(argv, k, lam):
@@ -292,9 +303,9 @@ unscaled = lru_cache(cw_flat)
 
 
 def test_cw_maps_take_both_verdicts():
-    assert len(CW_MAPS) == 6
-    assert sorted(unscaled(k, 1.0)["flat"] for k in range(6)) == \
-        [False, False, True, True, True, True]
+    assert len(CW_MAPS) == 7
+    assert sorted(unscaled(k, 1.0)["flat"] for k in range(7)) == \
+        [False, False, False, True, True, True, True]
 
 
 # below about 1e-162, lam^2 B underflows to the zero map, another input
@@ -302,6 +313,7 @@ def test_cw_maps_take_both_verdicts():
 @given(st.sampled_from(range(len(CW_MAPS))), down_to(-160.0))
 @example(0, 1e-160)
 @example(1, 1e-160)
+@example(NORM_UNDERFLOW, 1e-170)
 def test_plain_cw_flat_verdict_does_not_depend_on_scale(k, lam):
     """In [1e-8, 1e8] the map is always taken; below, it is refused only
     where its threshold underflows.  The squares of block norms below
@@ -314,7 +326,7 @@ def test_plain_cw_flat_verdict_does_not_depend_on_scale(k, lam):
     assert out["flat"] == unscaled(k, 1.0)["flat"]
 
 
-GOLDEN_MAPS = range(len(CW_MAPS) - 1)
+GOLDEN_MAPS = range(ROW_24)
 ANY_N = ("sigma-", "sigma+", "x+:1;2,3", "x-:1,3;2")
 EVEN_N = ("sv+s-", "sv+s+", "s-w", "s+w", "sigma-pi+", "sigma-pi-",
           "sigma+pi+", "sigma+pi-")
@@ -359,9 +371,27 @@ def test_row_24_defect_is_not_flat_at_every_scale(exponent):
     degree one as they are; against the degree-two threshold this map read
     flat from lam = 1e6."""
     lam = 10.0 ** exponent
-    out = cw_flat(len(CW_MAPS) - 1, lam)
+    out = cw_flat(ROW_24, lam)
     assert out["curvature_max"] == 0.0 and not out["flat"]
     assert out["report"]["24"] == pytest.approx(1e-3 * lam, rel=1e-12,
                                                      abs=0)
     assert out["threshold_24"] ** 2 == pytest.approx(1e-9 * out["threshold"],
                                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e-100, 1e-150, 1e-162, 1e-170,
+                                 1e-200])
+def test_a_map_whose_norm_underflows_keeps_its_verdicts_or_is_refused(lam):
+    """The map is nonzero at every lam here, so a refusal is accepted where
+    its threshold underflows, the norm's underflow to 0 included; from
+    about 1e-162 on it must be refused."""
+    got = (run_scaled(["cw-flat"], NORM_UNDERFLOW, lam),
+           restriction(NORM_UNDERFLOW, "sigma+", lam))
+    if lam < 1e-162:
+        assert got == (None, None)
+    for out, want in zip(got, (unscaled(NORM_UNDERFLOW, 1.0)["flat"],
+                               restriction(NORM_UNDERFLOW, "sigma+", 1.0))):
+        if out is None:
+            assert refusable(NORM_UNDERFLOW, lam)
+        else:
+            assert (out if isinstance(out, tuple) else out["flat"]) == want
