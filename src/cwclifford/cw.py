@@ -266,8 +266,8 @@ class CliffordMapParams:
     def threshold(self, tol: float, degree: float = 1) -> float:
         """verdict_threshold(tol, self.norm(), degree) for the map's
         verdicts, nonzero data refused where the norm underflows to 0."""
-        return verdict_threshold(tol, self.norm(), degree, nonzero=any(
-            getattr(self, k)._terms for k in ("a", "b", "c", "d", "e"))
+        return verdict_threshold(tol, self.norm(), degree, nonzero=not all(
+            getattr(self, k).is_zero() for k in ("a", "b", "c", "d", "e"))
             or bool(np.any(self.b_map.entries)))
 
     @cached_property

@@ -953,7 +953,7 @@ def test_dense_q_restriction_matches_reference_on_random_pairs(
     for kc, kd in ((1, 1), (2, 3), (above - 1, above + 1)):
         assert_dense_matches_reference(random_multivector(rng, n, kc),
                                        random_multivector(rng, n, kd))
-    # two direct calls per pair (its rows, the forced row form), and the
+    # two direct calls per pair (its images, the forced parity form), and the
     # public function's for the last pair, which lies above the rule from
     # n = 4 on (at n <= 3, |c| |d| <= 64)
     assert len(dense) == 2 * 3 + (n > 3)
@@ -996,10 +996,10 @@ def test_dense_q_restriction_matches_reference_on_rotated_search_hits(n):
 
 def test_dense_q_restriction_of_252_term_elements_is_memory_bounded():
     """The first rotated hit at n = 10 carries 252 terms on each side, so
-    c^2 and every c (e_mu d) are rows of 63,504 term products.  Formed
-    whole, one such row peaks at 6.3 MB traced; in blocks of left terms of
-    at most _GP_BLOCK = 16,384 products the dense path peaks at about
-    2.5 MB.  The bound is 4 MB."""
+    c^2 and the cross table c_I d_J are 63,504 term products each.  Formed
+    whole, one such table peaked at 6.3 MB traced; in blocks of left terms
+    (and of mu) of at most _GP_BLOCK = 16,384 products the dense path
+    peaks at about 2.6 MB.  The bound is 4 MB."""
     pair = rotated_hits(10)[0].pair
     assert len(pair.c._terms) == len(pair.d._terms) == 252
     assert qpair._dense_pair(pair.c, pair.d)

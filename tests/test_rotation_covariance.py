@@ -7,7 +7,7 @@ of basis.  Rotating the data by R in SO(n), the algebra elements through
 `cw-restrict` verdicts of the named catalog projectors, which are built
 from 1 and the volume element, both fixed by SO(n).  A rotation spreads a
 one-blade element over every blade of its grade, so the same check runs
-the gp loop on the family pair and the row form (`qpair._dense_pair`) on
+the gp loop on the family pair and the parity form (`qpair._dense_pair`) on
 its rotation, up to n = 12.  Family tags and the x+-:I;J projectors depend
 on the basis and are left out.
 """
