@@ -390,7 +390,9 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
 # order and cuts, and raise OverflowError where those do.  Row -1 of every
 # table is an empty row.
 
-# term products formed at once by _rows_gp, a bound on its memory
+# term products formed at once, a bound on the memory of _rows_gp,
+# _cross_sums, the blocks of omega._closing_arrays and the pair blocks of
+# cw._defect_norms
 _GP_BLOCK = 1 << 14
 
 
@@ -467,6 +469,23 @@ def _cut_rows(ptr, row, blade, re, im, cut, own: bool = False) -> _Rows:
     return _Rows(kept[ptr], blade[keep], re[keep], im[keep], top)
 
 
+def _kept(re: np.ndarray, im: np.ndarray, cut, own: bool = False):
+    """(re, im, top): the dense (rows, 2^n) parts without the entries of
+    size at most the cut of their row and, with own, at most PRUNE_EPS
+    times the row's largest size (the raw-terms cut), 0.0 in their place,
+    and each row's largest kept size: the cuts of _cut_rows on a dense
+    table, raising OverflowError where it does."""
+    size = np.hypot(re, im)
+    top = size.max(1)
+    if not (top.max(initial=0.0) < inf and np.max(cut) < inf):
+        raise OverflowError("a coefficient is not finite")
+    if own:
+        cut = np.maximum(cut, PRUNE_EPS * top)
+    keep = size > np.reshape(cut, (-1, 1))
+    return (np.where(keep, re, 0.0), np.where(keep, im, 0.0),
+            np.where(keep, size, 0.0).max(1))
+
+
 def _collect(count, row, blade, re, im, cut, dim: int,
              unique: bool) -> _Rows:
     """The row table of the sums of the entries (count per row, in row
@@ -474,29 +493,22 @@ def _collect(count, row, blade, re, im, cut, dim: int,
     sums them: from 0.0 in entry order, each blade where it first appears;
     then cut as _cut_rows.  unique says that no two entries share both.
 
-    The groups are the keys row 2^dim + blade.  Where the table of all
-    keys has at most 4 slots per entry, a scatter into it finds the first
-    entry of each key; elsewhere a stable sort of the keys does.  np.bincount
-    then sums each group in entry order."""
+    The groups are the keys row 2^dim + blade; a stable sort of the keys
+    finds the first entry of each, and np.bincount sums each group in
+    entry order."""
     ptr = np.zeros(len(count) + 1, np.intp)
     if not unique:
         key = row * (1 << dim) + blade
-        slots = len(count) << dim
-        if slots <= 4 * len(key):
-            first = np.full(slots, len(key))
-            np.minimum.at(first, key, np.arange(len(key)))
-            first = np.sort(first[first < len(key)])
-        else:
-            order = key.argsort(kind="stable")
-            ordered = key[order]
-            new = np.empty(len(key), bool)
-            new[:1] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-            key[order] = new.cumsum() - 1     # the key of a group is its rank
-            first = np.zeros(len(key), bool)
-            first[order[new]] = True
-            del order, ordered, new
-            first = first.nonzero()[0]
+        order = key.argsort(kind="stable")
+        ordered = key[order]
+        new = np.empty(len(key), bool)
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        key[order] = new.cumsum() - 1     # the key of a group is its rank
+        first = np.zeros(len(key), bool)
+        first[order[new]] = True
+        del order, ordered, new
+        first = first.nonzero()[0]
         g = key[first]
         row, blade = row[first], blade[first]
         re, im = np.bincount(key, re)[g], np.bincount(key, im)[g]
@@ -575,12 +587,26 @@ def _gp_sums(a: _Rows, i: np.ndarray, b: _Rows, j: np.ndarray, dim: int):
                        dim)
 
 
+def _pair_rows(c: Multivector, d: Multivector):
+    """(pool, (ci, di), kept, squares) of a dense pair: pool the row table
+    of [c, d], ci and di the entries of c and of d in it, kept whether each
+    entry's size is above PRUNE_EPS times its element's largest (the cut
+    of its product with a generator), and squares the (2, 2, 2^n) real and
+    imaginary parts of c^2 and d^2 before gp's cut."""
+    pool = _rows_of([c, d])
+    at = [np.arange(pool.ptr[k], pool.ptr[k + 1]) for k in (0, 1)]
+    kept = np.hypot(pool.re, pool.im) > PRUNE_EPS * pool.top.repeat(
+        np.diff(pool.ptr))
+    return pool, at, kept, np.concatenate(
+        [_gp_sums(pool, x, pool, x, c.dim) for x in at], 1)
+
+
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
 def _rows_gp(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
              dim: int) -> _Rows:
     """Row k is gp(a[ia[k]], b[ib[k]]), bit for bit: the term pairs in gp's
-    loop order.  Rows go in blocks of about _GP_BLOCK term products, a row
-    of more in blocks of its left terms, cut once at the end."""
+    loop order.  Rows go in blocks of about _GP_BLOCK term products; a row
+    of more takes its sums from _gp_sums, cut once at the end."""
     na, nb = _counts(a, ia), _counts(b, ib)
     count = na * nb
     cut = PRUNE_EPS * a.top[ia] * b.top[ib]
@@ -593,22 +619,19 @@ def _rows_gp(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
             return _rows_cat(*(_rows_gp(a, x, b, y, dim) for x, y in
                                zip(np.split(ia, at), np.split(ib, at))))
         if len(ia) == 1:
-            # the sums so far, uncut in first-appearance order as gp's dict
-            # holds them, go before each block's products
-            total, step = count[0], max(1, _GP_BLOCK // nb[0]) * nb[0]
-            sums = a.blade[:0], a.re[:0], a.im[:0]
-            for start in range(0, total, step):
-                i, j = np.divmod(np.arange(start, min(start + step, total)),
-                                 nb[0])
-                i += a.ptr[ia[0]]
-                j += b.ptr[ib[0]]
-                parts = _products(a, i, b, j, dim)
-                blade, re, im = (np.concatenate(x) for x in zip(sums, parts))
-                out = _collect(np.array([len(blade)]), 0 * blade, blade, re,
-                               im, cut if start + step >= total else -inf,
-                               dim, False)
-                sums = out[1:4]
-            return out
+            # gp's sums, carried by _gp_sums, at the blades in dict order:
+            # where each first appears in gp's loop order
+            i, j = (np.arange(t.ptr[k], t.ptr[k + 1])
+                    for t, k in ((a, ia[0]), (b, ib[0])))
+            first = np.full(1 << dim, count[0])
+            step = max(1, _GP_BLOCK // len(j))
+            for s in range(0, len(i), step):
+                blade = (a.blade[i[s:s + step], None] ^ b.blade[j]).ravel()
+                np.minimum.at(first, blade, np.arange(s * len(j), s * len(j)
+                                                      + len(blade)))
+            blade = first.argsort()[:np.count_nonzero(first < count[0])]
+            return _cut_rows(np.array([0, len(blade)]), 0 * blade, blade,
+                             *_gp_sums(a, i, b, j, dim)[:, 0, blade], cut)
     row = np.arange(len(ia)).repeat(count)
     i, j = np.divmod(_spread(np.zeros_like(count), count), nb[row])
     i += a.ptr[ia][row]               # in place: a fresh array costs more

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import inf
 from typing import Dict, Tuple
 
 import numpy as np
 
 from .core import (_GP_BLOCK, CHECK_TOL, PRUNE_EPS, Multivector, _cross,
-                   _element, _gp_sums, _Rows, _rows_of, _sandwich,
-                   _sign_mask, _sign_tables, _signed, gp, verdict_threshold)
+                   _element, _kept, _pair_rows, _Rows, _sandwich, _sign_mask,
+                   _sign_tables, _signed, gp, verdict_threshold)
 from .errors import DimensionMismatch, NotSoBInvariant
 from .qpair import SymmetricMap, _dense_pair
 
@@ -212,14 +211,7 @@ def closing_identities(c: Multivector, d: Multivector,
     return {"four-term": four, "anticommutator": anti}
 
 
-def _dense(x: Multivector) -> np.ndarray:
-    """The coefficients of x over all 2^n blades."""
-    out = np.zeros(1 << x.dim, complex)
-    out[list(x._terms)] = list(x._terms.values())
-    return out
-
-
-@np.errstate(over="ignore", invalid="ignore")   # raises on it below
+@np.errstate(over="ignore", invalid="ignore")   # _kept raises on it
 def _closing_arrays(c: Multivector, d: Multivector, b: SymmetricMap,
                     cut: float) -> Dict[str, float]:
     """closing_identities for all x <= y at once, to rounding.
@@ -238,14 +230,19 @@ def _closing_arrays(c: Multivector, d: Multivector, b: SymmetricMap,
     x, y = np.triu_indices(n)
     pairs, low = len(x), (1 << x)[:, None]
     m = np.where(y > x, 1 << x | 1 << y, 0)[:, None]
+    # c^2 and d^2 before gp's cut, whose terms at most PRUNE_EPS |c|^2 or
+    # PRUNE_EPS |d|^2 move a residual by less than its rounding
+    pool, (_, at), kept, (sq_re, sq_im) = _pair_rows(c, d)
+    dense, held = np.zeros((2, size), complex), np.zeros((2, size), bool)
+    term = np.arange(2).repeat(np.diff(pool.ptr)), pool.blade
+    dense.real[term], dense.imag[term], held[term] = pool.re, pool.im, kept
     blade = np.arange(size)
     sign = flip[(blade & ~low) ^ (m & w)]        # of e_x Gamma_J e_y
     once = (m == 0) | (flip[blade & m] < 0)      # J meets m once, or x = y
-    k = np.where(once, np.where(m, 2.0, -2.0) * sign, 0.0) * _dense(c)
+    k = np.where(once, np.where(m, 2.0, -2.0) * sign, 0.0) * dense[0]
     # 2 rho (sigma_x(J) c_J - d_J), rho sigma_x(J) = sign, of the terms
     # of c and d that _pair_terms keeps
-    zc, zd = (np.where(np.abs(v) > PRUNE_EPS * e._top, v, 0.0)
-              for e, v in ((c, _dense(c)), (d, _dense(d))))
+    zc, zd = np.where(held, dense, 0.0)
     z = flip[blade & ~low] * zc - zd
     top = max(c._top, d._top)
     omega = np.where(~once & (np.abs(z) > PRUNE_EPS * top),
@@ -254,18 +251,12 @@ def _closing_arrays(c: Multivector, d: Multivector, b: SymmetricMap,
     kind, z = ~once[p, j], (k + omega)[p, j]     # kind: a term of Omega
     terms = _Rows(np.array([0, len(p)]), j ^ m[p, 0], z.real, z.imag,
                   np.zeros(1))
-    # c^2 and d^2 before gp's cut, whose terms at most PRUNE_EPS |c|^2 or
-    # PRUNE_EPS |d|^2 move a residual by less than its rounding
-    pool = _rows_of([c, d])
-    c2, d2 = (re + 1j * im for re, im in (
-        _gp_sums(pool, at, pool, at, n)[:, 0] for at in (
-            np.arange(pool.ptr[1]), np.arange(pool.ptr[1], pool.ptr[2]))))
+    c2, d2 = sq_re + 1j * sq_im
     first = np.where(once, np.where(m, -1.0, 1.0) * sign, 0.0) * c2
     first[m[:, 0] == 0] += d2
     first[np.arange(pairs), m[:, 0]] -= b.entries[x, y]
     out = np.zeros((2, 2 * pairs * size))
     out[:, :pairs * size] = first.real.ravel(), first.imag.ravel()
-    at = np.arange(pool.ptr[1], pool.ptr[2])
     a = pool.blade[at, None]
     step = max(1, _GP_BLOCK // max(1, len(at)))
     for s in range(0, len(p), step):
@@ -278,10 +269,8 @@ def _closing_arrays(c: Multivector, d: Multivector, b: SymmetricMap,
         key = ((kind[e] * pairs + p[e]) * size + (product ^ m[p[e], 0]))
         for part, v in zip(out, (re, im)):
             part += np.bincount(key[keep], v[keep], part.size)
-    sizes = np.hypot(*out).reshape(2, pairs, size)
-    if not (sizes.max() < inf and cut < inf):
-        raise OverflowError("a coefficient is not finite")
-    anti, four = (float(np.hypot.reduce(np.where(v > f * cut, v, 0.0),
-                                        axis=1).max())
-                  for v, f in zip(sizes, (1.0, 0.5)))
+    re, im, _ = _kept(*out.reshape(2, 2 * pairs, size),
+                      np.repeat([cut, 0.5 * cut], pairs))
+    anti, four = np.hypot.reduce(np.hypot(re, im), axis=1).reshape(
+        2, pairs).max(1).tolist()
     return {"four-term": 2.0 * four, "anticommutator": anti}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from math import inf
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -19,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (CHECK_TOL, CLUSTER_TOL, ORTHOGONALITY_TOL, PRUNE_EPS,
-                   Multivector, _cross_sums, _element, _gp_sums, _rows_of,
+                   Multivector, _cross_sums, _element, _kept, _pair_rows,
                    _sign_tables, _volume_twist, blade_square_sign, gp, grade,
                    threshold, verdict_threshold)
 from .errors import (AnticommutationViolated, CoefficientConstraintViolated,
@@ -213,24 +212,6 @@ def _e_signs(n: int):
     return tables
 
 
-def _kept(re: np.ndarray, im: np.ndarray, cut, own: bool = False):
-    """(re, im, top): the (rows, 2^n) parts without the entries of size at
-    most the cut of their row and, with own, at most PRUNE_EPS times the
-    row's largest size (the raw-terms cut), as _element and Multivector
-    cut, and each row's largest size kept; raises OverflowError where
-    those do."""
-    size = np.hypot(re, im)           # abs(complex) is hypot
-    top = size.max(1)
-    # a NaN anywhere makes the largest NaN, which fails the test too
-    if not (top.max(initial=0.0) < inf and np.max(cut) < inf):
-        raise OverflowError("a coefficient is not finite")
-    if own:
-        cut = np.maximum(cut, PRUNE_EPS * top)
-    keep = size > np.reshape(cut, (-1, 1))
-    return (np.where(keep, re, 0.0), np.where(keep, im, 0.0),
-            np.where(keep, size, 0.0).max(1))
-
-
 @np.errstate(over="ignore", invalid="ignore")   # _kept raises on it
 def _q_parity(c: Multivector, d: Multivector):
     """(re, im, top): q(e_mu) = sum_K X[mu - 1, K] Gamma_(K ^ m_mu), m_mu
@@ -251,14 +232,11 @@ def _q_parity(c: Multivector, d: Multivector):
     times their operands' largest size."""
     n = c.dim
     right, left = _e_signs(n)
-    pool = _rows_of([c, d])
-    ci, dj = np.arange(pool.ptr[1]), np.arange(pool.ptr[1], pool.ptr[2])
+    pool, (ci, dj), kept, squares = _pair_rows(c, d)
     # c^2 and d^2 at gp's cut, then at those of c^2 e_mu and e_mu d^2
     sq_re, sq_im, top = _kept(
-        *np.concatenate([_gp_sums(pool, at, pool, at, n) for at in (ci, dj)],
-                        1), [PRUNE_EPS * x._top * x._top for x in (c, d)],
-        own=True)
-    dj = dj[np.hypot(pool.re[dj], pool.im[dj]) > PRUNE_EPS * d._top]
+        *squares, [PRUNE_EPS * x._top * x._top for x in (c, d)], own=True)
+    dj = dj[kept[dj]]
     cross = _kept(*_cross_sums(pool, ci, pool, dj, right[:, pool.blade[ci]],
                                left[:, pool.blade[dj]], n),
                   PRUNE_EPS * c._top * d._top)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cwclifford import core
 from cwclifford.core import (_GP_BLOCK, DIM_LIMITS, PRUNE_EPS, Multivector,
-                             _cut_rows, _element, _rows_fold, _rows_gp,
+                             _cut_rows, _element, _kept, _rows_fold, _rows_gp,
                              _rows_norm, _rows_of, _rows_scaled, _rows_sum,
                              _volume_twist,
                              blade_from_indices, blade_indices, blade_mul,
@@ -344,9 +345,10 @@ def unsummed(a, sign, b):
 def test_row_kernels_match_the_multivector_arithmetic():
     """gp, sums, scalar multiples and norms of many elements at once give
     the values (a zero's sign aside), dict order and cuts of Multivector.
-    The last two tables lie on either side of the fill rule of _collect: a
-    few full rows at n = 8 group by scatter, many one- and two-term rows by
-    sort.  A fold of adjacent rows is their sum or difference where summed,
+    _collect groups by a stable sort of the row-blade keys alone; the last
+    two tables give it a few full rows at n = 8, whose keys fill the table
+    of all keys, and many one- and two-term rows, whose keys are sparse in
+    it.  A fold of adjacent rows is their sum or difference where summed,
     elsewhere (one row empty) the two rows' terms uncut."""
     rng = np.random.default_rng(11)
     for n, size, low, high in ((2, 24, 0, 16), (4, 24, 0, 16), (7, 24, 0, 16),
@@ -417,7 +419,10 @@ def test_cut_rows_takes_each_rows_top_before_the_cut():
     Each row is compared with the element the same cut builds (_element;
     with own, the cut raised to PRUNE_EPS times the row's largest size, as
     the raw-terms constructor raises it), under a scalar, a per-row and an
-    own cut."""
+    own cut, both as a row table (_cut_rows) and laid out as dense
+    (rows, 2^n) parts (_kept), which keep the element's coefficients at
+    its blades and 0.0 elsewhere.  A NaN or infinite entry or cut raises
+    OverflowError in both."""
     rng = np.random.default_rng(29)
     n = 4
     count = rng.integers(0, 7, 40)
@@ -437,11 +442,14 @@ def test_cut_rows_takes_each_rows_top_before_the_cut():
                     for a, b in zip(ptr[:-1], ptr[1:])])
     per_row = np.choose(pick, [np.zeros(len(count)), top, low,
                                np.full(len(count), 1e-9)])
+    dense = np.zeros((len(count), 1 << n), complex)
+    dense[row, blade] = z
     emptied = 0
     for cut, own in ((top[1], False), (0.0, False), (per_row, False),
                      (0.0, True), (per_row, True)):
         out = _cut_rows(ptr, row, blade, z.real.copy(), z.imag.copy(), cut,
                         own)
+        re, im, kept_top = _kept(dense.real, dense.imag, cut, own)
         for k in range(len(count)):
             c = cut[k] if np.ndim(cut) else cut
             if own:
@@ -449,14 +457,30 @@ def test_cut_rows_takes_each_rows_top_before_the_cut():
             want = _element(n, dict(zip(blade[ptr[k]:ptr[k + 1]].tolist(),
                                         z[ptr[k]:ptr[k + 1]])), c)
             assert row_terms(out, k) == dict_terms(want), (cut, own, k)
+            assert [(re[k, m], im[k, m]) for m in range(1 << n)] == [
+                (want.coefficient(m).real, want.coefficient(m).imag)
+                for m in range(1 << n)], (cut, own, k)
+            assert kept_top[k] == want._top, (cut, own, k)
             emptied += top[k] > 0.0 and top[k] == c
     assert emptied >= 5   # each cut empties a row at its largest size
+    for bad in (math.nan, math.inf):
+        for at in range(3):     # an entry's real or imaginary part, the cut
+            parts = [z.real.copy(), z.imag.copy(), per_row.copy()]
+            parts[at][7] = bad
+            re, im = dense.real.copy(), dense.imag.copy()
+            re[row[7], blade[7]], im[row[7], blade[7]] = parts[0][7], \
+                parts[1][7]
+            with pytest.raises(OverflowError):
+                _cut_rows(ptr, row, blade, *parts)
+            with pytest.raises(OverflowError):
+                _kept(re, im, parts[2])
 
 
 def test_rows_gp_sums_a_row_above_the_block_in_blocks_of_left_terms():
     """A row of more than _GP_BLOCK term products goes in blocks of its left
-    terms, each block's sums carried uncut into the next; it still gives
-    gp's values (a zero's sign aside), dict order and cut.  The rows: full
+    terms, its sums carried uncut from block to block by _gp_sums; it
+    still gives gp's values (a zero's sign aside), dict order and cut, the
+    order taken from where each blade first appears.  The rows: full
     and near-full elements at n = 8-10, a 4096-term element at n = 12 on
     either side (4 left terms per block, or 5), a real full element at
     n = 8 times its reversal, whose terms of grade 2, 3, 6 and 7 cancel
@@ -475,6 +499,23 @@ def test_rows_gp_sums_a_row_above_the_block_in_blocks_of_left_terms():
             assert row_terms(out, k) == dict_terms(gp(xs[ia[k]], xs[ib[k]]))
         if n == 8:
             assert len(gp(real, reversal(real))._terms) == 256 - 120
+
+
+def test_rows_gp_carries_a_big_rows_sums_in_gp_sums_alone(monkeypatch):
+    """A single row of more than _GP_BLOCK term products takes its sums
+    from _gp_sums, the one carried summation of the row kernels, and makes
+    no _collect call, so no second carried summation comes back."""
+    calls = []
+    for name in ("_gp_sums", "_collect"):
+        monkeypatch.setattr(core, name, lambda *args, f=getattr(core, name),
+                            name=name: calls.append(name) or f(*args))
+    rng = np.random.default_rng(3)
+    a, b = random_multivector(rng, 8, 200), random_multivector(rng, 8, 100)
+    assert len(a._terms) * len(b._terms) > _GP_BLOCK
+    table = _rows_of([a, b])
+    out = _rows_gp(table, np.array([0]), table, np.array([1]), 8)
+    assert calls == ["_gp_sums"]
+    assert row_terms(out, 0) == dict_terms(gp(a, b))
 
 
 def test_norm_sums_the_squares_in_order():
