@@ -463,13 +463,13 @@ def test_cut_rows_takes_each_rows_top_before_the_cut():
             assert kept_top[k] == want._top, (cut, own, k)
             emptied += top[k] > 0.0 and top[k] == c
     assert emptied >= 5   # each cut empties a row at its largest size
+    entry = row[7], blade[7]    # entry 7 in the dense layout
     for bad in (math.nan, math.inf):
-        for at in range(3):     # an entry's real or imaginary part, the cut
+        for k in range(3):      # an entry's real or imaginary part, the cut
             parts = [z.real.copy(), z.imag.copy(), per_row.copy()]
-            parts[at][7] = bad
+            parts[k][7] = bad
             re, im = dense.real.copy(), dense.imag.copy()
-            re[row[7], blade[7]], im[row[7], blade[7]] = parts[0][7], \
-                parts[1][7]
+            re[entry], im[entry] = parts[0][7], parts[1][7]
             with pytest.raises(OverflowError):
                 _cut_rows(ptr, row, blade, *parts)
             with pytest.raises(OverflowError):
