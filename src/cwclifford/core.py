@@ -470,11 +470,11 @@ def _cut_rows(ptr, row, blade, re, im, cut, own: bool = False) -> _Rows:
 
 
 def _kept(re: np.ndarray, im: np.ndarray, cut, own: bool = False):
-    """(re, im, top): the dense (rows, 2^n) parts without the entries of
+    """(re, im, size): the dense (rows, 2^n) parts without the entries of
     size at most the cut of their row and, with own, at most PRUNE_EPS
     times the row's largest size (the raw-terms cut), 0.0 in their place,
-    and each row's largest kept size: the cuts of _cut_rows on a dense
-    table, raising OverflowError where it does."""
+    and the sizes np.hypot gives the kept parts: the cuts of _cut_rows on
+    a dense table, raising OverflowError where it does."""
     size = np.hypot(re, im)
     top = size.max(1)
     if not (top.max(initial=0.0) < inf and np.max(cut) < inf):
@@ -483,7 +483,7 @@ def _kept(re: np.ndarray, im: np.ndarray, cut, own: bool = False):
         cut = np.maximum(cut, PRUNE_EPS * top)
     keep = size > np.reshape(cut, (-1, 1))
     return (np.where(keep, re, 0.0), np.where(keep, im, 0.0),
-            np.where(keep, size, 0.0).max(1))
+            np.where(keep, size, 0.0))
 
 
 def _collect(count, row, blade, re, im, cut, dim: int,

@@ -118,11 +118,9 @@ def _check_sob(h: np.ndarray, b: np.ndarray) -> None:
 
 def _commutator(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """hk - kh without the entries at most PRUNE_EPS max |h| max |k|, the
-    cut of a product, so a bracket that vanishes leaves no rounding.  k may
-    be a stack (t, n, n), each taken with its own max |k|."""
+    cut of a product, so a bracket that vanishes leaves no rounding."""
     out = h @ k - k @ h
-    out[np.abs(out) <= PRUNE_EPS * np.max(np.abs(h)) * np.abs(k).max(
-        axis=(-2, -1), keepdims=True)] = 0
+    out[np.abs(out) <= PRUNE_EPS * np.max(np.abs(h)) * np.max(np.abs(k))] = 0
     return out
 
 
@@ -471,24 +469,13 @@ def _structure_constants(n: int, bm: np.ndarray):
 
 def _rotation_constants(n: int, rotations: np.ndarray):
     """The chains, as _structure_constants gives them, of the nonzero
-    brackets with a rotation over generators(n) + rotations, (r, n, n), and
-    the nonzero commutators [h, h'], (c, n, n), whose images follow those
-    of the rotations: [e_mu, h] = -h e_mu, [e*_mu, h] = -h e*_mu and
-    [h, h'] = _commutator(h, h')."""
+    brackets of a vector or covector with a rotation over generators(n) +
+    rotations, (r, n, n): [e_mu, h] = -h e_mu and [e*_mu, h] = -h e*_mu."""
     vec, cov, rot = 2, n + 2, 2 * n + 2     # first index of each kind
     mu, r = np.arange(n), np.arange(len(rotations))
     hk = -rotations.transpose(2, 0, 1)     # [mu, r, k] = -h_r[k, mu]
-    pairs, comm = [np.zeros((2, 0), np.intp)], [np.zeros((0, n, n))]
-    for t, h in enumerate(rotations):
-        c = _commutator(h, rotations[t + 1:])
-        s = c.any(axis=(1, 2)).nonzero()[0]
-        pairs.append(np.stack((np.full(len(s), t), t + 1 + s)))
-        comm.append(c[s])
-    (rr, ss), comm = np.concatenate(pairs, axis=1), np.concatenate(comm)
     return _chains([(vec + mu[:, None, None], rot + r[:, None], vec + mu, hk),
-                    (cov + mu[:, None, None], rot + r[:, None], cov + mu, hk),
-                    (rot + rr, rot + ss, rot + len(r) + np.arange(len(rr)),
-                     np.ones(len(rr)))]), comm
+                    (cov + mu[:, None, None], rot + r[:, None], cov + mu, hk)])
 
 
 def _chain_sums(sources: _Rows, chains, n: int):
@@ -554,24 +541,30 @@ def _defect_norms(gens: _Rows, pairs, rhs: _Rows, at: np.ndarray,
 
 
 def curvature_sweep(rho: CliffordMap, extended: bool = False) -> float:
-    """Max curvature norm over W x W basis pairs (optionally all generators)."""
+    """Max curvature norm over W x W basis pairs (optionally all generators).
+
+    The extended sweep adds the pairs with a V* generator and those of a W
+    or V* generator with a rotation h of sob_basis(), whose image is
+    diag(h~, h~), h~ the bivector of h.  It skips the rotation x rotation
+    pairs: h -> h~ is the spin lift of so(n), a Lie algebra homomorphism,
+    so [rho(h), rho(h')] - rho([h, h']) holds none of a..e and B and
+    vanishes for every map."""
     n, params = rho.n, rho.params
     if not extended:
         return float(_element_norms(params.ww_norms).max(initial=0.0))
     t = params.cw_table
     rotations = np.array(params.b_map.sob_basis(),
                          dtype=float).reshape(-1, n, n)
-    chains, commutators = _rotation_constants(n, rotations)
     # the sweep's own rotations span so_B(V) for eigenvalues clustered to
     # CLUSTER_TOL, so they can miss h_image's check of a caller's rotation
-    images = _rows_cat(t.images, _rotation_rows(
-        np.concatenate((rotations, commutators)), n))
+    images = _rows_cat(t.images, _rotation_rows(rotations, n))
     # the pairs with a rotation; the table holds the others
-    rhs, pi, pj = _chain_sums(images, chains, n)
+    rhs, pi, pj = _chain_sums(images, _rotation_constants(n, rotations), n)
     at = np.pad(t.at, (0, len(rotations)), constant_values=-1)
     at[pi, pj] = len(t.rhs.top) // 4 + np.arange(len(pi))
     i, j = np.triu_indices(len(at), 1)
-    new = j >= n + 2            # ww_norms holds the W x W pairs
+    # ww_norms holds the W x W pairs; no rotation x rotation pair
+    new = (j >= n + 2) & (i < 2 * n + 2)
     norms = _defect_norms(images, (i[new], j[new]), _rows_cat(t.rhs, rhs),
                           at, n)
     return max(float(_element_norms(norms).max(initial=0.0)),

@@ -269,8 +269,8 @@ def _closing_arrays(c: Multivector, d: Multivector, b: SymmetricMap,
         key = ((kind[e] * pairs + p[e]) * size + (product ^ m[p[e], 0]))
         for part, v in zip(out, (re, im)):
             part += np.bincount(key[keep], v[keep], part.size)
-    re, im, _ = _kept(*out.reshape(2, 2 * pairs, size),
-                      np.repeat([cut, 0.5 * cut], pairs))
-    anti, four = np.hypot.reduce(np.hypot(re, im), axis=1).reshape(
-        2, pairs).max(1).tolist()
+    kept = _kept(*out.reshape(2, 2 * pairs, size),
+                 np.repeat([cut, 0.5 * cut], pairs))[2]
+    anti, four = np.hypot.reduce(kept, axis=1).reshape(2, pairs).max(
+        1).tolist()
     return {"four-term": 2.0 * four, "anticommutator": anti}

@@ -234,7 +234,7 @@ def _q_parity(c: Multivector, d: Multivector):
     right, left = _e_signs(n)
     pool, (ci, dj), kept, squares = _pair_rows(c, d)
     # c^2 and d^2 at gp's cut, then at those of c^2 e_mu and e_mu d^2
-    sq_re, sq_im, top = _kept(
+    sq_re, sq_im, sq_size = _kept(
         *squares, [PRUNE_EPS * x._top * x._top for x in (c, d)], own=True)
     dj = dj[kept[dj]]
     cross = _kept(*_cross_sums(pool, ci, pool, dj, right[:, pool.blade[ci]],
@@ -242,9 +242,10 @@ def _q_parity(c: Multivector, d: Multivector):
                   PRUNE_EPS * c._top * d._top)
     twice = _kept(2.0 * cross[0], 2.0 * cross[1], 0.0, own=True)
     s = _kept(right * sq_re[0] + left * sq_re[1],
-              right * sq_im[0] + left * sq_im[1], PRUNE_EPS * max(top))
-    return _kept(s[0] - twice[0], s[1] - twice[1],
-                 PRUNE_EPS * np.maximum(s[2], twice[2]))
+              right * sq_im[0] + left * sq_im[1], PRUNE_EPS * sq_size.max())
+    re, im, size = _kept(s[0] - twice[0], s[1] - twice[1],
+                         PRUNE_EPS * np.maximum(s[2].max(1), twice[2].max(1)))
+    return re, im, size.max(1)
 
 
 def q_restriction_matrix(c: Multivector, d: Multivector):

@@ -421,7 +421,8 @@ def test_cut_rows_takes_each_rows_top_before_the_cut():
     the raw-terms constructor raises it), under a scalar, a per-row and an
     own cut, both as a row table (_cut_rows) and laid out as dense
     (rows, 2^n) parts (_kept), which keep the element's coefficients at
-    its blades and 0.0 elsewhere.  A NaN or infinite entry or cut raises
+    its blades and 0.0 elsewhere, with their sizes, whose largest is the
+    row's top.  A NaN or infinite entry or cut raises
     OverflowError in both."""
     rng = np.random.default_rng(29)
     n = 4
@@ -449,7 +450,7 @@ def test_cut_rows_takes_each_rows_top_before_the_cut():
                      (0.0, True), (per_row, True)):
         out = _cut_rows(ptr, row, blade, z.real.copy(), z.imag.copy(), cut,
                         own)
-        re, im, kept_top = _kept(dense.real, dense.imag, cut, own)
+        re, im, kept = _kept(dense.real, dense.imag, cut, own)
         for k in range(len(count)):
             c = cut[k] if np.ndim(cut) else cut
             if own:
@@ -460,7 +461,8 @@ def test_cut_rows_takes_each_rows_top_before_the_cut():
             assert [(re[k, m], im[k, m]) for m in range(1 << n)] == [
                 (want.coefficient(m).real, want.coefficient(m).imag)
                 for m in range(1 << n)], (cut, own, k)
-            assert kept_top[k] == want._top, (cut, own, k)
+            assert kept[k].tolist() == np.hypot(re[k], im[k]).tolist()
+            assert kept[k].max() == want._top, (cut, own, k)
             emptied += top[k] > 0.0 and top[k] == c
     assert emptied >= 5   # each cut empties a row at its largest size
     entry = row[7], blade[7]    # entry 7 in the dense layout

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cwclifford.core import (PRUNE_EPS, Multivector, gp, grade_involution,
-                             random_multivector, threshold, volume_element)
+from cwclifford.core import (CHECK_TOL, PRUNE_EPS, Multivector, gp,
+                             grade_involution, random_multivector,
+                             threshold, volume_element)
 from cwclifford import cw
 from cwclifford.cw import (SQRT2, _combine, _structure_constants,
                            CliffordMap, CliffordMapParams, CWAlgebraElement,
@@ -741,24 +742,65 @@ def test_bracket_images_match_rho_of_cw_bracket(n):
         rotations = b.sob_basis()
         gens = generators(n) + [CWAlgebraElement.rotation(n, h)
                                 for h in rotations]
-        rotation_chains, commutators = cw._rotation_constants(
-            n, np.array(rotations).reshape(-1, n, n))
         chains = (np.concatenate(x) for x in zip(
-            _structure_constants(n, b.entries), rotation_chains))
-        images = [*rho.params.images, *(
-            rho.h_image(h) for h in rotations + list(commutators))]
+            _structure_constants(n, b.entries), cw._rotation_constants(
+                n, np.array(rotations).reshape(-1, n, n))))
+        images = [*rho.params.images, *map(rho.h_image, rotations)]
         table = {}
         for i, j, k, f in zip(*chains):
             table.setdefault((int(i), int(j)), []).append((f, images[k]))
-        for i, x in enumerate(gens):
+        # the rotation x rotation pairs, which the sweep skips, are
+        # test_the_spin_lift_is_a_homomorphism's
+        for i, x in enumerate(gens[:2 * n + 2]):
             for j in range(i + 1, len(gens)):
                 bracket = cw_bracket(x, gens[j], b)
                 if (i, j) in table:
                     assert _combine(n, table[i, j]) == rho(bracket)
                 else:
                     assert bracket.norm() == 0.0
-        if n >= 3 and b is not diagonal:    # some [h, h'] is nonzero
-            assert len(commutators)
+        if b is not diagonal:               # some [e_mu, h] is nonzero
+            assert max(j for i, j in table) >= 2 * n + 2
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_spin_lift_is_a_homomorphism(n):
+    """[rho(h), rho(h')] = rho([h, h']) on rotations, which is why the
+    extended sweep skips the rotation x rotation pairs: exactly on the
+    basis E_mu nu = e_mu e_nu^T - e_nu e_mu^T of so(n), and within
+    threshold(CHECK_TOL, |h| |h'|) on sob_basis() of a rotated B with a
+    3-cluster.  The defects from h_image and cw_bracket are those of the
+    sweep's own images (_rotation_rows) through _defect_norms, bit for
+    bit."""
+    rng = np.random.default_rng(90 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = rng.standard_normal(n)
+    vals[:3] = vals[0]
+    rotated = SymmetricMap.from_matrix(q @ np.diag(vals) @ q.T)
+    eye, z = np.eye(n), Multivector.zero(n)
+    basis = [np.outer(eye[a], eye[b]) - np.outer(eye[b], eye[a])
+             for a, b in zip(*np.triu_indices(n, 1))]
+    for b, rotations, exact in ((SymmetricMap.from_matrix(-1.4 * eye),
+                                 basis, True),
+                                (rotated, rotated.sob_basis(), False)):
+        rho = CliffordMap(CliffordMapParams(b, z, z, z, z, z))
+        x = [CWAlgebraElement.rotation(n, h) for h in rotations]
+        images = [rho.h_image(h) for h in rotations]
+        i, j = np.triu_indices(len(x), 1)
+        brackets = [cw_bracket(x[s], x[t], b) for s, t in zip(i, j)]
+        want = [(images[s].commutator(images[t]) - rho(y)).norm()
+                for s, t, y in zip(i, j, brackets)]
+        for s, t, norm in zip(i, j, want):
+            assert norm <= (0.0 if exact else threshold(
+                CHECK_TOL, x[s].norm() * x[t].norm())), (s, t)
+        if n < 3:       # so(2) has one rotation, and no pair
+            continue
+        assert any(y.h.any() for y in brackets)
+        at = np.full((len(x),) * 2, -1)
+        at[i, j] = np.arange(len(i))
+        assert cw._element_norms(cw._defect_norms(
+            cw._rotation_rows(np.array(rotations), n), (i, j),
+            cw._rotation_rows(np.array([y.h for y in brackets]), n), at,
+            n)).tolist() == want
 
 
 @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0])
@@ -781,9 +823,8 @@ def test_restriction_rejects_a_projector_of_another_dimension(name, dim):
 # -- the CW table of a map ----------------------------------------------------
 
 def _rotation_stacks(n, rng):
-    """sob_basis() stacks, their nonzero commutators and both together for
-    a rotated B with a 3-cluster, B = -1.4 I and, at n = 4, a cluster joined
-    to CLUSTER_TOL."""
+    """sob_basis() stacks for a rotated B with a 3-cluster, B = -1.4 I and,
+    at n = 4, a cluster joined to CLUSTER_TOL."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     vals = rng.standard_normal(n)
     vals[:3] = vals[0]
@@ -793,30 +834,26 @@ def _rotation_stacks(n, rng):
         b_maps.append(SymmetricMap.from_diagonal([-1.0, -1.0 - 5e-9, -4.0,
                                                   -4.0]))
     for b in b_maps:
-        rotations = np.array(b.sob_basis(), dtype=float).reshape(-1, n, n)
-        _, commutators = cw._rotation_constants(n, rotations)
-        yield from (rotations, commutators,
-                    np.concatenate((rotations, commutators)))
+        yield np.array(b.sob_basis(), dtype=float).reshape(-1, n, n)
 
 
-def test_commutator_of_a_stack_is_a_loop_of_single_commutators():
-    """Each k of a stack is cut with its own max |k|: stacks of 0, 1 and
-    several rotations of scales 1e-12 to 1e12, among them 0.1 h, whose
-    commutator with h is rounding only and is cut to zero."""
+def test_commutator_cuts_at_the_product_cut():
+    """[h, k] without the entries at most PRUNE_EPS max |h| max |k|, for k
+    of scales 1e-12 to 1e12, and 0.1 h, whose commutator with h is
+    rounding only and is cut to zero."""
     rng = np.random.default_rng(61)
     n = 4
     a = rng.standard_normal((n, n))
     h = a - a.T
     assert (h @ (0.1 * h) - (0.1 * h) @ h).any()
-    ks = [0.1 * h] + [(x - x.T) * 10.0 ** e for x, e in zip(
-        rng.standard_normal((5, n, n)), (-12, -3, 0, 3, 12))]
-    for stack in (np.zeros((0, n, n)), np.array(ks[:1]), np.array(ks)):
-        got = cw._commutator(h, stack)
-        want = np.array([cw._commutator(h, k) for k in stack]).reshape(
-            stack.shape)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert not cw._commutator(h, ks[0]).any()
-    assert all(cw._commutator(h, k).any() for k in ks[1:])
+    assert not cw._commutator(h, 0.1 * h).any()
+    for x, e in zip(rng.standard_normal((5, n, n)), (-12, -3, 0, 3, 12)):
+        k = (x - x.T) * 10.0 ** e
+        raw = h @ k - k @ h
+        cut = PRUNE_EPS * np.max(np.abs(h)) * np.max(np.abs(k))
+        got = cw._commutator(h, k)
+        assert got.any() and got.tobytes() == np.where(
+            np.abs(raw) <= cut, 0.0, raw).tobytes()
 
 
 def assert_same_rows(got, want):
@@ -832,7 +869,7 @@ def test_rotation_rows_are_the_diagonal_bivector_images(n):
     tiny = np.zeros((1, n, n))
     tiny[0, 0, 1], tiny[0, 0, -1] = 1.0, PRUNE_EPS
     stacks.append(tiny - tiny.transpose(0, 2, 1))
-    assert n < 3 or len(stacks[1])          # some [h, h'] is nonzero
+    assert n < 3 or len(stacks[0]) > 1      # a stack of several rotations
     for h in stacks:
         assert_same_rows(cw._rotation_rows(h, n), cw._element_rows(
             [CWElement.diagonal(skew_to_bivector(x, n)) for x in h]))
@@ -935,9 +972,10 @@ def test_report_and_plain_sweep_share_one_w_pass(n, monkeypatch):
 def test_the_sweeps_pass_each_pair_once_in_three_kernel_calls(n, monkeypatch):
     """Report, plain and extended sweep on one map make one W x W defect
     pass; the extended pass takes only the C(len(at), 2) - C(n + 2, 2)
-    pairs past it.  Each block of pairs makes one _rows_gp, two _rows_fold
-    calls (the blocks of both products, then their difference) and at most
-    one _rows_sum (- R_ij) before its norms."""
+    - C(r, 2) pairs past it, r the number of rotations, none of them a
+    rotation x rotation pair.  Each block of pairs makes one _rows_gp, two
+    _rows_fold calls (the blocks of both products, then their difference)
+    and at most one _rows_sum (- R_ij) before its norms."""
     monkeypatch.setattr(cw, "_GP_BLOCK", 64)   # several blocks a pass
     passes, active = [], []
 
@@ -963,8 +1001,11 @@ def test_the_sweeps_pass_each_pair_once_in_three_kernel_calls(n, monkeypatch):
         (ww, w_size, _), (past, size, _) = passes
         assert w_size == 2 * n + 2
         assert np.array_equal(ww, np.triu_indices(n + 2, 1))
-        assert len(past[0]) == math.comb(size, 2) - math.comb(n + 2, 2)
+        r = size - (2 * n + 2)
+        assert len(past[0]) == math.comb(size, 2) - math.comb(n + 2, 2) \
+            - math.comb(r, 2)
         assert (past[0] < past[1]).all() and (past[1] >= n + 2).all()
+        assert (past[0] < 2 * n + 2).all()
         assert len(set(zip(*past))) == len(past[0])
         for _, _, calls in passes:
             ends = [k for k, name in enumerate(calls) if name == "_rows_norm"]
@@ -1008,3 +1049,82 @@ def test_idempotence_test_is_the_cwelement_arithmetic():
                         check_restriction(rho, proj, tol)
                 else:
                     check_restriction(rho, proj, tol)
+
+
+# -- the dense oracle at n = 9-12 ---------------------------------------------
+
+def dense_residuals(rho, gens, rep, proj=None):
+    """The largest |[X_i, X_j] - rho([x_i, x_j])| over the pairs of gens, X
+    the dense block matrix of rho(x) (with proj, of P rho(x) P, and then
+    also the largest |X P - P X P|), as Frobenius norms over
+    sqrt(rep_dim): the coefficient norms in the faithful representation,
+    whose blade matrices are unitary and trace-orthogonal."""
+    b = rho.params.b_map
+    images = [cw_to_matrix(rho(x), rep) for x in gens]
+    p = None if proj is None else cw_to_matrix(proj, rep)
+    inv = 0.0
+    if p is not None:
+        inv = max(np.linalg.norm(x @ p - p @ x @ p) for x in images)
+        images = [p @ x @ p for x in images]
+    worst = 0.0
+    for i, x in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            rhs = cw_to_matrix(rho(cw_bracket(x, gens[j], b)), rep)
+            if p is not None:
+                rhs = p @ rhs @ p
+            lhs = images[i] @ images[j] - images[j] @ images[i]
+            worst = max(worst, np.linalg.norm(lhs - rhs))
+    root = np.sqrt(rep.rep_dim)
+    return inv / root, worst / root
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_dense_oracle_decides_the_cw_verdicts_past_eight(n):
+    """The gamma-matrix oracle (cw_to_matrix, cw_bracket) over every pair,
+    the rotation x rotation pairs the extended sweep skips included.  The
+    alpha = 0 flat family reads flat, a map perturbed from it not flat,
+    and at n = 10 and 12 the alpha != 0 flat family flat, by the library
+    and by the oracle; the plain and extended sweep maxima agree with the
+    dense ones to 1e-10 of the map's norm, and so do the restriction
+    residuals of sigma+, sigma- and, at even n, the half-spinor s+w, on
+    the last map, with their verdicts.  The extended check takes the maps
+    whose B has 2-clusters only; B = -1.4 I brings all C(n, 2)
+    rotations."""
+    rng = np.random.default_rng(900 + n)
+    rep = build_rep(n, "faithful")
+    parts = [0b11 << 2 * k for k in range(n // 2)] + [1 << n - 1] * (n % 2)
+    pair = make_generalized(n, parts, rng.uniform(0.5, 2.0, len(parts)))
+    flat = build_flat_rep_alphazero(
+        grade_involution(pair.c), pair.d, random_multivector(rng, n, 4),
+        SymmetricMap.from_matrix(-pair.B.entries))
+    perturbed = CliffordMap(dataclasses.replace(
+        flat.params, d=flat.params.d + 0.1 * random_multivector(rng, n, 3)))
+    maps = [(flat, True), (perturbed, False)]
+    if n % 2 == 0:
+        z = Multivector.zero(n)
+        maps.append((build_flat_rep_alphanotzero(
+            0.8, -0.3, 0.4, 0.7, random_multivector(rng, n, 3), z, z, z),
+            True))
+    for rho, is_flat in maps:
+        cut, scale = rho.params.threshold(CHECK_TOL), rho.params.norm()
+        rotations = rho.params.b_map.sob_basis()
+        sweeps = [(curvature_sweep(rho), w_basis(n))]
+        if len(rotations) < n:
+            sweeps.append((curvature_sweep(rho, extended=True),
+                           generators(n) + [CWAlgebraElement.rotation(n, h)
+                                            for h in rotations]))
+        for got, gens in sweeps:
+            dense = dense_residuals(rho, gens, rep)[1]
+            assert abs(got - dense) <= 1e-10 * scale, (got, dense)
+            assert (got <= cut) == (dense <= cut)
+        assert (sweeps[0][0] <= cut) == is_flat
+    for name in ["sigma+", "sigma-"] + ["s+w"] * (n % 2 == 0):
+        proj = catalog_projector(name, n)
+        out = check_restriction(rho, proj)
+        inv, rep_res = dense_residuals(rho, generators(n), rep, proj)
+        for key, got, dense in (
+                ("invariant", out["invariance_residual"], inv),
+                ("representation", out["representation_residual"],
+                 rep_res)):
+            assert abs(got - dense) <= 1e-10 * scale, (name, got, dense)
+            assert out[key] == (dense <= out["threshold"]), name
