@@ -587,18 +587,35 @@ def _gp_sums(a: _Rows, i: np.ndarray, b: _Rows, j: np.ndarray, dim: int):
                        dim)
 
 
+# the last pair _pair_rows built, and its table: (c, d, table)
+_pair_memo: tuple = (None, None, None)
+
+
 def _pair_rows(c: Multivector, d: Multivector):
     """(pool, (ci, di), kept, squares) of a dense pair: pool the row table
     of [c, d], ci and di the entries of c and of d in it, kept whether each
     entry's size is above PRUNE_EPS times its element's largest (the cut
     of its product with a generator), and squares the (2, 2, 2^n) real and
-    imaginary parts of c^2 and d^2 before gp's cut."""
+    imaginary parts of c^2 and d^2 before gp's cut.
+
+    The arrays are read-only.  The last pair built is remembered (compared
+    with is, the memo replaced as one tuple), so asking again for the same
+    two objects, as extract_B and closing_identities do, returns the same
+    table without building it."""
+    global _pair_memo
+    memo = _pair_memo
+    if memo[0] is c and memo[1] is d:
+        return memo[2]
     pool = _rows_of([c, d])
     at = [np.arange(pool.ptr[k], pool.ptr[k + 1]) for k in (0, 1)]
     kept = np.hypot(pool.re, pool.im) > PRUNE_EPS * pool.top.repeat(
         np.diff(pool.ptr))
-    return pool, at, kept, np.concatenate(
+    table = pool, at, kept, np.concatenate(
         [_gp_sums(pool, x, pool, x, c.dim) for x in at], 1)
+    for x in (*pool, *at, *table[2:]):
+        x.setflags(write=False)
+    _pair_memo = c, d, table
+    return table
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it

@@ -11,7 +11,9 @@ n+1 restricted to the first n generators.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -43,12 +45,14 @@ def _pair_generators(m: int):
     return gens
 
 
-@dataclass
+@dataclass(frozen=True)
 class GammaRep:
     """A concrete matrix representation of the Clifford algebra.  Every
     blade matrix is monomial, one phase of {+-1, +-i} per row; the cache
     keeps the flat (row-major) indices and phases of those entries, built
-    as the lowest generator times the rest, with no negative zero part."""
+    as the lowest generator times the rest, with no negative zero part.
+    build_rep shares one instance per (n, kind), so its matrices and cache
+    arrays are read-only."""
 
     dim_v: int
     kind: str  # "irreducible" or "faithful"
@@ -70,6 +74,8 @@ class GammaRep:
                 col = at - starts
                 rest, phase = self._monomial(mask ^ low)
                 out = starts + rest[col] % size, 0j + g[at] * phase[col]
+            for x in out:
+                x.setflags(write=False)
             self._blade_cache[mask] = out
         return out
 
@@ -82,29 +88,41 @@ class GammaRep:
 
 
 def build_rep(n: int, kind: str = "faithful") -> GammaRep:
+    """The representation of the given kind in dimension n, built once per
+    (n, kind) and shared by every caller.  Raises TypeError unless n is an
+    integer."""
     if kind not in ("irreducible", "faithful"):
         raise ValueError(f"unknown representation kind {kind!r}")
+    n = operator.index(n)
     _check_dim("algebra", n)
+    return _build_rep(n, kind)
+
+
+@lru_cache(maxsize=None)
+def _build_rep(n: int, kind: str) -> GammaRep:
     if n % 2 == 0:
         mats = _pair_generators(n // 2)
-        return GammaRep(n, kind, tuple(mats), 1 << (n // 2))
-    m = (n - 1) // 2
-    mats = _pair_generators(m)
-    prod = np.eye(1 << m, dtype=complex)
+        rep_dim = 1 << (n // 2)
+    else:
+        m = (n - 1) // 2
+        mats = _pair_generators(m)
+        prod = np.eye(1 << m, dtype=complex)
+        for g in mats:
+            prod = prod @ g
+        # sign fixed so the represented complex volume element is +identity
+        mats.append(-(1j ** (m + 1)) * prod)
+        rep_dim = 1 << m
+        if kind == "faithful":
+            # block-diagonal sum of the two irreducibles, which differ by the
+            # sign of the odd generator (hence of the represented volume
+            # element)
+            zero = np.zeros((1 << m, 1 << m), dtype=complex)
+            mats = [np.block([[g, zero], [zero, -g if idx == n - 1 else g]])
+                    for idx, g in enumerate(mats)]
+            rep_dim = 1 << (m + 1)
     for g in mats:
-        prod = prod @ g
-    # sign fixed so the represented complex volume element is +identity
-    mats.append(-(1j ** (m + 1)) * prod)
-    if kind == "irreducible":
-        return GammaRep(n, "irreducible", tuple(mats), 1 << m)
-    # faithful: block-diagonal sum of the two irreducibles, which differ by
-    # the sign of the odd generator (hence of the represented volume element)
-    zero = np.zeros((1 << m, 1 << m), dtype=complex)
-    doubled = []
-    for idx, g in enumerate(mats):
-        twin = -g if idx == n - 1 else g
-        doubled.append(np.block([[g, zero], [zero, twin]]))
-    return GammaRep(n, "faithful", tuple(doubled), 1 << (m + 1))
+        g.setflags(write=False)
+    return GammaRep(n, kind, tuple(mats), rep_dim)
 
 
 def represent(a: Multivector, rep: GammaRep) -> np.ndarray:

@@ -137,8 +137,7 @@ class SymmetricMap:
         memo = self._rotated
         if memo is not None and memo[0] == c and memo[1] == d:
             return memo[2], memo[3]
-        r = self.eigenvectors
-        rotated = (rotate_multivector(c, r.T), rotate_multivector(d, r.T))
+        rotated = tuple(_rotate_all((c, d), self.eigenvectors.T))
         self._rotated = (c, d) + rotated
         return rotated
 
@@ -214,11 +213,11 @@ def _e_signs(n: int):
 
 @np.errstate(over="ignore", invalid="ignore")   # _kept raises on it
 def _q_parity(c: Multivector, d: Multivector):
-    """(re, im, top): q(e_mu) = sum_K X[mu - 1, K] Gamma_(K ^ m_mu), m_mu
+    """(re, im, size): q(e_mu) = sum_K X[mu - 1, K] Gamma_(K ^ m_mu), m_mu
     the mask of e_mu, X as (n, 2^n) real and imaginary parts, with the
     values of `q_map`'s terms (a zero's sign aside) and 0.0 where it has
-    none, and each image's largest size; raises OverflowError where
-    `q_map` does.
+    none, and size the sizes np.hypot gives them; raises OverflowError
+    where `q_map` does.
 
     By the parity rule, X_mu = c^2 + eps_mu(d^2) - 2 c eps_mu(d) with
     eps_mu(x) = e_mu x e_mu^-1 a resigning of the terms of x: the products
@@ -243,9 +242,8 @@ def _q_parity(c: Multivector, d: Multivector):
     twice = _kept(2.0 * cross[0], 2.0 * cross[1], 0.0, own=True)
     s = _kept(right * sq_re[0] + left * sq_re[1],
               right * sq_im[0] + left * sq_im[1], PRUNE_EPS * sq_size.max())
-    re, im, size = _kept(s[0] - twice[0], s[1] - twice[1],
-                         PRUNE_EPS * np.maximum(s[2].max(1), twice[2].max(1)))
-    return re, im, size.max(1)
+    return _kept(s[0] - twice[0], s[1] - twice[1],
+                 PRUNE_EPS * np.maximum(s[2].max(1), twice[2].max(1)))
 
 
 def q_restriction_matrix(c: Multivector, d: Multivector):
@@ -258,14 +256,13 @@ def q_restriction_matrix(c: Multivector, d: Multivector):
     n = c.dim
     m = np.zeros((n, n), dtype=complex)
     if _dense_pair(c, d):
-        re, im, _ = _q_parity(c, d)
+        re, im, size = _q_parity(c, d)
         # q(e_mu) has e_nu at K = m_mu | m_nu and e_mu at K = 0
         mu = np.arange(n)
         at = mu[:, None], (1 << mu)[:, None] | (1 << mu)
         at[1][mu, mu] = 0
         # "0.0 +" turns a negative zero into gp's positive one
         m.real[:], m.imag[:] = 0.0 + re[at].T, 0.0 + im[at].T
-        size = np.hypot(re, im)
         size[at] = 0.0
         return m, float(size.max())
     offgrade = 0.0
@@ -667,39 +664,55 @@ def rotate_multivector(a: Multivector, r: np.ndarray) -> Multivector:
     Gamma_I goes to the product of the images of its generators.  For an
     orthogonal r these are orthonormal, so the product is their wedge,
     sum over |J| = |I| of det(r[J, I]) Gamma_J: column I of the |I|-th
-    compound matrix of r.  The minors are built grade by grade by Laplace
-    expansion along the last column, det(r[J, I]) = sum over t of
-    (-1)^(t + k - 1) r[J_t, I_top] det(r[J - J_t, I - I_top]), only for the
-    columns I in the support of a and their prefixes; the largest array is
-    one grade's (|J|, columns) table, at most 924 x 924 at n = 12.
+    compound matrix of r (`_rotate_all`).
     Raises InputError unless r is a finite n x n matrix with
     max |r^T r - I| at most ORTHOGONALITY_TOL (r has unit columns).
     """
-    n = a.dim
+    return _rotate_all((a,), r)[0]
+
+
+def _rotate_all(elements: Sequence[Multivector],
+                r: np.ndarray) -> List[Multivector]:
+    """rotate_multivector of each element by the one rotation r, with one
+    pass over the compound matrices of r for all of them.
+
+    The minors are built grade by grade by Laplace expansion along the last
+    column, det(r[J, I]) = sum over t of (-1)^(t + k - 1) r[J_t, I_top]
+    det(r[J - J_t, I - I_top]), only for the columns I in the union of the
+    supports and their prefixes; a column's minors do not depend on which
+    other columns are formed, so each element gets the bits of its own
+    pass.  The largest array is one grade's (|J|, columns) table, at most
+    924 x 924 at n = 12."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (n, n):
-        raise InputError(f"a rotation of dimension {n} must be {n} x {n}, "
-                         f"got shape {r.shape}")
+    for a in elements:
+        n = a.dim
+        if r.shape != (n, n):
+            raise InputError(f"a rotation of dimension {n} must be {n} x {n}, "
+                             f"got shape {r.shape}")
     if not np.isfinite(r).all():
         raise InputError("rotation entries must be finite")
     deviation = float(np.max(np.abs(r.T @ r - np.eye(n))))
     if not deviation <= ORTHOGONALITY_TOL:
         raise InputError(f"rotation is not orthogonal: max |r^T r - I| = "
                          f"{deviation:.3e} > {ORTHOGONALITY_TOL:g}")
-    support: List[dict] = [{} for _ in range(n + 1)]
-    for mask, z in a._terms.items():
-        support[grade(mask)][mask] = z
-    # the columns each grade needs: the support, closed under dropping the
-    # top generator
-    needed = [set(terms) for terms in support]
+    # each element's terms by grade, and the columns each grade needs: the
+    # supports, closed under dropping the top generator
+    supports = []
+    needed: List[set] = [set() for _ in range(n + 1)]
+    for a in elements:
+        support: List[dict] = [{} for _ in range(n + 1)]
+        for mask, z in a._terms.items():
+            support[grade(mask)][mask] = z
+            needed[grade(mask)].add(mask)
+        supports.append(support)
     top_grade = max((k for k in range(n + 1) if needed[k]), default=0)
     for k in range(top_grade, 1, -1):
         needed[k - 1].update(m ^ (1 << (m.bit_length() - 1))
                              for m in needed[k])
-    out_r = np.zeros(1 << n)
-    out_i = np.zeros(1 << n)
-    z = a.scalar_part
-    out_r[0], out_i[0] = z.real, z.imag
+    outs = [np.zeros((2, 1 << n)) for _ in elements]
+    for out, a in zip(outs, elements):
+        z = a.scalar_part
+        out[:, 0] = z.real, z.imag
     minors = np.ones((1, 1))          # grade 0: det of the empty matrix
     where = {0: 0}
     for k in range(1, top_grade + 1):
@@ -711,15 +724,20 @@ def rotate_multivector(a: Multivector, r: np.ndarray) -> Multivector:
         sub = minors[:, [where[m ^ (1 << t)] for m, t in zip(cols, tops)]]
         minors = np.einsum("t,jtc,jtc->jc", signs, rt[rows], sub[below])
         where = {m: i for i, m in enumerate(cols)}
-        if support[k]:
-            sel = minors[:, [where[m] for m in support[k]]]
-            x = np.array(list(support[k].values()))
-            out_r[row_masks] += sel @ x.real
-            out_i[row_masks] += sel @ x.imag
-    masks = np.flatnonzero((out_r != 0.0) | (out_i != 0.0))
-    coeffs = np.empty(len(masks), dtype=complex)
-    coeffs.real, coeffs.imag = out_r[masks], out_i[masks]
-    return Multivector(n, dict(zip(masks.tolist(), coeffs.tolist())))
+        for out, support in zip(outs, supports):
+            if support[k]:
+                sel = minors[:, [where[m] for m in support[k]]]
+                x = np.array(list(support[k].values()))
+                out[0, row_masks] += sel @ x.real
+                out[1, row_masks] += sel @ x.imag
+    rotated = []
+    for out_r, out_i in outs:
+        masks = np.flatnonzero((out_r != 0.0) | (out_i != 0.0))
+        coeffs = np.empty(len(masks), dtype=complex)
+        coeffs.real, coeffs.imag = out_r[masks], out_i[masks]
+        rotated.append(Multivector(n, dict(zip(masks.tolist(),
+                                               coeffs.tolist()))))
+    return rotated
 
 
 @lru_cache(maxsize=None)

@@ -282,9 +282,8 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
     structure.  Raises InputError on a nonzero B whose hit threshold,
     CHECK_TOL max |B|, falls below the smallest normal double.
     """
-    from .qpair import (extract_B, make_generalized, make_linear,
-                        make_monomial, make_pseudo_monomial,
-                        rotate_multivector)
+    from .qpair import (_rotate_all, extract_B, make_generalized,
+                        make_linear, make_monomial, make_pseudo_monomial)
     if ansatz not in ANSAETZE:
         raise InputError(f"unknown ansatz {ansatz!r}; pick one of {ANSAETZE}")
     n = b.n
@@ -305,8 +304,7 @@ def search_pairs_for_B(b: SymmetricMap, ansatz: str = "all") -> List[SearchHit]:
         if not pair.verified:
             return
         if rotate and not b.eigenbasis_is_identity:
-            pair = extract_B(rotate_multivector(pair.c, rot),
-                             rotate_multivector(pair.d, rot))
+            pair = extract_B(*_rotate_all((pair.c, pair.d), rot))
             if not pair.verified:
                 return
         residual = float(np.max(np.abs(pair.B.entries - b.entries)))

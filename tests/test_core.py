@@ -520,6 +520,36 @@ def test_rows_gp_carries_a_big_rows_sums_in_gp_sums_alone(monkeypatch):
     assert row_terms(out, 0) == dict_terms(gp(a, b))
 
 
+def _flat_arrays(table):
+    pool, at, kept, squares = table
+    return [*pool, *at, kept, squares]
+
+
+def test_pair_rows_memo_returns_the_last_pairs_read_only_table():
+    """The memo answers for the same two objects (is), and an equal copy,
+    another pair or the swapped pair is built afresh, with equal arrays
+    where the pair is equal; every array is read-only."""
+    rng = np.random.default_rng(31)
+    c, d = random_multivector(rng, 5, 9), random_multivector(rng, 5, 7)
+    first = core._pair_rows(c, d)
+    assert core._pair_rows(c, d) is first
+    for x in _flat_arrays(first):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[...] = 0
+    copy = Multivector(5, dict(c.terms()))
+    again = core._pair_rows(copy, d)
+    assert again is not first and core._pair_rows(copy, d) is again
+    assert [x.tobytes() for x in _flat_arrays(again)] \
+        == [x.tobytes() for x in _flat_arrays(first)]
+    other = random_multivector(rng, 5, 9)
+    for pair in ((other, d), (d, c), (c, d)):
+        table = core._pair_rows(*pair)
+        assert table is not first and core._pair_rows(*pair) is table
+    swapped = core._pair_rows(d, c)
+    assert swapped[1][0].tolist() == list(range(len(d._terms)))
+
+
 def test_norm_sums_the_squares_in_order():
     """1e16 + 1 + 1 is 1e16 in order; a compensated sum (math.fsum, or sum
     from Python 3.12 on) is 1e16 + 2.  The row kernels sum in order."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,33 @@ def test_represent_is_the_sum_of_dense_blades_bit_for_bit(n):
         for mask, coeff in x.terms():
             want += coeff * dense_blade(rep, mask)
         assert represent(x, rep).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_build_rep_shares_one_read_only_rep_per_dimension_and_kind(n):
+    rep = build_rep(n)
+    assert build_rep(n, "faithful") is rep and build_rep(n) is rep
+    assert build_rep(np.int64(n)) is rep
+    irreducible = build_rep(n, "irreducible")
+    assert irreducible is build_rep(n, "irreducible") and irreducible is not rep
+    assert irreducible.kind == "irreducible" and rep.kind == "faithful"
+    represent(random_multivector(np.random.default_rng(n), n, 4), rep)
+    assert rep._blade_cache
+    for m in rep.matrices:
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+    for at, phase in rep._blade_cache.values():
+        for x in (at, phase):
+            with pytest.raises(ValueError):
+                x[0] = x[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.rep_dim = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.matrices = ()
+
+
+def test_build_rep_checks_its_arguments():
+    with pytest.raises(ValueError, match="unknown representation kind"):
+        build_rep(4, "spinor")
+    with pytest.raises(TypeError):
+        build_rep(4.0)

@@ -694,6 +694,68 @@ def test_rotation_accepts_orthogonality_up_to_its_bound():
                                 chain_rotation(a, near)) <= 1e-12
 
 
+def _term_bits(x):
+    """The terms of x in dict order, each coefficient as .hex() parts."""
+    return [(m, z.real.hex(), z.imag.hex()) for m, z in x.terms()]
+
+
+def assert_shared_rotation_is_per_element(elements, r):
+    """One pass of shared minors gives each element the bits and the dict
+    order of its own rotation."""
+    got = qpair._rotate_all(elements, r)
+    assert len(got) == len(elements)
+    for x, y in zip(elements, got):
+        assert _term_bits(y) == _term_bits(rotate_multivector(x, r))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_shared_minor_rotation_is_the_per_element_rotation(n):
+    rng = np.random.default_rng(500 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    k = min(12, 1 << n >> 1)
+    even = random_multivector(rng, n, k, grades=range(0, n + 1, 2))
+    odd = random_multivector(rng, n, k, grades=range(1, n + 1, 2))
+    a = random_multivector(rng, n, k)
+    # b keeps some of a's blades and adds its own
+    b = Multivector(n, dict(list(a.terms())[::2]
+                            + list(random_multivector(rng, n, k).terms())))
+    scalar, zero = Multivector.scalar(n, 0.5 - 2j), Multivector.zero(n)
+    for elements in ((even, odd), (odd, even), (a, b), (b, a), (a, a),
+                     (scalar, a), (a, scalar), (zero, b), (scalar, zero),
+                     (even, odd, a, b, scalar, zero)):
+        assert_shared_rotation_is_per_element(elements, q)
+
+
+def test_shared_minor_rotation_on_rotated_search_hits(monkeypatch):
+    """Every pair search_pairs_for_B rotates back, and every pair the omega
+    checks rotate into the eigenbasis, gets its per-element bits."""
+    from cwclifford.omega import closing_identities, omega_in_soB
+    from cwclifford.search import search_pairs_for_B
+    calls = []
+    rotate_all = qpair._rotate_all
+    monkeypatch.setattr(qpair, "_rotate_all", lambda xs, r: calls.append(
+        (xs, r, rotate_all(xs, r))) or calls[-1][2])
+    rng = np.random.default_rng(13)
+    for sizes in ((2, 2), (1, 2, 1), (2, 2, 2), (3, 3)):
+        n = sum(sizes)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        values = np.repeat(rng.uniform(-2.0, 2.0, len(sizes)), sizes)
+        b = SymmetricMap.from_matrix(q @ np.diag(values) @ q.T)
+        for hit in search_pairs_for_B(b, "all"):
+            omega_in_soB(hit.pair.c, hit.pair.d, b)
+            closing_identities(hit.pair.c, hit.pair.d, b)
+    assert len(calls) > 8 and {len(xs) for xs, _, _ in calls} == {2}
+    for xs, r, got in calls:
+        assert [_term_bits(y) for y in got] \
+            == [_term_bits(rotate_all((x,), r)[0]) for x in xs]
+
+
+def test_shared_minor_rotation_refuses_a_rotation_of_another_dimension():
+    a, b = Multivector.zero(3), Multivector.zero(4)
+    with pytest.raises(InputError, match="4 x 4"):
+        qpair._rotate_all((a, b), np.eye(3))
+
+
 def test_symmetric_map_clustering():
     b = SymmetricMap.from_diagonal([2.0, 2.0 + 1e-12, -1.0])
     assert [s.multiplicity for s in b.eigenspaces] == [1, 2]
@@ -842,9 +904,13 @@ def test_constructors_leave_unverified_pairs_untagged(build):
 def test_eigenbasis_memo_rotates_each_pair_once(monkeypatch):
     from cwclifford.omega import classify_distinguished, omega_in_soB
     rotated = []
-    rotate = qpair.rotate_multivector
-    monkeypatch.setattr(qpair, "rotate_multivector",
-                        lambda a, r: rotated.append(a) or rotate(a, r))
+    rotate_all = qpair._rotate_all
+    monkeypatch.setattr(qpair, "_rotate_all",
+                        lambda xs, r: rotated.extend(xs) or rotate_all(xs, r))
+
+    def rotate(a, r):
+        return rotate_all((a,), r)[0]
+
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     base = make_monomial(4, 0b0011, 1.0, 0.5)
@@ -903,11 +969,12 @@ def q_row_images(c, d):
     lists them, the terms in blade order: X[mu - 1, K] is the coefficient
     of Gamma_(K ^ m_mu); "0.0 +" turns a negative zero into gp's positive
     one, the one difference the kernel allows."""
-    re, im, top = qpair._q_parity(c, d)
+    re, im, size = qpair._q_parity(c, d)
     return [(sorted((int(k) ^ 1 << mu, (0.0 + x[k]).hex(),
                      (0.0 + y[k]).hex())
                     for k in np.flatnonzero((x != 0.0) | (y != 0.0))),
-             float(t)) for mu, (x, y, t) in enumerate(zip(re, im, top))]
+             float(t)) for mu, (x, y, t) in enumerate(zip(re, im,
+                                                          size.max(1)))]
 
 
 def q_restriction_on(c, d, dense):
