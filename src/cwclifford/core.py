@@ -425,10 +425,10 @@ def _rows_cat(*tables: _Rows) -> _Rows:
         *(np.concatenate(x) for x in list(zip(*tables))[1:]))
 
 
-def _counts(a: _Rows, ia: np.ndarray) -> np.ndarray:
-    """The number of terms of the rows ia, 0 for row -1."""
-    count = a.ptr[ia + 1] - a.ptr[ia]       # row -1 reads 0 - ptr[-1]
-    return np.maximum(count, 0, out=count)
+def _extent(a: _Rows, ia: np.ndarray):
+    """(start, count) of the rows ia; row -1 counts 0, not 0 - ptr[-1]."""
+    start = a.ptr[ia]
+    return start, np.maximum(a.ptr[ia + 1] - start, 0)
 
 
 def _spread(start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -624,7 +624,7 @@ def _rows_gp(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
     """Row k is gp(a[ia[k]], b[ib[k]]), bit for bit: the term pairs in gp's
     loop order.  Rows go in blocks of about _GP_BLOCK term products; a row
     of more takes its sums from _gp_sums, cut once at the end."""
-    na, nb = _counts(a, ia), _counts(b, ib)
+    (sa, na), (sb, nb) = _extent(a, ia), _extent(b, ib)
     count = na * nb
     cut = PRUNE_EPS * a.top[ia] * b.top[ib]
     if count.sum() > _GP_BLOCK:
@@ -638,8 +638,8 @@ def _rows_gp(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
         if len(ia) == 1:
             # gp's sums, carried by _gp_sums, at the blades in dict order:
             # where each first appears in gp's loop order
-            i, j = (np.arange(t.ptr[k], t.ptr[k + 1])
-                    for t, k in ((a, ia[0]), (b, ib[0])))
+            i = np.arange(sa[0], sa[0] + na[0])
+            j = np.arange(sb[0], sb[0] + nb[0])
             first = np.full(1 << dim, count[0])
             step = max(1, _GP_BLOCK // len(j))
             for s in range(0, len(i), step):
@@ -651,8 +651,8 @@ def _rows_gp(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
                              *_gp_sums(a, i, b, j, dim)[:, 0, blade], cut)
     row = np.arange(len(ia)).repeat(count)
     i, j = np.divmod(_spread(np.zeros_like(count), count), nb[row])
-    i += a.ptr[ia][row]               # in place: a fresh array costs more
-    j += b.ptr[ib][row]
+    i += sa[row]                      # in place: a fresh array costs more
+    j += sb[row]
     blade, re, im = _products(a, i, b, j, dim)
     del i, j                          # before the grouping pass
     return _collect(count, row, blade, re, im, cut, dim,
@@ -660,16 +660,14 @@ def _rows_gp(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
-def _rows_fold(t: _Rows, sign: float, summed, dim: int) -> _Rows:
-    """Row k is t[2k] + sign t[2k + 1] as Multivector's + or - builds it
-    where summed[k]; elsewhere the two rows' terms uncut, which is the
-    nonempty one of them.  The terms of row k are those of rows 2k and
-    2k + 1, in place and in order."""
+def _rows_fold(t: _Rows, sign: float, dim: int) -> _Rows:
+    """Row k is t[2k] + sign t[2k + 1] as Multivector's + or - builds it.
+    The terms of row k are those of rows 2k and 2k + 1, in place and in
+    order."""
     each = t.ptr[1:] - t.ptr[:-1]
     na, nb = each[::2], each[1::2]
     count = na + nb
-    cut = np.where(summed, PRUNE_EPS * np.maximum(t.top[::2], t.top[1::2]),
-                   0.0)
+    cut = PRUNE_EPS * np.maximum(t.top[::2], t.top[1::2])
     re, im = t.re, t.im
     if sign != 1.0:
         factor = np.where(np.arange(len(each)) & 1, sign, 1.0).repeat(each)
@@ -683,29 +681,29 @@ def _rows_sum(a: _Rows, ia: np.ndarray, b: _Rows, ib: np.ndarray,
     """Row k is a[ia[k]] + sign b[ib[k]], the _rows_fold of the two rows
     gathered side by side, each from the table it lies in."""
     count = np.empty(2 * len(ia), np.intp)
-    count[::2], count[1::2] = _counts(a, ia), _counts(b, ib)
+    (sa, count[::2]), (sb, count[1::2]) = _extent(a, ia), _extent(b, ib)
     ptr = np.zeros(len(count) + 1, np.intp)
     count.cumsum(out=ptr[1:])
     top = np.empty(len(count))
     blade = np.empty(ptr[-1], np.intp)
     re, im = np.empty(ptr[-1]), np.empty(ptr[-1])
-    for side, t, rows in ((0, a, ia), (1, b, ib)):
+    for side, t, rows, start in ((0, a, ia, sa), (1, b, ib, sb)):
         n = count[side::2]
-        at = _spread(t.ptr[rows], n)
-        to = at + (ptr[side:-1:2] - t.ptr[rows]).repeat(n)
+        at = _spread(start, n)
+        to = at + (ptr[side:-1:2] - start).repeat(n)
         blade[to], re[to], im[to] = t.blade[at], t.re[at], t.im[at]
         top[side::2] = np.append(t.top, 0.0)[rows]      # row -1 is empty
-    return _rows_fold(_Rows(ptr, blade, re, im, top), sign, True, dim)
+    return _rows_fold(_Rows(ptr, blade, re, im, top), sign, dim)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _cut_rows raises on it
 def _rows_scaled(a: _Rows, ia: np.ndarray, factor: np.ndarray) -> _Rows:
     """Row k is a[ia[k]] * complex(factor[k]) for real factors, as the
     raw-terms constructor builds it."""
-    count = _counts(a, ia)
+    start, count = _extent(a, ia)
     ptr = np.zeros(len(ia) + 1, np.intp)
     count.cumsum(out=ptr[1:])
-    at = _spread(a.ptr[ia], count)
+    at = _spread(start, count)
     factor = factor.repeat(count)
     return _cut_rows(ptr, np.arange(len(ia)).repeat(count), a.blade[at],
                      a.re[at] * factor, a.im[at] * factor, 0.0, own=True)

@@ -181,10 +181,10 @@ class CWElement:
     def __mul__(self, other):
         if isinstance(other, CWElement):
             return CWElement(
-                _block(self.p, other.p, self.q, other.r),
-                _block(self.p, other.q, self.q, other.s),
-                _block(self.r, other.p, self.s, other.r),
-                _block(self.r, other.q, self.s, other.s))
+                gp(self.p, other.p) + gp(self.q, other.r),
+                gp(self.p, other.q) + gp(self.q, other.s),
+                gp(self.r, other.p) + gp(self.s, other.r),
+                gp(self.r, other.q) + gp(self.s, other.s))
         return CWElement(self.p * other, self.q * other,
                          self.r * other, self.s * other)
 
@@ -200,20 +200,6 @@ class CWElement:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(x.is_zero(tol) for x in (self.p, self.q, self.r, self.s))
-
-
-def _block(a: Multivector, b: Multivector, c: Multivector,
-           d: Multivector) -> Multivector:
-    """a b + c d, calling gp only on products whose factors both have terms."""
-    ab = not (a.is_zero() or b.is_zero())
-    cd = not (c.is_zero() or d.is_zero())
-    if ab and cd:
-        return gp(a, b) + gp(c, d)
-    if ab:
-        return gp(a, b)
-    if cd:
-        return gp(c, d)
-    return Multivector.zero(a.dim)
 
 
 def _combine(n: int, terms) -> CWElement:
@@ -407,15 +393,12 @@ def _block_mul(x: _Rows, ix: np.ndarray, y: _Rows, iy: np.ndarray,
                n: int) -> _Rows:
     """Element k is x[ix[k]] * y[iy[k]], as CWElement.__mul__ forms it;
     for ix and iy of shape (k, s), row (k, block, s) is that block of
-    x[ix[k, s]] * y[iy[k, s]].  Every block is the fold of its two gp rows,
-    formed empty or not, summed where both products' factors have terms,
-    as _block sums them."""
+    x[ix[k, s]] * y[iy[k, s]].  Every block is the sum of its two gp rows,
+    formed empty or not."""
     shape = (len(ix), 1, -1, 1)         # (k, block, s, half)
     left = (4 * ix.reshape(shape) + _LEFT.reshape(4, 1, 2)).ravel()
     right = (4 * iy.reshape(shape) + _RIGHT.reshape(4, 1, 2)).ravel()
-    full = (x.ptr[left + 1] > x.ptr[left]) & (y.ptr[right + 1] > y.ptr[right])
-    return _rows_fold(_rows_gp(x, left, y, right, n), 1.0,
-                      full[::2] & full[1::2], n)
+    return _rows_fold(_rows_gp(x, left, y, right, n), 1.0, n)
 
 
 @np.errstate(over="ignore")     # an infinite norm is a result, as in norm()
@@ -512,7 +495,8 @@ def _defect_norms(gens: _Rows, pairs, rhs: _Rows, at: np.ndarray,
                   n: int) -> np.ndarray:
     """The norms of the blocks p, q, r, s of [X_i, X_j] - R_ij, one row
     for each pair (i, j) of pairs, X_i element i of gens and R_ij element
-    at[i, j] of rhs, zero where at[i, j] < 0.
+    at[i, j] of rhs, the empty row -1 where at[i, j] < 0: rho(0) = 0, which
+    curvature subtracts too.
 
     Every pair is one array pass, a block of pairs at a time, each block
     about _GP_BLOCK term products and product rows, the bound _rows_gp
@@ -531,11 +515,9 @@ def _defect_norms(gens: _Rows, pairs, rhs: _Rows, at: np.ndarray,
     for part in np.split(np.arange(len(i)), np.diff(blocks).nonzero()[0] + 1):
         x, y = i[part], j[part]
         defect = _rows_fold(_block_mul(gens, np.stack((x, y), 1), gens,
-                                       np.stack((y, x), 1), n), -1.0, True, n)
-        rows = np.arange(4 * len(part))
-        image = at[x, y]
-        if (image >= 0).any():
-            defect = _rows_sum(defect, rows, rhs, _blocks(image), -1.0, n)
+                                       np.stack((y, x), 1), n), -1.0, n)
+        defect = _rows_sum(defect, np.arange(4 * len(part)), rhs,
+                           _blocks(at[x, y]), -1.0, n)
         norms.append(_rows_norm(defect).reshape(-1, 4))
     return np.concatenate(norms)
 
@@ -730,6 +712,13 @@ def x_projector_element(n: int, mask_i: int, mask_j: int,
     return 0.5 * Multivector.unit(n) + (0.5 * sign * unit_factor) * gij
 
 
+# the blocks p and s of the named projectors: "1" the unit, "0" zero, and
+# "+" or "-" the half-spinor projector (1 +- volume)/2
+_CATALOG = {"sigma-": "10", "sigma+": "01", "sv+s-": "1-", "sv+s+": "1+",
+            "s-w": "+-", "s+w": "-+", "sigma-pi+": "+0", "sigma-pi-": "-0",
+            "sigma+pi+": "0+", "sigma+pi-": "0-"}
+
+
 def catalog_projector(name: str, n: int) -> CWElement:
     """Named restriction projectors for the CLI and tests.
 
@@ -739,29 +728,13 @@ def catalog_projector(name: str, n: int) -> CWElement:
     x+:<I>;<J> / x-:<I>;<J> build the non-canonical kernel projectors from
     two disjoint index sets (e.g. "x+:1,2;3").
     """
-    one = Multivector.unit(n)
     z = Multivector.zero(n)
-    if name == "sigma-":
-        return CWElement(one, z, z, z)
-    if name == "sigma+":
-        return CWElement(z, z, z, one)
-    if name in ("sv+s-", "sv+s+", "s-w", "s+w", "sigma-pi+", "sigma-pi-",
-                "sigma+pi+", "sigma+pi-"):
-        if n % 2:
+    if name in _CATALOG:
+        if n % 2 and _CATALOG[name].strip("01"):
             raise InputError(f"projector {name!r} needs an even dimension")
-        pip = half_spinor_projector(n, 1)
-        pim = half_spinor_projector(n, -1)
-        table = {
-            "sv+s-": CWElement(one, z, z, pim),
-            "sv+s+": CWElement(one, z, z, pip),
-            "s-w": CWElement(pip, z, z, pim),
-            "s+w": CWElement(pim, z, z, pip),
-            "sigma-pi+": CWElement(pip, z, z, z),
-            "sigma-pi-": CWElement(pim, z, z, z),
-            "sigma+pi+": CWElement(z, z, z, pip),
-            "sigma+pi-": CWElement(z, z, z, pim),
-        }
-        return table[name]
+        p, s = (Multivector.unit(n) if b == "1" else z if b == "0" else
+                half_spinor_projector(n, int(b + "1")) for b in _CATALOG[name])
+        return CWElement(p, z, z, s)
     if name.startswith("x+:") or name.startswith("x-:"):
         sign = 1 if name[1] == "+" else -1
         try:
@@ -771,5 +744,5 @@ def catalog_projector(name: str, n: int) -> CWElement:
         except ValueError as exc:
             raise InputError(f"cannot parse X projector spec {name!r}") from exc
         x = x_projector_element(n, mask_i, mask_j, sign)
-        return CWElement(one, z, z, x)
+        return CWElement(Multivector.unit(n), z, z, x)
     raise InputError(f"unknown projector name {name!r}")

@@ -45,14 +45,14 @@ def _pair_generators(m: int):
     return gens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaRep:
     """A concrete matrix representation of the Clifford algebra.  Every
     blade matrix is monomial, one phase of {+-1, +-i} per row; the cache
     keeps the flat (row-major) indices and phases of those entries, built
     as the lowest generator times the rest, with no negative zero part.
     build_rep shares one instance per (n, kind), so its matrices and cache
-    arrays are read-only."""
+    arrays are read-only, and == and hash go by identity."""
 
     dim_v: int
     kind: str  # "irreducible" or "faithful"

@@ -336,20 +336,14 @@ def dict_terms(a):
     return list(a.terms()), a._top
 
 
-def unsummed(a, sign, b):
-    """The terms of a, then of sign b, uncut, and their largest size."""
-    return (list(a.terms()) + [(m, sign * z) for m, z in b.terms()],
-            max(a._top, b._top))
-
-
 def test_row_kernels_match_the_multivector_arithmetic():
     """gp, sums, scalar multiples and norms of many elements at once give
     the values (a zero's sign aside), dict order and cuts of Multivector.
     _collect groups by a stable sort of the row-blade keys alone; the last
     two tables give it a few full rows at n = 8, whose keys fill the table
     of all keys, and many one- and two-term rows, whose keys are sparse in
-    it.  A fold of adjacent rows is their sum or difference where summed,
-    elsewhere (one row empty) the two rows' terms uncut."""
+    it.  A fold of adjacent rows is their sum or difference, also where
+    one of them is empty."""
     rng = np.random.default_rng(11)
     for n, size, low, high in ((2, 24, 0, 16), (4, 24, 0, 16), (7, 24, 0, 16),
                                (8, 3, 256, 257), (8, 48, 1, 3)):
@@ -369,14 +363,11 @@ def test_row_kernels_match_the_multivector_arithmetic():
                 assert row_terms(out, k) == dict_terms(
                     build(xs[ia[k]], xs[ib[k]], f[k])), (n, k)
         side_by_side = _rows_of([xs[k] for k in np.stack((ia, ib), 1).flat])
-        empty = np.array([not x._terms for x in xs])
-        summed = (rng.random(len(ia)) < 0.5) | ~(empty[ia] | empty[ib])
         for sign, op in ((1.0, operator.add), (-1.0, operator.sub)):
-            out = _rows_fold(side_by_side, sign, summed, n)
+            out = _rows_fold(side_by_side, sign, n)
             for k, (a, b) in enumerate(zip(ia, ib)):
-                a, b = xs[a], xs[b]
-                assert row_terms(out, k) == (dict_terms(op(a, b)) if summed[k]
-                                             else unsummed(a, sign, b)), (n, k)
+                assert row_terms(out, k) == dict_terms(op(xs[a], xs[b])), \
+                    (n, k)
         # a table of no rows stands for the empty row -1
         out = _rows_sum(table, ia, _rows_of([]), np.full(len(ia), -1), -1.0,
                         n)
@@ -390,27 +381,22 @@ def test_row_kernels_match_the_multivector_arithmetic():
         assert _element_norms(_rows_norm(many)[:whole]).tolist() == [
             CWElement(*prods[k:k + 4]).norm() for k in range(0, whole, 4)]
     # gp(a, b) leaves 1.5e-14 e_1 - 1.5e-14 e_2 beside 2 e_{1,2}, above gp's
-    # cut and below a sum's: a fold keeps them unsummed and cuts them summed
+    # cut and below a sum's: a fold with the empty row cuts them
     a = Multivector(4, {0b00: 1.0, 0b11: 1.0, 0b01: 1.5e-14})
     b = Multivector(4, {0b00: 1.0, 0b11: 1.0})
     ab, zero = gp(a, b), Multivector.zero(4)
     assert len((ab + zero)._terms) == len(ab._terms) - 2 == 1
     table = _rows_of([ab, zero, zero, ab])
     for sign, op in ((1.0, operator.add), (-1.0, operator.sub)):
-        kept = _rows_fold(table, sign, np.array([False, False]), 4)
-        cut = _rows_fold(table, sign, np.array([True, True]), 4)
-        assert row_terms(kept, 0) == unsummed(ab, sign, zero)
-        assert row_terms(kept, 1) == unsummed(zero, sign, ab)
+        cut = _rows_fold(table, sign, 4)
         assert row_terms(cut, 0) == dict_terms(op(ab, zero))
         assert row_terms(cut, 1) == dict_terms(op(zero, ab))
         # a table of no rows, and one of empty rows
-        none = _rows_fold(_rows_of([]), sign, np.zeros(0, bool), 4)
+        none = _rows_fold(_rows_of([]), sign, 4)
         assert none.ptr.tolist() == [0] and len(none.top) == 0
-        for summed in (False, True):
-            empty = _rows_fold(_rows_of([zero] * 4), sign,
-                               np.full(2, summed), 4)
-            assert empty.ptr.tolist() == [0, 0, 0]
-            assert empty.top.tolist() == [0.0, 0.0]
+        empty = _rows_fold(_rows_of([zero] * 4), sign, 4)
+        assert empty.ptr.tolist() == [0, 0, 0]
+        assert empty.top.tolist() == [0.0, 0.0]
 
 
 def test_cut_rows_takes_each_rows_top_before_the_cut():

@@ -707,14 +707,26 @@ def test_block_products_and_norms_match_the_cwelement_arithmetic():
     xs = [CWElement(*(random_multivector(rng, n, int(rng.integers(0, 6)))
                       for _ in range(4))) for _ in range(10)]
     # gp(a, b) leaves 1.5e-14 e_1 - 1.5e-14 e_2 beside 2 e_{1,2}, above gp's
-    # cut and below a sum's, so a block of one product must not be cut again
+    # cut and below a sum's, so a block of one product is cut as the sum of
+    # that product and the empty one
     a = Multivector(n, {0b00: 1.0, 0b11: 1.0, 0b01: 1.5e-14})
     b = Multivector(n, {0b00: 1.0, 0b11: 1.0})
     xs += [CWElement(a, z, z, z), CWElement(b, z, z, z)]
     ix, iy = (x.ravel() for x in np.indices((len(xs), len(xs))))
     prods = cw._block_mul(cw._element_rows(xs), ix, cw._element_rows(xs), iy,
                           n)
-    assert cw._element_rows([xs[-2] * xs[-1]]).ptr[1] == 3
+    one_product = gp(a, b) + z
+    assert len(one_product._terms) == 1 < len(gp(a, b)._terms)
+
+    def hexes(terms):
+        return [(int(m), x.real.hex(), x.imag.hex()) for m, x in terms]
+    k = len(ix) - len(xs) - 1                   # the pair (-2, -1)
+    lo, hi = prods.ptr[4 * k:4 * k + 2]
+    row = zip(prods.blade[lo:hi], map(complex, prods.re[lo:hi],
+                                      prods.im[lo:hi]))
+    block = (xs[-2] * xs[-1]).p
+    assert hexes(row) == hexes(block.terms()) == hexes(one_product.terms())
+    assert prods.top[4 * k] == block._top == one_product._top
     for k, (i, j) in enumerate(zip(ix, iy)):
         want = xs[i] * xs[j]
         for block, x in enumerate((want.p, want.q, want.r, want.s)):
@@ -975,7 +987,8 @@ def test_the_sweeps_pass_each_pair_once_in_three_kernel_calls(n, monkeypatch):
     - C(r, 2) pairs past it, r the number of rotations, none of them a
     rotation x rotation pair.  Each block of pairs makes one _rows_gp, two
     _rows_fold calls (the blocks of both products, then their difference)
-    and at most one _rows_sum (- R_ij) before its norms."""
+    and one _rows_sum (- R_ij, the empty row where the bracket is zero)
+    before its norms."""
     monkeypatch.setattr(cw, "_GP_BLOCK", 64)   # several blocks a pass
     passes, active = [], []
 
@@ -1011,7 +1024,7 @@ def test_the_sweeps_pass_each_pair_once_in_three_kernel_calls(n, monkeypatch):
             ends = [k for k, name in enumerate(calls) if name == "_rows_norm"]
             assert len(ends) > 1 and ends[-1] == len(calls) - 1
             for start, end in zip([0] + [k + 1 for k in ends], ends):
-                assert calls[start:end] in (block, block + ["_rows_sum"])
+                assert calls[start:end] == block + ["_rows_sum"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

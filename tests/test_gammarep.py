@@ -5,7 +5,7 @@ import pytest
 
 from cwclifford.core import Multivector, gp, random_multivector, volume_element
 from cwclifford.errors import AmbiguousOddIrreducible, DimensionTooLarge
-from cwclifford.gammarep import (build_rep, extract_component,
+from cwclifford.gammarep import (GammaRep, build_rep, extract_component,
                                  multivector_from_matrix, represent)
 
 
@@ -183,6 +183,21 @@ def test_build_rep_shares_one_read_only_rep_per_dimension_and_kind(n):
         rep.rep_dim = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.matrices = ()
+
+
+def test_reps_compare_and_hash_by_identity():
+    """A representation holds arrays, so == and hash go by identity: a rep
+    keys a dict, and a twin built from copies of its fields is another rep,
+    which == tells apart without comparing arrays."""
+    rep = build_rep(4)
+    assert {rep: "faithful"}[build_rep(4)] == "faithful"
+    assert hash(rep) == hash(build_rep(4))
+    assert build_rep(4) == build_rep(4)
+    assert build_rep(4) != build_rep(4, "irreducible")
+    twin = GammaRep(rep.dim_v, rep.kind,
+                    tuple(m.copy() for m in rep.matrices), rep.rep_dim)
+    assert twin != rep and not twin == rep
+    assert len({rep, twin, build_rep(4, "irreducible")}) == 3
 
 
 def test_build_rep_checks_its_arguments():
