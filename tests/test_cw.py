@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -576,10 +577,32 @@ def test_catalog_names():
         assert (p * p - p).norm() < 1e-12
     p = catalog_projector("x+:1;2,3,4", 4)
     assert (p * p - p).norm() < 1e-12
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown projector name 'nope'"):
         catalog_projector("nope", 4)
     with pytest.raises(InputError):
         catalog_projector("sv+s-", 3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_catalog_blocks(n):
+    """Each name's p and s blocks: the unit, zero or a half-spinor
+    projector; the names with a half-spinor block need an even n."""
+    one, z = Multivector.unit(n), Multivector.zero(n)
+    assert catalog_projector("sigma-", n) == CWElement(one, z, z, z)
+    assert catalog_projector("sigma+", n) == CWElement(z, z, z, one)
+    halves = ("sv+s-", "sv+s+", "s-w", "s+w", "sigma-pi+", "sigma-pi-",
+              "sigma+pi+", "sigma+pi-")
+    if n % 2:
+        for name in halves:
+            with pytest.raises(InputError, match=re.escape(
+                    f"projector {name!r} needs an even dimension")):
+                catalog_projector(name, n)
+        return
+    plus, minus = half_spinor_projector(n, 1), half_spinor_projector(n, -1)
+    for name, (p, s) in zip(halves, [(one, minus), (one, plus), (plus, minus),
+                                     (minus, plus), (plus, z), (minus, z),
+                                     (z, plus), (z, minus)]):
+        assert catalog_projector(name, n) == CWElement(p, z, z, s)
 
 
 def test_w_basis_size():
@@ -724,9 +747,9 @@ def test_block_products_and_norms_match_the_cwelement_arithmetic():
     lo, hi = prods.ptr[4 * k:4 * k + 2]
     row = zip(prods.blade[lo:hi], map(complex, prods.re[lo:hi],
                                       prods.im[lo:hi]))
-    block = (xs[-2] * xs[-1]).p
-    assert hexes(row) == hexes(block.terms()) == hexes(one_product.terms())
-    assert prods.top[4 * k] == block._top == one_product._top
+    product = (xs[-2] * xs[-1]).p
+    assert hexes(row) == hexes(product.terms()) == hexes(one_product.terms())
+    assert prods.top[4 * k] == product._top == one_product._top
     for k, (i, j) in enumerate(zip(ix, iy)):
         want = xs[i] * xs[j]
         for block, x in enumerate((want.p, want.q, want.r, want.s)):
